@@ -43,6 +43,12 @@ step test-debug 1800 cargo test -q
 # tier under budget).
 step chaos-determinism 900 cargo test --release -q -p ftgm-core \
     --test chaos_smoke --test determinism --test cpu_equivalence
+# Allocation budget of the steady-state message path: a two-node
+# ping-pong under a counting global allocator must stay within
+# tests/alloc_budget.rs's per-message budget and schedule no boxed
+# closure. Its own binary (the allocator is process-wide) and its own
+# step, so an overrun is named here rather than buried in a suite.
+step alloc-budget 300 cargo test --release -q -p ftgm-core --test alloc_budget
 mkdir -p results
 step lint 120 cargo run -q -p ftgm-lint -- --deny-new --quiet \
     --report results/lint_report.json

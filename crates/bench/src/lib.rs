@@ -147,11 +147,7 @@ pub fn measure_table2(config: &WorldConfig) -> Table2Row {
         / n;
     let lanai_total = |i: usize| {
         let m = &w.nodes[i].mcp;
-        let lt = m
-            .accounting()
-            .get("ltimer")
-            .copied()
-            .unwrap_or(SimDuration::ZERO);
+        let lt = m.accounting().get(ftgm_mcp::Handler::Ltimer);
         m.lanai_busy().as_micros_f64() - lt.as_micros_f64()
     };
     let lanai_us = (lanai_total(0) + lanai_total(1)) / n;

@@ -172,7 +172,13 @@ pub enum GmEvent {
 
 /// Identifies a spawned application.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct AppId(usize);
+pub struct AppId(u32);
+
+impl AppId {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// A GM application: event-driven, like a spin-polling GM process.
 pub trait App {
@@ -289,14 +295,89 @@ pub struct WorldStats {
     pub corrupt_deliveries: u64,
     /// GM events delivered to applications.
     pub app_events: u64,
+    /// Closure events scheduled through [`World::schedule_call`]. The
+    /// message path (send, provide, receive event, alarm) schedules none;
+    /// `tests/alloc_budget.rs` holds it to that.
+    pub closure_calls: u64,
 }
 
+/// A [`GmEvent`] while it waits in the scheduler: the same five kinds,
+/// with the payload as a boxed slice so that [`Event`] stays within its
+/// size budget (a `Vec` is one word wider).
+enum QueuedGmEvent {
+    Received { src_node: NodeId, src_port: u8, token_id: u64, len: u32, data: Box<[u8]> },
+    SentOk { token_id: u64 },
+    SendError { token_id: u64 },
+    Alarm { tag: u64 },
+    InterfaceDead,
+}
+
+impl From<GmEvent> for QueuedGmEvent {
+    fn from(ev: GmEvent) -> QueuedGmEvent {
+        match ev {
+            GmEvent::Received { src_node, src_port, token_id, len, data } => {
+                QueuedGmEvent::Received {
+                    src_node,
+                    src_port,
+                    token_id,
+                    len,
+                    // Exact-capacity copies convert without reallocating.
+                    data: data.into_boxed_slice(),
+                }
+            }
+            GmEvent::SentOk { token_id } => QueuedGmEvent::SentOk { token_id },
+            GmEvent::SendError { token_id } => QueuedGmEvent::SendError { token_id },
+            GmEvent::Alarm { tag } => QueuedGmEvent::Alarm { tag },
+            GmEvent::InterfaceDead => QueuedGmEvent::InterfaceDead,
+        }
+    }
+}
+
+impl From<QueuedGmEvent> for GmEvent {
+    fn from(ev: QueuedGmEvent) -> GmEvent {
+        match ev {
+            QueuedGmEvent::Received { src_node, src_port, token_id, len, data } => {
+                GmEvent::Received { src_node, src_port, token_id, len, data: data.into_vec() }
+            }
+            QueuedGmEvent::SentOk { token_id } => GmEvent::SentOk { token_id },
+            QueuedGmEvent::SendError { token_id } => GmEvent::SendError { token_id },
+            QueuedGmEvent::Alarm { tag } => GmEvent::Alarm { tag },
+            QueuedGmEvent::InterfaceDead => GmEvent::InterfaceDead,
+        }
+    }
+}
+
+/// Everything the scheduler carries. The steady-state message path uses
+/// only the typed kinds; `Call` is for recovery code, hooks and
+/// `spawn_app`. The scheduler stores 24 bytes beside each event, so the
+/// enum is kept to 40 to fill exactly one cache line (a unit test holds
+/// it there): that is why `PostSend` spells out [`SendDesc`]'s fields
+/// instead of nesting the struct, whose padding the tag could not use.
 enum Event {
     McpDispatch(u16),
     TimerPoll(u16),
     FrameDelivery { dst: NodeId, bytes: Vec<u8>, crc_ok: bool },
     HostDmaDone(u16),
     NicEventArrived { node: u16, port: u8, event: NicEvent },
+    /// The driver's interrupt handler runs, one IRQ latency after the
+    /// chip raised its line.
+    HostIrq(u16),
+    /// A send descriptor's PIO write and doorbell reach the NIC.
+    PostSend {
+        node: u16,
+        token_id: u64,
+        port: u8,
+        dst_node: NodeId,
+        dst_port: u8,
+        host_addr: u64,
+        len: u32,
+        prio_high: bool,
+        first_seq: Option<u32>,
+    },
+    /// A receive token's PIO write and doorbell reach the NIC.
+    PostRecvToken { node: u16, port: u8, desc: RecvTokenDesc },
+    /// The library hands a GM event (or an alarm) to an application.
+    AppDelivery { app: AppId, ev: QueuedGmEvent },
     Call(Box<dyn FnOnce(&mut World)>),
 }
 
@@ -318,6 +399,9 @@ pub struct World {
     /// Reusable scratch for [`DrainMode::Batched`] — kept across
     /// `run_until` calls so steady state allocates nothing.
     scratch: Vec<(SimTime, Event)>,
+    /// The buffer [`World::sync_node`] trades with a node's MCP effect
+    /// queue, for the same reason.
+    mcp_effects: Vec<McpEffect>,
 }
 
 impl World {
@@ -371,6 +455,7 @@ impl World {
             app_binding: Vec::new(),
             stats: WorldStats::default(),
             scratch: Vec::new(),
+            mcp_effects: Vec::new(),
         };
         for n in 0..w.nodes.len() {
             w.sync_node(n);
@@ -476,9 +561,10 @@ impl World {
         self.run_until(t);
     }
 
-    /// Schedules `f` to run after `delay` (used by the library, recovery
-    /// code, and applications' alarms).
+    /// Schedules `f` to run after `delay` (recovery code, experiment hooks
+    /// and `spawn_app`; the message path has typed events instead).
     pub fn schedule_call(&mut self, delay: SimDuration, f: impl FnOnce(&mut World) + 'static) {
+        self.stats.closure_calls += 1;
         self.sched.schedule_in(delay, Event::Call(Box::new(f)));
     }
 
@@ -516,6 +602,43 @@ impl World {
             Event::NicEventArrived { node, port, event } => {
                 self.handle_nic_event(node as usize, port, event);
             }
+            Event::HostIrq(n) => self.handle_irq(n as usize),
+            Event::PostSend {
+                node,
+                token_id,
+                port,
+                dst_node,
+                dst_port,
+                host_addr,
+                len,
+                prio_high,
+                first_seq,
+            } => {
+                let n = node as usize;
+                if !self.nodes[n].frozen() {
+                    self.nodes[n].mcp.post_send(SendDesc {
+                        token_id,
+                        port,
+                        dst_node,
+                        dst_port,
+                        host_addr,
+                        len,
+                        prio_high,
+                        first_seq,
+                    });
+                    self.sync_node(n);
+                }
+            }
+            Event::PostRecvToken { node, port, desc } => {
+                let n = node as usize;
+                if !self.nodes[n].frozen() {
+                    self.nodes[n].mcp.post_recv_token(port, desc);
+                    self.sync_node(n);
+                }
+            }
+            Event::AppDelivery { app, ev } => {
+                self.with_app(app, |app, ctx| app.on_event(ctx, ev.into()));
+            }
             Event::Call(f) => f(self),
         }
     }
@@ -530,16 +653,11 @@ impl World {
         match req.dir {
             HostDmaDir::HostToSram => {
                 let data = node.host.mem.dma_read(req.host_addr, req.len);
-                node.mcp.chip.sram.write_bytes(req.sram_addr, &data);
+                node.mcp.chip.sram.write_bytes(req.sram_addr, data);
             }
             HostDmaDir::SramToHost => {
-                let data = node
-                    .mcp
-                    .chip
-                    .sram
-                    .read_bytes(req.sram_addr, req.len as usize)
-                    .to_vec();
-                node.host.mem.dma_write(req.host_addr, &data);
+                let data = node.mcp.chip.sram.read_bytes(req.sram_addr, req.len as usize);
+                node.host.mem.dma_write(req.host_addr, data);
             }
         }
         node.mcp.host_dma_done();
@@ -560,10 +678,15 @@ impl World {
     /// scheduled. Call after any interaction with a node's MCP.
     pub fn sync_node(&mut self, n: usize) {
         let now = self.now();
-        for effect in self.nodes[n].mcp.take_effects() {
+        let mut effects = std::mem::take(&mut self.mcp_effects);
+        self.nodes[n].mcp.swap_effects(&mut effects);
+        for effect in effects.drain(..) {
             match effect {
-                McpEffect::Transmit { route, frame } => {
-                    match self.fabric.inject(now, NodeId(n as u16), &route, frame) {
+                McpEffect::Transmit { dst, frame } => {
+                    let Some(route) = self.nodes[n].mcp.routes().route(dst) else {
+                        continue; // no route (mapper not run / table lost): drop
+                    };
+                    match self.fabric.inject(now, NodeId(n as u16), route, frame) {
                         Ok(d) => {
                             self.sched.schedule_at(
                                 d.at,
@@ -611,10 +734,11 @@ impl World {
                 }
                 McpEffect::HostInterrupt => {
                     let latency = self.nodes[n].host.driver.params().irq_latency;
-                    self.schedule_call(latency, move |w| w.handle_irq(n));
+                    self.sched.schedule_in(latency, Event::HostIrq(n as u16));
                 }
             }
         }
+        self.mcp_effects = effects;
         // Keep the dispatch loop scheduled.
         if let Some(t) = self.nodes[n].mcp.needs_dispatch(now) {
             let already = self.nodes[n].dispatch_at.is_some_and(|d| d <= t);
@@ -691,7 +815,7 @@ impl World {
             "port {port} on {node} already open"
         );
         let mut hp = HostPort::new(port, self.config.send_tokens, self.config.recv_tokens);
-        let id = AppId(self.apps.len());
+        let id = AppId(u32::try_from(self.apps.len()).expect("fewer than 2^32 apps"));
         hp.app = Some(id);
         self.nodes[n].ports[port as usize] = Some(hp);
         self.nodes[n].mcp.open_port(port);
@@ -718,7 +842,7 @@ impl World {
         };
         let had_app = hp.app.is_some();
         if let Some(id) = hp.app {
-            self.apps[id.0] = None;
+            self.apps[id.index()] = None;
         }
         if !self.nodes[n].frozen() {
             self.nodes[n].mcp.close_port(port);
@@ -729,11 +853,11 @@ impl World {
 
     /// Runs `f` with the application and a context, unless its host froze.
     fn with_app(&mut self, id: AppId, f: impl FnOnce(&mut Box<dyn App>, &mut Ctx<'_>)) {
-        let (node, port) = self.app_binding[id.0];
+        let (node, port) = self.app_binding[id.index()];
         if self.nodes[node.0 as usize].frozen() {
             return;
         }
-        let Some(mut app) = self.apps[id.0].take() else {
+        let Some(mut app) = self.apps[id.index()].take() else {
             return;
         };
         {
@@ -745,7 +869,7 @@ impl World {
             };
             f(&mut app, &mut ctx);
         }
-        self.apps[id.0] = Some(app);
+        self.apps[id.index()] = Some(app);
     }
 
     /// Delivers a GM event to the app on `(node, port)` after `delay`.
@@ -756,9 +880,8 @@ impl World {
         };
         let Some(id) = hp.app else { return };
         self.stats.app_events += 1;
-        self.schedule_call(delay, move |w| {
-            w.with_app(id, |app, ctx| app.on_event(ctx, ev));
-        });
+        self.sched
+            .schedule_in(delay, Event::AppDelivery { app: id, ev: ev.into() });
     }
 
     // --- GM library: NIC event processing (gm_receive / gm_unknown) --------
@@ -1173,23 +1296,20 @@ impl Ctx<'_> {
         }
 
         // The PIO write + doorbell reach the NIC after the host-side cost.
-        let desc = SendDesc {
-            token_id,
-            port,
-            dst_node: dst,
-            dst_port,
-            host_addr: region.pa,
-            len: data.len() as u32,
-            prio_high,
-            first_seq,
-        };
-        self.world.schedule_call(cost, move |w| {
-            if w.nodes[n].frozen() {
-                return;
-            }
-            w.nodes[n].mcp.post_send(desc);
-            w.sync_node(n);
-        });
+        self.world.sched.schedule_in(
+            cost,
+            Event::PostSend {
+                node: self.node.0,
+                token_id,
+                port,
+                dst_node: dst,
+                dst_port,
+                host_addr: region.pa,
+                len: data.len() as u32,
+                prio_high,
+                first_seq,
+            },
+        );
         token_id
     }
 
@@ -1265,22 +1385,18 @@ impl Ctx<'_> {
             capacity,
             prio_high,
         };
-        self.world.schedule_call(cost, move |w| {
-            if w.nodes[n].frozen() {
-                return;
-            }
-            w.nodes[n].mcp.post_recv_token(port, desc);
-            w.sync_node(n);
-        });
+        self.world
+            .sched
+            .schedule_in(cost, Event::PostRecvToken { node: self.node.0, port, desc });
         token_id
     }
 
     /// Sets a one-shot alarm delivered as [`GmEvent::Alarm`].
     pub fn set_alarm(&mut self, delay: SimDuration, tag: u64) {
-        let id = self.app_id;
-        self.world.schedule_call(delay, move |w| {
-            w.with_app(id, |app, ctx| app.on_event(ctx, GmEvent::Alarm { tag }));
-        });
+        let ev = QueuedGmEvent::Alarm { tag };
+        self.world
+            .sched
+            .schedule_in(delay, Event::AppDelivery { app: self.app_id, ev });
     }
 
     /// MCP statistics of the local interface (for workload bookkeeping).
@@ -1491,6 +1607,42 @@ mod more_tests {
         assert!(w.nodes[0].frozen());
         w.run_for(SimDuration::from_ms(1));
         assert!(fired.borrow().is_empty(), "frozen hosts run nothing");
+    }
+
+    #[test]
+    fn wild_host_to_sram_dma_latches_the_crash_and_stages_zeros() {
+        use ftgm_host::CrashReason;
+        let mut w = World::two_node(WorldConfig::gm());
+        let sram_addr = ftgm_mcp::FirmwareImage::slab_addr(0);
+        w.nodes[0].mcp.chip.sram.write_bytes(sram_addr, &[0xFF; 16]);
+        // Firmware points the DMA engine at the unpinned null page.
+        let req = HostDmaReq {
+            dir: HostDmaDir::HostToSram,
+            host_addr: 64,
+            sram_addr,
+            len: 16,
+        };
+        w.nodes[0].mcp.chip.start_host_dma(req);
+        let now = w.now();
+        w.nodes[0].mcp.poll_timers(now); // any MCP call forwards the chip's effects
+        w.sync_node(0);
+        assert_eq!(w.nodes[0].dma_in_flight, Some(req));
+        w.run_for(SimDuration::from_us(50));
+        assert_eq!(w.nodes[0].dma_in_flight, None, "the transfer completed");
+        assert_eq!(
+            w.nodes[0].host.mem.crash_reason(),
+            Some(CrashReason::WildDma { addr: 64, len: 16 })
+        );
+        assert!(w.nodes[0].frozen());
+        assert_eq!(w.nodes[0].mcp.chip.sram.read_bytes(sram_addr, 16), &[0; 16]);
+    }
+
+    #[test]
+    fn event_fills_exactly_one_scheduler_cache_line() {
+        // The scheduler's entry is 24 bytes of (time, seq, slot, gen) plus
+        // the event; a 41st byte would push every queued entry onto a
+        // second cache line.
+        assert!(std::mem::size_of::<Event>() <= 40, "{}", std::mem::size_of::<Event>());
     }
 
     #[test]

@@ -54,6 +54,8 @@ pub struct HostMemory {
     next_alloc: u64,
     pinned: Vec<DmaRegion>,
     crashed: Option<CrashReason>,
+    /// What a wild DMA read lends the device (empty until one happens).
+    zeros: Vec<u8>,
 }
 
 impl fmt::Debug for HostMemory {
@@ -76,6 +78,7 @@ impl HostMemory {
             next_alloc: 4096,
             pinned: Vec::new(),
             crashed: None,
+            zeros: Vec::new(),
         }
     }
 
@@ -139,15 +142,17 @@ impl HostMemory {
         self.bytes[a..a + data.len()].copy_from_slice(data);
     }
 
-    /// Performs a device-initiated read (host → NIC). An unpinned source
-    /// crashes the host and zeros are returned.
-    pub fn dma_read(&mut self, addr: u64, len: u32) -> Vec<u8> {
+    /// Performs a device-initiated read (host → NIC), lending the device
+    /// the bytes in place. An unpinned source crashes the host and zeros
+    /// are lent instead.
+    pub fn dma_read(&mut self, addr: u64, len: u32) -> &[u8] {
         if !self.is_pinned(addr, len) {
             self.crashed.get_or_insert(CrashReason::WildDma { addr, len });
-            return vec![0; len as usize];
+            self.zeros.resize(len as usize, 0);
+            return &self.zeros;
         }
         let a = addr as usize;
-        self.bytes[a..a + len as usize].to_vec()
+        &self.bytes[a..a + len as usize]
     }
 
     /// CPU-side write (the application filling its buffer). No pinning
@@ -194,7 +199,7 @@ mod tests {
         let mut m = HostMemory::new(64 * 1024);
         let r = m.alloc_dma(64);
         m.dma_write(r.pa, &[1, 2, 3]);
-        assert_eq!(m.dma_read(r.pa, 3), vec![1, 2, 3]);
+        assert_eq!(m.dma_read(r.pa, 3), &[1, 2, 3]);
         assert!(m.crash_reason().is_none());
     }
 
@@ -214,9 +219,10 @@ mod tests {
     #[test]
     fn wild_dma_read_crashes_and_zeros() {
         let mut m = HostMemory::new(64 * 1024);
-        let got = m.dma_read(100, 4);
-        assert_eq!(got, vec![0; 4]);
+        assert_eq!(m.dma_read(100, 4), &[0; 4]);
         assert!(m.crash_reason().is_some());
+        // A second, shorter wild read still sees only its own length.
+        assert_eq!(m.dma_read(200, 2), &[0; 2]);
     }
 
     #[test]

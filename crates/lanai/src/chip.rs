@@ -223,9 +223,18 @@ impl LanaiChip {
         }
     }
 
-    /// Drains queued effects.
+    /// Drains queued effects into a fresh vector.
     pub fn take_effects(&mut self) -> Vec<ChipEffect> {
         std::mem::take(&mut self.effects)
+    }
+
+    /// Drains queued effects by trading queues with the caller: `buf`
+    /// (which must be empty) comes back holding the effects, and its
+    /// allocation becomes the chip's queue, so a caller that keeps one
+    /// buffer around drains without allocating.
+    pub fn swap_effects(&mut self, buf: &mut Vec<ChipEffect>) {
+        debug_assert!(buf.is_empty(), "effects would be interleaved out of order");
+        std::mem::swap(&mut self.effects, buf);
     }
 
     // ---- hang state ----------------------------------------------------
@@ -342,13 +351,14 @@ impl LanaiChip {
         self.timers.iter().filter_map(|t| t.deadline()).min()
     }
 
-    /// Latches expired timers into the ISR. Returns the ids that fired.
-    pub fn poll_timers(&mut self, now: SimTime) -> Vec<TimerId> {
-        let mut fired = Vec::new();
+    /// Latches expired timers into the ISR. Returns the ISR bits of the
+    /// timers that fired.
+    pub fn poll_timers(&mut self, now: SimTime) -> u32 {
+        let mut fired = 0;
         for id in TimerId::ALL {
             if self.timers[id.index()].take_expiry(now) {
                 self.raise_isr(id.isr_bit());
-                fired.push(id);
+                fired |= id.isr_bit();
             }
         }
         fired
@@ -616,6 +626,23 @@ mod tests {
     }
 
     #[test]
+    fn swap_effects_keeps_the_callers_allocation_in_play() {
+        let mut chip = LanaiChip::new(1024);
+        chip.set_imr(isr::IT1);
+        let mut buf = Vec::with_capacity(16);
+        chip.raise_isr(isr::IT1);
+        chip.swap_effects(&mut buf);
+        assert_eq!(buf, vec![ChipEffect::HostInterrupt]);
+        buf.clear();
+        // The chip now queues into the 16-slot buffer it was handed.
+        chip.clear_isr(isr::IT1);
+        chip.raise_isr(isr::IT1);
+        chip.swap_effects(&mut buf);
+        assert_eq!(buf, vec![ChipEffect::HostInterrupt]);
+        assert!(buf.capacity() >= 16);
+    }
+
+    #[test]
     fn masked_isr_raises_no_irq() {
         let mut chip = LanaiChip::new(1024);
         chip.raise_isr(isr::IT1);
@@ -633,9 +660,9 @@ mod tests {
             chip.next_timer_deadline(),
             Some(SimTime::from_nanos(2_000))
         );
-        assert!(chip.poll_timers(SimTime::from_nanos(1_999)).is_empty());
+        assert_eq!(chip.poll_timers(SimTime::from_nanos(1_999)), 0);
         let fired = chip.poll_timers(SimTime::from_nanos(2_000));
-        assert_eq!(fired, vec![TimerId::It1]);
+        assert_eq!(fired, isr::IT1);
         assert_ne!(chip.isr() & isr::IT1, 0);
     }
 
@@ -645,7 +672,7 @@ mod tests {
         chip.arm_timer(TimerId::It1, SimTime::ZERO, 2);
         chip.set_hung(HangCause::Forced);
         let fired = chip.poll_timers(SimTime::from_nanos(1_000));
-        assert_eq!(fired, vec![TimerId::It1]);
+        assert_eq!(fired, isr::IT1);
     }
 
     #[test]

@@ -216,17 +216,20 @@ fn plain(op: DOp) -> bool {
 ///
 /// Owned by the chip model next to its [`Sram`] (not inside it, so the
 /// chip's split-borrow routine invocation can hand the CPU the memory and
-/// the cache independently). Stale pages are detected by comparing the
+/// the cache independently). Only pages that have been executed from are
+/// held (the firmware occupies one or two of an SRAM's couple of thousand),
+/// found by a linear scan. Stale pages are detected by comparing the
 /// recorded [`Sram::page_version`] stamp on every fetch and re-decoded in
 /// place; `Vec` capacity is retained so steady-state re-decodes allocate
 /// nothing.
 #[derive(Clone, Debug, Default)]
 pub struct DecodeCache {
-    pages: Vec<DecodedPage>,
+    /// `(page index, decoded copy)`, in first-execution order.
+    pages: Vec<(usize, DecodedPage)>,
 }
 
 impl DecodeCache {
-    /// Creates an empty cache; pages are sized to the SRAM on first run.
+    /// Creates an empty cache; a page enters it when first executed from.
     pub fn new() -> DecodeCache {
         DecodeCache::default()
     }
@@ -238,22 +241,31 @@ impl DecodeCache {
     pub fn valid_pages(&self, sram: &Sram) -> usize {
         self.pages
             .iter()
-            .enumerate()
             .filter(|(i, p)| p.stamp == Some(sram.page_version(*i)))
             .count()
     }
 
-    /// Grows the page table to cover `sram` (idempotent).
-    fn resize_for(&mut self, sram: &Sram) {
-        if self.pages.len() != sram.num_pages() {
-            self.pages.resize_with(sram.num_pages(), DecodedPage::default);
-        }
+    fn slot_mut(&mut self, page: usize) -> Option<&mut DecodedPage> {
+        self.pages
+            .iter_mut()
+            .find(|(i, _)| *i == page)
+            .map(|(_, p)| p)
     }
 
     /// Re-decodes `page` from `sram` if its stamp is stale.
     #[inline]
     fn ensure(&mut self, sram: &Sram, page: usize, version: u64) {
-        let Some(slot) = self.pages.get_mut(page) else {
+        if page >= sram.num_pages() {
+            return;
+        }
+        let at = match self.pages.iter().position(|(i, _)| *i == page) {
+            Some(at) => at,
+            None => {
+                self.pages.push((page, DecodedPage::default()));
+                self.pages.len() - 1
+            }
+        };
+        let Some((_, slot)) = self.pages.get_mut(at) else {
             return;
         };
         if slot.stamp == Some(version) {
@@ -305,7 +317,7 @@ impl DecodeCache {
     /// Pair with [`DecodeCache::unlease`].
     #[inline]
     fn lease(&mut self, page: usize) -> (Vec<DOp>, Vec<u16>, Vec<FOp>, u64) {
-        match self.pages.get_mut(page) {
+        match self.slot_mut(page) {
             Some(slot) => (
                 std::mem::take(&mut slot.ops),
                 std::mem::take(&mut slot.runs),
@@ -320,7 +332,7 @@ impl DecodeCache {
     /// capacity for the next re-decode.
     #[inline]
     fn unlease(&mut self, page: usize, ops: Vec<DOp>, runs: Vec<u16>, fused: Vec<FOp>) {
-        if let Some(slot) = self.pages.get_mut(page) {
+        if let Some(slot) = self.slot_mut(page) {
             slot.ops = ops;
             slot.runs = runs;
             slot.fused = fused;
@@ -368,7 +380,6 @@ pub fn run_decoded(
     max_steps: u64,
     cache: &mut DecodeCache,
 ) -> RunOutcome {
-    cache.resize_for(sram);
     let mut pc = entry;
     let mut steps: u64 = 0;
     // Every op charges at least one cycle, so only the *extra* cycles
@@ -1043,6 +1054,28 @@ mod tests {
                    loop: addi r2, r2, 7\naddi r1, r1, -1\nbne r1, r0, loop\njr r15\n";
         let (cr, sr, or_, cd, sd, od) = run_both(src);
         assert_states_equal((&cr, &sr, or_), (&cd, &sd, od));
+    }
+
+    #[test]
+    fn cache_holds_only_the_pages_executed_from() {
+        // A full-size SRAM (2 048 pages) whose routine starts on page 1
+        // and finishes on page 5: two decoded pages, not a dense table.
+        let mut sram = Sram::new(2048 * PAGE_SIZE);
+        let tail = assemble("addi r1, r2, 1\njr r15\n").expect("assembles");
+        sram.write_bytes(5 * PAGE_SIZE as u32, &tail.bytes);
+        let head = assemble("addi r2, r0, 9\nli r3, 0x5000\njr r3\n").expect("assembles");
+        sram.write_bytes(PAGE_SIZE as u32, &head.bytes);
+        let mut cpu = Cpu::new();
+        cpu.set_reg(Reg::LINK, RETURN_ADDR);
+        let mut cache = DecodeCache::new();
+        let out = run_decoded(&mut cpu, &mut sram, &mut NullBus, PAGE_SIZE as u32, 100, &mut cache);
+        assert!(out.is_completed(), "{out:?}");
+        assert_eq!(cpu.reg(Reg::new(1)), 10);
+        assert_eq!(cache.pages.len(), 2);
+        assert_eq!(cache.valid_pages(&sram), 2);
+        // A store to one code page stales exactly that page.
+        sram.write_u8(5 * PAGE_SIZE as u32 + 64, 1).unwrap();
+        assert_eq!(cache.valid_pages(&sram), 1);
     }
 
     #[test]

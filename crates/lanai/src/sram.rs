@@ -227,41 +227,30 @@ impl Sram {
         self.touch(byte, 1);
     }
 
-    /// Simple additive 32-bit checksum of a region (the checksum unit's
-    /// algorithm): sum of little-endian words with the trailing bytes
-    /// zero-padded, wrapping.
+    /// The checksum unit: [`word_checksum`] over `[addr, addr + len)`.
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
     pub fn checksum(&self, addr: u32, len: u32) -> u32 {
-        let mut sum: u32 = 0;
-        let mut i = 0;
-        while i + 4 <= len {
-            sum = sum.wrapping_add(
-                self.read_u32_unaligned(addr + i),
-            );
-            i += 4;
-        }
-        if i < len {
-            let mut tail = [0u8; 4];
-            for (k, t) in tail.iter_mut().enumerate().take((len - i) as usize) {
-                *t = self.bytes[(addr + i) as usize + k];
-            }
-            sum = sum.wrapping_add(u32::from_le_bytes(tail));
-        }
-        sum
+        word_checksum(self.read_bytes(addr, len as usize))
     }
+}
 
-    fn read_u32_unaligned(&self, addr: u32) -> u32 {
-        let a = addr as usize;
-        u32::from_le_bytes([
-            self.bytes[a],
-            self.bytes[a + 1],
-            self.bytes[a + 2],
-            self.bytes[a + 3],
-        ])
+/// Additive 32-bit word checksum (the checksum unit's algorithm, and what
+/// the firmware's header loop computes): sum of little-endian words with
+/// the trailing bytes zero-padded, wrapping.
+pub fn word_checksum(data: &[u8]) -> u32 {
+    let (words, rem) = data.as_chunks::<4>();
+    let mut sum = words
+        .iter()
+        .fold(0u32, |sum, w| sum.wrapping_add(u32::from_le_bytes(*w)));
+    if !rem.is_empty() {
+        let mut tail = [0u8; 4];
+        tail[..rem.len()].copy_from_slice(rem);
+        sum = sum.wrapping_add(u32::from_le_bytes(tail));
     }
+    sum
 }
 
 impl fmt::Debug for Sram {
@@ -340,6 +329,46 @@ mod tests {
         // Tail bytes are zero-padded.
         m.write_u8(8, 0xFF).unwrap();
         assert_eq!(m.checksum(0, 9), 3 + 0xFF);
+    }
+
+    /// The checksum unit as first written: one indexed byte load at a
+    /// time. Kept as the oracle for the slice implementation.
+    fn bytewise_checksum(m: &Sram, addr: u32, len: u32) -> u32 {
+        let byte = |a: u32| u32::from(m.read_u8(a).unwrap());
+        let mut sum: u32 = 0;
+        let mut i = 0;
+        while i < len {
+            let mut word = 0;
+            for k in 0..(len - i).min(4) {
+                word |= byte(addr + i + k) << (8 * k);
+            }
+            sum = sum.wrapping_add(word);
+            i += 4;
+        }
+        sum
+    }
+
+    #[test]
+    fn checksum_equals_bytewise_oracle_at_every_alignment_and_length() {
+        let mut rng = ftgm_sim::SimRng::new(0x5EED);
+        let mut m = Sram::new(3 * PAGE_SIZE);
+        let fill: Vec<u8> = (0..m.len()).map(|_| rng.next_u64().to_le_bytes()[0]).collect();
+        m.write_bytes(0, &fill);
+        for base in 0..4u32 {
+            for len in 0..=67u32 {
+                let addr = 0x100 + base;
+                let want = bytewise_checksum(&m, addr, len);
+                assert_eq!(m.checksum(addr, len), want, "addr {addr:#x} len {len}");
+                assert_eq!(word_checksum(m.read_bytes(addr, len as usize)), want);
+            }
+        }
+        // Random 4 KB regions at arbitrary byte offsets.
+        for _ in 0..64 {
+            let addr = rng.gen_range((m.len() - PAGE_SIZE) as u64 + 1) as u32;
+            let want = bytewise_checksum(&m, addr, PAGE_SIZE as u32);
+            assert_eq!(m.checksum(addr, PAGE_SIZE as u32), want, "addr {addr:#x}");
+            assert_eq!(word_checksum(m.read_bytes(addr, PAGE_SIZE)), want);
+        }
     }
 
     #[test]

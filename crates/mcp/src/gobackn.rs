@@ -92,7 +92,9 @@ pub struct ChunkRecord {
     pub prio_high: bool,
 }
 
-/// Result of processing a cumulative ACK.
+/// Result of processing a cumulative ACK. The caller owns it and hands
+/// it back to [`SenderStream::on_ack`] for every ACK, so the two lists
+/// keep their capacity.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AckOutcome {
     /// Token ids of messages that became fully acknowledged, in order.
@@ -203,14 +205,17 @@ impl SenderStream {
     }
 
     /// Processes a cumulative ACK carrying the receiver's next expected
-    /// sequence. Releases whole messages whose final chunk is acked.
-    pub fn on_ack(&mut self, next_expected: u32, now: SimTime) -> AckOutcome {
-        let mut out = AckOutcome::default();
+    /// sequence. Releases whole messages whose final chunk is acked,
+    /// overwriting `out` with what this ACK achieved.
+    pub fn on_ack(&mut self, next_expected: u32, now: SimTime, out: &mut AckOutcome) {
+        out.completed.clear();
+        out.freed_slabs.clear();
+        out.progressed = false;
         // Ignore stale or future ACKs (future = beyond anything sent).
         let in_window = next_expected.wrapping_sub(self.cum_acked)
             <= self.next_seq.wrapping_sub(self.cum_acked);
         if next_expected == self.cum_acked || !in_window {
-            return out;
+            return;
         }
         self.cum_acked = next_expected;
         self.last_progress = now;
@@ -243,7 +248,6 @@ impl SenderStream {
             }
             out.completed.push(msg_id);
         }
-        out
     }
 
     /// Chunks to retransmit for a NACK naming the receiver's next expected
@@ -357,6 +361,13 @@ mod tests {
 
     const T0: SimTime = SimTime::ZERO;
 
+    /// `on_ack` into a fresh outcome.
+    fn ack(s: &mut SenderStream, next_expected: u32, now: SimTime) -> AckOutcome {
+        let mut out = AckOutcome::default();
+        s.on_ack(next_expected, now, &mut out);
+        out
+    }
+
     #[test]
     fn admit_advances_next_seq() {
         let mut s = SenderStream::new(0, T0);
@@ -381,17 +392,17 @@ mod tests {
         s.admit(ChunkRecord { seq: 1, ..rec(1, 10, true) });
         s.admit(rec(2, 11, true));
         // Ack only chunk 0: nothing completes.
-        let o = s.on_ack(1, T0);
+        let o = ack(&mut s, 1, T0);
         assert!(o.progressed);
         assert!(o.completed.is_empty());
         assert_eq!(s.outstanding(), 3, "chunks retained until message completes");
         // Ack through chunk 1: msg 10 completes and frees two slabs.
-        let o = s.on_ack(2, T0);
+        let o = ack(&mut s, 2, T0);
         assert_eq!(o.completed, vec![10]);
         assert_eq!(o.freed_slabs.len(), 2);
         assert_eq!(s.outstanding(), 1);
         // Ack chunk 2: msg 11 completes.
-        let o = s.on_ack(3, T0);
+        let o = ack(&mut s, 3, T0);
         assert_eq!(o.completed, vec![11]);
         assert_eq!(s.outstanding(), 0);
     }
@@ -400,9 +411,9 @@ mod tests {
     fn stale_and_wild_acks_ignored() {
         let mut s = SenderStream::new(0, T0);
         s.admit(rec(0, 1, true));
-        let o = s.on_ack(0, T0);
+        let o = ack(&mut s, 0, T0);
         assert!(!o.progressed, "stale ack");
-        let o = s.on_ack(99, T0);
+        let o = ack(&mut s, 99, T0);
         assert!(!o.progressed, "ack beyond window");
         assert_eq!(s.cum_acked(), 0);
     }
@@ -412,10 +423,25 @@ mod tests {
         let mut s = SenderStream::new(0, T0);
         s.admit(rec(0, 1, true));
         s.admit(rec(1, 2, true));
-        assert_eq!(s.on_ack(1, T0).completed, vec![1]);
-        let o = s.on_ack(1, T0);
+        assert_eq!(ack(&mut s, 1, T0).completed, vec![1]);
+        let o = ack(&mut s, 1, T0);
         assert!(!o.progressed);
         assert!(o.completed.is_empty());
+    }
+
+    #[test]
+    fn on_ack_overwrites_a_reused_outcome() {
+        let mut s = SenderStream::new(0, T0);
+        s.admit(rec(0, 1, true));
+        s.admit(rec(1, 2, true));
+        let mut out = AckOutcome::default();
+        s.on_ack(1, T0, &mut out);
+        assert_eq!((out.completed.as_slice(), out.freed_slabs.len()), (&[1u64][..], 1));
+        // A stale ACK leaves nothing of the previous outcome behind.
+        s.on_ack(1, T0, &mut out);
+        assert_eq!(out, AckOutcome::default());
+        s.on_ack(2, T0, &mut out);
+        assert_eq!(out.completed, vec![2]);
     }
 
     #[test]
@@ -426,7 +452,7 @@ mod tests {
             s.admit(rec(i, i as u64, true));
         }
         assert!(!s.window_open(4));
-        s.on_ack(1, T0);
+        ack(&mut s, 1, T0);
         assert!(s.window_open(4));
     }
 
@@ -448,7 +474,7 @@ mod tests {
         s.admit(ChunkRecord { last: false, ..rec(0, 7, false) });
         s.admit(ChunkRecord { seq: 1, last: false, ..rec(1, 7, false) });
         s.admit(ChunkRecord { seq: 2, ..rec(2, 7, true) });
-        s.on_ack(2, T0); // chunks 0,1 acked; message incomplete
+        ack(&mut s, 2, T0); // chunks 0,1 acked; message incomplete
         let r = s.rewind_from(0);
         assert_eq!(r.len(), 3, "whole message still retransmittable");
     }
@@ -491,7 +517,7 @@ mod tests {
         let rto = SimDuration::from_ms(10);
         s.check_timeout(SimTime::ZERO + SimDuration::from_ms(10), rto);
         assert_eq!(s.retries(), 1);
-        s.on_ack(1, SimTime::ZERO + SimDuration::from_ms(11));
+        ack(&mut s, 1, SimTime::ZERO + SimDuration::from_ms(11));
         assert_eq!(s.retries(), 0);
     }
 
@@ -500,7 +526,7 @@ mod tests {
         let mut s = SenderStream::new(42, T0);
         s.admit(ChunkRecord { seq: 42, ..rec(42, 1, true) });
         assert_eq!(s.next_seq(), 43);
-        let o = s.on_ack(43, T0);
+        let o = ack(&mut s, 43, T0);
         assert_eq!(o.completed, vec![1]);
     }
 
@@ -527,7 +553,7 @@ mod tests {
         let mut s = SenderStream::new(u32::MAX, T0);
         s.admit(ChunkRecord { seq: u32::MAX, ..rec(u32::MAX, 1, true) });
         s.admit(ChunkRecord { seq: 0, ..rec(0, 2, true) });
-        let o = s.on_ack(1, T0);
+        let o = ack(&mut s, 1, T0);
         assert_eq!(o.completed, vec![1, 2]);
         let mut r = ReceiverStream::new(u32::MAX);
         assert_eq!(r.classify(u32::MAX), RxVerdict::Accept);

@@ -23,12 +23,14 @@
 //! The host-side halves (token backup, the FTD, transparent recovery) live
 //! in `ftgm-gm` and `ftgm-core`.
 
+pub mod accounting;
 pub mod firmware;
 pub mod gobackn;
 pub mod machine;
 pub mod packet;
 pub mod params;
 
+pub use accounting::{Handler, HandlerTimes};
 pub use firmware::{layout, FirmwareImage};
 pub use gobackn::{ChunkRecord, ReceiverStream, SenderStream, StreamKey};
 pub use machine::{

@@ -34,9 +34,10 @@ use ftgm_lanai::timers::TimerId;
 use ftgm_net::{NodeId, RouteTable};
 use ftgm_sim::{SimDuration, SimTime};
 
+use crate::accounting::{Handler, HandlerTimes};
 use crate::firmware::{layout, FirmwareImage};
 use crate::gobackn::{
-    ChunkCursor, ChunkRecord, ReceiverStream, RxVerdict, SenderStream, StreamKey,
+    AckOutcome, ChunkCursor, ChunkRecord, ReceiverStream, RxVerdict, SenderStream, StreamKey,
 };
 use crate::packet::{flags, stream_word, Header, PacketType};
 use crate::params::{McpParams, Variant};
@@ -120,10 +121,12 @@ pub enum NicEvent {
 /// Externally visible actions produced by the machine.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum McpEffect {
-    /// Transmit a frame into the fabric along `route`.
+    /// Transmit a frame into the fabric toward `dst`, along the route
+    /// [`McpMachine::routes`] holds for it; with no route (mapper not
+    /// run, table lost) the frame dies at the NIC.
     Transmit {
-        /// Source route (one byte per switch hop).
-        route: Vec<u8>,
+        /// Destination interface (never this one).
+        dst: NodeId,
         /// Wire bytes.
         frame: Vec<u8>,
     },
@@ -282,8 +285,12 @@ pub struct McpMachine {
     /// Pinned host address for firmware's completion-record DMA (0 = off).
     status_report_addr: u64,
     effects: Vec<McpEffect>,
+    /// The buffer traded with the chip's effect queue on every drain.
+    chip_effects: Vec<ChipEffect>,
+    /// The outcome lent to [`SenderStream::on_ack`] for every ACK.
+    acked: AckOutcome,
     stats: McpStats,
-    account: BTreeMap<&'static str, SimDuration>,
+    account: HandlerTimes,
     ltimer_times: Vec<SimTime>,
     ltimer_log_cap: usize,
 }
@@ -341,8 +348,10 @@ impl McpMachine {
             pending_resend: VecDeque::new(),
             status_report_addr: 0,
             effects: Vec::new(),
+            chip_effects: Vec::new(),
+            acked: AckOutcome::default(),
             stats: McpStats::default(),
-            account: BTreeMap::new(),
+            account: HandlerTimes::default(),
             ltimer_times: Vec::new(),
             ltimer_log_cap: 100_000,
         }
@@ -369,13 +378,13 @@ impl McpMachine {
     }
 
     /// LANai busy time per handler category (Table 2's LANai utilization).
-    pub fn accounting(&self) -> &BTreeMap<&'static str, SimDuration> {
+    pub fn accounting(&self) -> &HandlerTimes {
         &self.account
     }
 
     /// Total LANai busy time.
     pub fn lanai_busy(&self) -> SimDuration {
-        self.account.values().fold(SimDuration::ZERO, |a, d| a + *d)
+        self.account.total()
     }
 
     /// Recorded `L_timer()` invocation instants (§4.2's gap measurement).
@@ -400,6 +409,12 @@ impl McpMachine {
     /// Installs the route table (mapper output; also the FTD's restore).
     pub fn set_routes(&mut self, routes: RouteTable) {
         self.routes = routes;
+    }
+
+    /// The installed route table ([`McpEffect::Transmit`] names its
+    /// destination; whoever injects the frame reads the route from here).
+    pub fn routes(&self) -> &RouteTable {
+        &self.routes
     }
 
     /// Sets the pinned host address where `send_chunk` DMAs its per-chunk
@@ -609,9 +624,12 @@ impl McpMachine {
         self.chip.next_timer_deadline()
     }
 
-    /// Drains queued effects.
-    pub fn take_effects(&mut self) -> Vec<McpEffect> {
-        std::mem::take(&mut self.effects)
+    /// Drains queued effects by trading queues with the caller: `buf`
+    /// (which must be empty) comes back holding the effects, and its
+    /// allocation becomes the machine's queue.
+    pub fn swap_effects(&mut self, buf: &mut Vec<McpEffect>) {
+        debug_assert!(buf.is_empty(), "effects would be interleaved out of order");
+        std::mem::swap(&mut self.effects, buf);
     }
 
     /// When `dispatch` next needs to run: `Some(t)` means call at `t`.
@@ -681,13 +699,13 @@ impl McpMachine {
             return false;
         }
         self.busy_until = now + self.params.dispatch_overhead + cost;
-        self.charge("dispatch", self.params.dispatch_overhead);
+        self.charge(Handler::Dispatch, self.params.dispatch_overhead);
         self.drain_chip_effects();
         true
     }
 
-    fn charge(&mut self, cat: &'static str, d: SimDuration) {
-        *self.account.entry(cat).or_insert(SimDuration::ZERO) += d;
+    fn charge(&mut self, cat: Handler, d: SimDuration) {
+        self.account.charge(cat, d);
     }
 
     // --- handlers ---------------------------------------------------------
@@ -736,7 +754,7 @@ impl McpMachine {
             self.chip
                 .arm_timer(TimerId::It1, now, self.params.watchdog_ticks);
         }
-        self.charge("ltimer", self.params.ltimer_body);
+        self.charge(Handler::Ltimer, self.params.ltimer_body);
         self.params.ltimer_body
     }
 
@@ -749,7 +767,7 @@ impl McpMachine {
         let frame =
             Header::control_frame_prio(ptype, self.node, port_field, 0, seq, key.prio_high);
         self.transmit(key.node, frame);
-        self.charge("ack_build", self.params.ack_build);
+        self.charge(Handler::AckBuild, self.params.ack_build);
         self.params.ack_build
     }
 
@@ -775,26 +793,23 @@ impl McpMachine {
         let mut cost = self.params.rx_process;
         if self.params.is_ftgm() {
             cost += self.params.ftgm_recv_extra;
-            self.charge("ftgm_recv_extra", self.params.ftgm_recv_extra);
+            self.charge(Handler::FtgmRecvExtra, self.params.ftgm_recv_extra);
         }
-        self.charge("rx", self.params.rx_process);
+        self.charge(Handler::Rx, self.params.rx_process);
         match Header::parse(&frame.bytes) {
             Err(_) => {
                 self.stats.parse_drops += 1;
             }
             Ok((h, payload)) => match h.ptype {
-                PacketType::Data => {
-                    let payload = payload.to_vec();
-                    self.handle_data(h, payload);
-                }
+                PacketType::Data => self.handle_data(h, payload),
                 PacketType::Ack => {
                     self.handle_ack(now, h);
-                    self.charge("ack_process", self.params.ack_process);
+                    self.charge(Handler::AckProcess, self.params.ack_process);
                     cost += self.params.ack_process;
                 }
                 PacketType::Nack => {
                     self.handle_nack(h);
-                    self.charge("ack_process", self.params.ack_process);
+                    self.charge(Handler::AckProcess, self.params.ack_process);
                     cost += self.params.ack_process;
                 }
             },
@@ -802,7 +817,7 @@ impl McpMachine {
         cost
     }
 
-    fn handle_data(&mut self, h: Header, payload: Vec<u8>) {
+    fn handle_data(&mut self, h: Header, payload: &[u8]) {
         // Packets to a closed port are dropped without touching stream
         // state: between an MCP reload and the port's transparent
         // recovery, arriving retransmissions must not fabricate fresh
@@ -904,7 +919,7 @@ impl McpMachine {
             .advance();
         self.rx_nack_sent.remove(&key);
         self.stats.data_rx_accepted += 1;
-        self.chip.sram.write_bytes(rx_slab_addr(rx_slab), &payload);
+        self.chip.sram.write_bytes(rx_slab_addr(rx_slab), payload);
 
         let completion = if h.last_chunk {
             let asm = self.rx_assembly.remove(&key).expect("assembly exists");
@@ -951,7 +966,7 @@ impl McpMachine {
             commits_final,
             completion,
         });
-        self.charge("rdma_setup", self.params.rdma_setup);
+        self.charge(Handler::RdmaSetup, self.params.rdma_setup);
     }
 
     /// The highest ACK value this stream may advertise: its expected
@@ -970,14 +985,17 @@ impl McpMachine {
 
     fn handle_ack(&mut self, now: SimTime, h: Header) {
         let key = self.ack_key(&h);
-        if let Some(s) = self.tx_streams.get_mut(&key) {
-            let out = s.on_ack(h.seq, now);
-            for id in out.completed {
-                self.stats.sends_completed += 1;
-                self.post_token_event(id, NicEvent::SendCompleted { token_id: id });
-            }
-            self.free_tx_slabs.extend(out.freed_slabs);
+        let Some(s) = self.tx_streams.get_mut(&key) else {
+            return;
+        };
+        let mut out = std::mem::take(&mut self.acked);
+        s.on_ack(h.seq, now, &mut out);
+        for &id in &out.completed {
+            self.stats.sends_completed += 1;
+            self.post_token_event(id, NicEvent::SendCompleted { token_id: id });
         }
+        self.free_tx_slabs.extend_from_slice(&out.freed_slabs);
+        self.acked = out;
     }
 
     fn handle_nack(&mut self, h: Header) {
@@ -1079,7 +1097,7 @@ impl McpMachine {
                 }
                 if let Some((port, event)) = completion {
                     self.effects.push(McpEffect::PostEvent { port, event });
-                    self.charge("event_post", self.params.event_post);
+                    self.charge(Handler::EventPost, self.params.event_post);
                     self.params.event_post
                 } else {
                     SimDuration::from_nanos(200)
@@ -1181,10 +1199,10 @@ impl McpMachine {
             stream: key,
         });
         let mut cost = self.params.sdma_setup;
-        self.charge("sdma_setup", self.params.sdma_setup);
+        self.charge(Handler::SdmaSetup, self.params.sdma_setup);
         if self.params.is_ftgm() {
             cost += self.params.ftgm_send_extra;
-            self.charge("ftgm_send_extra", self.params.ftgm_send_extra);
+            self.charge(Handler::FtgmSendExtra, self.params.ftgm_send_extra);
         }
         cost
     }
@@ -1290,17 +1308,21 @@ impl McpMachine {
             .chip
             .run_routine(self.busy_until, entry, self.params.firmware_budget);
         let fw_time = self.params.cycle * outcome.cycles();
-        self.charge("send_chunk", fw_time);
+        self.charge(Handler::SendChunk, fw_time);
         let dst = rec.dst_node;
-        for e in self.chip.take_effects() {
+        let mut fired = self.take_chip_effects();
+        for e in fired.drain(..) {
             match e {
                 ChipEffect::TxFrame(f) => {
                     self.stats.data_tx += 1;
                     self.transmit(dst, f.bytes);
                 }
-                other => self.route_chip_effect(other),
+                ChipEffect::HostInterrupt | ChipEffect::StartHostDma(_) => {
+                    self.route_chip_effect(e)
+                }
             }
         }
+        self.chip_effects = fired;
         fw_time
     }
 
@@ -1311,13 +1333,7 @@ impl McpMachine {
             self.chip.rx_deliver(WireFrame { bytes: frame });
             return;
         }
-        let Some(route) = self.routes.route(dst) else {
-            return; // no route (mapper not run / table lost): drop
-        };
-        self.effects.push(McpEffect::Transmit {
-            route: route.clone(),
-            frame,
-        });
+        self.effects.push(McpEffect::Transmit { dst, frame });
     }
 
     fn match_recv_token(&mut self, port: u8, msg_len: u32, prio_high: bool) -> Option<RecvTokenDesc> {
@@ -1360,10 +1376,20 @@ impl McpMachine {
         }
     }
 
+    /// The chip's queued effects, moved into the machine's spare buffer.
+    /// Put the buffer back in `self.chip_effects` once drained.
+    fn take_chip_effects(&mut self) -> Vec<ChipEffect> {
+        let mut fired = std::mem::take(&mut self.chip_effects);
+        self.chip.swap_effects(&mut fired);
+        fired
+    }
+
     fn drain_chip_effects(&mut self) {
-        for e in self.chip.take_effects() {
+        let mut fired = self.take_chip_effects();
+        for e in fired.drain(..) {
             self.route_chip_effect(e);
         }
+        self.chip_effects = fired;
     }
 }
 
@@ -1430,7 +1456,9 @@ pub(crate) mod tests {
                         m.dispatch(now);
                         progressed = true;
                     }
-                    for e in self.machine(n).take_effects() {
+                    let mut effects = Vec::new();
+                    self.machine(n).swap_effects(&mut effects);
+                    for e in effects {
                         progressed = true;
                         self.route_effect(n, e);
                     }
@@ -1444,11 +1472,10 @@ pub(crate) mod tests {
 
         fn route_effect(&mut self, from: usize, e: McpEffect) {
             match e {
-                McpEffect::Transmit { route, frame } => {
-                    // Ideal wire: route byte 1 goes to node1, byte 0 to 0.
+                McpEffect::Transmit { dst, frame } => {
+                    // Ideal wire: straight into the destination's NIC.
                     self.tx_frames.push(frame.clone());
-                    let dst = route[0] as usize;
-                    self.machine(dst).on_frame(WireFrame { bytes: frame });
+                    self.machine(dst.0 as usize).on_frame(WireFrame { bytes: frame });
                 }
                 McpEffect::HostDma(req) => {
                     // Ideal DMA: move bytes instantly.
@@ -1836,6 +1863,57 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn staging_job_from_a_closed_ports_epoch_is_dropped() {
+        let mut rig = Rig::new(McpParams::ftgm());
+        rig.a.open_port(0);
+        rig.a.post_send(SendDesc {
+            token_id: 7,
+            port: 0,
+            dst_node: NodeId(1),
+            dst_port: 2,
+            host_addr: 0x10000,
+            len: 64,
+            prio_high: false,
+            first_seq: Some(0),
+        });
+        // Dispatch by hand until the staging DMA is on the bus.
+        let mut effects = Vec::new();
+        let req = loop {
+            rig.now += SimDuration::from_us(2);
+            rig.a.dispatch(rig.now);
+            rig.a.swap_effects(&mut effects);
+            let dma = effects.drain(..).find_map(|e| match e {
+                McpEffect::HostDma(req) => Some(req),
+                McpEffect::Transmit { .. }
+                | McpEffect::PostEvent { .. }
+                | McpEffect::HostInterrupt => None,
+            });
+            if let Some(req) = dma {
+                break req;
+            }
+        };
+        assert_eq!(req.dir, HostDmaDir::HostToSram);
+        assert_eq!(rig.a.free_tx_slabs.len() as u32, layout::SLAB_COUNT - 1);
+        // Recovery re-entry closes and reopens the port while the DMA is
+        // in flight: the job's epoch is now stale.
+        rig.a.close_port(0);
+        rig.a.open_port(0);
+        rig.a.host_dma_done();
+        for _ in 0..8 {
+            rig.now += SimDuration::from_us(2);
+            rig.a.dispatch(rig.now);
+        }
+        rig.a.swap_effects(&mut effects);
+        assert!(
+            !effects.iter().any(|e| matches!(e, McpEffect::Transmit { .. })),
+            "a dead stream's chunk must not reach the wire: {effects:?}"
+        );
+        assert_eq!(rig.a.stats().data_tx, 0);
+        assert_eq!(rig.a.free_tx_slabs.len() as u32, layout::SLAB_COUNT, "slab returned");
+        assert!(rig.a.stalled_tx_streams().is_empty(), "no stream admitted the chunk");
+    }
+
+    #[test]
     fn lanai_accounting_accumulates_per_category() {
         let mut rig = Rig::new(McpParams::gm());
         rig.a.open_port(0);
@@ -1844,9 +1922,11 @@ pub(crate) mod tests {
         rig.send(0, 0, NodeId(1), 2, &[1u8; 512], 7, None);
         rig.settle();
         let acct = rig.a.accounting();
-        for key in ["dispatch", "sdma_setup", "send_chunk"] {
-            assert!(acct.contains_key(key), "missing {key}: {acct:?}");
+        for cat in [Handler::Dispatch, Handler::SdmaSetup, Handler::SendChunk] {
+            assert!(acct.get(cat) > SimDuration::ZERO, "missing {}: {acct:?}", cat.name());
         }
+        assert_eq!(acct.get(Handler::FtgmSendExtra), SimDuration::ZERO, "GM run");
+        assert_eq!(rig.a.lanai_busy(), acct.total());
         assert!(rig.a.lanai_busy() > SimDuration::ZERO);
     }
 }

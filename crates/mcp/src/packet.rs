@@ -109,22 +109,9 @@ pub enum ParseError {
     PayloadChecksum,
 }
 
-/// Additive word checksum (matches the chip's checksum unit and the
-/// firmware's header loop): little-endian words, tail zero-padded, wrapping.
-pub fn word_checksum(data: &[u8]) -> u32 {
-    let mut sum: u32 = 0;
-    let mut chunks = data.chunks_exact(4);
-    for c in &mut chunks {
-        sum = sum.wrapping_add(u32::from_le_bytes([c[0], c[1], c[2], c[3]]));
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut tail = [0u8; 4];
-        tail[..rem.len()].copy_from_slice(rem);
-        sum = sum.wrapping_add(u32::from_le_bytes(tail));
-    }
-    sum
-}
+/// Additive word checksum — the chip's checksum unit itself, so the two
+/// ends of the wire cannot drift apart.
+pub use ftgm_lanai::sram::word_checksum;
 
 /// Composes a stream word.
 pub fn stream_word(src_node: NodeId, src_port: u8, dst_port: u8, flag_bits: u32) -> u32 {

@@ -13,7 +13,7 @@
 //! to every experiment in the paper; mapping happens before traffic
 //! starts.)
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::topology::{Endpoint, NodeId, Topology};
 
@@ -21,35 +21,59 @@ use crate::topology::{Endpoint, NodeId, Topology};
 pub type Route = Vec<u8>;
 
 /// Routes from one interface to every reachable peer.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// Node ids are small and dense, and the MCP looks a route up for every
+/// frame it transmits, so the table is a vector indexed by node id.
+#[derive(Clone, Debug, Default)]
 pub struct RouteTable {
-    routes: BTreeMap<NodeId, Route>,
+    /// `routes[dst]`; trailing slots may be absent or `None`.
+    routes: Vec<Option<Route>>,
 }
+
+impl PartialEq for RouteTable {
+    fn eq(&self, other: &RouteTable) -> bool {
+        // Same destinations, same routes — however long the slot vectors
+        // happen to be.
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for RouteTable {}
 
 impl RouteTable {
     /// The route to `dst`, if one was discovered.
     pub fn route(&self, dst: NodeId) -> Option<&Route> {
-        self.routes.get(&dst)
+        self.routes.get(usize::from(dst.0))?.as_ref()
     }
 
     /// Number of reachable destinations.
     pub fn len(&self) -> usize {
-        self.routes.len()
+        self.iter().count()
     }
 
     /// `true` when no destinations are reachable.
     pub fn is_empty(&self) -> bool {
-        self.routes.is_empty()
+        self.iter().next().is_none()
     }
 
-    /// Iterates over `(destination, route)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&NodeId, &Route)> {
-        self.routes.iter()
+    /// Iterates over `(destination, route)` pairs in ascending
+    /// destination order.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &Route)> {
+        (0..=u16::MAX)
+            .zip(&self.routes)
+            .filter_map(|(i, r)| Some((NodeId(i), r.as_ref()?)))
     }
 
-    /// Inserts a route (used when restoring a table from a host backup).
+    /// Inserts a route (used when restoring a table from a host backup),
+    /// replacing any previous route to `dst`.
     pub fn insert(&mut self, dst: NodeId, route: Route) {
-        self.routes.insert(dst, route);
+        let i = usize::from(dst.0);
+        if i >= self.routes.len() {
+            self.routes.resize(i + 1, None);
+        }
+        if let Some(slot) = self.routes.get_mut(i) {
+            *slot = Some(route);
+        }
     }
 }
 
@@ -208,7 +232,7 @@ mod tests {
                         .unwrap_or_else(|e| {
                             panic!("route {route:?} from node{s} to {dst} dropped: {e:?}")
                         });
-                    assert_eq!(d.dst, *dst);
+                    assert_eq!(d.dst, dst);
                 }
             }
         }
@@ -250,6 +274,30 @@ mod tests {
         assert_eq!(r.len(), 2);
         // Deterministic tie-break: lowest port (6) wins.
         assert_eq!(r, &vec![6, 0]);
+    }
+
+    #[test]
+    fn route_table_contracts_hold_on_the_dense_layout() {
+        let mut t = RouteTable::default();
+        assert!(t.is_empty());
+        t.insert(NodeId(9), vec![3]);
+        t.insert(NodeId(2), vec![1, 4]);
+        t.insert(NodeId(9), vec![5]); // replaces, does not double count
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.route(NodeId(9)), Some(&vec![5]));
+        assert_eq!(t.route(NodeId(3)), None);
+        assert_eq!(t.route(NodeId(4000)), None);
+        let order: Vec<NodeId> = t.iter().map(|(d, _)| d).collect();
+        assert_eq!(order, vec![NodeId(2), NodeId(9)], "ascending destination order");
+        // Equality is about routes, not about how far the slots reach.
+        let mut u = RouteTable::default();
+        u.insert(NodeId(2), vec![1, 4]);
+        assert_ne!(t, u);
+        u.insert(NodeId(9), vec![5]);
+        assert_eq!(t, u);
+        let mut longer = u.clone();
+        longer.insert(NodeId(40), vec![0]);
+        assert_ne!(longer, u);
     }
 
     #[test]

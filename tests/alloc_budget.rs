@@ -1,0 +1,161 @@
+//! Heap-allocation budget of the steady-state message path.
+//!
+//! Its own test binary, because it installs a counting global allocator:
+//! a two-node closed-loop ping-pong must cost at most
+//! [`BUDGET_PER_MESSAGE`] allocations per one-way message once warm, and
+//! must schedule no boxed-closure event at all. What remains is the wire
+//! frame, the ACK frame, the `GmEvent::Received` payload copy and the
+//! occasional B-tree node of the MCP's stream tables (DESIGN.md §5b).
+//! The count does not depend on the build profile; `ci.sh` runs the
+//! release build as its own step.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::rc::Rc;
+
+use ftgm_gm::{App, Ctx, GmEvent, World, WorldConfig};
+use ftgm_net::NodeId;
+use ftgm_sim::SimDuration;
+
+/// Allocations (and reallocations) allowed per one-way message.
+const BUDGET_PER_MESSAGE: f64 = 8.0;
+
+struct Counting;
+
+thread_local! {
+    /// Per thread, so the harness's other threads do not count.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // Thread teardown may allocate after the slot is gone; not ours.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every call forwards to `System` unchanged; the only addition is
+// a bump of a destructor-less thread-local integer, which neither
+// allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: the caller's contract is `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: the caller's contract is `System.alloc_zeroed`'s.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        // SAFETY: the caller's contract is `System.realloc`'s.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract is `System.dealloc`'s.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+const PAYLOAD: [u8; 64] = [0x5A; 64];
+const SERVER_PORT: u8 = 2;
+
+/// Sends a ping, waits for the pong, repeats; every tenth round trip it
+/// also takes a detour through a zero-delay alarm, so the alarm path is
+/// inside the measured window too.
+struct Client {
+    round_trips: Rc<Cell<u64>>,
+}
+
+impl App for Client {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        for _ in 0..4 {
+            ctx.gm_provide_receive_buffer(256);
+        }
+        ctx.gm_send(&PAYLOAD, NodeId(1), SERVER_PORT);
+    }
+    fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: GmEvent) {
+        match ev {
+            GmEvent::Received { data, .. } => {
+                assert_eq!(data, PAYLOAD);
+                ctx.gm_provide_receive_buffer(256);
+                self.round_trips.set(self.round_trips.get() + 1);
+                if self.round_trips.get() % 10 == 0 {
+                    ctx.set_alarm(SimDuration::ZERO, 0);
+                } else {
+                    ctx.gm_send(&PAYLOAD, NodeId(1), SERVER_PORT);
+                }
+            }
+            GmEvent::Alarm { .. } => {
+                ctx.gm_send(&PAYLOAD, NodeId(1), SERVER_PORT);
+            }
+            GmEvent::SentOk { .. } => {}
+            GmEvent::SendError { .. } | GmEvent::InterfaceDead => panic!("{ev:?}"),
+        }
+    }
+}
+
+/// Echoes every message back to its sender.
+struct Server;
+
+impl App for Server {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        for _ in 0..4 {
+            ctx.gm_provide_receive_buffer(256);
+        }
+    }
+    fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: GmEvent) {
+        match ev {
+            GmEvent::Received { src_node, src_port, data, .. } => {
+                ctx.gm_provide_receive_buffer(256);
+                ctx.gm_send(&data, src_node, src_port);
+            }
+            GmEvent::SentOk { .. } | GmEvent::Alarm { .. } => {}
+            GmEvent::SendError { .. } | GmEvent::InterfaceDead => panic!("{ev:?}"),
+        }
+    }
+}
+
+fn run_until_round_trips(w: &mut World, done: &Cell<u64>, target: u64) {
+    while done.get() < target {
+        w.run_for(SimDuration::from_us(200));
+    }
+}
+
+/// Allocations per one-way message over 2 000 warm round trips.
+fn steady_state_allocs_per_message(config: WorldConfig) -> f64 {
+    let mut w = World::two_node(config);
+    let done = Rc::new(Cell::new(0));
+    w.spawn_app(NodeId(1), SERVER_PORT, Box::new(Server));
+    w.spawn_app(NodeId(0), 0, Box::new(Client { round_trips: done.clone() }));
+    run_until_round_trips(&mut w, &done, 1_000);
+
+    let (a0, n0, calls0) = (allocs(), done.get(), w.stats().closure_calls);
+    run_until_round_trips(&mut w, &done, n0 + 2_000);
+    let (a1, n1, calls1) = (allocs(), done.get(), w.stats().closure_calls);
+
+    assert_eq!(
+        calls1, calls0,
+        "the send, provide-buffer, receive-event and alarm paths must not box a closure"
+    );
+    (a1 - a0) as f64 / (2 * (n1 - n0)) as f64
+}
+
+#[test]
+fn steady_state_ping_pong_stays_within_the_allocation_budget() {
+    for (name, config) in [("gm", WorldConfig::gm()), ("ftgm", WorldConfig::ftgm())] {
+        let per_message = steady_state_allocs_per_message(config);
+        println!("{name}: {per_message:.2} allocations per one-way message");
+        assert!(
+            per_message <= BUDGET_PER_MESSAGE,
+            "{name}: {per_message:.2} allocations per one-way message, budget {BUDGET_PER_MESSAGE}"
+        );
+    }
+}

@@ -70,7 +70,7 @@ proptest! {
                 let d = fabric
                     .inject(SimTime::ZERO, NodeId(s as u16), route, vec![0x5A; payload_len])
                     .expect("mapper route must deliver");
-                prop_assert_eq!(d.dst, *dst);
+                prop_assert_eq!(d.dst, dst);
             }
         }
     }
@@ -284,6 +284,7 @@ fn drive_gobackn_over_adversarial_channel(
     let mut assembly: Vec<(u64, u32)> = Vec::new();
     let mut committed: Vec<u64> = Vec::new();
     let mut completed: Vec<u64> = Vec::new();
+    let mut acked = ftgm_mcp::gobackn::AckOutcome::default();
     let mut recovered = false;
 
     for step in 0.. {
@@ -335,7 +336,10 @@ fn drive_gobackn_over_adversarial_channel(
         // Sender side: up to two control frames arrive per step.
         for _ in 0..2 {
             match perturb(&mut to_ack, &mut rng) {
-                Some(ModelFrame::Ack(v)) => completed.extend(tx.on_ack(v, now).completed),
+                Some(ModelFrame::Ack(v)) => {
+                    tx.on_ack(v, now, &mut acked);
+                    completed.extend_from_slice(&acked.completed);
+                }
                 Some(ModelFrame::Nack(v)) => {
                     // A rewind supersedes queued retransmissions (as the
                     // MCP does), else NACK bursts amplify.
