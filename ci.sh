@@ -35,14 +35,12 @@ step() {
 step build 900 cargo build --release
 step test-debug 1800 cargo test -q
 # Chaos smoke + determinism regression: the deterministic multi-fault
-# scenario set, the byte-identical-exports checks across thread counts,
-# the 256-node scale-cell determinism check, and the cross-backend
-# interpreter equivalence suite (whose chaos-campaign lock-step is
-# release-gated). All run in release (the scenarios simulate seconds of
-# cluster time; debug builds are gated off with #[ignore] to keep the
-# tier under budget).
+# scenario set, the byte-identical-exports checks across thread counts
+# and the 256-node scale-cell determinism check. All run in release (the
+# scenarios simulate seconds of cluster time; debug builds are gated off
+# with #[ignore] to keep the tier under budget).
 step chaos-determinism 900 cargo test --release -q -p ftgm-core \
-    --test chaos_smoke --test determinism --test cpu_equivalence
+    --test chaos_smoke --test determinism
 # Allocation budget of the steady-state message path: a two-node
 # ping-pong under a counting global allocator must stay within
 # tests/alloc_budget.rs's per-message budget and schedule no boxed
@@ -68,18 +66,18 @@ step chaos-bench 900 cargo run --release -q -p ftgm-bench --bin chaosx
 # BENCH_scale.json is run manually: cargo run --release -p ftgm-bench
 # --bin scale.
 step scale-smoke 600 cargo run --release -q -p ftgm-bench --bin scale -- --smoke
-# Microbench smoke: the decoded-vs-reference send_chunk pair, the
-# batched calendar drain vs its single-pop twin, and the fabric walk.
-# The shim's timings are machine noise and not asserted; the grep below
-# gates on every bench line being *present*, so a bench that stops
-# compiling, panics, or gets dropped from the group fails the tier.
+# Microbench smoke: send_chunk on the LN32 interpreter, the batched
+# calendar drain vs its single-pop twin, and the fabric walk. The
+# shim's timings are machine noise: not asserted, and written under
+# target/ rather than results/ (which holds only reproducible files).
+# The grep below gates on every bench line being *present*, so a bench
+# that stops compiling, panics, or gets dropped fails the tier.
 step micro-bench 600 sh -c \
-    'cargo bench -q -p ftgm-bench --bench micro_benches > results/micro_bench.txt 2>&1'
-for key in 'interp/send_chunk_decoded' 'interp/send_chunk_reference' \
-    'sched/drain_batched' 'sched/drain_single_pop' \
+    'cargo bench -q -p ftgm-bench --bench micro_benches > target/micro_bench.txt 2>&1'
+for key in 'interp/send_chunk' 'sched/drain_batched' 'sched/drain_single_pop' \
     'net/fabric_walk_fat_tree64'; do
-    grep -q "bench $key" results/micro_bench.txt || {
-        echo "results/micro_bench.txt: missing bench line $key" >&2
+    grep -q "bench $key " target/micro_bench.txt || {
+        echo "target/micro_bench.txt: missing bench line $key" >&2
         exit 1
     }
 done
@@ -98,10 +96,11 @@ step scenario-bench 900 cargo run --release -q -p ftgm-bench --bin scenariox
 # --bin mpi.
 step mpi-bench 600 cargo run --release -q -p ftgm-bench --bin mpi -- --smoke
 
-# Schema sanity: the committed summaries must carry the expected keys and
-# stay integer-valued (a float would mean platform-dependent
-# serialization). tests/determinism.rs checks the same and more; the
-# greps here keep the gate independent of the test harness itself.
+# Schema sanity for the summaries the steps above regenerate: they must
+# carry the expected keys and stay integer-valued (a float would mean
+# platform-dependent serialization). BENCH_scale.json and BENCH_mpi.json
+# are not rewritten by the --smoke steps; their committed bytes are
+# gated by tests/determinism.rs::bench_{scale,mpi}_json_matches_golden_schema.
 for key in '"schema": "ftgm-slo-v1"' '"cells"' '"steady_p50_ns"' \
     '"steady_p99_ns"' '"steady_p999_ns"' '"steady_goodput_bytes_per_sec"' \
     '"fault_blackout_ns"' '"recoveries"' '"violations"'; do
@@ -110,30 +109,11 @@ for key in '"schema": "ftgm-slo-v1"' '"cells"' '"steady_p50_ns"' \
         exit 1
     }
 done
-for key in '"schema": "ftgm-scale-v1"' '"sched_cells"' '"world_cells"' \
-    '"cal_checksum"' '"heap_checksum"' '"checksums_match"' \
-    '"speedup_permille"' '"recovery_blackout_ns"' '"events_delivered"' \
-    '"interp_cells"' '"dec_checksum"' '"ref_checksum"' \
-    '"label": "interp_alu_deep"' '"label": "interp_send_deep"' \
-    '"violations": 0'; do
-    grep -q "$key" BENCH_scale.json || {
-        echo "BENCH_scale.json: missing required key $key" >&2
-        exit 1
-    }
-done
 for key in '"schema": "ftgm-chaos-v1"' '"scenarios"' '"verdict"' \
     '"resolutions"' '"zone_reroutes"' '"max_blackout_ns"' \
     '"fabric_drops"' '"bad_link_drops"' '"violations": 0'; do
     grep -q "$key" BENCH_chaos.json || {
         echo "BENCH_chaos.json: missing required key $key" >&2
-        exit 1
-    }
-done
-for key in '"schema": "ftgm-mpi-v1"' '"cells"' '"checksum"' '"finishers"' \
-    '"respawns"' '"replayed_instances"' '"blackout_ns"' '"completed"' \
-    '"violations": 0'; do
-    grep -q "$key" BENCH_mpi.json || {
-        echo "BENCH_mpi.json: missing required key $key" >&2
         exit 1
     }
 done

@@ -1,10 +1,9 @@
-//! Microbenchmarks for the decoded-interpreter and batched-drain work.
+//! Microbenchmarks for the simulator's hot paths.
 //!
 //! Three hot paths, each with its oracle twin where one exists:
 //!
-//! * `send_chunk` on the decoded backend vs the verbatim reference
-//!   interpreter — the firmware-level view of the decode cache (the
-//!   instruction-bound view is the `interp_*` cells in `bin/scale`).
+//! * `send_chunk` through [`LanaiChip::run_routine`] — the one firmware
+//!   routine every data chunk of every node executes.
 //! * Calendar-queue drain via [`Scheduler::pop_run`] (one bucket locate
 //!   per same-timestamp run) vs the equivalent repeated-[`Scheduler::pop`]
 //!   loop.
@@ -20,18 +19,16 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use ftgm_lanai::cpu::RETURN_ADDR;
 use ftgm_lanai::isa::Reg;
-use ftgm_lanai::{CpuBackend, LanaiChip};
+use ftgm_lanai::LanaiChip;
 use ftgm_mcp::firmware::{layout, FirmwareImage};
 use ftgm_net::{Fabric, FabricParams, Mapper, NodeId, Topology};
 use ftgm_sim::{Scheduler, SimDuration, SimTime};
 
 /// A chip loaded with the real firmware and a staged 1 KB send record,
-/// ready for back-to-back `send_chunk` invocations (decode cache warm
-/// after the first).
-fn staged_chip(backend: CpuBackend) -> (LanaiChip, u32) {
+/// ready for back-to-back `send_chunk` invocations.
+fn staged_chip() -> (LanaiChip, u32) {
     let fw = FirmwareImage::build();
     let mut chip = LanaiChip::new(layout::SRAM_LEN);
-    chip.backend = backend;
     chip.sram.write_bytes(layout::CODE_BASE, fw.bytes());
     let stage = FirmwareImage::slab_addr(0);
     chip.sram.write_bytes(stage, &vec![0xAB; 1024]);
@@ -52,25 +49,18 @@ fn staged_chip(backend: CpuBackend) -> (LanaiChip, u32) {
     (chip, fw.entry_send())
 }
 
-fn bench_send_chunk_backends(c: &mut Criterion) {
-    let mut g = c.benchmark_group("interp");
-    for (name, backend) in [
-        ("send_chunk_decoded", CpuBackend::Decoded),
-        ("send_chunk_reference", CpuBackend::Reference),
-    ] {
-        let (mut chip, entry) = staged_chip(backend);
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                chip.cpu.set_reg(Reg::LINK, RETURN_ADDR);
-                let out = chip.run_routine(SimTime::ZERO, entry, 20_000);
-                assert!(out.is_completed(), "send_chunk must complete: {out:?}");
-                // Drain the emitted frame so the effect queue stays flat.
-                chip.take_effects();
-                out.cycles()
-            })
-        });
-    }
-    g.finish();
+fn bench_send_chunk(c: &mut Criterion) {
+    let (mut chip, entry) = staged_chip();
+    c.bench_function("interp/send_chunk", |b| {
+        b.iter(|| {
+            chip.cpu.set_reg(Reg::LINK, RETURN_ADDR);
+            let out = chip.run_routine(SimTime::ZERO, entry, 20_000);
+            assert!(out.is_completed(), "send_chunk must complete: {out:?}");
+            // Drain the emitted frame so the effect queue stays flat.
+            chip.take_effects();
+            out.cycles()
+        })
+    });
 }
 
 /// A scheduler populated with heavy same-timestamp runs: 8 192 events on
@@ -147,7 +137,7 @@ fn bench_fabric_walk(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_send_chunk_backends,
+    bench_send_chunk,
     bench_calendar_drain,
     bench_fabric_walk
 );

@@ -1,8 +1,7 @@
 //! MPI-tier sweep: {allreduce, broadcast, halo, rma} × {256, 1024
 //! ranks} × {no fault, transient NIC hang, permanent death + spare or
-//! shrink restart}. Writes `BENCH_mpi.json` and
-//! `results/mpi_summary.json` (full sweep) or only prints (smoke mode,
-//! the ci.sh gate).
+//! shrink restart}. Writes `BENCH_mpi.json` (full sweep) or only prints
+//! (smoke mode, the ci.sh gate).
 //!
 //! ```text
 //! cargo run --release -p ftgm-bench --bin mpi            # full sweep
@@ -65,9 +64,7 @@ fn main() {
     if !smoke {
         let json = summary_json(seed, &results, violations.len(), true);
         std::fs::write("BENCH_mpi.json", &json).expect("write BENCH_mpi.json");
-        std::fs::create_dir_all("results").expect("mkdir results");
-        std::fs::write("results/mpi_summary.json", &json).expect("write results/mpi_summary.json");
-        eprintln!("mpi: wrote BENCH_mpi.json and results/mpi_summary.json");
+        eprintln!("mpi: wrote BENCH_mpi.json");
     }
 
     if !violations.is_empty() {

@@ -1,7 +1,6 @@
 //! Scale sweep: node count {8, 64, 256} × {steady, hang}, plus the
-//! dual-backend scheduler and LN32-interpreter microbenchmarks. Writes
-//! `BENCH_scale.json` (full sweep) or only prints (smoke mode, the
-//! ci.sh gate).
+//! dual-backend scheduler microbenchmark. Writes `BENCH_scale.json`
+//! (full sweep) or only prints (smoke mode, the ci.sh gate).
 //!
 //! ```text
 //! cargo run --release -p ftgm-bench --bin scale            # full sweep
@@ -9,14 +8,11 @@
 //! ```
 //!
 //! Exits 2 on any oracle violation: calendar/heap pop-order divergence,
-//! calendar speedup under 2× at the 256-node cell, decoded/reference
-//! interpreter divergence, decoded speedup under 2× at the deep
-//! interpreter cells, recovery blackout at or over 2 s, a hang that
-//! never recovered, or a cell with no traffic.
+//! calendar speedup under 2× at the 256-node cell, recovery blackout at
+//! or over 2 s, a hang that never recovered, or a cell with no traffic.
 
 use ftgm_bench::scale::{
-    check, interp_cells, run_interp_cell, run_sched_cell, run_world_cell, sched_cells,
-    summary_json, world_cells,
+    check, run_sched_cell, run_world_cell, sched_cells, summary_json, world_cells,
 };
 
 fn main() {
@@ -42,13 +38,6 @@ fn main() {
             run_sched_cell(c, seed)
         })
         .collect();
-    let interp: Vec<_> = interp_cells(smoke)
-        .iter()
-        .map(|c| {
-            eprintln!("  interp cell {} ({} reps)…", c.label, c.reps);
-            run_interp_cell(c, seed)
-        })
-        .collect();
     let worlds: Vec<_> = world_cells(smoke)
         .iter()
         .map(|c| {
@@ -57,7 +46,7 @@ fn main() {
         })
         .collect();
 
-    let violations = check(&sched, &interp, &worlds);
+    let violations = check(&sched, &worlds);
 
     println!("\nScale sweep (seed {seed})\n");
     println!(
@@ -73,23 +62,6 @@ fn main() {
             s.cal_events_per_sec(),
             s.speedup_permille() / 1000,
             (s.speedup_permille() % 1000) / 10,
-        );
-    }
-    println!();
-    println!(
-        "{:<18} {:>8} {:>12} {:>14} {:>14} {:>9}",
-        "interp cell", "reps", "insns", "ref insn/s", "decoded insn/s", "speedup"
-    );
-    for i in &interp {
-        println!(
-            "{:<18} {:>8} {:>12} {:>14} {:>14} {:>6}.{:02}x",
-            i.cell.label,
-            i.cell.reps,
-            i.steps,
-            i.ref_insns_per_sec(),
-            i.dec_insns_per_sec(),
-            i.speedup_permille() / 1000,
-            (i.speedup_permille() % 1000) / 10,
         );
     }
     println!();
@@ -112,15 +84,14 @@ fn main() {
         println!("violation: {v}");
     }
     println!(
-        "\n{} sched + {} interp + {} world cells, {} violations",
+        "\n{} sched + {} world cells, {} violations",
         sched.len(),
-        interp.len(),
         worlds.len(),
         violations.len()
     );
 
     if !smoke {
-        let summary = summary_json(seed, &sched, &interp, &worlds, violations.len(), true);
+        let summary = summary_json(seed, &sched, &worlds, violations.len(), true);
         if let Err(e) = std::fs::write("BENCH_scale.json", &summary) {
             eprintln!("cannot write BENCH_scale.json: {e}");
             std::process::exit(1);

@@ -1,8 +1,7 @@
 //! The scale sweep: simulator throughput and recovery blackout on
-//! 8/64/256-node fabrics, plus dual-backend scheduler and LN32
-//! interpreter microbenchmarks.
+//! 8/64/256-node fabrics, plus the dual-backend scheduler microbenchmark.
 //!
-//! Three kinds of cells feed `BENCH_scale.json`:
+//! Two kinds of cells feed `BENCH_scale.json`:
 //!
 //! * **Scheduler cells** ([`sched_cells`] / [`run_sched_cell`]) replay one
 //!   seed-deterministic push/pop/cancel script — sized like the event
@@ -12,14 +11,6 @@
 //!   match (a large-scale differential check on top of the
 //!   `sched_equivalence` suite) and the calendar queue must hit ≥ 2×
 //!   the oracle's events/sec at the 256-node cell.
-//! * **Interpreter cells** ([`interp_cells`] / [`run_interp_cell`]) run
-//!   the same LN32 workload — a pure ALU/load-store kernel and the real
-//!   `send_chunk` firmware — through the decoded-op backend and the
-//!   word-by-word reference interpreter, folding registers, cycle
-//!   charges, status words and emitted wire frames into checksums that
-//!   must match bit for bit (the large-scale side of
-//!   `tests/cpu_equivalence.rs`); the decoded backend must hit ≥ 2× the
-//!   reference's wall time at the deep cells.
 //! * **World cells** ([`world_cells`] / [`run_world_cell`]) run an FTGM
 //!   workload over fat-tree fabrics of 8, 64 and 256 hosts, steady and
 //!   with a scripted mid-run hang, recording events/sec, wall time, and
@@ -37,13 +28,6 @@ use std::time::Instant;
 use ftgm_core::FtSystem;
 use ftgm_faults::chaos::{ChaosAction, ChaosTopology};
 use ftgm_gm::WorldConfig;
-use ftgm_lanai::cpu::{NullBus, RETURN_ADDR};
-use ftgm_lanai::{
-    assemble, run_decoded, Cpu, CpuBackend, DecodeCache, LanaiChip, Reg, Sram,
-};
-use ftgm_mcp::packet::{flags, stream_word};
-use ftgm_mcp::{layout, FirmwareImage};
-use ftgm_net::NodeId;
 use ftgm_sim::{
     EventId, HeapScheduler, Scheduler, SimDuration, SimRng, SimTime,
 };
@@ -307,333 +291,6 @@ pub fn run_sched_cell(cell: &SchedCell, seed: u64) -> SchedCellResult {
 }
 
 // ---------------------------------------------------------------------------
-// Interpreter cells
-// ---------------------------------------------------------------------------
-
-/// Which LN32 workload an interpreter cell executes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InterpKernel {
-    /// A standalone ALU/shift/load-store mixing loop — pure decode-bound
-    /// interpreter work, no CSR traffic.
-    Alu,
-    /// The real `send_chunk` firmware routine staging and transmitting
-    /// data frames through a [`LanaiChip`] (header build, checksum CSR,
-    /// inline-copy and gather paths, varied payload sizes).
-    SendChunk,
-}
-
-/// One interpreter-microbench cell: the same LN32 workload executed by
-/// the decoded-op backend and by the word-by-word reference interpreter,
-/// with architectural-state checksums that must match bit for bit.
-#[derive(Clone, Copy, Debug)]
-pub struct InterpCell {
-    /// Stable cell label (`interp_alu`, `interp_send_deep`, ...).
-    pub label: &'static str,
-    /// The workload.
-    pub kernel: InterpKernel,
-    /// Routine invocations per backend.
-    pub reps: usize,
-    /// Base inner-loop count per invocation (ALU kernel only).
-    pub inner: u32,
-    /// Whether the ≥2× decoded-over-reference floor applies (the deep
-    /// cells of the full sweep; smoke cells are too short to time).
-    pub gate: bool,
-}
-
-/// The interpreter cells. `smoke` keeps the two short cells (the ci.sh
-/// gate checks only checksum equality there); the full sweep adds the
-/// deep cells that must clear [`MIN_DECODE_SPEEDUP_PERMILLE`].
-pub fn interp_cells(smoke: bool) -> Vec<InterpCell> {
-    let mut cells = vec![
-        InterpCell {
-            label: "interp_alu",
-            kernel: InterpKernel::Alu,
-            reps: 256,
-            inner: 4_096,
-            gate: false,
-        },
-        InterpCell {
-            label: "interp_send",
-            kernel: InterpKernel::SendChunk,
-            reps: 400,
-            inner: 0,
-            gate: false,
-        },
-    ];
-    if !smoke {
-        cells.push(InterpCell {
-            label: "interp_alu_deep",
-            kernel: InterpKernel::Alu,
-            reps: 512,
-            inner: 8_192,
-            gate: true,
-        });
-        // The send cells prove bit-exactness on the real firmware; the
-        // speedup floor stays on the ALU cells, because `send_chunk`
-        // reps are dominated by staging and effect drains (~150
-        // interpreted instructions against a DMA walk and frame
-        // assembly), not by the interpreter.
-        cells.push(InterpCell {
-            label: "interp_send_deep",
-            kernel: InterpKernel::SendChunk,
-            reps: 4_000,
-            inner: 0,
-            gate: false,
-        });
-    }
-    cells
-}
-
-/// The ALU kernel: four interleaved shift/xor/add mixing chains
-/// (`r2`/`r3`/`r11`/`r12`) in a 4x-unrolled round — a 36-instruction
-/// straight-line stretch, then one load-store pair and the loop
-/// control. The long plain stretch is the shape interpreter-bound
-/// firmware inner loops take (and the shape the decoded backend's
-/// run-length bursts exploit); the four chains keep it throughput-
-/// rather than latency-bound. `r1` (the round count) is preset by the
-/// harness; the scratch slot lives on page 1 so the stores never touch
-/// the code page.
-const ALU_KERNEL_ASM: &str = "
-    addi r2, r0, 1            ; acc a
-    addi r3, r0, 3            ; acc b
-    addi r11, r0, 17          ; acc c
-    addi r12, r0, 29          ; acc d
-    addi r5, r0, 5            ; shift amounts
-    addi r6, r0, 7
-    addi r9, r0, 0x1000       ; scratch slot, off the code page
-    addi r10, r0, 1           ; decrement
-loop:
-    xor  r2, r2, r1
-    add  r3, r3, r10
-    sll  r4, r2, r5
-    srl  r7, r3, r6
-    add  r2, r2, r4
-    xor  r3, r3, r7
-    and  r8, r2, r1
-    or   r3, r3, r10
-    add  r2, r2, r8
-    xor  r11, r11, r2
-    add  r12, r12, r3
-    sll  r4, r11, r6
-    srl  r7, r12, r5
-    add  r11, r11, r4
-    xor  r12, r12, r7
-    and  r8, r11, r1
-    or   r12, r12, r10
-    add  r11, r11, r8
-    xor  r2, r2, r12
-    add  r3, r3, r11
-    sll  r4, r2, r6
-    srl  r7, r3, r5
-    add  r2, r2, r4
-    xor  r3, r3, r7
-    and  r8, r2, r10
-    or   r3, r3, r1
-    add  r2, r2, r8
-    xor  r11, r11, r3
-    add  r12, r12, r2
-    sll  r4, r12, r5
-    srl  r7, r11, r6
-    add  r11, r11, r4
-    xor  r12, r12, r7
-    and  r8, r12, r1
-    or   r11, r11, r10
-    add  r12, r12, r8
-    sw   r2, (r9)
-    lw   r8, (r9)
-    add  r3, r3, r8
-    sub  r1, r1, r10
-    bne  r1, r0, loop
-    jr   r15
-";
-
-fn fnv1a_bytes(hash: u64, bytes: &[u8]) -> u64 {
-    let mut h = hash;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// Runs the ALU kernel `reps` times on one backend, folding the final
-/// register file, cycle and step counts of every invocation into an
-/// FNV-1a checksum. Returns `(checksum, retired_instructions, wall_ns)`;
-/// the wall clock covers only the rep loop, not assembly or SRAM setup.
-fn run_interp_alu(cell: &InterpCell, seed: u64, backend: CpuBackend) -> (u64, u64, u64) {
-    let image = assemble(ALU_KERNEL_ASM).expect("ALU kernel assembles");
-    let mut sram = Sram::new(8 << 10);
-    sram.write_bytes(0, &image.bytes);
-    let mut cache = DecodeCache::new();
-    let mut bus = NullBus;
-    let mut rng = SimRng::new(seed ^ 0xDEC0_DE00);
-    let mut checksum = 0xCBF2_9CE4_8422_2325u64;
-    let mut retired = 0u64;
-    let t = Instant::now();
-    for _ in 0..cell.reps {
-        let rounds = cell.inner + rng.gen_range(64) as u32;
-        let budget = u64::from(rounds) * 48 + 64;
-        let mut cpu = Cpu::new();
-        cpu.set_reg(Reg::LINK, RETURN_ADDR);
-        cpu.set_reg(Reg::new(1), rounds);
-        let out = match backend {
-            CpuBackend::Reference => cpu.run(&mut sram, &mut bus, 0, budget),
-            CpuBackend::Decoded => {
-                run_decoded(&mut cpu, &mut sram, &mut bus, 0, budget, &mut cache)
-            }
-        };
-        if let ftgm_lanai::RunOutcome::Completed { cycles, steps } = out {
-            checksum = fnv1a(checksum, cycles);
-            checksum = fnv1a(checksum, steps);
-            retired += steps;
-        } else {
-            checksum = fnv1a(checksum, u64::MAX);
-        }
-        for r in 1..16u8 {
-            checksum = fnv1a(checksum, u64::from(cpu.reg(Reg::new(r))));
-        }
-    }
-    (checksum, retired, t.elapsed().as_nanos() as u64)
-}
-
-/// Runs the `send_chunk` firmware `reps` times on one backend through a
-/// [`LanaiChip`], cycling payload sizes across the inline-copy and
-/// gather paths, folding every status word, consumed cycle count and
-/// emitted wire frame into an FNV-1a checksum. Returns
-/// `(checksum, retired_instructions, wall_ns)`; the wall clock covers
-/// only the rep loop, not firmware assembly or the 8 MB SRAM setup.
-fn run_interp_send(cell: &InterpCell, seed: u64, backend: CpuBackend) -> (u64, u64, u64) {
-    const SIZES: [usize; 4] = [48, 300, 1024, 4000];
-    let fw = FirmwareImage::build();
-    let mut chip = LanaiChip::new(layout::SRAM_LEN);
-    chip.backend = backend;
-    chip.sram.write_bytes(layout::CODE_BASE, fw.bytes());
-    let mut rng = SimRng::new(seed ^ 0xDEC0_DE01);
-    let mut checksum = 0xCBF2_9CE4_8422_2325u64;
-    let mut retired = 0u64;
-    let stage = FirmwareImage::slab_addr(0);
-    let r = layout::SENDREC;
-    let t = Instant::now();
-    for rep in 0..cell.reps {
-        let len = SIZES[rep % SIZES.len()];
-        let payload: Vec<u8> = (0..len).map(|i| (rep * 31 + i * 7) as u8).collect();
-        let dst = NodeId((rng.gen_range(7) + 1) as u16);
-        let stream = stream_word(dst, 0, 2, flags::LAST_CHUNK);
-        chip.sram.write_bytes(stage, &payload);
-        let stage_ok = chip.sram.write_u32(r + layout::sendrec::STAGE_ADDR, stage).is_ok()
-            && chip.sram.write_u32(r + layout::sendrec::LEN, len as u32).is_ok()
-            && chip.sram.write_u32(r + layout::sendrec::SEQ, rep as u32).is_ok()
-            && chip.sram.write_u32(r + layout::sendrec::STREAM, stream).is_ok()
-            && chip.sram.write_u32(r + layout::sendrec::MSG_LEN, len as u32).is_ok()
-            && chip.sram.write_u32(r + layout::sendrec::CHUNK_OFF, 0).is_ok()
-            && chip.sram.write_u32(r + layout::sendrec::HDR_BUF, layout::PKT_BUF).is_ok()
-            && chip.sram.write_u32(r + layout::sendrec::STATUS, 0).is_ok();
-        assert!(stage_ok, "send record staging failed");
-        chip.cpu.set_reg(Reg::LINK, RETURN_ADDR);
-        let out = chip.run_routine(SimTime::ZERO, fw.entry_send(), 20_000);
-        if let ftgm_lanai::RunOutcome::Completed { cycles, steps } = out {
-            checksum = fnv1a(checksum, cycles);
-            checksum = fnv1a(checksum, steps);
-            retired += steps;
-        } else {
-            checksum = fnv1a(checksum, u64::MAX);
-        }
-        let status = chip.sram.read_u32(r + layout::sendrec::STATUS).unwrap_or(u32::MAX);
-        checksum = fnv1a(checksum, u64::from(status));
-        for effect in chip.take_effects() {
-            if let ftgm_lanai::ChipEffect::TxFrame(f) = effect {
-                checksum = fnv1a_bytes(checksum, &f.bytes);
-            }
-        }
-    }
-    (checksum, retired, t.elapsed().as_nanos() as u64)
-}
-
-fn run_interp_backend(cell: &InterpCell, seed: u64, backend: CpuBackend) -> (u64, u64, u64) {
-    match cell.kernel {
-        InterpKernel::Alu => run_interp_alu(cell, seed, backend),
-        InterpKernel::SendChunk => run_interp_send(cell, seed, backend),
-    }
-}
-
-/// Result of one interpreter cell: deterministic checksums plus measured
-/// wall times for both backends.
-#[derive(Clone, Debug)]
-pub struct InterpCellResult {
-    /// The cell that ran.
-    pub cell: InterpCell,
-    /// Decoded-backend checksum over registers, cycles, steps, status
-    /// words and emitted frames.
-    pub dec_checksum: u64,
-    /// Reference-backend checksum; must equal `dec_checksum`.
-    pub ref_checksum: u64,
-    /// Instructions retired per backend (identical by contract).
-    pub steps: u64,
-    /// Decoded-backend wall time (measured, machine-dependent).
-    pub dec_wall_ns: u64,
-    /// Reference-backend wall time (measured, machine-dependent).
-    pub ref_wall_ns: u64,
-}
-
-impl InterpCellResult {
-    /// Whether both backends produced bit-identical architectural state.
-    pub fn checksums_match(&self) -> bool {
-        self.dec_checksum == self.ref_checksum
-    }
-
-    /// Decoded-backend throughput in retired instructions per second.
-    pub fn dec_insns_per_sec(&self) -> u64 {
-        events_per_sec(self.steps, self.dec_wall_ns)
-    }
-
-    /// Reference-backend throughput in retired instructions per second.
-    pub fn ref_insns_per_sec(&self) -> u64 {
-        events_per_sec(self.steps, self.ref_wall_ns)
-    }
-
-    /// Decoded speedup over the reference, in permille (2000 = 2×).
-    pub fn speedup_permille(&self) -> u64 {
-        if self.dec_wall_ns == 0 {
-            return 0;
-        }
-        ((u128::from(self.ref_wall_ns) * 1000) / u128::from(self.dec_wall_ns)) as u64
-    }
-}
-
-/// Wall-clock trials per backend; the minimum is kept. Short cells are
-/// at the mercy of the host scheduler, and the minimum of a few runs of
-/// a deterministic workload is the standard estimator for its true cost.
-const INTERP_TRIALS: usize = 3;
-
-/// Runs one interpreter cell through both backends, alternating them
-/// across [`INTERP_TRIALS`] trials (so ambient load drifts hit both
-/// equally) and keeping each backend's best wall time. The runners are
-/// deterministic, so checksums and step counts are trial-invariant.
-pub fn run_interp_cell(cell: &InterpCell, seed: u64) -> InterpCellResult {
-    let (mut ref_checksum, mut ref_steps, mut ref_wall_ns) = (0u64, 0u64, u64::MAX);
-    let (mut dec_checksum, mut dec_steps, mut dec_wall_ns) = (0u64, 0u64, u64::MAX);
-    for _ in 0..INTERP_TRIALS {
-        let (rc, rs, rw) = run_interp_backend(cell, seed, CpuBackend::Reference);
-        ref_checksum = rc;
-        ref_steps = rs;
-        ref_wall_ns = ref_wall_ns.min(rw);
-        let (dc, ds, dw) = run_interp_backend(cell, seed, CpuBackend::Decoded);
-        dec_checksum = dc;
-        dec_steps = ds;
-        dec_wall_ns = dec_wall_ns.min(dw);
-    }
-    debug_assert_eq!(ref_steps, dec_steps);
-    InterpCellResult {
-        cell: *cell,
-        dec_checksum,
-        ref_checksum,
-        steps: dec_steps,
-        dec_wall_ns,
-        ref_wall_ns,
-    }
-}
-
-// ---------------------------------------------------------------------------
 // World cells
 // ---------------------------------------------------------------------------
 
@@ -814,17 +471,9 @@ pub const MAX_BLACKOUT: SimDuration = SimDuration::from_secs(2);
 /// Required calendar-over-heap speedup at the largest cell, in permille.
 pub const MIN_SPEEDUP_PERMILLE: u64 = 2000;
 
-/// Required decoded-over-reference interpreter speedup at the gated
-/// (deep) interpreter cells, in permille.
-pub const MIN_DECODE_SPEEDUP_PERMILLE: u64 = 2000;
-
 /// Checks every cell against the sweep's oracles. Returns human-readable
 /// violations (empty = green).
-pub fn check(
-    sched: &[SchedCellResult],
-    interp: &[InterpCellResult],
-    worlds: &[WorldCellResult],
-) -> Vec<String> {
+pub fn check(sched: &[SchedCellResult], worlds: &[WorldCellResult]) -> Vec<String> {
     let mut violations = Vec::new();
     for s in sched {
         if !s.checksums_match() {
@@ -839,22 +488,6 @@ pub fn check(
                 s.cell.label,
                 s.speedup_permille() / 1000,
                 s.speedup_permille() % 1000
-            ));
-        }
-    }
-    for i in interp {
-        if !i.checksums_match() {
-            violations.push(format!(
-                "{}: decoded/reference interpreters diverged (dec {:#x} vs ref {:#x})",
-                i.cell.label, i.dec_checksum, i.ref_checksum
-            ));
-        }
-        if i.cell.gate && i.speedup_permille() < MIN_DECODE_SPEEDUP_PERMILLE {
-            violations.push(format!(
-                "{}: decoded-interpreter speedup {}.{:03}x below required 2x",
-                i.cell.label,
-                i.speedup_permille() / 1000,
-                i.speedup_permille() % 1000
             ));
         }
     }
@@ -913,44 +546,6 @@ fn sched_cell_json(out: &mut String, s: &SchedCellResult, measured: bool, last: 
     let _ = writeln!(out, "    }}{}", if last { "" } else { "," });
 }
 
-fn interp_cell_json(out: &mut String, i: &InterpCellResult, measured: bool, last: bool) {
-    let _ = writeln!(out, "    {{");
-    let _ = writeln!(out, "      \"label\": \"{}\",", i.cell.label);
-    let _ = writeln!(out, "      \"kernel\": \"{}\",", match i.cell.kernel {
-        InterpKernel::Alu => "alu",
-        InterpKernel::SendChunk => "send_chunk",
-    });
-    let _ = writeln!(out, "      \"reps\": {},", i.cell.reps);
-    let _ = writeln!(out, "      \"gate\": {},", u64::from(i.cell.gate));
-    let _ = writeln!(out, "      \"steps\": {},", i.steps);
-    let _ = writeln!(out, "      \"dec_checksum\": {},", i.dec_checksum);
-    let _ = writeln!(out, "      \"ref_checksum\": {},", i.ref_checksum);
-    let _ = write!(
-        out,
-        "      \"checksums_match\": {}",
-        u64::from(i.checksums_match())
-    );
-    if measured {
-        let _ = writeln!(out, ",");
-        let _ = writeln!(out, "      \"ref_wall_ns\": {},", i.ref_wall_ns);
-        let _ = writeln!(out, "      \"dec_wall_ns\": {},", i.dec_wall_ns);
-        let _ = writeln!(
-            out,
-            "      \"ref_insns_per_sec\": {},",
-            i.ref_insns_per_sec()
-        );
-        let _ = writeln!(
-            out,
-            "      \"dec_insns_per_sec\": {},",
-            i.dec_insns_per_sec()
-        );
-        let _ = writeln!(out, "      \"speedup_permille\": {}", i.speedup_permille());
-    } else {
-        let _ = writeln!(out);
-    }
-    let _ = writeln!(out, "    }}{}", if last { "" } else { "," });
-}
-
 fn world_cell_json(out: &mut String, w: &WorldCellResult, measured: bool, last: bool) {
     let steady = w.report.steady();
     let _ = writeln!(out, "    {{");
@@ -985,24 +580,18 @@ fn world_cell_json(out: &mut String, w: &WorldCellResult, measured: bool, last: 
 pub fn summary_json(
     seed: u64,
     sched: &[SchedCellResult],
-    interp: &[InterpCellResult],
     worlds: &[WorldCellResult],
     violations: usize,
     measured: bool,
 ) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"ftgm-scale-v1\",");
+    let _ = writeln!(out, "  \"schema\": \"ftgm-scale-v2\",");
     let _ = writeln!(out, "  \"seed\": {seed},");
     let _ = writeln!(out, "  \"violations\": {violations},");
     let _ = writeln!(out, "  \"sched_cells\": [");
     for (i, s) in sched.iter().enumerate() {
         sched_cell_json(&mut out, s, measured, i + 1 == sched.len());
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"interp_cells\": [");
-    for (k, r) in interp.iter().enumerate() {
-        interp_cell_json(&mut out, r, measured, k + 1 == interp.len());
     }
     let _ = writeln!(out, "  ],");
     let _ = writeln!(out, "  \"world_cells\": [");
@@ -1056,76 +645,8 @@ mod tests {
             ops: 200,
         };
         let r = run_sched_cell(&cell, 7);
-        let i = run_interp_cell(
-            &InterpCell {
-                label: "ti",
-                kernel: InterpKernel::Alu,
-                reps: 2,
-                inner: 16,
-                gate: false,
-            },
-            7,
-        );
-        let json = summary_json(7, &[r], &[i], &[], 0, false);
+        let json = summary_json(7, &[r], &[], 0, false);
         assert!(!json.contains("wall_ns"), "deterministic JSON leaked wall clock");
         assert!(json.contains("\"cal_checksum\""));
-        assert!(json.contains("\"interp_cells\""));
-        assert!(json.contains("\"dec_checksum\""));
-    }
-
-    #[test]
-    fn small_alu_interp_cell_backends_agree() {
-        let cell = InterpCell {
-            label: "t",
-            kernel: InterpKernel::Alu,
-            reps: 8,
-            inner: 64,
-            gate: false,
-        };
-        let r = run_interp_cell(&cell, 11);
-        assert!(
-            r.checksums_match(),
-            "dec {:#x} ref {:#x}",
-            r.dec_checksum,
-            r.ref_checksum
-        );
-        assert!(r.steps > 0);
-    }
-
-    #[test]
-    fn small_send_interp_cell_backends_agree() {
-        let cell = InterpCell {
-            label: "t",
-            kernel: InterpKernel::SendChunk,
-            reps: 8,
-            inner: 0,
-            gate: false,
-        };
-        let r = run_interp_cell(&cell, 11);
-        assert!(
-            r.checksums_match(),
-            "dec {:#x} ref {:#x}",
-            r.dec_checksum,
-            r.ref_checksum
-        );
-        assert!(r.steps > 0);
-    }
-
-    #[test]
-    fn interp_cell_checksums_are_seed_deterministic() {
-        let cell = InterpCell {
-            label: "t",
-            kernel: InterpKernel::SendChunk,
-            reps: 4,
-            inner: 0,
-            gate: false,
-        };
-        let a = run_interp_cell(&cell, 5);
-        let b = run_interp_cell(&cell, 5);
-        let c = run_interp_cell(&cell, 6);
-        assert_eq!(a.dec_checksum, b.dec_checksum);
-        assert_eq!(a.steps, b.steps);
-        assert_ne!(a.dec_checksum, c.dec_checksum, "seed must matter");
     }
 }
-

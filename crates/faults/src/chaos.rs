@@ -26,7 +26,6 @@ use ftgm_core::ftd::FtdPhase;
 use ftgm_core::{Coordinator, CoordinatorConfig, FtSystem, RetryPolicy};
 use ftgm_gm::apps::{PatternReceiver, PatternSender, TrafficStats};
 use ftgm_gm::{World, WorldConfig};
-use ftgm_lanai::CpuBackend;
 use ftgm_net::fabric::LinkFaults;
 use ftgm_net::{reroute, NodeId, SwitchId};
 use ftgm_sim::{export, Metrics, SimDuration, SimRng, TraceKind};
@@ -254,11 +253,6 @@ pub struct ChaosScenario {
     /// healthy/recovered must keep its longest delivery gap under this
     /// bound (the paper's &lt;2 s recovery promise, observed end to end).
     pub blackout_bound: Option<SimDuration>,
-    /// LN32 execution backend for every interface in the world. The
-    /// default decoded backend is the production path; the differential
-    /// campaign tests rerun whole scenarios on [`CpuBackend::Reference`]
-    /// and require byte-identical verdicts and exports.
-    pub cpu_backend: CpuBackend,
 }
 
 impl ChaosScenario {
@@ -275,7 +269,6 @@ impl ChaosScenario {
             policy: RetryPolicy::default(),
             coordinator: None,
             blackout_bound: None,
-        cpu_backend: CpuBackend::default(),
         }
     }
 
@@ -293,7 +286,6 @@ impl ChaosScenario {
             policy: RetryPolicy::default(),
             coordinator: Some(CoordinatorConfig::default()),
             blackout_bound: Some(SimDuration::from_ms(2_000)),
-        cpu_backend: CpuBackend::default(),
         }
     }
 }
@@ -578,7 +570,6 @@ pub fn run_scenario_artifacts(scenario: &ChaosScenario, seed: u64) -> ScenarioAr
 fn run_scenario_core(scenario: &ChaosScenario, seed: u64) -> (ChaosReport, World) {
     let mut config = WorldConfig::ftgm();
     config.trace = true;
-    config.mcp.cpu_backend = scenario.cpu_backend;
     let mut world = scenario.topology.build(config);
     let ft = FtSystem::install_with_policy(&mut world, scenario.policy);
     if let Some(coord_config) = scenario.coordinator {

@@ -25,6 +25,6 @@ pub mod world;
 
 pub use backup::{PortBackup, RecvTokenCopy, SendTokenCopy};
 pub use world::{
-    App, AppId, Ctx, DrainMode, GmEvent, HostApiCosts, Hooks, NodeSim, World, WorldConfig,
+    App, AppId, Ctx, GmEvent, HostApiCosts, Hooks, NodeSim, World, WorldConfig,
     WorldStats,
 };

@@ -64,26 +64,6 @@ impl Default for HostApiCosts {
     }
 }
 
-/// How [`World::run_until`] drains the calendar queue.
-///
-/// Both modes deliver the identical event stream: equal-timestamp runs
-/// come out of [`Scheduler::pop_run`] in the same FIFO order repeated
-/// pops would produce, and events scheduled *while* a drained run is
-/// being handled carry higher sequence numbers, so they sort after the
-/// scratch buffer's contents either way. `Batched` is the default;
-/// `SinglePop` is kept as the reference for differential harnesses
-/// (`tests/sched_equivalence.rs`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DrainMode {
-    /// Pop one event per scheduler call (reference behavior).
-    SinglePop,
-    /// Drain each same-timestamp run into a reusable scratch buffer,
-    /// paying one bucket locate + resize check per run instead of per
-    /// event.
-    #[default]
-    Batched,
-}
-
 /// World-level configuration.
 #[derive(Clone, Debug)]
 pub struct WorldConfig {
@@ -103,8 +83,6 @@ pub struct WorldConfig {
     pub recv_tokens: u32,
     /// Record a recovery trace?
     pub trace: bool,
-    /// Event-loop drain strategy (bit-identical either way).
-    pub drain: DrainMode,
 }
 
 impl WorldConfig {
@@ -119,7 +97,6 @@ impl WorldConfig {
             send_tokens: 32,
             recv_tokens: 32,
             trace: false,
-            drain: DrainMode::default(),
         }
     }
 
@@ -396,8 +373,8 @@ pub struct World {
     apps: Vec<Option<Box<dyn App>>>,
     app_binding: Vec<(NodeId, u8)>,
     stats: WorldStats,
-    /// Reusable scratch for [`DrainMode::Batched`] — kept across
-    /// `run_until` calls so steady state allocates nothing.
+    /// Reusable scratch for [`World::run_until`]'s drain loop — kept
+    /// across calls so steady state allocates nothing.
     scratch: Vec<(SimTime, Event)>,
     /// The buffer [`World::sync_node`] trades with a node's MCP effect
     /// queue, for the same reason.
@@ -523,36 +500,27 @@ impl World {
 
     /// Processes events until the queue is empty or the clock passes `t`.
     ///
-    /// The drain strategy comes from [`WorldConfig::drain`]; both modes
-    /// deliver the identical stream (see [`DrainMode`]).
+    /// Each same-timestamp run is drained by one [`Scheduler::pop_run`]
+    /// (one bucket locate + resize check per run instead of per event),
+    /// in the FIFO order repeated pops would produce
+    /// (`tests/sched_equivalence.rs`); events scheduled *while* a run is
+    /// being handled carry higher sequence numbers, so they sort after
+    /// the scratch buffer's contents.
     pub fn run_until(&mut self, t: SimTime) {
-        match self.config.drain {
-            DrainMode::SinglePop => {
-                while let Some(ts) = self.sched.peek_time() {
-                    if ts > t {
-                        break;
-                    }
-                    let (_, ev) = self.sched.pop().expect("peeked");
-                    self.handle(ev);
-                }
+        // The scratch buffer is moved out so `handle` can borrow the
+        // world mutably; it is returned (with its capacity) when the
+        // drain loop finishes.
+        let mut run = std::mem::take(&mut self.scratch);
+        while let Some(ts) = self.sched.peek_time() {
+            if ts > t {
+                break;
             }
-            DrainMode::Batched => {
-                // The scratch buffer is moved out so `handle` can borrow
-                // the world mutably; it is returned (with its capacity)
-                // when the drain loop finishes.
-                let mut run = std::mem::take(&mut self.scratch);
-                while let Some(ts) = self.sched.peek_time() {
-                    if ts > t {
-                        break;
-                    }
-                    self.sched.pop_run(&mut run);
-                    for (_, ev) in run.drain(..) {
-                        self.handle(ev);
-                    }
-                }
-                self.scratch = run;
+            self.sched.pop_run(&mut run);
+            for (_, ev) in run.drain(..) {
+                self.handle(ev);
             }
         }
+        self.scratch = run;
     }
 
     /// Runs for `d` more simulated time.

@@ -35,7 +35,6 @@ use std::fmt;
 use ftgm_sim::SimTime;
 
 use crate::cpu::{Cpu, CsrBus};
-use crate::decode::{CpuBackend, DecodeCache};
 use crate::sram::Sram;
 use crate::timers::{IntervalTimer, TimerId};
 
@@ -167,9 +166,6 @@ pub struct LanaiChip {
     pub sram: Sram,
     /// The RISC core's register file.
     pub cpu: Cpu,
-    /// Which interpreter [`LanaiChip::run_routine`] dispatches to.
-    pub backend: CpuBackend,
-    decode_cache: DecodeCache,
     timers: [IntervalTimer; 3],
     isr: u32,
     imr: u32,
@@ -199,8 +195,6 @@ impl LanaiChip {
         LanaiChip {
             sram: Sram::new(sram_len),
             cpu: Cpu::new(),
-            backend: CpuBackend::default(),
-            decode_cache: DecodeCache::new(),
             timers: [IntervalTimer::new(); 3],
             isr: 0,
             imr: 0,
@@ -271,20 +265,12 @@ impl LanaiChip {
         use crate::cpu::RunOutcome;
         self.csr_now = now;
         // Split borrows: the CPU mutates SRAM while CSR accesses mutate the
-        // chip's latches, so temporarily move both out of `self` (the
-        // decode cache rides along the same way). CSR handlers that need
-        // memory (checksum, TX gather) receive the SRAM by reference
-        // through the `CsrBus` trait.
+        // chip's latches, so temporarily move both out of `self`. CSR
+        // handlers that need memory (checksum, TX gather) receive the SRAM
+        // by reference through the `CsrBus` trait.
         let mut cpu = self.cpu.clone();
         let mut sram = std::mem::replace(&mut self.sram, Sram::new(0));
-        let mut cache = std::mem::take(&mut self.decode_cache);
-        let outcome = match self.backend {
-            CpuBackend::Reference => cpu.run(&mut sram, self, entry, max_steps),
-            CpuBackend::Decoded => {
-                crate::decode::run_decoded(&mut cpu, &mut sram, self, entry, max_steps, &mut cache)
-            }
-        };
-        self.decode_cache = cache;
+        let outcome = cpu.run(&mut sram, self, entry, max_steps);
         self.sram = sram;
         self.cpu = cpu;
         match outcome {
@@ -605,6 +591,58 @@ mod tests {
         // Address 0 holds zeros: illegal instruction.
         chip.run_routine(SimTime::ZERO, 0, 100);
         assert_eq!(chip.hang_cause(), Some(HangCause::Trap));
+    }
+
+    #[test]
+    fn bit_flip_in_executed_code_is_seen_by_the_next_run() {
+        use crate::cpu::{RunOutcome, TrapKind};
+        const SRC: &str = "addi r2, r1, 5\naddi r2, r2, 1\njr r15\n";
+        // The lowest opcode bit of the second instruction. LN32 opcodes
+        // are pairwise at Hamming distance >= 2, so the flipped word has
+        // an unassigned opcode.
+        const BIT: u64 = (0x1000 + 4) * 8 + 26;
+        // What the MCP does before every invocation: seed the argument
+        // registers, run the routine.
+        let run = |chip: &mut LanaiChip| {
+            chip.cpu.set_reg(Reg::LINK, RETURN_ADDR);
+            chip.cpu.set_reg(Reg::new(1), 7);
+            chip.run_routine(SimTime::ZERO, 0x1000, 100)
+        };
+        let regs = |chip: &LanaiChip| -> Vec<u32> {
+            (0..16).map(|i| chip.cpu.reg(Reg::new(i))).collect()
+        };
+
+        let (mut live, _) = chip_with(SRC);
+        let clean = run(&mut live);
+        assert_eq!(clean, RunOutcome::Completed { cycles: 4, steps: 3 });
+        assert_eq!(live.cpu.reg(Reg::new(2)), 13);
+        live.sram.flip_bit(BIT);
+        let after_flip = run(&mut live);
+
+        let (mut fresh, _) = chip_with(SRC);
+        fresh.sram.flip_bit(BIT);
+        let want = run(&mut fresh);
+        assert_eq!(
+            want,
+            RunOutcome::Trap {
+                kind: TrapKind::IllegalInstruction,
+                pc: 0x1004,
+                cycles: 1,
+            }
+        );
+        assert_eq!(after_flip, want);
+        assert_eq!(regs(&live), regs(&fresh));
+        assert_eq!(live.sram, fresh.sram);
+        assert_eq!(live.hang_cause(), Some(HangCause::Trap));
+        assert_eq!(fresh.hang_cause(), Some(HangCause::Trap));
+
+        // Flipping the same bit back restores the original behaviour.
+        let (mut twice, _) = chip_with(SRC);
+        assert_eq!(run(&mut twice), clean);
+        twice.sram.flip_bit(BIT);
+        twice.sram.flip_bit(BIT);
+        assert_eq!(run(&mut twice), clean);
+        assert_eq!(twice.hang_cause(), None);
     }
 
     #[test]

@@ -139,14 +139,6 @@ impl Cpu {
         }
     }
 
-    /// The raw register file, for the decoded backend's hot loop (which
-    /// passes it to its op handlers directly so the array pointer can
-    /// stay register-resident).
-    #[inline(always)]
-    pub(crate) fn regs_raw_mut(&mut self) -> &mut [u32; 16] {
-        &mut self.regs
-    }
-
     /// Runs from `entry` until return, trap, or `max_steps` instructions.
     ///
     /// The register file persists across calls so the invoker can pass
@@ -169,16 +161,15 @@ impl Cpu {
             if pc == RETURN_ADDR {
                 return RunOutcome::Completed { cycles, steps };
             }
-            if !pc.is_multiple_of(4) || pc as usize + 4 > sram.len() {
+            // The fetch is a checked load like any other: a misaligned PC
+            // or one outside SRAM (a wild jump) traps instead of panicking.
+            let Ok(word) = sram.read_u32(pc) else {
                 return RunOutcome::Trap {
                     kind: TrapKind::PcOutOfRange,
                     pc,
                     cycles,
                 };
-            }
-            let word = sram
-                .read_u32(pc)
-                .expect("pc bounds checked above");
+            };
             let Some(i) = Instr::decode(word) else {
                 return RunOutcome::Trap {
                     kind: TrapKind::IllegalInstruction,
@@ -342,7 +333,7 @@ impl Cpu {
     }
 }
 
-pub(crate) fn mem<T>(r: crate::sram::MemResult<T>) -> Result<T, TrapKind> {
+fn mem<T>(r: crate::sram::MemResult<T>) -> Result<T, TrapKind> {
     r.map_err(|f| TrapKind::MemFault {
         addr: f.addr,
         misaligned: f.misaligned,
@@ -477,6 +468,36 @@ mod tests {
         ));
     }
 
+    /// `sw r1, 4(r0)` overwrites the word right behind itself with `r1`.
+    fn store_over_next_instruction(new_word: u32) -> (Cpu, Sram, RunOutcome) {
+        run_src("sw r1, 4(r0)\naddi r2, r0, 1\njr r15\n", |cpu, _| {
+            cpu.set_reg(Reg::new(1), new_word)
+        })
+    }
+
+    #[test]
+    fn store_over_the_next_instruction_is_fetched_as_stored() {
+        let new = Instr::new(Opcode::Addi, Reg::new(2), Reg::ZERO, Reg::ZERO, 77).encode();
+        let (cpu, sram, out) = store_over_next_instruction(new);
+        assert_eq!(sram.read_u32(4).unwrap(), new);
+        assert_eq!(cpu.reg(Reg::new(2)), 77, "the overwritten addi must not run");
+        assert_eq!(out, RunOutcome::Completed { cycles: 2 + 1 + 2, steps: 3 });
+    }
+
+    #[test]
+    fn store_of_an_unassigned_opcode_traps_at_the_next_fetch() {
+        let (cpu, _, out) = store_over_next_instruction(0);
+        assert_eq!(
+            out,
+            RunOutcome::Trap {
+                kind: TrapKind::IllegalInstruction,
+                pc: 4,
+                cycles: 2, // the store, and nothing after it
+            }
+        );
+        assert_eq!(cpu.reg(Reg::new(2)), 0);
+    }
+
     #[test]
     fn wild_jump_traps() {
         let (_, _, out) = run_src("li r1, 0x400000\njr r1\n", |_, _| {});
@@ -487,6 +508,19 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn misaligned_pc_traps() {
+        let (_, _, out) = run_src("addi r1, r0, 6\njr r1\n", |_, _| {});
+        assert_eq!(
+            out,
+            RunOutcome::Trap {
+                kind: TrapKind::PcOutOfRange,
+                pc: 6,
+                cycles: 1 + 2,
+            }
+        );
     }
 
     #[test]

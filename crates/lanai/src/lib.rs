@@ -16,14 +16,12 @@
 //! * [`asm`] — a two-pass assembler so firmware routines are written as
 //!   assembly text and assembled into SRAM bytes (the bytes that fault
 //!   injection flips),
-//! * [`cpu`] — a cycle-counting interpreter with a trap model (illegal
-//!   instruction, misaligned or out-of-range access) and an instruction
-//!   budget that turns runaway loops into detectable hangs,
-//! * [`decode`] — a decoded-op cache over SRAM code pages with a second,
-//!   faster execution backend ([`decode::run_decoded`]) kept bit-exact
-//!   with the reference interpreter by per-page version invalidation,
-//! * [`sram`] — the byte-addressable local memory (with per-4KB-page
-//!   store version counters feeding the decode cache),
+//! * [`cpu`] — the one LN32 interpreter: cycle-counting, fetching every
+//!   instruction word from SRAM as it executes it (so a flipped or
+//!   overwritten word is seen at the very next fetch), with a trap model
+//!   (illegal instruction, misaligned or out-of-range access) and an
+//!   instruction budget that turns runaway loops into detectable hangs,
+//! * [`sram`] — the byte-addressable local memory,
 //! * [`timers`] — the three interval timers (IT0..IT2) that the paper's
 //!   software watchdog builds on,
 //! * [`chip`] — the assembled [`chip::LanaiChip`]: CSR bus, ISR/IMR
@@ -37,14 +35,12 @@
 pub mod asm;
 pub mod chip;
 pub mod cpu;
-pub mod decode;
 pub mod disasm;
 pub mod isa;
 pub mod sram;
 pub mod timers;
 
 pub use asm::{assemble, AsmError};
-pub use decode::{run_decoded, CpuBackend, DecodeCache};
 pub use disasm::{disassemble, locate_bit, BitLocus, FieldKind};
 pub use chip::{ChipEffect, HostDmaDir, HostDmaReq, LanaiChip, WireFrame};
 pub use cpu::{Cpu, RunOutcome, TrapKind};

@@ -7,43 +7,15 @@
 
 use std::fmt;
 
-/// log2 of the invalidation-page size used by [`Sram::page_version`].
-///
-/// 4 KB pages keep the `send_chunk` code region (at `0x1000`) on
-/// different pages from the SENDREC block (`0x8000`) and packet staging
-/// buffers (`0xA000`), so steady-state data stores never invalidate a
-/// decoded code page.
-pub const PAGE_SHIFT: u32 = 12;
-
-/// The invalidation-page size in bytes (see [`PAGE_SHIFT`]).
-pub const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
-
 /// Byte-addressable little-endian SRAM.
 ///
 /// Accessors return [`MemResult`] so the CPU can turn bad firmware accesses
 /// into traps rather than panics; infrastructure code (the MCP model, the
 /// driver's load path) uses the panicking `*_checked`-free convenience
 /// wrappers where an out-of-range access would be a simulator bug.
-///
-/// Every mutation path — checked stores, bulk writes, `clear`, and the
-/// fault-injection `flip_bit` — bumps a per-4KB-page version counter.
-/// The decoded-op cache ([`crate::decode::DecodeCache`]) compares these
-/// counters on every fetch, so self-modifying code and injected bit
-/// flips are picked up exactly where the word-by-word interpreter would
-/// see them. The counters are bookkeeping, not memory contents: they do
-/// not participate in equality.
-#[derive(Clone, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Sram {
     bytes: Vec<u8>,
-    page_versions: Vec<u64>,
-}
-
-impl PartialEq for Sram {
-    fn eq(&self, other: &Sram) -> bool {
-        // Two memories with identical contents are equal regardless of
-        // how many writes produced them.
-        self.bytes == other.bytes
-    }
 }
 
 /// Result of a checked memory access.
@@ -73,39 +45,7 @@ impl std::error::Error for MemFault {}
 impl Sram {
     /// Allocates `len` bytes of zeroed SRAM.
     pub fn new(len: usize) -> Sram {
-        Sram {
-            bytes: vec![0; len],
-            page_versions: vec![0; len.div_ceil(PAGE_SIZE)],
-        }
-    }
-
-    /// Number of invalidation pages (see [`PAGE_SHIFT`]).
-    pub fn num_pages(&self) -> usize {
-        self.page_versions.len()
-    }
-
-    /// Version counter for 4 KB page `page`; bumped by every store that
-    /// touches the page. Out-of-range pages read as version 0 (they can
-    /// never be written, so 0 is their forever-version).
-    pub fn page_version(&self, page: usize) -> u64 {
-        self.page_versions.get(page).copied().unwrap_or(0)
-    }
-
-    /// Bumps the version of every page overlapping `[addr, addr+len)`.
-    fn touch(&mut self, addr: usize, len: usize) {
-        if len == 0 {
-            return;
-        }
-        let first = addr >> PAGE_SHIFT;
-        let last = (addr + len - 1) >> PAGE_SHIFT;
-        for v in self
-            .page_versions
-            .iter_mut()
-            .skip(first)
-            .take(last - first + 1)
-        {
-            *v = v.wrapping_add(1);
-        }
+        Sram { bytes: vec![0; len] }
     }
 
     /// Total size in bytes.
@@ -121,9 +61,6 @@ impl Sram {
     /// Zeroes the entire memory (the FTD's "clear the LANai SRAM" step).
     pub fn clear(&mut self) {
         self.bytes.fill(0);
-        for v in &mut self.page_versions {
-            *v = v.wrapping_add(1);
-        }
     }
 
     fn check(&self, addr: u32, size: u32) -> MemResult<usize> {
@@ -170,7 +107,6 @@ impl Sram {
     pub fn write_u8(&mut self, addr: u32, v: u8) -> MemResult<()> {
         let a = self.check(addr, 1)?;
         self.bytes[a] = v;
-        self.touch(a, 1);
         Ok(())
     }
 
@@ -178,7 +114,6 @@ impl Sram {
     pub fn write_u16(&mut self, addr: u32, v: u16) -> MemResult<()> {
         let a = self.check(addr, 2)?;
         self.bytes[a..a + 2].copy_from_slice(&v.to_le_bytes());
-        self.touch(a, 2);
         Ok(())
     }
 
@@ -186,7 +121,6 @@ impl Sram {
     pub fn write_u32(&mut self, addr: u32, v: u32) -> MemResult<()> {
         let a = self.check(addr, 4)?;
         self.bytes[a..a + 4].copy_from_slice(&v.to_le_bytes());
-        self.touch(a, 4);
         Ok(())
     }
 
@@ -200,7 +134,6 @@ impl Sram {
     pub fn write_bytes(&mut self, addr: u32, data: &[u8]) {
         let a = addr as usize;
         self.bytes[a..a + data.len()].copy_from_slice(data);
-        self.touch(a, data.len());
     }
 
     /// Reads a byte range out of memory.
@@ -224,7 +157,6 @@ impl Sram {
         let byte = (bit / 8) as usize;
         let mask = 1u8 << (bit % 8);
         self.bytes[byte] ^= mask;
-        self.touch(byte, 1);
     }
 
     /// The checksum unit: [`word_checksum`] over `[addr, addr + len)`.
@@ -350,8 +282,9 @@ mod tests {
 
     #[test]
     fn checksum_equals_bytewise_oracle_at_every_alignment_and_length() {
+        const REGION: usize = 4096;
         let mut rng = ftgm_sim::SimRng::new(0x5EED);
-        let mut m = Sram::new(3 * PAGE_SIZE);
+        let mut m = Sram::new(3 * REGION);
         let fill: Vec<u8> = (0..m.len()).map(|_| rng.next_u64().to_le_bytes()[0]).collect();
         m.write_bytes(0, &fill);
         for base in 0..4u32 {
@@ -364,10 +297,10 @@ mod tests {
         }
         // Random 4 KB regions at arbitrary byte offsets.
         for _ in 0..64 {
-            let addr = rng.gen_range((m.len() - PAGE_SIZE) as u64 + 1) as u32;
-            let want = bytewise_checksum(&m, addr, PAGE_SIZE as u32);
-            assert_eq!(m.checksum(addr, PAGE_SIZE as u32), want, "addr {addr:#x}");
-            assert_eq!(word_checksum(m.read_bytes(addr, PAGE_SIZE)), want);
+            let addr = rng.gen_range((m.len() - REGION) as u64 + 1) as u32;
+            let want = bytewise_checksum(&m, addr, REGION as u32);
+            assert_eq!(m.checksum(addr, REGION as u32), want, "addr {addr:#x}");
+            assert_eq!(word_checksum(m.read_bytes(addr, REGION)), want);
         }
     }
 
@@ -378,61 +311,5 @@ mod tests {
         let before = m.checksum(0, 64);
         m.flip_bit(100);
         assert_ne!(m.checksum(0, 64), before);
-    }
-
-    #[test]
-    fn every_mutator_bumps_the_touched_page_version() {
-        let mut m = Sram::new(3 * PAGE_SIZE);
-        assert_eq!(m.num_pages(), 3);
-        let snap = |m: &Sram| [m.page_version(0), m.page_version(1), m.page_version(2)];
-        assert_eq!(snap(&m), [0, 0, 0]);
-
-        m.write_u8(PAGE_SIZE as u32, 1).unwrap();
-        assert_eq!(snap(&m), [0, 1, 0]);
-        m.write_u16(PAGE_SIZE as u32 + 2, 2).unwrap();
-        m.write_u32(PAGE_SIZE as u32 + 4, 3).unwrap();
-        assert_eq!(snap(&m), [0, 3, 0]);
-
-        // A bulk write spanning a page boundary bumps both pages.
-        m.write_bytes(PAGE_SIZE as u32 - 2, &[9; 4]);
-        assert_eq!(snap(&m), [1, 4, 0]);
-
-        // The fault-injection primitive is a store like any other.
-        m.flip_bit(2 * PAGE_SIZE as u64 * 8 + 5);
-        assert_eq!(snap(&m), [1, 4, 1]);
-
-        // The FTD's SRAM clear invalidates everything.
-        m.clear();
-        assert_eq!(snap(&m), [2, 5, 2]);
-    }
-
-    #[test]
-    fn reads_and_failed_writes_do_not_bump_versions() {
-        let mut m = Sram::new(PAGE_SIZE);
-        m.write_u32(0, 7).unwrap();
-        let v = m.page_version(0);
-        let _ = m.read_u32(0).unwrap();
-        let _ = m.read_bytes(0, 8);
-        let _ = m.checksum(0, 16);
-        assert!(m.write_u32(PAGE_SIZE as u32, 1).is_err());
-        assert!(m.write_u16(1, 1).is_err());
-        assert_eq!(m.page_version(0), v);
-    }
-
-    #[test]
-    fn equality_ignores_write_history() {
-        let mut a = Sram::new(64);
-        let mut b = Sram::new(64);
-        a.write_u32(0, 5).unwrap();
-        b.write_u32(0, 9).unwrap();
-        b.write_u32(0, 5).unwrap();
-        assert_ne!(a.page_version(0), b.page_version(0));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn out_of_range_page_reads_as_version_zero() {
-        let m = Sram::new(PAGE_SIZE);
-        assert_eq!(m.page_version(1000), 0);
     }
 }

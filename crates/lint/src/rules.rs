@@ -164,15 +164,15 @@ pub(crate) fn r2_covers(rel: &str) -> bool {
 /// runs when a rank is declared dead (`plan_rank_restart` /
 /// `apply_rank_restart`, plus the membership and suspicion machinery
 /// they read) — a panic there strands the whole job mid-restart.
-/// `crates/lanai/src/decode.rs` is the decoded-op interpreter: it
-/// executes every firmware instruction of every node, including the
-/// `send_chunk` replays the FTD drives mid-recovery, over images the
-/// fault campaign has deliberately corrupted — a panic there (an
-/// out-of-bounds slice on a half-invalidated page, say) takes down the
-/// whole simulated cluster, so its closure must be total like the
-/// recovery paths proper.
+/// `crates/lanai/src/cpu.rs` is the LN32 interpreter: it executes every
+/// firmware instruction of every node, including the `send_chunk`
+/// replays the FTD drives mid-recovery, over images the fault campaign
+/// has deliberately corrupted — a panic there (a fetch through a wild
+/// program counter, say) takes down the whole simulated cluster, so its
+/// closure (the SRAM accessors and the instruction decoder it calls)
+/// must be total like the recovery paths proper.
 pub(crate) const R7_ENTRY_FILES: [&str; 12] = [
-    "crates/lanai/src/decode.rs",
+    "crates/lanai/src/cpu.rs",
     "crates/mpi/src/recovery.rs",
     "crates/core/src/recovery.rs",
     "crates/core/src/ftd.rs",

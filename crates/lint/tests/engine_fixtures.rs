@@ -401,21 +401,20 @@ fn mpi_bad_is_r1_governed_inside_the_mpi_crate() {
     assert_all_rule(&f, rules::RECOVERY_NO_PANIC);
 }
 
-const DECODE_ENTRY_STUB: &str =
-    "pub fn run_decoded(ops: &[u32]) -> u64 { exec_window(ops) }\n";
+const INTERP_ENTRY: &str = "crates/lanai/src/cpu.rs";
+const INTERP_ENTRY_STUB: &str = "pub fn run(ops: &[u32]) -> u64 { exec_window(ops) }\n";
 
 #[test]
-fn decode_bad_seeds_both_graph_passes_from_run_decoded() {
-    // crates/lanai/src/decode.rs is an entry for *both* graph rules: R7
-    // because the decoded interpreter executes (possibly corrupted)
-    // firmware inside recoveries, R8 because the lanai crate is
-    // R2-scoped. One scan, chains for both families rooted at the same
-    // entry fn.
+fn decode_bad_seeds_both_graph_passes_from_cpu_run() {
+    // crates/lanai/src/cpu.rs is an entry for *both* graph rules: R7
+    // because the interpreter executes (possibly corrupted) firmware
+    // inside recoveries, R8 because the lanai crate is R2-scoped. One
+    // scan, chains for both families rooted at the same entry fn.
     let f = scan_fixture_with_entry(
         "decode_bad.rs",
         "crates/host/src/decode_support.rs",
-        "crates/lanai/src/decode.rs",
-        DECODE_ENTRY_STUB,
+        INTERP_ENTRY,
+        INTERP_ENTRY_STUB,
     );
     assert_eq!(f.len(), 3, "{f:#?}");
     let panics: Vec<_> = f
@@ -425,10 +424,7 @@ fn decode_bad_seeds_both_graph_passes_from_run_decoded() {
     assert_eq!(panics.len(), 2, "{f:#?}");
     for x in &panics {
         assert_eq!(x.symbol, "fetch");
-        assert_eq!(
-            chain_symbols(x),
-            vec!["run_decoded", "exec_window", "fetch"]
-        );
+        assert_eq!(chain_symbols(x), vec!["run", "exec_window", "fetch"]);
     }
     assert!(panics.iter().any(|x| x.snippet.contains("unwrap")));
     assert!(panics.iter().any(|x| x.snippet.contains("ops[1]")));
@@ -437,16 +433,13 @@ fn decode_bad_seeds_both_graph_passes_from_run_decoded() {
         .find(|x| x.rule == rules::DETERMINISM_TAINT)
         .expect("taint finding");
     assert_eq!(taint.symbol, "stamp");
-    assert_eq!(
-        chain_symbols(taint),
-        vec!["run_decoded", "exec_window", "stamp"]
-    );
+    assert_eq!(chain_symbols(taint), vec!["run", "exec_window", "stamp"]);
     assert!(taint.snippet.contains("Instant::now"), "{}", taint.snippet);
 }
 
 #[test]
 fn decode_bad_is_inert_without_the_decode_entry() {
-    // Same helpers, nothing in decode.rs calling them: both passes stay
+    // Same helpers, nothing in cpu.rs calling them: both passes stay
     // silent (the helpers live outside every per-line scope too).
     let f = scan_fixture("decode_bad.rs", "crates/host/src/decode_support.rs");
     assert!(f.is_empty(), "{f:#?}");
@@ -457,8 +450,8 @@ fn decode_good_total_and_sim_clocked_is_clean() {
     let f = scan_fixture_with_entry(
         "decode_good.rs",
         "crates/host/src/decode_support.rs",
-        "crates/lanai/src/decode.rs",
-        DECODE_ENTRY_STUB,
+        INTERP_ENTRY,
+        INTERP_ENTRY_STUB,
     );
     assert!(f.is_empty(), "{f:#?}");
 }

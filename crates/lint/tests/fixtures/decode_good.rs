@@ -1,5 +1,5 @@
 // Fixture: the sanctioned alternative to decode_bad.rs — same call
-// shape below the same decode.rs entry stub, but the window access
+// shape below the same cpu.rs entry stub, but the window access
 // degrades instead of panicking and the cycle stamp comes from the
 // caller's simulated clock. Expected findings: 0.
 

@@ -317,7 +317,6 @@ impl McpMachine {
     pub fn new(node: NodeId, params: McpParams) -> McpMachine {
         let firmware = FirmwareImage::build();
         let mut chip = LanaiChip::new(layout::SRAM_LEN);
-        chip.backend = params.cpu_backend;
         chip.sram.write_bytes(layout::CODE_BASE, firmware.bytes());
         McpMachine {
             chip,

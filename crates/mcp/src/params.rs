@@ -5,7 +5,6 @@
 //! utilization" row; the watchdog-related intervals reproduce §4.2 (the
 //! `L_timer()` period whose maximum observed gap is ~800 µs).
 
-use ftgm_lanai::CpuBackend;
 use ftgm_sim::SimDuration;
 
 /// Which protocol the MCP speaks.
@@ -86,10 +85,6 @@ pub struct McpParams {
     pub retry_limit: u32,
     /// Instruction budget per firmware routine invocation.
     pub firmware_budget: u64,
-    /// Which LN32 interpreter executes firmware routines. Both backends
-    /// are bit-exact by contract (`tests/cpu_equivalence.rs`); `Decoded`
-    /// is the default, `Reference` is for differential harnesses.
-    pub cpu_backend: CpuBackend,
 }
 
 impl McpParams {
@@ -116,7 +111,6 @@ impl McpParams {
             rto: SimDuration::from_ms(30),
             retry_limit: 200,
             firmware_budget: 20_000,
-            cpu_backend: CpuBackend::default(),
         }
     }
 

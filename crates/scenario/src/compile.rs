@@ -248,7 +248,6 @@ pub fn compile(spec: &Spec) -> CompiledScenario {
         policy: Default::default(),
         coordinator: spec.coordinator.then(CoordinatorConfig::default),
         blackout_bound: spec.slo.flow_blackout.map(|d| d.to_sim()),
-        cpu_backend: Default::default(),
     };
 
     // Load run: open/closed flows over the same shape and schedule.

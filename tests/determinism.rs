@@ -12,8 +12,7 @@ use ftgm_bench::mpi::{
     summary_json as mpi_summary_json,
 };
 use ftgm_bench::scale::{
-    interp_cells, run_interp_cell, run_sched_cell, run_world_cell, scale_spec, sched_cells,
-    summary_json, world_cells,
+    run_sched_cell, run_world_cell, scale_spec, sched_cells, summary_json, world_cells,
 };
 use ftgm_faults::campaign::run_scenarios_parallel;
 use ftgm_faults::chaos::{correlated_scenarios, standard_scenarios};
@@ -85,14 +84,12 @@ fn bench_scale_json_matches_golden_schema() {
             "schema", "seed", "violations", "sched_cells", "label", "nodes", "population",
             "ops", "pops", "cal_checksum", "heap_checksum", "checksums_match",
             "heap_wall_ns", "cal_wall_ns", "heap_events_per_sec", "cal_events_per_sec",
-            "speedup_permille", "interp_cells", "kernel", "reps", "gate", "steps",
-            "dec_checksum", "ref_checksum", "ref_wall_ns", "dec_wall_ns",
-            "ref_insns_per_sec", "dec_insns_per_sec", "world_cells", "topology", "fault",
-            "events_delivered", "total_issued", "total_completed", "steady_p99_ns",
-            "recovery_blackout_ns", "recoveries",
+            "speedup_permille", "world_cells", "topology", "fault", "events_delivered",
+            "total_issued", "total_completed", "steady_p99_ns", "recovery_blackout_ns",
+            "recoveries",
         ],
     );
-    assert!(json.contains("\"schema\": \"ftgm-scale-v1\""));
+    assert!(json.contains("\"schema\": \"ftgm-scale-v2\""));
     assert!(
         json.contains("\"violations\": 0"),
         "a BENCH_scale.json with violations must never be committed"
@@ -195,15 +192,11 @@ fn scale_deterministic_summary_is_byte_identical_across_runs() {
             .iter()
             .map(|c| run_sched_cell(c, 2003))
             .collect();
-        let interp: Vec<_> = interp_cells(true)
-            .iter()
-            .map(|c| run_interp_cell(c, 2003))
-            .collect();
         let worlds: Vec<_> = world_cells(true)
             .iter()
             .map(|c| run_world_cell(c, 2003))
             .collect();
-        summary_json(2003, &sched, &interp, &worlds, 0, false)
+        summary_json(2003, &sched, &worlds, 0, false)
     };
     let first = run();
     let second = run();
@@ -213,7 +206,6 @@ fn scale_deterministic_summary_is_byte_identical_across_runs() {
     // deterministic rendering.
     assert!(!first.contains("wall_ns"), "measured field in deterministic JSON");
     assert!(!first.contains("events_per_sec"), "measured field in deterministic JSON");
-    assert!(!first.contains("insns_per_sec"), "measured field in deterministic JSON");
 
     // The committed artifact's deterministic core must match this very
     // build: same sched8 checksum, same event count — regenerate
@@ -221,21 +213,6 @@ fn scale_deterministic_summary_is_byte_identical_across_runs() {
     let committed = read_artifact("BENCH_scale.json");
     let sched8 = run_sched_cell(&sched_cells(true)[0], 2003);
     let needle = format!("\"cal_checksum\": {}", sched8.cal_checksum);
-    assert!(
-        committed.contains(&needle),
-        "committed BENCH_scale.json is stale: expected {needle}; re-run the scale bin"
-    );
-    // Same staleness gate for the interpreter tier: the committed decoded
-    // checksum must match an in-process replay of the smoke ALU cell, and
-    // both backends must agree bit-for-bit.
-    let alu = run_interp_cell(&interp_cells(true)[0], 2003);
-    assert!(
-        alu.checksums_match(),
-        "decoded vs reference diverged: {:#x} vs {:#x}",
-        alu.dec_checksum,
-        alu.ref_checksum
-    );
-    let needle = format!("\"dec_checksum\": {}", alu.dec_checksum);
     assert!(
         committed.contains(&needle),
         "committed BENCH_scale.json is stale: expected {needle}; re-run the scale bin"
@@ -291,14 +268,7 @@ fn mpi_summaries_are_byte_identical_across_thread_counts_and_runs() {
 fn scale_world_reports_are_byte_identical_across_thread_counts() {
     // The tentpole cells themselves: the 256-host fat-tree, steady and
     // with a scripted mid-run hang, must report byte-identically whether
-    // the suite fans out over one worker thread or three. This runs on
-    // the production decoded interpreter — pin that so the gate cannot
-    // silently degrade to covering the reference backend only.
-    assert_eq!(
-        ftgm_mcp::McpParams::ftgm().cpu_backend,
-        ftgm_lanai::CpuBackend::Decoded,
-        "production default must be the decoded backend"
-    );
+    // the suite fans out over one worker thread or three.
     let specs: Vec<_> = world_cells(false)
         .iter()
         .filter(|c| c.nodes == 256)
