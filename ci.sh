@@ -54,12 +54,15 @@ step lint 120 cargo run -q -p ftgm-lint -- --deny-new --quiet \
 # BENCH_slo.json (plus results/slo_summary.json) on every green build
 # and exits non-zero on any SLO-oracle violation.
 step slo-bench 900 cargo run --release -q -p ftgm-bench --bin slo
-# Correlated-fault sweep: {star8, ring8, fat_tree64} x {two-NIC hang,
-# switch death, flap-during-recovery, cascade} under the zone
-# coordinator. Rewrites BENCH_chaos.json on every green build and exits
-# non-zero if any scenario violates an oracle or the fat-tree
-# spine-death cell fails to restore goodput by reroute.
-step chaos-bench 900 cargo run --release -q -p ftgm-bench --bin chaosx
+# Chaos corpus replay: every scenarios/*.ftsc file parses, compiles,
+# runs once, matches its `expect` verdict, violates no oracle, and
+# produces JSON byte-identical to scenarios/golden/<name>.json; the
+# fat-tree spine-death scenario must also restore goodput by reroute.
+# Rewrites the rollup BENCH_chaos.json on every build and drops each
+# scenario's trace/metrics exports under target/chaos/. After an
+# intentional behavior change, regenerate the goldens with: cargo run
+# --release -p ftgm-bench --bin chaos -- --update (see docs/SCENARIOS.md).
+step chaos-bench 900 cargo run --release -q -p ftgm-bench --bin chaos
 # Scale-bench smoke: the 8-node scheduler and world cells only, as a
 # differential gate (calendar queue vs heap oracle checksums, recovery
 # blackout bound). The full {8,64,256} sweep that rewrites
@@ -81,12 +84,6 @@ for key in 'interp/send_chunk' 'sched/drain_batched' 'sched/drain_single_pop' \
         exit 1
     }
 done
-# Scenario-DSL corpus replay: every scenarios/*.ftsc file parses,
-# compiles, runs, matches its `expect` verdict, violates no oracle, and
-# produces JSON byte-identical to scenarios/golden/<name>.json. After an
-# intentional behavior change, regenerate with: cargo run --release -p
-# ftgm-bench --bin scenariox -- --update (see docs/SCENARIOS.md).
-step scenario-bench 900 cargo run --release -q -p ftgm-bench --bin scenariox
 # MPI-tier smoke: the small recovery-under-collective cells (16-rank
 # allreduce/broadcast, 8-rank RMA, each with a fault-free twin plus hang
 # and spare-restart variants) as a differential gate: fault cells must
@@ -109,19 +106,12 @@ for key in '"schema": "ftgm-slo-v1"' '"cells"' '"steady_p50_ns"' \
         exit 1
     }
 done
-for key in '"schema": "ftgm-chaos-v1"' '"scenarios"' '"verdict"' \
-    '"resolutions"' '"zone_reroutes"' '"max_blackout_ns"' \
-    '"fabric_drops"' '"bad_link_drops"' '"violations": 0'; do
+for key in '"schema": "ftgm-chaos-v2"' '"corpus"' '"mismatches": 0' \
+    '"violations": 0' '"golden_diffs": 0' '"scenarios"' '"expected"' \
+    '"verdict"' '"resolutions"' '"zone_reroutes"' '"max_blackout_ns"' \
+    '"fabric_drops"' '"bad_link_drops"'; do
     grep -q "$key" BENCH_chaos.json || {
         echo "BENCH_chaos.json: missing required key $key" >&2
-        exit 1
-    }
-done
-for key in '"schema": "ftgm-scenario-v1"' '"corpus"' '"mismatches": 0' \
-    '"violations": 0' '"golden_diffs": 0' '"scenarios"' '"expected"' \
-    '"verdict"'; do
-    grep -q "$key" results/scenario_summary.json || {
-        echo "results/scenario_summary.json: missing required key $key" >&2
         exit 1
     }
 done
@@ -136,7 +126,7 @@ for key in '"schema": "ftgm-lint-v1"' '"rules"' '"new_count": 0' \
     }
 done
 for f in BENCH_slo.json BENCH_scale.json BENCH_chaos.json BENCH_mpi.json \
-    results/lint_report.json results/scenario_summary.json; do
+    results/lint_report.json; do
     if grep -Eq ':[[:space:]]*-?[0-9]+\.' "$f"; then
         echo "$f: non-integer numeric value found" >&2
         exit 1

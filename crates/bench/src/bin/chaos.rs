@@ -1,105 +1,187 @@
-//! Chaos campaign: the standard composed-fault scenario set (flips timed
-//! inside FTD recovery phases, back-to-back hangs, forced escalation,
-//! multi-node flips, link flaps, lossy windows) with oracle verdicts.
+//! `chaos` — replay the scenario corpus and gate on it.
 //!
-//! Usage: `chaos [seed] [out.json]` (defaults: seed 2003,
-//! `results/chaos_summary.json`). Identical seeds reproduce identical
-//! summaries byte-for-byte. Alongside the summary, the per-scenario
-//! metrics snapshots land in `results/metrics_summary.json` and each
-//! scenario's trace exports land next to it (`results/traces/<name>.jsonl`
-//! and `.chrome.json`, loadable in Perfetto / `about:tracing`).
+//! Loads every `scenarios/*.ftsc` file, runs the whole corpus once, and
+//! gates it with `ftgm_scenario::gate`: each verdict equals its file's
+//! `expect` line, no oracle or SLO bound is violated, and each outcome's
+//! JSON is byte-identical to `scenarios/golden/<name>.json`. On top of
+//! that the fat-tree spine-death scenario must be *survived by
+//! reroute*: every one of its flows moves again.
+//!
+//! Usage: `chaos [--update]`, from the repository root. `--update`
+//! rewrites drifted goldens, but only for scenarios that pass the first
+//! two gates. Exit codes: 0 clean, 1 usage / load / write errors, 2 gate
+//! failures.
+//!
+//! Writes the tracked rollup `BENCH_chaos.json` (schema `ftgm-chaos-v2`,
+//! integer-only, one row per scenario in name order) and each
+//! scenario's untracked trace and metrics exports,
+//! `target/chaos/<name>.{jsonl,chrome.json,metrics.json}` (the Chrome
+//! file loads in Perfetto / `about:tracing`). Every byte written is a
+//! function of the corpus alone.
 
-use ftgm_faults::campaign::run_scenarios_parallel;
-use ftgm_faults::chaos::{reports_to_json, standard_scenarios};
+use std::fmt::Write as _;
+use std::fs;
+use std::path::Path;
+use std::process::ExitCode;
 
-fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2003);
-    let out_path = std::env::args()
-        .nth(2)
-        .unwrap_or_else(|| "results/chaos_summary.json".to_string());
+use ftgm_faults::Resolution;
+use ftgm_scenario::{
+    gate, load_dir, run_corpus_parallel, CompiledScenario, GateReport, ScenarioOutcome,
+};
+use ftgm_sim::DropKind;
+use ftgm_workload::topology_label;
 
-    let scenarios = standard_scenarios();
-    eprintln!("chaos: {} scenarios (seed {seed})…", scenarios.len());
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let artifacts = run_scenarios_parallel(&scenarios, seed, threads);
+const ROLLUP: &str = "BENCH_chaos.json";
+const EXPORT_DIR: &str = "target/chaos";
 
-    println!("\nChaos campaign (seed {seed})\n");
-    println!(
-        "{:<30} {:>8} {:>10} {:>11} {:>9} {:>10}",
-        "scenario", "verdict", "recoveries", "escalations", "delivered", "violations"
-    );
-    for a in &artifacts {
-        let r = &a.report;
-        println!(
-            "{:<30} {:>8} {:>10} {:>11} {:>9} {:>10}",
-            r.scenario,
-            if r.ok() { "ok" } else { "FAIL" },
-            r.nodes.iter().map(|n| n.recoveries).sum::<u64>(),
-            r.nodes.iter().map(|n| n.escalations).sum::<u64>(),
-            r.flows.iter().map(|f| f.delivered).sum::<u64>(),
-            r.violations.len()
-        );
-        for v in &r.violations {
-            println!("    violation: {v}");
-        }
-    }
-    let reports: Vec<_> = artifacts.iter().map(|a| a.report.clone()).collect();
-    let failed = reports.iter().filter(|r| !r.ok()).count();
-    println!(
-        "\n{}/{} scenarios passed every oracle",
-        reports.len() - failed,
-        reports.len()
-    );
-
-    let json = reports_to_json(&reports);
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out_path}");
-
-    // Per-scenario metrics snapshots, one summary file.
-    let mut metrics_json = format!("{{\n  \"seed\": {seed},\n  \"scenarios\": {{");
-    for (i, a) in artifacts.iter().enumerate() {
+/// The whole replay as one integer-only JSON document (the
+/// `BENCH_chaos.json` schema; keep keys in sync with `ci.sh`'s greps and
+/// `tests/determinism.rs`'s schema and golden cross-checks).
+fn rollup_json(
+    corpus: &[CompiledScenario],
+    outcomes: &[ScenarioOutcome],
+    gate: &GateReport,
+) -> String {
+    let mut out = String::from("{\n");
+    let _ = writeln!(out, "  \"schema\": \"ftgm-chaos-v2\",");
+    let _ = writeln!(out, "  \"corpus\": {},", outcomes.len());
+    let _ = writeln!(out, "  \"mismatches\": {},", gate.mismatches);
+    let _ = writeln!(out, "  \"violations\": {},", gate.violations);
+    let _ = writeln!(out, "  \"golden_diffs\": {},", gate.golden_diffs);
+    out.push_str("  \"scenarios\": [");
+    for (i, (c, o)) in corpus.iter().zip(outcomes).enumerate() {
         if i > 0 {
-            metrics_json.push(',');
+            out.push(',');
         }
-        metrics_json.push_str(&format!("\n    \"{}\": ", a.report.scenario));
-        metrics_json.push_str(&a.report.metrics.to_json_indented(4));
+        // Most names are `<topology>-<fault>`; the rest are all fault.
+        let topology = topology_label(c.chaos.topology);
+        let fault = o
+            .name
+            .strip_prefix(topology.as_str())
+            .and_then(|rest| rest.strip_prefix('-'))
+            .unwrap_or(&o.name);
+        let r = &o.chaos.report;
+        let ended = |res: Resolution| r.nodes.iter().filter(|n| n.resolution == res).count();
+        let _ = write!(
+            out,
+            "\n    {{\n      \"name\": \"{}\",\n      \"seed\": {},\n      \
+             \"topology\": \"{topology}\",\n      \"fault\": \"{fault}\",\n      \
+             \"expected\": \"{}\",\n      \"verdict\": \"{}\",\n      \"resolutions\": \
+             {{\"healthy\": {}, \"recovered\": {}, \"escalated\": {}, \"stranded_hung\": {}, \
+             \"stuck_recovering\": {}}},\n      \"recoveries\": {},\n      \
+             \"escalations\": {},\n      \"stalls\": {},\n      \"cascades\": {},\n      \
+             \"isolations\": {},\n      \"zone_reroutes\": {},\n      \
+             \"fabric_drops\": {},\n      \"bad_link_drops\": {},\n      \
+             \"max_blackout_ns\": {},\n      \"delivered\": {},\n      \
+             \"violations\": {}\n    }}",
+            o.name,
+            o.seed,
+            o.expected.label(),
+            o.verdict.label(),
+            ended(Resolution::Healthy),
+            ended(Resolution::Recovered),
+            ended(Resolution::Escalated),
+            ended(Resolution::StrandedHung),
+            ended(Resolution::StuckRecovering),
+            r.nodes.iter().map(|n| n.recoveries).sum::<u64>(),
+            o.escalations,
+            r.metrics.counter("PeerStallDetected"),
+            o.chaos.cascades,
+            r.metrics.counter("PeerIsolated"),
+            o.zone_reroutes,
+            r.metrics.fabric_drops_total(),
+            r.metrics.fabric_drops(DropKind::BadLink),
+            r.flows.iter().map(|f| f.blackout_ns).max().unwrap_or(0),
+            r.flows.iter().map(|f| f.delivered).sum::<u64>(),
+            o.violations().len()
+        );
     }
-    metrics_json.push_str("\n  }\n}\n");
-    let metrics_path = "results/metrics_summary.json";
-    if let Err(e) = std::fs::write(metrics_path, &metrics_json) {
-        eprintln!("cannot write {metrics_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {metrics_path}");
+    out.push_str("\n  ]\n}\n");
+    out
+}
 
-    // Trace exports: JSON-lines events + Chrome trace_event per scenario.
-    if let Err(e) = std::fs::create_dir_all("results/traces") {
-        eprintln!("cannot create results/traces: {e}");
-        std::process::exit(1);
-    }
-    for a in &artifacts {
-        let base = format!("results/traces/{}", a.report.scenario);
-        for (path, body) in [
-            (format!("{base}.jsonl"), &a.trace_jsonl),
-            (format!("{base}.chrome.json"), &a.chrome_trace),
+/// Writes the rollup, and each scenario's trace and metrics exports.
+fn write_artifacts(rollup: &str, outcomes: &[ScenarioOutcome]) -> std::io::Result<()> {
+    fs::write(ROLLUP, rollup)?;
+    fs::create_dir_all(EXPORT_DIR)?;
+    for o in outcomes {
+        for (ext, body) in [
+            ("jsonl", &o.chaos.trace_jsonl),
+            ("chrome.json", &o.chaos.chrome_trace),
+            ("metrics.json", &o.chaos.metrics_json),
         ] {
-            if let Err(e) = std::fs::write(&path, body) {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
+            fs::write(format!("{EXPORT_DIR}/{}.{ext}", o.name), body)?;
+        }
+    }
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let update = match args.as_slice() {
+        [] => false,
+        [flag] if flag == "--update" => true,
+        _ => {
+            eprintln!("usage: chaos [--update]");
+            return ExitCode::from(1);
+        }
+    };
+
+    let root = Path::new("scenarios");
+    let corpus = match load_dir(root) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("chaos: {e}");
+            return ExitCode::from(1);
+        }
+    };
+    eprintln!("chaos: replaying {} scenarios…", corpus.len());
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let outcomes = run_corpus_parallel(&corpus, threads);
+    let gate = gate(&outcomes, &root.join("golden"), update);
+
+    let mut goodput_lost = false;
+    for o in &outcomes {
+        println!(
+            "  {:34} expect {:9} -> {:9} {:2} recovered {:2} escalated {:2} reroutes",
+            o.name,
+            o.expected.label(),
+            o.verdict.label(),
+            o.chaos.report.nodes.iter().map(|n| n.recoveries).sum::<u64>(),
+            o.escalations,
+            o.zone_reroutes
+        );
+        // Acceptance: spine death on the fat tree must be *survived by
+        // reroute* — every flow between surviving endpoints moves again.
+        if o.name == "fat_tree64-switch-death" {
+            for f in o.chaos.report.flows.iter().filter(|f| f.progress == 0) {
+                println!(
+                    "    GOODPUT LOST: flow {}->{} made no progress after reroute",
+                    f.src, f.dst
+                );
+                goodput_lost = true;
             }
         }
     }
-    eprintln!("wrote results/traces/<scenario>.{{jsonl,chrome.json}}");
-
-    if failed > 0 {
-        std::process::exit(2);
+    for line in &gate.failures {
+        eprintln!("  {line}");
     }
+    println!(
+        "chaos: {} scenarios, {} mismatches, {} violations, {} golden diffs",
+        outcomes.len(),
+        gate.mismatches,
+        gate.violations,
+        gate.golden_diffs
+    );
+
+    if let Err(e) = write_artifacts(&rollup_json(&corpus, &outcomes, &gate), &outcomes) {
+        eprintln!("chaos: cannot write {ROLLUP} or {EXPORT_DIR}/: {e}");
+        return ExitCode::from(1);
+    }
+    eprintln!("chaos: wrote {ROLLUP} and {EXPORT_DIR}/<scenario>.{{jsonl,chrome.json,metrics.json}}");
+
+    if !gate.failures.is_empty() || goodput_lost {
+        return ExitCode::from(2);
+    }
+    ExitCode::SUCCESS
 }

@@ -30,7 +30,7 @@ use ftgm_gm::WorldConfig;
 use ftgm_mpi::{
     MpiHarness, Op, OpResult, RankProgram, RecoveryConfig, RestartPolicy,
 };
-use ftgm_sim::SimDuration;
+use ftgm_sim::{map_indexed, SimDuration};
 
 /// Which communication pattern the cell's ranks run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -503,59 +503,28 @@ pub fn run_mpi_cell(cell: &MpiCell, seed: u64, inject_at: SimDuration) -> MpiCel
     }
 }
 
-/// Runs every cell across `threads` workers (slot-per-cell, atomic
-/// cursor), returning results in cell order. Fault-free twins run
-/// first; each fault cell's injection then lands at half its twin's
-/// completion time, guaranteed mid-run. Every cell is one
-/// self-contained simulated world and the pass split is by cell kind,
-/// so the result vector is identical for any worker count — the
-/// determinism tests compare 1 vs 3.
+/// Runs every cell across `threads` workers, returning results in cell
+/// order. Fault-free twins run first; each fault cell's injection then
+/// lands at half its twin's completion time, guaranteed mid-run. Every
+/// cell is one self-contained simulated world and the pass split is by
+/// cell kind, so the result vector is identical for any worker count —
+/// the determinism tests compare 1 vs 3.
 pub fn run_cells(cells: &[MpiCell], seed: u64, threads: usize) -> Vec<MpiCellResult> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    let slots: Mutex<Vec<Option<MpiCellResult>>> = Mutex::new(vec![None; cells.len()]);
-    for fault_pass in [false, true] {
-        let cursor = AtomicUsize::new(0);
-        let indices: Vec<usize> = cells
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| (c.fault != MpiFault::None) == fault_pass)
-            .map(|(i, _)| i)
-            .collect();
-        let inject: Vec<SimDuration> = indices
-            .iter()
-            .map(|&i| {
-                let done = slots.lock().unwrap();
-                let twin = done
-                    .iter()
-                    .flatten()
-                    .find(|r| {
-                        r.cell.pattern == cells[i].pattern
-                            && r.cell.ranks == cells[i].ranks
-                            && r.cell.fault == MpiFault::None
-                    })
-                    .map_or(0, |r| r.completion_ns);
-                SimDuration::from_nanos(twin / 2)
-            })
-            .collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads.max(1) {
-                scope.spawn(|| loop {
-                    let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&i) = indices.get(slot) else { break };
-                    eprintln!("  cell {}…", cells[i].label);
-                    let r = run_mpi_cell(&cells[i], seed, inject[slot]);
-                    slots.lock().unwrap()[i] = Some(r);
-                });
-            }
-        });
-    }
-    slots
-        .into_inner()
-        .unwrap()
-        .into_iter()
-        .map(|r| r.expect("every slot filled"))
-        .collect()
+    let is_twin = |i: usize| cells[i].fault == MpiFault::None;
+    let run = |i: usize, inject_at: SimDuration| {
+        eprintln!("  cell {}…", cells[i].label);
+        run_mpi_cell(&cells[i], seed, inject_at)
+    };
+    // One pass per cell kind, each filling only its own kind's slots.
+    let twins = map_indexed(cells.len(), threads, |i| is_twin(i).then(|| run(i, SimDuration::ZERO)));
+    let done: Vec<MpiCellResult> = twins.iter().flatten().cloned().collect();
+    let faulted = map_indexed(cells.len(), threads, |i| {
+        (!is_twin(i)).then(|| {
+            let twin_ns = twin_of(&done, &cells[i]).map_or(0, |t| t.completion_ns);
+            run(i, SimDuration::from_nanos(twin_ns / 2))
+        })
+    });
+    twins.into_iter().zip(faulted).filter_map(|(t, f)| t.or(f)).collect()
 }
 
 // ---------------------------------------------------------------------------

@@ -1,17 +1,14 @@
 //! Fault-injection campaigns: many runs, aggregated like Table 1.
 //!
 //! Each run owns a private simulation world, so runs parallelize across OS
-//! threads with `std::thread::scope`; a shared atomic cursor hands out run
-//! indices and the per-run seed is `campaign_seed + index`, making the
-//! whole campaign reproducible regardless of thread count.
+//! threads through [`ftgm_sim::map_indexed`]; the per-run seed is
+//! `campaign_seed + index`, making the whole campaign reproducible
+//! regardless of thread count.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-use ftgm_sim::Metrics;
+use ftgm_sim::{map_indexed, Metrics};
 
-use crate::chaos::{run_scenario_artifacts, ChaosScenario, ScenarioArtifacts};
 use crate::classify::Outcome;
 use crate::inject::{run_one, RunConfig, RunResult};
 
@@ -81,73 +78,14 @@ impl CampaignResult {
 /// Deterministic for a given `(config, seed, runs)` regardless of
 /// `threads`.
 pub fn run_campaign(config: &RunConfig, seed: u64, runs: u64, threads: usize) -> CampaignResult {
-    let threads = threads.max(1);
-    let cursor = AtomicU64::new(0);
-    let results: Mutex<Vec<Option<RunResult>>> = Mutex::new(vec![None; runs as usize]);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= runs {
-                    break;
-                }
-                let result = run_one(config, seed.wrapping_add(i));
-                results.lock().expect("campaign results lock poisoned")[i as usize] = Some(result);
-            });
-        }
+    let runs = map_indexed(runs as usize, threads, |i| {
+        run_one(config, seed.wrapping_add(i as u64))
     });
-
-    let runs_vec: Vec<RunResult> = results
-        .into_inner()
-        .expect("campaign results lock poisoned")
-        .into_iter()
-        .map(|r| r.expect("all runs completed"))
-        .collect();
     let mut counts = BTreeMap::new();
-    for r in &runs_vec {
+    for r in &runs {
         *counts.entry(r.outcome).or_insert(0) += 1;
     }
-    CampaignResult {
-        runs: runs_vec,
-        counts,
-    }
-}
-
-/// Runs every scenario (with its exported artifacts) on `threads` worker
-/// threads. Output order matches the input order, and — because each
-/// scenario owns a private world seeded only by `(scenario, seed)` — the
-/// artifacts are byte-identical regardless of `threads`.
-pub fn run_scenarios_parallel(
-    scenarios: &[ChaosScenario],
-    seed: u64,
-    threads: usize,
-) -> Vec<ScenarioArtifacts> {
-    let threads = threads.max(1);
-    let total = scenarios.len() as u64;
-    let cursor = AtomicU64::new(0);
-    let results: Mutex<Vec<Option<ScenarioArtifacts>>> = Mutex::new(vec![None; scenarios.len()]);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= total {
-                    break;
-                }
-                let artifacts = run_scenario_artifacts(&scenarios[i as usize], seed);
-                results.lock().expect("scenario results lock poisoned")[i as usize] =
-                    Some(artifacts);
-            });
-        }
-    });
-
-    results
-        .into_inner()
-        .expect("scenario results lock poisoned")
-        .into_iter()
-        .map(|r| r.expect("all scenarios completed"))
-        .collect()
+    CampaignResult { runs, counts }
 }
 
 impl CampaignResult {

@@ -18,6 +18,14 @@
 //! *recovered* or loudly *escalated* within the horizon — never a silent
 //! hang. Identical `(scenario, seed)` pairs replay identically, down to
 //! the serialized report.
+//!
+//! This module is the *engine*: the compiled scenario form, the fault
+//! primitives, the runner and the oracles. It names no scenario. Every
+//! named scenario is a `scenarios/<name>.ftsc` file, lowered onto
+//! [`ChaosScenario`] by `ftgm-scenario` and replayed by the `chaos`
+//! bench binary; tests that need a one-off build a [`ChaosScenario`]
+//! from the [`ChaosScenario::two_node`] / [`ChaosScenario::coordinated`]
+//! skeletons directly.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -28,7 +36,7 @@ use ftgm_gm::apps::{PatternReceiver, PatternSender, TrafficStats};
 use ftgm_gm::{World, WorldConfig};
 use ftgm_net::fabric::LinkFaults;
 use ftgm_net::{reroute, NodeId, SwitchId};
-use ftgm_sim::{export, Metrics, SimDuration, SimRng, TraceKind};
+use ftgm_sim::{export, Metrics, SimDuration, SimRng, TraceKind, ZoneTrigger};
 
 use crate::classify::{classify_resolution, Resolution};
 use crate::inject::{flip_random_bit, InjectionTarget};
@@ -412,21 +420,6 @@ impl ChaosReport {
     }
 }
 
-/// Serializes several reports as a JSON array (the campaign summary the
-/// `chaos` bench binary writes to `results/chaos_summary.json`).
-pub fn reports_to_json(reports: &[ChaosReport]) -> String {
-    let mut out = String::from("[");
-    for (i, r) in reports.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('\n');
-        out.push_str(r.to_json().trim_end());
-    }
-    out.push_str("\n]\n");
-    out
-}
-
 /// Applies one fault primitive right now. Public so other drivers (the
 /// workload subsystem's phase-timed fault points) compose with the same
 /// primitives the chaos scenarios use; `rng` supplies every random draw,
@@ -554,6 +547,14 @@ pub struct ScenarioArtifacts {
     pub chrome_trace: String,
     /// The metrics registry as standalone indented JSON.
     pub metrics_json: String,
+    /// Zone reroutes the coordinator triggered because concurrent
+    /// recoveries crossed its cascade threshold, counted from the typed
+    /// trace (not from its serialized form).
+    pub cascades: u64,
+}
+
+fn is_cascade_reroute(kind: &TraceKind) -> bool {
+    matches!(kind, TraceKind::ZoneRerouteTriggered { trigger: ZoneTrigger::Cascade, .. })
 }
 
 /// Runs a scenario and exports its trace and metrics alongside the report.
@@ -563,6 +564,7 @@ pub fn run_scenario_artifacts(scenario: &ChaosScenario, seed: u64) -> ScenarioAr
         trace_jsonl: export::to_jsonl(&world.trace),
         chrome_trace: export::to_chrome_trace(&world.trace),
         metrics_json: world.trace.metrics().to_json_indented(0),
+        cascades: world.trace.count_where(is_cascade_reroute) as u64,
         report,
     }
 }
@@ -782,379 +784,4 @@ fn run_scenario_core(scenario: &ChaosScenario, seed: u64) -> (ChaosReport, World
         metrics: world.trace.metrics().clone(),
     };
     (report, world)
-}
-
-/// The standard scenario set: the acceptance scenarios CI's `chaos_smoke`
-/// tier runs and the `chaos` bench binary reports on.
-pub fn standard_scenarios() -> Vec<ChaosScenario> {
-    let mut set = Vec::new();
-
-    // The headline acceptance scenario: a code-section flip hangs the
-    // interface, and a *second* flip lands in the freshly reloaded image
-    // during the FTD's ReloadMcp phase. Must end recovered or loudly dead.
-    let mut s = ChaosScenario::two_node("double-flip-during-reload");
-    s.events.push(ChaosEvent {
-        at: SimDuration::from_ms(0),
-        action: ChaosAction::BitFlip {
-            node: 0,
-            target: InjectionTarget::SendChunkCode,
-        },
-    });
-    s.phase_triggers.push(PhaseTrigger {
-        node: 0,
-        phase: FtdPhase::ReloadMcp,
-        action: ChaosAction::BitFlip {
-            node: 0,
-            target: InjectionTarget::SendChunkCode,
-        },
-        remaining: 1,
-    });
-    set.push(s);
-
-    // Two hangs in sequence: the second arrives after the first recovery
-    // completes (outside the re-hang window), forcing a full second pass.
-    let mut s = ChaosScenario::two_node("back-to-back-hangs");
-    s.horizon = SimDuration::from_ms(3_000);
-    for at in [0u64, 1_200] {
-        s.events.push(ChaosEvent {
-            at: SimDuration::from_ms(at),
-            action: ChaosAction::ForceHang { node: 0 },
-        });
-    }
-    set.push(s);
-
-    // A hang that re-manifests at the end of every reload: verification
-    // keeps failing until the attempt budget runs out and the FTD
-    // escalates to InterfaceDead, failing sends back to the apps.
-    let mut s = ChaosScenario::two_node("persistent-hang-escalates");
-    s.events.push(ChaosEvent {
-        at: SimDuration::from_ms(0),
-        action: ChaosAction::ForceHang { node: 0 },
-    });
-    s.phase_triggers.push(PhaseTrigger {
-        node: 0,
-        phase: FtdPhase::RestoreRoutes,
-        action: ChaosAction::ForceHang { node: 0 },
-        remaining: 3,
-    });
-    set.push(s);
-
-    // Multi-node: two independent code flips on a four-node ring, two
-    // disjoint flows. Each faulted interface recovers on its own.
-    let mut s = ChaosScenario::two_node("ring-two-nodes-flipped");
-    s.topology = ChaosTopology::Ring(4);
-    s.flows = vec![Flow::simple(0, 1), Flow::simple(2, 3)];
-    for (node, at) in [(0u16, 0u64), (2, 5)] {
-        s.events.push(ChaosEvent {
-            at: SimDuration::from_ms(at),
-            action: ChaosAction::BitFlip {
-                node,
-                target: InjectionTarget::SendChunkCode,
-            },
-        });
-    }
-    set.push(s);
-
-    // A transient cable pull on a star's middle node: Go-Back-N absorbs
-    // the outage, both flows finish clean with no recovery at all.
-    let mut s = ChaosScenario::two_node("star-link-flap");
-    s.topology = ChaosTopology::Star(3);
-    s.flows = vec![Flow::simple(0, 1), Flow::simple(1, 2)];
-    s.horizon = SimDuration::from_ms(1_500);
-    s.events.push(ChaosEvent {
-        at: SimDuration::from_ms(5),
-        action: ChaosAction::NicLinkDown {
-            node: 1,
-            duration: SimDuration::from_ms(20),
-        },
-    });
-    set.push(s);
-
-    // A lossy, corrupting fabric window: CRC drops plus retransmission
-    // must still deliver exactly-once.
-    let mut s = ChaosScenario::two_node("lossy-link-exactly-once");
-    s.horizon = SimDuration::from_ms(1_200);
-    s.events.push(ChaosEvent {
-        at: SimDuration::from_ms(0),
-        action: ChaosAction::LinkNoise {
-            drop_prob: 0.05,
-            corrupt_prob: 0.02,
-            duration: SimDuration::from_ms(100),
-        },
-    });
-    set.push(s);
-
-    set
-}
-
-/// The correlated-fault matrix: {star8, ring8, fat_tree64} crossed with
-/// {two-NIC hang, switch death, flap-during-recovery, cascade}, plus a
-/// stall-escalation scenario. Every scenario runs with the zone
-/// coordinator installed and (where both endpoints can survive) the 2 s
-/// blackout oracle armed — this is the set the `chaosx` bench sweeps
-/// into `BENCH_chaos.json`.
-pub fn correlated_scenarios() -> Vec<ChaosScenario> {
-    let star8 = ChaosTopology::Star(8);
-    let ring8 = ChaosTopology::Ring(8);
-    let ft64 = ChaosTopology::FatTree {
-        spines: 2,
-        leaves: 8,
-        hosts_per_leaf: 8,
-    };
-    let half_ms = SimDuration::from_us(500);
-    let mut set = Vec::new();
-
-    // -- two correlated NIC hangs (skewed half a millisecond apart) -----
-    let two_nic = |name: &str, topology, flows, nodes: [u16; 2]| {
-        let mut s = ChaosScenario::coordinated(name, topology, flows);
-        s.events.push(ChaosEvent {
-            at: SimDuration::from_ms(5),
-            action: ChaosAction::CorrelatedHang {
-                nodes: nodes.to_vec(),
-                skew: half_ms,
-            },
-        });
-        s
-    };
-    set.push(two_nic(
-        "star8-two-nic-hang",
-        star8,
-        vec![Flow::simple(0, 1), Flow::simple(2, 3), Flow::simple(4, 5)],
-        [1, 3],
-    ));
-    set.push(two_nic(
-        "ring8-two-nic-hang",
-        ring8,
-        vec![Flow::simple(0, 2), Flow::simple(5, 6), Flow::simple(3, 4)],
-        [2, 6],
-    ));
-    set.push(two_nic(
-        "fat_tree64-two-nic-hang",
-        ft64,
-        vec![Flow::simple(8, 0), Flow::simple(9, 17), Flow::simple(32, 40)],
-        [0, 9],
-    ));
-
-    // -- switch death ---------------------------------------------------
-    let switch_death = |name: &str, topology, flows, switch: u16| {
-        let mut s = ChaosScenario::coordinated(name, topology, flows);
-        s.events.push(ChaosEvent {
-            at: SimDuration::from_ms(5),
-            action: ChaosAction::SwitchDeath { switch },
-        });
-        s
-    };
-    // The star's only switch dies: the residual fabric is empty, so the
-    // coordinator must escalate every host (flows cover all eight so the
-    // loud-escalation oracle can see each one fail).
-    set.push(switch_death(
-        "star8-switch-death",
-        star8,
-        vec![
-            Flow::simple(0, 1),
-            Flow::simple(2, 3),
-            Flow::simple(4, 5),
-            Flow::simple(6, 7),
-        ],
-        0,
-    ));
-    // Ring switch 3 dies: node 3 is unreachable (escalated); 2->4 must
-    // reroute the long way around the cycle.
-    set.push(switch_death(
-        "ring8-switch-death",
-        ring8,
-        vec![Flow::simple(2, 4), Flow::simple(7, 3), Flow::simple(0, 1)],
-        3,
-    ));
-    // Spine 0 (switch id 8 = after the 8 leaves) dies: every cross-leaf
-    // route must move to spine 1; nobody escalates.
-    set.push(switch_death(
-        "fat_tree64-switch-death",
-        ft64,
-        vec![
-            Flow::simple(0, 8),
-            Flow::simple(17, 25),
-            Flow::simple(33, 41),
-            Flow::simple(48, 49),
-        ],
-        8,
-    ));
-
-    // -- a NIC link flapping while a recovery is in flight --------------
-    let flap_in_recovery = |name: &str, topology, flows, flapped: u16| {
-        let mut s = ChaosScenario::coordinated(name, topology, flows);
-        s.events.push(ChaosEvent {
-            at: SimDuration::from_ms(2),
-            action: ChaosAction::ForceHang { node: 0 },
-        });
-        s.phase_triggers.push(PhaseTrigger {
-            node: 0,
-            phase: FtdPhase::ReloadMcp,
-            action: ChaosAction::LinkFlap {
-                node: flapped,
-                period: SimDuration::from_ms(20),
-                count: 3,
-            },
-            remaining: 1,
-        });
-        s
-    };
-    set.push(flap_in_recovery(
-        "star8-flap-in-recovery",
-        star8,
-        vec![Flow::simple(1, 0), Flow::simple(2, 3), Flow::simple(4, 5)],
-        2,
-    ));
-    set.push(flap_in_recovery(
-        "ring8-flap-in-recovery",
-        ring8,
-        vec![Flow::simple(7, 0), Flow::simple(3, 4), Flow::simple(1, 2)],
-        4,
-    ));
-    set.push(flap_in_recovery(
-        "fat_tree64-flap-in-recovery",
-        ft64,
-        vec![Flow::simple(8, 0), Flow::simple(12, 20), Flow::simple(40, 33)],
-        12,
-    ));
-
-    // -- cascade: three skewed hangs plus a fourth triggered from inside
-    //    the first one's recovery ---------------------------------------
-    let cascade = |name: &str, topology, flows, first: [u16; 3], fourth: u16| {
-        let [lead, _, _] = first;
-        let mut s = ChaosScenario::coordinated(name, topology, flows);
-        s.events.push(ChaosEvent {
-            at: SimDuration::from_ms(5),
-            action: ChaosAction::CorrelatedHang {
-                nodes: first.to_vec(),
-                skew: half_ms,
-            },
-        });
-        s.phase_triggers.push(PhaseTrigger {
-            node: lead,
-            phase: FtdPhase::Reset,
-            action: ChaosAction::ForceHang { node: fourth },
-            remaining: 1,
-        });
-        s
-    };
-    set.push(cascade(
-        "star8-cascade",
-        star8,
-        vec![
-            Flow::simple(0, 1),
-            Flow::simple(2, 3),
-            Flow::simple(4, 5),
-            Flow::simple(6, 7),
-        ],
-        [1, 3, 5],
-        6,
-    ));
-    set.push(cascade(
-        "ring8-cascade",
-        ring8,
-        vec![
-            Flow::simple(0, 1),
-            Flow::simple(2, 3),
-            Flow::simple(4, 5),
-            Flow::simple(6, 7),
-        ],
-        [1, 3, 5],
-        7,
-    ));
-    set.push(cascade(
-        "fat_tree64-cascade",
-        ft64,
-        vec![
-            Flow::simple(1, 0),
-            Flow::simple(8, 17),
-            Flow::simple(16, 25),
-            Flow::simple(24, 33),
-            Flow::simple(40, 48),
-        ],
-        [0, 8, 16],
-        24,
-    ));
-
-    // -- a recovery that stalls (keeps failing verification) until the
-    //    peer observer flags it and the FTD finally escalates -----------
-    let mut s = ChaosScenario::coordinated(
-        "ring8-stall-escalates",
-        ring8,
-        vec![Flow::simple(1, 2), Flow::simple(5, 6)],
-    );
-    s.horizon = SimDuration::from_ms(3_500);
-    s.events.push(ChaosEvent {
-        at: SimDuration::from_ms(0),
-        action: ChaosAction::ForceHang { node: 2 },
-    });
-    s.phase_triggers.push(PhaseTrigger {
-        node: 2,
-        phase: FtdPhase::RestoreRoutes,
-        action: ChaosAction::ForceHang { node: 2 },
-        remaining: 3,
-    });
-    set.push(s);
-
-    set
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn lossy_link_stays_exactly_once() {
-        let scenarios = standard_scenarios();
-        let lossy = scenarios
-            .iter()
-            .find(|s| s.name == "lossy-link-exactly-once")
-            .expect("standard set has the lossy scenario");
-        let report = run_scenario(lossy, 11);
-        assert!(report.ok(), "{:?}", report.violations);
-        let f = &report.flows[0];
-        assert_eq!(f.corrupt, 0);
-        assert_eq!(f.misordered, 0);
-        assert!(f.progress > 0);
-    }
-
-    #[test]
-    fn link_flap_recovers_without_ftd_involvement() {
-        let scenarios = standard_scenarios();
-        let flap = scenarios
-            .iter()
-            .find(|s| s.name == "star-link-flap")
-            .expect("standard set has the link-flap scenario");
-        let report = run_scenario(flap, 3);
-        assert!(report.ok(), "{:?}", report.violations);
-        for n in &report.nodes {
-            assert_eq!(n.resolution, Resolution::Healthy, "{n:?}");
-        }
-        for f in &report.flows {
-            assert!(f.progress > 0, "{f:?}");
-        }
-    }
-
-    #[test]
-    fn report_json_is_replay_identical() {
-        let scenarios = standard_scenarios();
-        let s = &scenarios[0];
-        let a = run_scenario(s, 17).to_json();
-        let b = run_scenario(s, 17).to_json();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn different_seeds_differ() {
-        let scenarios = standard_scenarios();
-        let s = scenarios
-            .iter()
-            .find(|sc| sc.name == "double-flip-during-reload")
-            .expect("standard set has the double-flip scenario");
-        let jsons: Vec<String> = (0..4).map(|seed| run_scenario(s, seed).to_json()).collect();
-        let mut unique = jsons.clone();
-        unique.sort();
-        unique.dedup();
-        assert!(unique.len() >= 2, "all four seeds produced identical runs");
-    }
 }

@@ -265,16 +265,6 @@ impl ScenarioVerdict {
         ];
         ALL.into_iter().find(|v| v.label() == label)
     }
-
-    /// `true` unless an oracle was violated.
-    pub fn acceptable(self) -> bool {
-        match self {
-            ScenarioVerdict::Survived | ScenarioVerdict::Rerouted | ScenarioVerdict::Escalated => {
-                true
-            }
-            ScenarioVerdict::Violated => false,
-        }
-    }
 }
 
 impl fmt::Display for ScenarioVerdict {
@@ -429,8 +419,6 @@ mod tests {
         assert_eq!(classify_scenario(true, 1, 3), ScenarioVerdict::Escalated);
         assert_eq!(classify_scenario(true, 0, 3), ScenarioVerdict::Rerouted);
         assert_eq!(classify_scenario(true, 0, 0), ScenarioVerdict::Survived);
-        assert!(!ScenarioVerdict::Violated.acceptable());
-        assert!(ScenarioVerdict::Rerouted.acceptable());
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //! * [`inject`] — one reproducible run (`seed` → bit choice → world),
 //! * [`campaign`] — parallel N-run campaigns with deterministic
 //!   aggregation and Table 1 rendering,
-//! * [`chaos`] — composed multi-fault scenarios (flips inside recovery
-//!   phases, back-to-back hangs, link outages) over multi-node worlds,
-//!   checked by exactly-once and recovery-or-escalation oracles.
+//! * [`chaos`] — the engine for composed multi-fault scenarios (flips
+//!   inside recovery phases, back-to-back hangs, link outages) over
+//!   multi-node worlds, checked by exactly-once and
+//!   recovery-or-escalation oracles. The named scenarios themselves are
+//!   the `scenarios/*.ftsc` corpus (`ftgm-scenario`).
 
 pub mod campaign;
 pub mod chaos;
@@ -25,8 +27,8 @@ pub mod inject;
 
 pub use campaign::{run_campaign, CampaignResult};
 pub use chaos::{
-    correlated_scenarios, run_scenario, standard_scenarios, ChaosAction, ChaosEvent, ChaosReport,
-    ChaosScenario, ChaosTopology, Flow, PhaseTrigger,
+    run_scenario, ChaosAction, ChaosEvent, ChaosReport, ChaosScenario, ChaosTopology, Flow,
+    PhaseTrigger,
 };
 pub use forensics::{analyze, FieldMatrix, InstrSensitivity};
 pub use classify::{

@@ -204,17 +204,15 @@ pub(crate) const R7_ENTRY_FNS: [(&str, &str); 2] = [
 /// are the byte-stable JSON emitters that ci.sh grep-gates as
 /// integer-only; `CampaignResult::to_json` in `faults/src/campaign.rs`
 /// is deliberately absent — its Table-1 percentages are floats by design.
-pub(crate) const R9_ENTRY_FNS: [(&str, &str); 18] = [
-    ("crates/bench/src/bin/chaosx.rs", "summary_json"),
+pub(crate) const R9_ENTRY_FNS: [(&str, &str); 16] = [
+    ("crates/bench/src/bin/chaos.rs", "rollup_json"),
     ("crates/bench/src/mpi.rs", "cell_json"),
     ("crates/bench/src/mpi.rs", "summary_json"),
-    ("crates/bench/src/bin/scenariox.rs", "summary_json"),
     ("crates/bench/src/bin/slo.rs", "summary_json"),
     ("crates/scenario/src/run.rs", "to_json"),
     ("crates/bench/src/scale.rs", "sched_cell_json"),
     ("crates/bench/src/scale.rs", "summary_json"),
     ("crates/bench/src/scale.rs", "world_cell_json"),
-    ("crates/faults/src/chaos.rs", "reports_to_json"),
     ("crates/faults/src/chaos.rs", "to_json"),
     ("crates/sim/src/metrics.rs", "to_json"),
     ("crates/sim/src/metrics.rs", "to_json_indented"),

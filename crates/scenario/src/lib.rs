@@ -34,10 +34,16 @@
 //!
 //! Scenario files live in `scenarios/` (goldens in `scenarios/golden/`,
 //! rejection fixtures in `scenarios/bad/`); `docs/SCENARIOS.md` is the
-//! grammar reference.
+//! grammar reference. That directory is the only place a named chaos
+//! scenario is stated: [`corpus::load_dir`] loads it,
+//! [`run_corpus_parallel`](run::run_corpus_parallel) replays it, and
+//! [`corpus::gate`] holds the replay against the `expect` lines, the
+//! oracles and the golden bytes — the `chaos` bench binary and the test
+//! suites are thin callers of those three.
 
 pub mod ast;
 pub mod compile;
+pub mod corpus;
 pub mod gen;
 pub mod parse;
 pub mod print;
@@ -46,6 +52,7 @@ pub mod scan;
 
 pub use ast::Spec;
 pub use compile::{compile, CompiledScenario, DEFAULT_SEED};
+pub use corpus::{gate, load_dir, load_specs, CorpusError, CorpusFault, GateReport};
 pub use gen::gen_spec;
 pub use parse::{parse, render_diags, Diag};
 pub use print::print;

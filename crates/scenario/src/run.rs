@@ -3,21 +3,22 @@
 //! [`run_compiled`] executes the chaos run (always) and the load run
 //! plus its plain-GM twin (when compiled in), folds every oracle and
 //! SLO violation into one [`ScenarioOutcome`], and classifies the
-//! verdict with the same [`classify_scenario`] rule the chaos bench
-//! uses. [`ScenarioOutcome::check`] then compares that verdict against
+//! verdict with [`classify_scenario`].
+//! [`ScenarioOutcome::check`] then compares that verdict against
 //! the file's `expect` line — a disagreement is a typed
 //! [`ExpectMismatch`] naming both sides, never a silent pass.
 //!
 //! Outcomes serialize to byte-stable, integer-valued JSON
 //! ([`ScenarioOutcome::to_json`], schema `ftgm-scenario-v1`): the
-//! golden corpus under `scenarios/golden/` pins these bytes.
+//! golden corpus under `scenarios/golden/` pins these bytes. The chaos
+//! run's trace and metrics exports ride along on the outcome, so a
+//! replayer that wants them does not simulate the scenario twice.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-use ftgm_faults::chaos::{run_scenario, ChaosReport};
+use ftgm_faults::chaos::{run_scenario_artifacts, ScenarioArtifacts};
 use ftgm_faults::{classify_scenario, ScenarioVerdict};
+use ftgm_sim::map_indexed;
 use ftgm_workload::{run_spec, SloReport};
 
 use crate::compile::CompiledScenario;
@@ -56,8 +57,9 @@ pub struct ScenarioOutcome {
     pub expected: ScenarioVerdict,
     /// The verdict the run produced.
     pub verdict: ScenarioVerdict,
-    /// The chaos run's oracle report.
-    pub chaos: ChaosReport,
+    /// The chaos run: its oracle report plus the trace and metrics
+    /// exports and the typed cascade count.
+    pub chaos: ScenarioArtifacts,
     /// Total `InterfaceDead` escalations across nodes.
     pub escalations: u64,
     /// Coordinator-driven zone reroutes observed.
@@ -86,7 +88,7 @@ impl ScenarioOutcome {
 
     /// Every violation, chaos oracles first, then SLO bounds.
     pub fn violations(&self) -> Vec<String> {
-        let mut v = self.chaos.violations.clone();
+        let mut v = self.chaos.report.violations.clone();
         v.extend(self.slo_violations.iter().cloned());
         v
     }
@@ -101,11 +103,11 @@ impl ScenarioOutcome {
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
         let _ = writeln!(out, "  \"expected\": \"{}\",", self.expected.label());
         let _ = writeln!(out, "  \"verdict\": \"{}\",", self.verdict.label());
-        let _ = writeln!(out, "  \"chaos_ok\": {},", self.chaos.ok());
+        let _ = writeln!(out, "  \"chaos_ok\": {},", self.chaos.report.ok());
         let _ = writeln!(out, "  \"escalations\": {},", self.escalations);
         let _ = writeln!(out, "  \"zone_reroutes\": {},", self.zone_reroutes);
         out.push_str("  \"nodes\": [");
-        for (i, n) in self.chaos.nodes.iter().enumerate() {
+        for (i, n) in self.chaos.report.nodes.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -117,7 +119,7 @@ impl ScenarioOutcome {
             );
         }
         out.push_str("\n  ],\n  \"flows\": [");
-        for (i, f) in self.chaos.flows.iter().enumerate() {
+        for (i, f) in self.chaos.report.flows.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -159,7 +161,7 @@ fn embed_report(out: &mut String, key: &str, report: Option<&SloReport>, comma: 
 
 /// Runs one compiled scenario end to end and classifies the verdict.
 pub fn run_compiled(c: &CompiledScenario) -> ScenarioOutcome {
-    let chaos = run_scenario(&c.chaos, c.seed);
+    let chaos = run_scenario_artifacts(&c.chaos, c.seed);
     let load = c.workload.as_ref().map(run_spec);
     let gm = c.gm_twin.as_ref().map(run_spec);
 
@@ -193,9 +195,9 @@ pub fn run_compiled(c: &CompiledScenario) -> ScenarioOutcome {
         }
     }
 
-    let escalations: u64 = chaos.nodes.iter().map(|n| n.escalations).sum();
-    let zone_reroutes = chaos.metrics.counter("ZoneRerouteTriggered");
-    let ok = chaos.ok() && slo_violations.is_empty();
+    let escalations: u64 = chaos.report.nodes.iter().map(|n| n.escalations).sum();
+    let zone_reroutes = chaos.report.metrics.counter("ZoneRerouteTriggered");
+    let ok = chaos.report.ok() && slo_violations.is_empty();
     let verdict = classify_scenario(ok, escalations, zone_reroutes);
 
     ScenarioOutcome {
@@ -212,35 +214,11 @@ pub fn run_compiled(c: &CompiledScenario) -> ScenarioOutcome {
     }
 }
 
-/// Runs a corpus with a slot-disciplined worker pool: an atomic cursor
-/// hands out indices, results land in their input slot, so the output
-/// order — and every byte of every outcome — is independent of the
-/// thread count.
+/// Runs a corpus on `threads` workers. Outcomes come back in corpus
+/// order and each depends only on its own scenario, so every byte of
+/// every outcome is independent of the thread count.
 pub fn run_corpus_parallel(corpus: &[CompiledScenario], threads: usize) -> Vec<ScenarioOutcome> {
-    let n = corpus.len();
-    let slots: Mutex<Vec<Option<ScenarioOutcome>>> = Mutex::new(vec![None; n]);
-    let cursor = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.max(1).min(n.max(1)) {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed) as usize;
-                let Some(c) = corpus.get(i) else { break };
-                let outcome = run_compiled(c);
-                let mut guard = match slots.lock() {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                if let Some(slot) = guard.get_mut(i) {
-                    *slot = Some(outcome);
-                }
-            });
-        }
-    });
-    let inner = match slots.into_inner() {
-        Ok(v) => v,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    inner.into_iter().flatten().collect()
+    map_indexed(corpus.len(), threads, |i| run_compiled(&corpus[i]))
 }
 
 /// Parses, compiles, and runs one scenario text.

@@ -1,91 +1,126 @@
 //! Corpus gates.
 //!
-//! Debug tier: every `scenarios/*.ftsc` parses, compiles, and prints
-//! round-trip — so a grammar change that orphans the corpus fails
-//! `cargo test` immediately. Release tier (tier-1 via ci.sh) replays the
-//! whole corpus: expect verdicts, oracle cleanliness, byte-stable
-//! goldens, and 1-vs-3-thread invariance.
+//! Debug tier: every `scenarios/*.ftsc` loads through the one loader and
+//! prints round-trip — so a grammar change that orphans the corpus fails
+//! `cargo test` immediately — the loader and the gate return their typed
+//! failures, and four quick chaos checks replay named corpus files from
+//! their own seeds. Release tier (tier-1 via ci.sh) replays the whole
+//! corpus: expect verdicts, oracle cleanliness, byte-stable goldens, and
+//! 1-vs-3-thread invariance.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
+use ftgm_faults::chaos::{run_scenario, ChaosScenario};
+use ftgm_faults::Resolution;
 use ftgm_scenario::{
-    compile, parse, print, render_diags, run_compiled, run_corpus_parallel, run_text,
-    CompiledScenario,
+    compile, gate, load_dir, load_specs, parse, print, render_diags, run_corpus_parallel,
+    run_text, CompiledScenario, CorpusFault, ScenarioOutcome,
 };
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
 }
 
-fn corpus_sources() -> Vec<(PathBuf, String)> {
-    let mut files: Vec<PathBuf> = fs::read_dir(corpus_dir())
-        .expect("scenarios/ must exist")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "ftsc"))
-        .collect();
-    files.sort();
-    files
-        .into_iter()
-        .map(|p| {
-            let src = fs::read_to_string(&p).expect("corpus file readable");
-            (p, src)
-        })
-        .collect()
+fn compiled_corpus() -> Vec<CompiledScenario> {
+    load_dir(&corpus_dir()).unwrap_or_else(|e| panic!("{e}"))
 }
 
-fn compiled_corpus() -> Vec<CompiledScenario> {
-    corpus_sources()
-        .iter()
-        .map(|(path, src)| match parse(src) {
-            Ok(spec) => compile(&spec),
-            Err(diags) => panic!("{} rejected:\n{}", path.display(), render_diags(&diags)),
-        })
-        .collect()
+/// The chaos run of one named corpus scenario.
+fn named(name: &str) -> ChaosScenario {
+    compiled_corpus()
+        .into_iter()
+        .find(|c| c.name == name)
+        .unwrap_or_else(|| panic!("scenario names drifted: no scenarios/{name}.ftsc"))
+        .chaos
+}
+
+/// A fresh, empty scratch directory under the test target dir.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("corpus-{tag}"));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+/// A do-nothing noise fault that survives; `expect` is the caller's.
+/// Small phases keep it cheap enough for debug.
+fn quiet_scenario(name: &str, expect: &str) -> String {
+    format!(
+        "scenario \"{name}\" {{\n\
+         \x20 topology two_node\n\
+         \x20 flow 0 -> 1 validated size 256 pipeline 2\n\
+         \x20 phases {{ warmup 5ms fault 50ms }}\n\
+         \x20 fault in fault at 0ms noise drop 0 corrupt 0 for 1ms\n\
+         \x20 expect {expect}\n\
+         }}\n"
+    )
 }
 
 #[test]
 fn corpus_has_at_least_25_scenarios() {
-    assert!(
-        corpus_sources().len() >= 25,
-        "corpus shrank below the 25-file floor ({})",
-        corpus_sources().len()
-    );
+    let n = compiled_corpus().len();
+    assert!(n >= 25, "corpus shrank below the 25-file floor ({n})");
 }
 
 #[test]
 fn every_corpus_file_parses_compiles_and_round_trips() {
-    for (path, src) in corpus_sources() {
-        let spec = match parse(&src) {
-            Ok(s) => s,
-            Err(diags) => panic!("{} rejected:\n{}", path.display(), render_diags(&diags)),
-        };
-        // The file stem is the scenario name — goldens key on it.
-        let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
-        assert_eq!(spec.name, stem, "{}: name must match file stem", path.display());
+    // The loader already insists each file parses and that its stem is
+    // its scenario name (goldens key on it).
+    let specs = load_specs(&corpus_dir()).unwrap_or_else(|e| panic!("{e}"));
+    let names: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
+    assert!(names.is_sorted(), "corpus must load in name order: {names:?}");
+    for spec in &specs {
         // Canonical spelling must survive a reparse.
-        let canon = print(&spec);
+        let canon = print(spec);
         let reparsed = parse(&canon)
-            .unwrap_or_else(|d| panic!("{}: canonical form rejected:\n{}", path.display(), render_diags(&d)));
-        assert_eq!(reparsed, spec, "{}: print/parse round trip drifted", path.display());
-        let _ = compile(&spec);
+            .unwrap_or_else(|d| panic!("{}: canonical form rejected:\n{}", spec.name, render_diags(&d)));
+        assert_eq!(&reparsed, spec, "{}: print/parse round trip drifted", spec.name);
+        let _ = compile(spec);
     }
+}
+
+#[test]
+fn load_dir_names_what_stopped_it() {
+    let dir = scratch("load");
+    let fault = |at: &Path| load_dir(at).expect_err("must not load");
+
+    let err = fault(&dir.join("nowhere"));
+    assert!(matches!(err.fault, CorpusFault::UnreadableDir(_)), "{err:?}");
+    assert!(err.to_string().contains("nowhere"), "{err}");
+
+    // Goldens and rejection fixtures beside the corpus are not corpus files.
+    fs::write(dir.join("notes.txt"), "not a scenario").expect("write");
+    assert!(matches!(fault(&dir).fault, CorpusFault::Empty));
+
+    fs::write(dir.join("on-disk.ftsc"), quiet_scenario("in-file", "survived")).expect("write");
+    let err = fault(&dir);
+    assert!(err.path.ends_with("on-disk.ftsc"), "{err:?}");
+    assert!(matches!(&err.fault, CorpusFault::NameMismatch(name) if name == "in-file"), "{err:?}");
+    fs::remove_file(dir.join("on-disk.ftsc")).expect("rm");
+
+    // A good file sorts first; the loader still stops at the bad one.
+    fs::write(dir.join("aaa-good.ftsc"), quiet_scenario("aaa-good", "survived")).expect("write");
+    let bad = quiet_scenario("zzz-bad", "survived").replace("50ms", "50m");
+    fs::write(dir.join("zzz-bad.ftsc"), bad).expect("write");
+    let err = fault(&dir);
+    assert!(matches!(err.fault, CorpusFault::Rejected(_)), "{err:?}");
+    let msg = err.to_string();
+    assert!(msg.contains("zzz-bad.ftsc"), "{msg}");
+    assert!(msg.contains("error at 4:"), "message must carry the line:col diagnostic: {msg}");
+
+    // And the happy path: name order (`aaa` before `aaa-good`), compiled.
+    fs::write(dir.join("zzz-bad.ftsc"), quiet_scenario("zzz-bad", "survived")).expect("write");
+    fs::write(dir.join("aaa.ftsc"), quiet_scenario("aaa", "survived")).expect("write");
+    let names: Vec<String> = load_dir(&dir).expect("clean").into_iter().map(|c| c.name).collect();
+    assert_eq!(names, ["aaa", "aaa-good", "zzz-bad"]);
 }
 
 /// A scenario whose `expect` disagrees with the run's verdict must fail
 /// with a typed mismatch naming both sides — never pass silently.
 #[test]
 fn expect_disagreement_is_a_typed_mismatch() {
-    // A do-nothing noise fault: the run survives, the file claims
-    // escalation. Small phases keep this cheap enough for debug.
-    let src = "scenario \"wrong-expect\" {\n\
-               \x20 topology two_node\n\
-               \x20 flow 0 -> 1 validated size 256 pipeline 2\n\
-               \x20 phases { warmup 5ms fault 50ms }\n\
-               \x20 fault in fault at 0ms noise drop 0 corrupt 0 for 1ms\n\
-               \x20 expect escalated\n\
-               }\n";
-    let outcome = run_text(src).expect("scenario must parse");
+    let outcome = run_text(&quiet_scenario("wrong-expect", "escalated")).expect("scenario must parse");
     let err = outcome.check().expect_err("verdicts disagree");
     assert_eq!(err.scenario, "wrong-expect");
     assert_eq!(err.expected.label(), "escalated");
@@ -94,31 +129,89 @@ fn expect_disagreement_is_a_typed_mismatch() {
     assert!(msg.contains("escalated") && msg.contains("survived"), "{msg}");
 }
 
+/// `--update` pins a clean outcome and nothing else: a run whose verdict
+/// disagrees with its `expect`, or that violated an oracle, keeps its
+/// old golden (or none) and is reported.
+#[test]
+fn gate_update_never_pins_a_failing_outcome() {
+    let golden_dir = scratch("gate").join("golden");
+    let golden = |o: &ScenarioOutcome| golden_dir.join(format!("{}.json", o.name));
+
+    let clean = run_text(&quiet_scenario("clean", "survived")).expect("parses");
+    let mismatched = run_text(&quiet_scenario("mismatched", "escalated")).expect("parses");
+    let mut violated = run_text(&quiet_scenario("violated", "survived")).expect("parses");
+    violated.slo_violations.push("synthetic bound breach".to_string());
+    let outcomes = [clean, mismatched, violated];
+    let [clean, mismatched, violated] = &outcomes;
+
+    // Without --update nothing is written and every golden is missing.
+    let report = gate(&outcomes, &golden_dir, false);
+    assert_eq!((report.mismatches, report.violations, report.golden_diffs), (1, 1, 3));
+    assert!(!golden_dir.exists(), "a read-only gate must not create files");
+
+    // A stale golden under the mismatched run must survive the update.
+    fs::create_dir_all(&golden_dir).expect("mkdir");
+    fs::write(golden(mismatched), "stale").expect("write");
+    let report = gate(&outcomes, &golden_dir, true);
+    assert_eq!((report.mismatches, report.violations, report.golden_diffs), (1, 1, 2));
+    assert_eq!(fs::read_to_string(golden(clean)).expect("pinned"), clean.to_json());
+    assert_eq!(fs::read_to_string(golden(mismatched)).expect("kept"), "stale");
+    assert!(!golden(violated).exists(), "a violated run must not be pinned");
+    let lines = report.failures.join("\n");
+    assert!(lines.contains("mismatched.json: golden drifted"), "{lines}");
+    assert!(lines.contains("violated.json: golden missing"), "{lines}");
+    assert!(lines.contains("synthetic bound breach"), "{lines}");
+
+    // The clean outcome alone is now green without --update.
+    assert_eq!(gate(&outcomes[..1], &golden_dir, false).failures, [""; 0]);
+}
+
+#[test]
+fn lossy_link_stays_exactly_once() {
+    let report = run_scenario(&named("lossy-link-exactly-once"), 11);
+    assert!(report.ok(), "{:?}", report.violations);
+    let f = &report.flows[0];
+    assert_eq!(f.corrupt, 0);
+    assert_eq!(f.misordered, 0);
+    assert!(f.progress > 0);
+}
+
+#[test]
+fn link_flap_recovers_without_ftd_involvement() {
+    let report = run_scenario(&named("star3-link-flap"), 3);
+    assert!(report.ok(), "{:?}", report.violations);
+    for n in &report.nodes {
+        assert_eq!(n.resolution, Resolution::Healthy, "{n:?}");
+    }
+    for f in &report.flows {
+        assert!(f.progress > 0, "{f:?}");
+    }
+}
+
+#[test]
+fn report_json_is_replay_identical() {
+    let s = named("double-flip-during-reload");
+    let a = run_scenario(&s, 17).to_json();
+    let b = run_scenario(&s, 17).to_json();
+    assert_eq!(a, b);
+}
+
+#[test]
+fn different_seeds_differ() {
+    let s = named("double-flip-during-reload");
+    let jsons: Vec<String> = (0..4).map(|seed| run_scenario(&s, seed).to_json()).collect();
+    let mut unique = jsons.clone();
+    unique.sort();
+    unique.dedup();
+    assert!(unique.len() >= 2, "all four seeds produced identical runs");
+}
+
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-gated: full corpus replay is release-only")]
 fn release_corpus_replays_green_and_matches_goldens() {
-    let compiled = compiled_corpus();
-    let golden_dir = corpus_dir().join("golden");
-    let mut failures = Vec::new();
-    for c in &compiled {
-        let outcome = run_compiled(c);
-        for v in outcome.violations() {
-            failures.push(format!("{}: violation: {v}", outcome.name));
-        }
-        if let Err(m) = outcome.check() {
-            failures.push(m.to_string());
-        }
-        let golden_path = golden_dir.join(format!("{}.json", outcome.name));
-        match fs::read_to_string(&golden_path) {
-            Ok(expected) if expected == outcome.to_json() => {}
-            Ok(_) => failures.push(format!(
-                "{}: golden drifted (scenariox --update after verifying)",
-                golden_path.display()
-            )),
-            Err(_) => failures.push(format!("{}: golden missing", golden_path.display())),
-        }
-    }
-    assert!(failures.is_empty(), "{}", failures.join("\n"));
+    let outcomes = run_corpus_parallel(&compiled_corpus(), 2);
+    let report = gate(&outcomes, &corpus_dir().join("golden"), false);
+    assert!(report.failures.is_empty(), "{}", report.failures.join("\n"));
 }
 
 #[test]

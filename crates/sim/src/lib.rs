@@ -16,7 +16,9 @@
 //!   paper's Figure 9 recovery timeline and drive the chaos oracles,
 //! * [`metrics::Metrics`] — deterministic counters and fixed-bucket
 //!   histograms fed by every trace emission,
-//! * [`export`] — JSON-lines and Chrome `trace_event` exporters.
+//! * [`export`] — JSON-lines and Chrome `trace_event` exporters,
+//! * [`pool::map_indexed`] — the one slot-disciplined worker pool every
+//!   parallel campaign, corpus replay, suite and sweep fans out through.
 //!
 //! # Example
 //!
@@ -34,12 +36,14 @@
 
 pub mod export;
 pub mod metrics;
+pub mod pool;
 pub mod rng;
 pub mod sched;
 pub mod time;
 pub mod trace;
 
 pub use metrics::{HistId, Histogram, Metrics, Samples};
+pub use pool::map_indexed;
 pub use rng::SimRng;
 pub use sched::{EventId, HeapScheduler, Scheduler};
 pub use time::{SimDuration, SimTime};

@@ -10,26 +10,23 @@
 //!   caller already built (e.g. the world inside an `ftgm-mpi`
 //!   harness), leaving variant and daemon wiring to the caller.
 //!
-//! [`run_suite_parallel`] fans a suite out over worker threads with the
-//! same slot discipline as the chaos campaign runner: output order
-//! equals input order and per-spec results are independent of the
-//! thread count, so a 1-thread and a 3-thread run serialize to
-//! identical bytes.
+//! [`run_suite_parallel`] fans a suite out over worker threads through
+//! [`ftgm_sim::map_indexed`]: output order equals input order and
+//! per-spec results are independent of the thread count, so a 1-thread
+//! and a 3-thread run serialize to identical bytes.
 //!
 //! [`ftgm_mpi`-style]: crate::driver::run_spec_on
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use ftgm_core::FtSystem;
 use ftgm_faults::chaos::{apply_action, ChaosTopology};
 use ftgm_gm::apps::RpcServer;
 use ftgm_gm::{World, WorldConfig};
 use ftgm_net::NodeId;
-use ftgm_sim::SimRng;
+use ftgm_sim::{map_indexed, SimRng};
 
 use crate::gen::{ClosedLoopClient, OpenLoopSender, Sink};
 use crate::slo::{fold_report, FlowProbe, PhaseWindows, SloReport};
@@ -176,35 +173,5 @@ pub fn run_spec_on(spec: &WorkloadSpec, world: &mut World, ft: Option<&FtSystem>
 /// order and each report depends only on its spec, so the serialized
 /// suite is byte-identical for any thread count.
 pub fn run_suite_parallel(specs: &[WorkloadSpec], threads: usize) -> Vec<SloReport> {
-    let n = specs.len();
-    let slots: Mutex<Vec<Option<SloReport>>> = Mutex::new(vec![None; n]);
-    let cursor = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.max(1).min(n.max(1)) {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::SeqCst) as usize;
-                if i >= n {
-                    break;
-                }
-                let Some(spec) = specs.get(i) else {
-                    break;
-                };
-                let report = run_spec(spec);
-                let mut guard = slots.lock().unwrap_or_else(|e| e.into_inner());
-                if let Some(slot) = guard.get_mut(i) {
-                    *slot = Some(report);
-                }
-            });
-        }
-    });
-    let filled = slots
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner());
-    filled
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| {
-            r.unwrap_or_else(|| SloReport::missing(specs.get(i).map_or("", |s| s.name.as_str())))
-        })
-        .collect()
+    map_indexed(specs.len(), threads, |i| run_spec(&specs[i]))
 }

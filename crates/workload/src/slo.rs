@@ -127,25 +127,6 @@ pub struct SloReport {
 }
 
 impl SloReport {
-    /// Placeholder for a run that produced no report (a parallel worker
-    /// slot that was never filled); everything is zero.
-    pub fn missing(name: &str) -> SloReport {
-        SloReport {
-            name: name.to_string(),
-            topology: String::new(),
-            variant: String::new(),
-            seed: 0,
-            phases: Vec::new(),
-            total_issued: 0,
-            total_completed: 0,
-            send_errors: 0,
-            bad_responses: 0,
-            iface_dead: 0,
-            recoveries: 0,
-            run_ns: 0,
-        }
-    }
-
     /// The first phase with the given name, if any.
     pub fn phase(&self, name: &str) -> Option<&PhaseSlo> {
         for p in &self.phases {

@@ -1,13 +1,14 @@
-//! Tier-1 chaos smoke: a deterministic scenario set that must finish
-//! quickly and pass every oracle. This is the CI gate for the composed
-//! multi-fault behaviours (fault-during-recovery, retry, escalation) that
-//! the paper's single-fault campaign never reaches.
+//! Tier-1 chaos smoke: a deterministic scenario set (named files of the
+//! `scenarios/` corpus, replayed from this suite's own seeds) that must
+//! finish quickly and pass every oracle. This is the CI gate for the
+//! composed multi-fault behaviours (fault-during-recovery, retry,
+//! escalation) that the paper's single-fault campaign never reaches.
 
+mod common;
+
+use common::{pick, STANDARD};
 use ftgm_core::ftd::FtdPhase;
-use ftgm_faults::chaos::{
-    reports_to_json, run_scenario, standard_scenarios, ChaosAction, ChaosEvent, ChaosScenario,
-    PhaseTrigger,
-};
+use ftgm_faults::chaos::{run_scenario, ChaosAction, ChaosEvent, ChaosScenario, PhaseTrigger};
 use ftgm_faults::{InjectionTarget, Resolution};
 use ftgm_sim::SimDuration;
 
@@ -15,11 +16,11 @@ const SEED: u64 = 42;
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "runs in the release-mode chaos_smoke CI step")]
-fn standard_scenarios_pass_all_oracles() {
+fn standard_set_passes_all_oracles() {
     let mut recovered = 0u64;
     let mut escalated = 0u64;
-    for scenario in standard_scenarios() {
-        let report = run_scenario(&scenario, SEED);
+    for scenario in pick(&STANDARD) {
+        let report = run_scenario(&scenario.chaos, SEED);
         assert!(
             report.ok(),
             "{}: oracle violations {:?}",
@@ -37,10 +38,12 @@ fn standard_scenarios_pass_all_oracles() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "runs in the release-mode chaos_smoke CI step")]
 fn same_seed_replays_byte_identically() {
-    let scenarios = standard_scenarios();
-    let run = |seed| {
-        let reports: Vec<_> = scenarios.iter().map(|s| run_scenario(s, seed)).collect();
-        reports_to_json(&reports)
+    let scenarios = pick(&STANDARD);
+    let run = |seed| -> Vec<String> {
+        scenarios
+            .iter()
+            .map(|s| run_scenario(&s.chaos, seed).to_json())
+            .collect()
     };
     assert_eq!(run(7), run(7), "same-seed replay diverged");
 }
@@ -51,12 +54,8 @@ fn persistent_hang_escalates_loudly() {
     // The bounded-retry acceptance path: a hang that re-manifests at the
     // end of every reload exhausts the attempt budget, the interface is
     // declared dead, and the applications *see* it — no silent hang.
-    let scenarios = standard_scenarios();
-    let s = scenarios
-        .iter()
-        .find(|s| s.name == "persistent-hang-escalates")
-        .expect("standard set has the escalation scenario");
-    let report = run_scenario(s, SEED);
+    let s = &pick(&["persistent-hang-escalates"])[0];
+    let report = run_scenario(&s.chaos, SEED);
     assert!(report.ok(), "{:?}", report.violations);
     let n0 = report
         .nodes
@@ -79,14 +78,10 @@ fn second_flip_during_reload_never_hangs_silently() {
     // The headline acceptance scenario, swept over seeds: a second
     // code-section flip lands during the ReloadMcp phase. Every run must
     // end fully recovered or explicitly dead — never stranded.
-    let scenarios = standard_scenarios();
-    let s = scenarios
-        .iter()
-        .find(|s| s.name == "double-flip-during-reload")
-        .expect("standard set has the double-flip scenario");
+    let s = &pick(&["double-flip-during-reload"])[0];
     let mut saw_recovery = false;
     for seed in 0..5u64 {
-        let report = run_scenario(s, seed);
+        let report = run_scenario(&s.chaos, seed);
         assert!(report.ok(), "seed {seed}: {:?}", report.violations);
         for n in &report.nodes {
             assert!(

@@ -7,6 +7,9 @@
 //! Release-gated (like `chaos_smoke`): the standard scenario set simulates
 //! tens of seconds of fabric time per scenario.
 
+mod common;
+
+use common::{pick, STANDARD};
 use ftgm_bench::mpi::{
     check as mpi_check, mpi_cells, run_cells as run_mpi_cells, run_mpi_cell,
     summary_json as mpi_summary_json,
@@ -14,8 +17,7 @@ use ftgm_bench::mpi::{
 use ftgm_bench::scale::{
     run_sched_cell, run_world_cell, scale_spec, sched_cells, summary_json, world_cells,
 };
-use ftgm_faults::campaign::run_scenarios_parallel;
-use ftgm_faults::chaos::{correlated_scenarios, standard_scenarios};
+use ftgm_scenario::{load_specs, run_corpus_parallel, ScenarioOutcome};
 use ftgm_workload::{demo_suite, reports_to_json, run_suite_parallel};
 
 /// Asserts a golden benchmark artifact is integer-only: after stripping
@@ -68,6 +70,49 @@ fn read_artifact(file: &str) -> String {
         .unwrap_or_else(|e| panic!("{file} must be committed at the repo root: {e}"))
 }
 
+/// Replays the named corpus scenarios from `seed` on `threads` workers.
+fn replay(names: &[&str], seed: u64, threads: usize) -> Vec<ScenarioOutcome> {
+    let mut scenarios = pick(names);
+    for c in &mut scenarios {
+        c.seed = seed;
+    }
+    run_corpus_parallel(&scenarios, threads)
+}
+
+/// Asserts two replays exported the same bytes in the same order.
+fn assert_same_exports(first: &[ScenarioOutcome], second: &[ScenarioOutcome]) {
+    assert_eq!(first.len(), second.len());
+    for (a, b) in first.iter().zip(second) {
+        let (name, a, b) = (&a.name, &a.chaos, &b.chaos);
+        assert_eq!(a.report.scenario, b.report.scenario, "output order preserved");
+        assert!(!a.trace_jsonl.is_empty(), "{name}: trace exported");
+        assert_eq!(a.trace_jsonl, b.trace_jsonl, "{name}: event stream diverged");
+        assert_eq!(a.chrome_trace, b.chrome_trace, "{name}: chrome trace diverged");
+        assert_eq!(a.metrics_json, b.metrics_json, "{name}: metrics diverged");
+        assert_eq!(a.report.to_json(), b.report.to_json(), "{name}: report diverged");
+    }
+}
+
+/// Every value of `"key": …` in `json`, in order, quotes stripped.
+fn values<'a>(json: &'a str, key: &str) -> Vec<&'a str> {
+    let needle = format!("\"{key}\": ");
+    json.match_indices(&needle)
+        .map(|(at, _)| {
+            let rest = &json[at + needle.len()..];
+            let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
+            rest[..end].trim_matches('"')
+        })
+        .collect()
+}
+
+/// Every integer value of `"key": …` in `json`, in order.
+fn numbers(json: &str, key: &str) -> Vec<u64> {
+    values(json, key)
+        .iter()
+        .map(|v| v.parse().unwrap_or_else(|e| panic!("{key}: {v:?} is not an integer: {e}")))
+        .collect()
+}
+
 /// Golden schema for `BENCH_scale.json` (written by
 /// `cargo run --release -p ftgm-bench --bin scale`): all required keys
 /// present, integers only, and the deterministic sched8 checksum agrees
@@ -96,9 +141,9 @@ fn bench_scale_json_matches_golden_schema() {
     );
 }
 
-/// Golden schema for `BENCH_chaos.json` (written by the `chaosx` bin):
-/// correlated-fault sweep rollup — all required keys present, integers
-/// only, and no committed violations.
+/// Golden schema for `BENCH_chaos.json` (written by the `chaos` bin):
+/// the corpus replay rollup — all required keys present, integers only,
+/// and no committed mismatch, violation or golden diff.
 #[test]
 fn bench_chaos_json_matches_golden_schema() {
     let json = read_artifact("BENCH_chaos.json");
@@ -107,24 +152,77 @@ fn bench_chaos_json_matches_golden_schema() {
         "BENCH_chaos.json",
         &json,
         &[
-            "schema", "seed", "violations", "scenarios", "name", "topology", "fault",
-            "verdict", "resolutions", "healthy", "recovered", "escalated",
-            "stranded_hung", "stuck_recovering", "recoveries", "escalations", "stalls",
-            "cascades", "isolations", "zone_reroutes", "fabric_drops", "bad_link_drops",
-            "max_blackout_ns", "delivered",
+            "schema", "corpus", "mismatches", "violations", "golden_diffs", "scenarios",
+            "name", "seed", "topology", "fault", "expected", "verdict", "resolutions",
+            "healthy", "recovered", "escalated", "stranded_hung", "stuck_recovering",
+            "recoveries", "escalations", "stalls", "cascades", "isolations",
+            "zone_reroutes", "fabric_drops", "bad_link_drops", "max_blackout_ns",
+            "delivered",
         ],
     );
-    assert!(json.contains("\"schema\": \"ftgm-chaos-v1\""));
-    assert!(
-        json.contains("\"violations\": 0"),
-        "a BENCH_chaos.json with oracle violations must never be committed"
-    );
+    assert!(json.contains("\"schema\": \"ftgm-chaos-v2\""));
+    for clean in ["mismatches", "violations", "golden_diffs"] {
+        assert!(
+            json.contains(&format!("\"{clean}\": 0")),
+            "a BENCH_chaos.json with {clean} must never be committed"
+        );
+    }
     // Every verdict in the sweep must be an acceptable outcome — a
     // committed artifact where some scenario hung silently is a bug.
     assert!(
         !json.contains("\"verdict\": \"violated\""),
         "BENCH_chaos.json contains a violated scenario"
     );
+}
+
+/// The rollup, the goldens and the corpus must tell one story, checked
+/// without simulating anything: one `BENCH_chaos.json` row per
+/// `scenarios/*.ftsc` file in name order, one golden per row, and each
+/// row's headline numbers equal to what its golden pins — so a stale
+/// rollup or a stale golden fails `cargo test` before any world runs.
+#[test]
+fn bench_chaos_rows_match_the_corpus_and_its_goldens() {
+    let scenarios = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+    let specs = load_specs(scenarios.as_ref()).unwrap_or_else(|e| panic!("{e}"));
+    let corpus: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
+
+    let rollup = read_artifact("BENCH_chaos.json");
+    let mut rows = rollup.split("\n    {\n");
+    let header = rows.next().unwrap_or_default();
+    let rows: Vec<&str> = rows.collect();
+    let names: Vec<&str> = rows.iter().map(|r| values(r, "name")[0]).collect();
+    assert_eq!(names, corpus, "BENCH_chaos.json rows != scenarios/*.ftsc; re-run the chaos bin");
+    assert_eq!(numbers(header, "corpus"), [corpus.len() as u64]);
+
+    let goldens = std::fs::read_dir(format!("{scenarios}/golden"))
+        .expect("scenarios/golden must exist")
+        .count();
+    assert_eq!(goldens, corpus.len(), "scenarios/golden/ holds an orphan or lacks a golden");
+
+    for (row, name) in rows.iter().zip(&names) {
+        let golden = read_artifact(&format!("scenarios/golden/{name}.json"));
+        // Top level, per-node and per-flow sections; the embedded load
+        // reports after them reuse key names and are not the rollup's.
+        let (top, rest) = golden.split_once("\"nodes\": [").expect("golden has nodes");
+        let (nodes, rest) = rest.split_once("\"flows\": [").expect("golden has flows");
+        let (flows, _) = rest.split_once("\"violations\": [").expect("golden has violations");
+        for key in ["expected", "verdict"] {
+            assert_eq!(values(row, key), values(top, key), "{name}: {key}");
+        }
+        let pinned = [
+            ("seed", numbers(top, "seed")[0]),
+            ("escalations", numbers(top, "escalations")[0]),
+            ("recoveries", numbers(nodes, "recoveries").iter().sum()),
+            ("delivered", numbers(flows, "delivered").iter().sum()),
+            (
+                "max_blackout_ns",
+                numbers(flows, "blackout_ns").into_iter().max().unwrap_or(0),
+            ),
+        ];
+        for (key, want) in pinned {
+            assert_eq!(numbers(row, key), [want], "{name}: {key} disagrees with the golden");
+        }
+    }
 }
 
 /// Golden schema for `BENCH_mpi.json` (written by the `mpi` bin): the
@@ -287,23 +385,7 @@ fn scale_world_reports_are_byte_identical_across_thread_counts() {
     ignore = "release-gated: full chaos scenarios are slow unoptimized (ci.sh runs this with --release)"
 )]
 fn exports_are_byte_identical_across_thread_counts() {
-    let scenarios = standard_scenarios();
-    let single = run_scenarios_parallel(&scenarios, 2003, 1);
-    let multi = run_scenarios_parallel(&scenarios, 2003, 3);
-    assert_eq!(single.len(), multi.len());
-    for (a, b) in single.iter().zip(&multi) {
-        let name = &a.report.scenario;
-        assert_eq!(a.report.scenario, b.report.scenario, "output order preserved");
-        assert!(!a.trace_jsonl.is_empty(), "{name}: trace exported");
-        assert_eq!(a.trace_jsonl, b.trace_jsonl, "{name}: event stream diverged");
-        assert_eq!(a.chrome_trace, b.chrome_trace, "{name}: chrome trace diverged");
-        assert_eq!(a.metrics_json, b.metrics_json, "{name}: metrics diverged");
-        assert_eq!(
-            a.report.to_json(),
-            b.report.to_json(),
-            "{name}: report diverged"
-        );
-    }
+    assert_same_exports(&replay(&STANDARD, 2003, 1), &replay(&STANDARD, 2003, 3));
 }
 
 #[test]
@@ -324,25 +406,7 @@ fn correlated_exports_are_byte_identical_across_thread_counts() {
         "ring8-cascade",
         "ring8-stall-escalates",
     ];
-    let scenarios: Vec<_> = correlated_scenarios()
-        .into_iter()
-        .filter(|s| picks.contains(&s.name.as_str()))
-        .collect();
-    assert_eq!(scenarios.len(), picks.len(), "scenario names drifted");
-    let single = run_scenarios_parallel(&scenarios, 2003, 1);
-    let multi = run_scenarios_parallel(&scenarios, 2003, 3);
-    assert_eq!(single.len(), multi.len());
-    for (a, b) in single.iter().zip(&multi) {
-        let name = &a.report.scenario;
-        assert_eq!(a.report.scenario, b.report.scenario, "output order preserved");
-        assert_eq!(a.trace_jsonl, b.trace_jsonl, "{name}: event stream diverged");
-        assert_eq!(a.metrics_json, b.metrics_json, "{name}: metrics diverged");
-        assert_eq!(
-            a.report.to_json(),
-            b.report.to_json(),
-            "{name}: report diverged"
-        );
-    }
+    assert_same_exports(&replay(&picks, 2003, 1), &replay(&picks, 2003, 3));
 }
 
 #[test]
@@ -351,14 +415,7 @@ fn correlated_exports_are_byte_identical_across_thread_counts() {
     ignore = "release-gated: full chaos scenarios are slow unoptimized (ci.sh runs this with --release)"
 )]
 fn exports_are_byte_identical_across_repeated_runs() {
-    let scenarios = standard_scenarios();
-    let first = run_scenarios_parallel(&scenarios, 7, 2);
-    let second = run_scenarios_parallel(&scenarios, 7, 2);
-    for (a, b) in first.iter().zip(&second) {
-        let name = &a.report.scenario;
-        assert_eq!(a.trace_jsonl, b.trace_jsonl, "{name}: replay diverged");
-        assert_eq!(a.metrics_json, b.metrics_json, "{name}: metrics replay diverged");
-    }
+    assert_same_exports(&replay(&STANDARD, 7, 2), &replay(&STANDARD, 7, 2));
 }
 
 #[test]
