@@ -8,12 +8,18 @@
 //! cargo run --release -p ftgm-bench --bin mpi -- --smoke # small cells
 //! ```
 //!
-//! Exits 2 on any oracle violation: a fault cell whose results differ
+//! Exits 1 on an argument it does not know (before anything runs or is
+//! written) and 2 on any oracle violation: a fault cell whose results differ
 //! from its fault-free twin, a blackout at or over 2 s, a transient
 //! hang that leaked to the application, a spare restart that replayed
 //! nothing, or a cell that never completed (a silent hang).
 
 use ftgm_bench::mpi::{blackout_ns, check, mpi_cells, run_cells, summary_json};
+
+fn usage() -> ! {
+    eprintln!("usage: mpi [--smoke] [--threads N] [seed]");
+    std::process::exit(1);
+}
 
 fn main() {
     let mut smoke = false;
@@ -24,12 +30,11 @@ fn main() {
         if arg == "--smoke" {
             smoke = true;
         } else if arg == "--threads" {
-            threads = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .expect("--threads <n>");
+            threads = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
         } else if let Ok(s) = arg.parse() {
             seed = s;
+        } else {
+            usage();
         }
     }
 
@@ -62,7 +67,7 @@ fn main() {
     }
 
     if !smoke {
-        let json = summary_json(seed, &results, violations.len(), true);
+        let json = summary_json(seed, &results, violations.len());
         std::fs::write("BENCH_mpi.json", &json).expect("write BENCH_mpi.json");
         eprintln!("mpi: wrote BENCH_mpi.json");
     }

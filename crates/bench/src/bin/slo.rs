@@ -9,9 +9,10 @@
 //! plain GM, and the fault-window service blackout stays under the
 //! recovered-in-<2 s bound.
 //!
-//! Usage: `slo [seed]` (default 2003). Writes `BENCH_slo.json` (the
-//! perf-trajectory summary: integer-valued, byte-stable) and
-//! `results/slo_summary.json` (full per-phase reports).
+//! Usage: `slo [seed]` (default 2003); anything else prints the usage
+//! line and exits 1 before a cell runs or a file is written. Writes
+//! `BENCH_slo.json` (the perf-trajectory summary: integer-valued,
+//! byte-stable) and `results/slo_summary.json` (full per-phase reports).
 
 use ftgm_faults::chaos::{ChaosAction, ChaosTopology};
 use ftgm_workload::{
@@ -328,10 +329,16 @@ fn summary_json(seed: u64, cells: &[Cell], reports: &[SloReport], violations: us
 }
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2003);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let seed: u64 = match args.as_slice() {
+        [] => Some(2003),
+        [seed] => seed.parse().ok(),
+        _ => None,
+    }
+    .unwrap_or_else(|| {
+        eprintln!("usage: slo [seed]");
+        std::process::exit(1);
+    });
 
     let cells = build_cells(seed);
     let specs: Vec<WorkloadSpec> = cells.iter().map(|c| c.spec.clone()).collect();

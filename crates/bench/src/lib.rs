@@ -3,8 +3,10 @@
 //! Shared measurement harness for the paper's tables and figures.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure; this library
-//! holds the measurement routines they share, so the Criterion benches and
-//! the binaries measure the same way.
+//! holds the measurement routines they share. Everything it measures is
+//! on the simulated clock: host time is the repo benchmark's business
+//! (`benchmark/`), and the lint's determinism rule keeps wall clocks out
+//! of this crate.
 //!
 //! | artifact | binary | routine |
 //! |---|---|---|

@@ -18,8 +18,9 @@
 //!   no rank exits through the pre-fault-tolerant fatal path.
 //!
 //! Checksums fold only simulation-determined values (reduce results,
-//! broadcast payloads, halo faces, window bytes), so the deterministic
-//! half of the output is byte-stable across runs and thread counts.
+//! broadcast payloads, halo faces, window bytes) and every other field
+//! is a count or a simulated-clock instant, so the output is byte-stable
+//! across runs, hosts and thread counts.
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -130,8 +131,6 @@ pub struct MpiCellResult {
     pub recoveries: u64,
     /// Simulated completion time, ns (0 when the job never finished).
     pub completion_ns: u64,
-    /// Host wall-clock for the cell, ns (excluded from determinism).
-    pub wall_ns: u64,
 }
 
 /// Ranks that live on the injected node (the failure unit is the NIC,
@@ -423,7 +422,6 @@ fn injected_rank(cell: &MpiCell) -> u32 {
 /// the fault-free twin's completion time, so the failure always lands
 /// mid-operation regardless of how fast the cell runs.
 pub fn run_mpi_cell(cell: &MpiCell, seed: u64, inject_at: SimDuration) -> MpiCellResult {
-    let start = std::time::Instant::now();
     let mut h = build_harness(cell);
     assert_eq!(h.nranks(), cell.ranks, "{}: topology sizing", cell.label);
     let ft = FtSystem::install(&mut h.world);
@@ -499,7 +497,6 @@ pub fn run_mpi_cell(cell: &MpiCell, seed: u64, inject_at: SimDuration) -> MpiCel
         checkpoints_stored: state.checkpoints_stored,
         recoveries: ft.recoveries(node),
         completion_ns: done.map_or(0, |t| t.saturating_since(ftgm_sim::SimTime::ZERO).as_nanos()),
-        wall_ns: start.elapsed().as_nanos() as u64,
     }
 }
 
@@ -654,7 +651,7 @@ pub fn check(results: &[MpiCellResult]) -> Vec<String> {
 // JSON.
 // ---------------------------------------------------------------------------
 
-fn cell_json(out: &mut String, results: &[MpiCellResult], r: &MpiCellResult, measured: bool, last: bool) {
+fn cell_json(out: &mut String, results: &[MpiCellResult], r: &MpiCellResult, last: bool) {
     let c = &r.cell;
     let _ = writeln!(out, "    {{");
     let _ = writeln!(out, "      \"label\": \"{}\",", c.label);
@@ -674,30 +671,21 @@ fn cell_json(out: &mut String, results: &[MpiCellResult], r: &MpiCellResult, mea
     let _ = writeln!(out, "      \"recoveries\": {},", r.recoveries);
     let _ = writeln!(out, "      \"completion_ns\": {},", r.completion_ns);
     let _ = writeln!(out, "      \"blackout_ns\": {}", blackout_ns(results, r));
-    if measured {
-        let _ = writeln!(out, "      ,\"wall_ns\": {}", r.wall_ns);
-    }
     let _ = writeln!(out, "    }}{}", if last { "" } else { "," });
 }
 
-/// Renders the sweep as JSON. With `measured` false the output contains
-/// only simulation-determined integers, so it is byte-identical across
-/// runs, hosts, and worker thread counts — the determinism tests compare
-/// it directly.
-pub fn summary_json(
-    seed: u64,
-    results: &[MpiCellResult],
-    violations: usize,
-    measured: bool,
-) -> String {
+/// Renders the sweep as JSON: simulation-determined integers only, so it
+/// is byte-identical across runs, hosts, and worker thread counts — the
+/// determinism tests compare it with the committed `BENCH_mpi.json`.
+pub fn summary_json(seed: u64, results: &[MpiCellResult], violations: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"ftgm-mpi-v1\",");
+    let _ = writeln!(out, "  \"schema\": \"ftgm-mpi-v2\",");
     let _ = writeln!(out, "  \"seed\": {seed},");
     let _ = writeln!(out, "  \"violations\": {violations},");
     let _ = writeln!(out, "  \"cells\": [");
     for (i, r) in results.iter().enumerate() {
-        cell_json(&mut out, results, r, measured, i + 1 == results.len());
+        cell_json(&mut out, results, r, i + 1 == results.len());
     }
     let _ = writeln!(out, "  ]");
     let _ = writeln!(out, "}}");
@@ -745,8 +733,7 @@ mod tests {
         // The pair is (none, spare): identical results, one respawn.
         assert_eq!(results[0].checksum, results[1].checksum);
         assert_eq!(results[1].respawns, 1);
-        let json = summary_json(7, &results, 0, false);
-        assert_eq!(json, summary_json(7, &results, 0, false));
-        assert!(!json.contains("wall_ns"));
+        let json = summary_json(7, &results, 0);
+        assert!(json.contains("\"schema\": \"ftgm-mpi-v2\""));
     }
 }

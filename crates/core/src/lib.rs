@@ -589,7 +589,7 @@ mod tests {
         let before = stats.borrow().received_ok;
         assert!(before > 0, "traffic flowing before fault");
         ft.inject_forced_hang(&mut w, NodeId(1));
-        w.run_for(SimDuration::from_secs(4));
+        w.run_for(SimDuration::from_ms(2_500));
         assert_eq!(ft.recoveries(NodeId(1)), 1);
         let after = stats.borrow().clone();
         assert!(
@@ -621,7 +621,7 @@ mod tests {
         // Hang the SENDER: its unacknowledged tokens must replay with their
         // original sequence numbers; the receiver dedupes.
         ft.inject_forced_hang(&mut w, NodeId(0));
-        w.run_for(SimDuration::from_secs(4));
+        w.run_for(SimDuration::from_ms(2_500));
         assert_eq!(ft.recoveries(NodeId(0)), 1);
         let after = stats.borrow().clone();
         assert!(
@@ -691,7 +691,7 @@ mod tests {
         // Hang the receiver mid-message (statistically certain at 4 in
         // flight), forcing partial-assembly rewind on recovery.
         ft.inject_forced_hang(&mut w, NodeId(1));
-        w.run_for(SimDuration::from_secs(4));
+        w.run_for(SimDuration::from_ms(2_500));
         assert_eq!(ft.recoveries(NodeId(1)), 1);
         let s = stats.borrow();
         assert!(s.clean(), "multi-chunk exactly-once: {s:?}");
@@ -714,7 +714,7 @@ mod tests {
         );
         w.run_for(SimDuration::from_ms(10));
         ft.inject_forced_hang(&mut w, NodeId(1));
-        w.run_for(SimDuration::from_secs(4));
+        w.run_for(SimDuration::from_ms(2_500));
         let r = RecoveryReport::from_trace(&w.trace).expect("complete episode");
         let detect_us = r.detection().as_micros_f64();
         let ftd_us = r.ftd_time().as_micros_f64();

@@ -162,7 +162,7 @@ mod tests {
 
     fn quick_config() -> RunConfig {
         RunConfig {
-            window: SimDuration::from_ms(300),
+            window: SimDuration::from_ms(100),
             ..RunConfig::table1()
         }
     }

@@ -153,9 +153,12 @@ mod tests {
     #[test]
     fn opcode_flips_skew_to_hangs() {
         // A slightly larger sample: opcode-field flips in *executed* code
-        // trap, so their hang share must exceed the imm field's.
+        // trap, so their hang share must exceed the imm field's. A trap
+        // fires on the next send through the flipped word, so a short
+        // window classifies every one of these runs as a long one does
+        // (8/14 opcode vs 2/24 imm hangs at 100 ms and at 250 ms).
         let config = RunConfig {
-            window: SimDuration::from_ms(250),
+            window: SimDuration::from_ms(100),
             ..RunConfig::table1()
         };
         let runs: Vec<_> = (0..60u64).map(|s| run_one(&config, s)).collect();

@@ -301,7 +301,7 @@ mod tests {
     fn outcomes_cover_multiple_categories_quickly() {
         // A handful of seeds should already show both impact and no-impact.
         let config = RunConfig {
-            window: SimDuration::from_ms(400),
+            window: SimDuration::from_ms(100),
             ..RunConfig::table1()
         };
         let outcomes: Vec<Outcome> = (0..12).map(|s| run_one(&config, s).outcome).collect();
@@ -324,9 +324,11 @@ mod target_tests {
     fn data_region_faults_are_mostly_transient() {
         // Flips in the send record / packet buffer are overwritten by the
         // next send, so the overwhelming majority are no-impact — in sharp
-        // contrast to code-section flips.
+        // contrast to code-section flips. The overwrite happens within
+        // microseconds, so 100 ms (thousands of sends) observes it as
+        // well as a longer window does.
         let base = RunConfig {
-            window: SimDuration::from_ms(300),
+            window: SimDuration::from_ms(100),
             ..RunConfig::table1()
         };
         for target in [InjectionTarget::SendRecord, InjectionTarget::PacketBuffer] {

@@ -231,7 +231,7 @@ impl Workspace {
 /// Parses the `[package] name` and `[dependencies]` keys out of a
 /// Cargo.toml, TOML-lite (line-oriented; enough for this workspace's
 /// manifests). `[dev-dependencies]` are deliberately excluded: test-only
-/// shims (criterion, proptest) would otherwise donate call edges into
+/// shims (proptest) would otherwise donate call edges into
 /// production reachability.
 pub fn manifest_info(text: &str) -> (Option<String>, Vec<String>) {
     let mut name = None;

@@ -1,246 +1,6 @@
-//! Minimal JSON support (zero dependencies): a value tree, a recursive
-//! descent parser for the baseline file, and a writer for reports.
-//!
-//! Supports the full JSON grammar except exotic number forms: numbers
-//! parse as `f64` (integers round-trip exactly up to 2^53, far beyond
-//! any line count or finding count this tool produces).
+//! JSON string escaping for the report writer (zero dependencies).
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// A parsed JSON value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Value {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(BTreeMap<String, Value>),
-}
-
-impl Value {
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-}
-
-/// Parses a complete JSON document.
-pub fn parse(input: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        b: input.as_bytes(),
-        i: 0,
-    };
-    p.ws();
-    let v = p.value()?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing characters at byte {}", p.i));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.i < self.b.len() && self.b[self.i] == c {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}",
-                c as char, self.i
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.b.get(self.i) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn literal(&mut self, text: &str, v: Value) -> Result<Value, String> {
-        if self.b[self.i..].starts_with(text.as_bytes()) {
-            self.i += text.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {}", self.i))
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.i;
-        while self.i < self.b.len()
-            && matches!(self.b[self.i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Value::Num)
-            .ok_or_else(|| format!("invalid number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&c) = self.b.get(self.i) else {
-                return Err("unterminated string".to_string());
-            };
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&e) = self.b.get(self.i) else {
-                        return Err("unterminated escape".to_string());
-                    };
-                    self.i += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            if self.i + 4 > self.b.len() {
-                                return Err("truncated \\u escape".to_string());
-                            }
-                            let hex = std::str::from_utf8(&self.b[self.i..self.i + 4])
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            self.i += 4;
-                            // Surrogate pairs are not needed for file paths
-                            // and code snippets; map them to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.i - 1)),
-                    }
-                }
-                _ => {
-                    // Collect the full UTF-8 sequence.
-                    let len = utf8_len(c);
-                    if len == 1 {
-                        out.push(c as char);
-                    } else {
-                        let end = (self.i - 1 + len).min(self.b.len());
-                        if let Ok(s) = std::str::from_utf8(&self.b[self.i - 1..end]) {
-                            out.push_str(s);
-                        }
-                        self.i = end;
-                    }
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut m = BTreeMap::new();
-        self.ws();
-        if self.b.get(self.i) == Some(&b'}') {
-            self.i += 1;
-            return Ok(Value::Obj(m));
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.ws();
-            self.expect(b':')?;
-            self.ws();
-            let val = self.value()?;
-            m.insert(key, val);
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Value::Obj(m));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.i)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut v = Vec::new();
-        self.ws();
-        if self.b.get(self.i) == Some(&b']') {
-            self.i += 1;
-            return Ok(Value::Arr(v));
-        }
-        loop {
-            self.ws();
-            v.push(self.value()?);
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Value::Arr(v));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.i)),
-            }
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
 
 /// Escapes a string for embedding in JSON output.
 pub fn escape(s: &str) -> String {
@@ -266,33 +26,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_trip_object() {
-        let v = parse(r#"{"a": [1, 2], "b": "x\ny", "c": true, "d": null}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 2);
-        assert_eq!(v.get("b").unwrap().as_str(), Some("x\ny"));
-        assert_eq!(v.get("c"), Some(&Value::Bool(true)));
-        assert_eq!(v.get("d"), Some(&Value::Null));
-    }
-
-    #[test]
-    fn numbers_parse_exactly() {
-        let v = parse("[0, 42, 123456789]").unwrap();
-        let ns: Vec<u64> = v.as_arr().unwrap().iter().map(|x| x.as_u64().unwrap()).collect();
-        assert_eq!(ns, vec![0, 42, 123456789]);
-    }
-
-    #[test]
-    fn escape_round_trips_through_parse() {
-        let original = "snippet with \"quotes\", tabs\t, and\nnewlines \\ backslash";
-        let json = format!("\"{}\"", escape(original));
-        assert_eq!(parse(&json).unwrap().as_str(), Some(original));
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(parse("{").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("hello").is_err());
-        assert!(parse("{} extra").is_err());
+    fn escapes_quotes_backslashes_and_control_characters() {
+        assert_eq!(
+            escape("say \"hi\",\ttab\nline \\ back\u{1}"),
+            r#"say \"hi\",\ttab\nline \\ back\u0001"#
+        );
+        assert_eq!(escape("crates/core/src/recovery.rs → fn"), "crates/core/src/recovery.rs → fn");
     }
 }

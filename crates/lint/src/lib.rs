@@ -13,11 +13,9 @@
 //! This crate enforces both with a hand-rolled line/token scanner (the
 //! build environment is offline — no `syn`) over the workspace sources.
 //! See `docs/STATIC_ANALYSIS.md` for the rule catalogue, and the
-//! `ftgm-lint` binary for the CLI. Suppression: an inline
-//! `// lint:allow(<rule>)` on (or immediately above) the offending line,
-//! or an entry in the checked-in baseline (`crates/lint/baseline.json`).
+//! `ftgm-lint` binary for the CLI. The one suppression is an inline
+//! `// lint:allow(<rule>)` on (or immediately above) the offending line.
 
-pub mod baseline;
 pub mod graph;
 pub mod json;
 pub mod lexer;
@@ -51,7 +49,7 @@ pub struct Finding {
     /// The offending line, trimmed.
     pub snippet: String,
     /// Enclosing symbol: the innermost `fn` (or item) owning the line,
-    /// `<file>` for file-level lines. Part of the baseline key.
+    /// `<file>` for file-level lines.
     pub symbol: String,
     /// For graph rules: the shortest call chain from the invariant's
     /// entry point to the function containing the violation (inclusive
@@ -77,7 +75,7 @@ impl Finding {
     }
 
     /// JSON object form (one element of the report's `findings` array).
-    pub fn render_json(&self, baselined: bool) -> String {
+    pub fn render_json(&self) -> String {
         let chain = self
             .chain
             .iter()
@@ -92,14 +90,13 @@ impl Finding {
             .join(", ");
         format!(
             "{{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"col\": {}, \
-             \"symbol\": \"{}\", \"baselined\": {}, \"snippet\": \"{}\", \
+             \"symbol\": \"{}\", \"snippet\": \"{}\", \
              \"chain\": [{}], \"message\": \"{}\"}}",
             json::escape(self.rule),
             json::escape(&self.file),
             self.line,
             self.col,
             json::escape(&self.symbol),
-            baselined,
             json::escape(&self.snippet),
             chain,
             json::escape(&self.message),
@@ -213,11 +210,6 @@ pub fn default_root() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("."))
 }
 
-/// Default baseline location relative to a workspace root.
-pub fn baseline_path(root: &Path) -> PathBuf {
-    root.join("crates/lint/baseline.json")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,16 +242,14 @@ mod tests {
             ],
             message: "msg with \"quotes\"".to_string(),
         };
-        let j = f.render_json(true);
-        let parsed = json::parse(&j).expect("valid JSON");
-        assert_eq!(parsed.get("line").and_then(json::Value::as_u64), Some(3));
         assert_eq!(
-            parsed.get("message").and_then(json::Value::as_str),
-            Some("msg with \"quotes\"")
-        );
-        assert_eq!(
-            parsed.get("symbol").and_then(json::Value::as_str),
-            Some("Sched::push")
+            f.render_json(),
+            "{\"rule\": \"determinism\", \"file\": \"crates/sim/src/x.rs\", \"line\": 3, \
+             \"col\": 7, \"symbol\": \"Sched::push\", \
+             \"snippet\": \"use std::collections::HashMap;\", \
+             \"chain\": [{\"file\": \"crates/sim/src/sched.rs\", \"symbol\": \"run\"}, \
+             {\"file\": \"crates/sim/src/x.rs\", \"symbol\": \"Sched::push\"}], \
+             \"message\": \"msg with \\\"quotes\\\"\"}"
         );
         assert!(f.render().contains("via run \u{2192} Sched::push"));
     }

@@ -3,60 +3,38 @@
 //! ```text
 //! cargo run -p ftgm-lint                  # human-readable report
 //! cargo run -p ftgm-lint -- --json       # machine-readable report
-//! cargo run -p ftgm-lint -- --deny-new   # CI gate: also fail on stale baseline
-//! cargo run -p ftgm-lint -- --write-baseline     # regenerate the baseline
-//! cargo run -p ftgm-lint -- --migrate-baseline   # legacy snippet ledger → v2
 //! cargo run -p ftgm-lint -- --report FILE        # also write the JSON report
 //! ```
 //!
-//! Exit codes: 0 = clean (new findings: none; with `--deny-new` also no
-//! stale baseline entries), 1 = violations, 2 = usage or I/O error.
+//! Exit codes: 0 = no findings, 1 = findings, 2 = usage or I/O error.
+//! A finding is suppressed in the source, next to the code it is about
+//! (`// lint:allow(<rule>)`), or not at all.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ftgm_lint::baseline::{self, Baseline};
-use ftgm_lint::{baseline_path, default_root, rules, scan_workspace};
+use ftgm_lint::{default_root, rules, scan_workspace, Finding};
 
 struct Options {
     root: PathBuf,
-    baseline: Option<PathBuf>,
     json: bool,
-    deny_new: bool,
-    write_baseline: bool,
-    migrate_baseline: bool,
     report: Option<PathBuf>,
-    quiet: bool,
 }
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         root: default_root(),
-        baseline: None,
         json: false,
-        deny_new: false,
-        write_baseline: false,
-        migrate_baseline: false,
         report: None,
-        quiet: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => opts.json = true,
-            "--deny-new" => opts.deny_new = true,
-            "--write-baseline" => opts.write_baseline = true,
-            "--migrate-baseline" => opts.migrate_baseline = true,
-            "--quiet" | "-q" => opts.quiet = true,
             "--root" => {
                 opts.root = PathBuf::from(
                     args.next().ok_or("--root requires a path argument")?,
                 );
-            }
-            "--baseline" => {
-                opts.baseline = Some(PathBuf::from(
-                    args.next().ok_or("--baseline requires a path argument")?,
-                ));
             }
             "--report" => {
                 opts.report = Some(PathBuf::from(
@@ -83,23 +61,15 @@ fn print_help() {
     println!(
         "ftgm-lint: FTGM invariant checker (recovery-safety + determinism)\n\
          \n\
-         USAGE: ftgm-lint [--json] [--deny-new] [--write-baseline] [--quiet]\n\
-         \x20                [--migrate-baseline] [--report FILE]\n\
-         \x20                [--root DIR] [--baseline FILE] [--rules]\n\
+         USAGE: ftgm-lint [--json] [--report FILE] [--root DIR] [--rules]\n\
          \n\
          --json              emit a JSON report on stdout\n\
-         --deny-new          CI gate: exit 1 on new findings OR stale baseline entries\n\
-         --write-baseline    rewrite the baseline to cover all current findings\n\
-         --migrate-baseline  re-key a legacy snippet-keyed baseline to (rule, file,\n\
-         \x20                   symbol) entries, dropping entries that match nothing\n\
          --report FILE       also write the JSON report to FILE\n\
-         --quiet             suppress baselined findings in human output\n\
          --root DIR          workspace root (default: this checkout)\n\
-         --baseline FILE     baseline path (default: <root>/crates/lint/baseline.json)\n\
          --rules             list rules and exit\n\
          \n\
-         Inline suppression: `// lint:allow(<rule>)` on or above the line.\n\
-         See docs/STATIC_ANALYSIS.md."
+         Exits 1 on any finding. Inline suppression: `// lint:allow(<rule>)`\n\
+         on or above the line. See docs/STATIC_ANALYSIS.md."
     );
 }
 
@@ -111,10 +81,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let baseline_file = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| baseline_path(&opts.root));
 
     let findings = match scan_workspace(&opts.root) {
         Ok(f) => f,
@@ -124,161 +90,47 @@ fn main() -> ExitCode {
         }
     };
 
-    if opts.migrate_baseline {
-        return migrate_baseline(&baseline_file, &findings, opts.quiet);
-    }
-
-    if opts.write_baseline {
-        let b = Baseline::from_findings(&findings);
-        if let Err(e) = std::fs::write(&baseline_file, b.render()) {
-            eprintln!("ftgm-lint: cannot write {}: {e}", baseline_file.display());
-            return ExitCode::from(2);
-        }
-        if !opts.quiet {
-            println!(
-                "wrote {} ({} entries covering {} findings)",
-                baseline_file.display(),
-                b.entries.len(),
-                findings.len()
-            );
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = match Baseline::load(&baseline_file) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("ftgm-lint: bad baseline: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let diff = baseline.diff(&findings);
-
     if let Some(path) = &opts.report {
-        if let Err(e) = std::fs::write(path, report_json(&diff)) {
+        if let Err(e) = std::fs::write(path, report_json(&findings)) {
             eprintln!("ftgm-lint: cannot write {}: {e}", path.display());
             return ExitCode::from(2);
         }
     }
     if opts.json {
-        print!("{}", report_json(&diff));
+        print!("{}", report_json(&findings));
     } else {
-        print_human(&diff, opts.quiet);
-    }
-
-    let failed = !diff.new.is_empty() || (opts.deny_new && !diff.stale.is_empty());
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-/// One-shot legacy → v2 baseline migration.
-fn migrate_baseline(
-    baseline_file: &std::path::Path,
-    findings: &[ftgm_lint::Finding],
-    quiet: bool,
-) -> ExitCode {
-    let text = match std::fs::read_to_string(baseline_file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("ftgm-lint: cannot read {}: {e}", baseline_file.display());
-            return ExitCode::from(2);
+        for f in &findings {
+            println!("{}", f.render());
         }
-    };
-    if Baseline::parse(&text).is_ok() {
-        if !quiet {
-            println!("{} is already in the v2 format; nothing to do", baseline_file.display());
-        }
-        return ExitCode::SUCCESS;
-    }
-    let legacy = match Baseline::parse_legacy(&text) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("ftgm-lint: cannot parse legacy baseline: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let (v2, dead) = baseline::migrate(&legacy, findings);
-    if let Err(e) = std::fs::write(baseline_file, v2.render()) {
-        eprintln!("ftgm-lint: cannot write {}: {e}", baseline_file.display());
-        return ExitCode::from(2);
-    }
-    if !quiet {
         println!(
-            "migrated {}: {} v2 entr{} written, {} dead legacy entr{} dropped",
-            baseline_file.display(),
-            v2.entries.len(),
-            if v2.entries.len() == 1 { "y" } else { "ies" },
-            dead.len(),
-            if dead.len() == 1 { "y" } else { "ies" },
+            "ftgm-lint: {} finding{}",
+            findings.len(),
+            if findings.len() == 1 { "" } else { "s" }
         );
-        for e in &dead {
-            println!("  dropped ({}x): {} in {} — `{}`", e.count, e.rule, e.file, e.snippet);
-        }
     }
-    ExitCode::SUCCESS
+
+    if findings.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
 
 /// The machine-readable report (stdout `--json` and `--report FILE`).
 /// Deterministic and integer-only: findings arrive sorted from the scan,
 /// and every numeric field is a count or a 1-based source position.
-fn report_json(diff: &ftgm_lint::baseline::Diff) -> String {
+fn report_json(findings: &[Finding]) -> String {
     let rules_list = rules::ALL_RULES
         .iter()
         .map(|r| format!("\"{r}\""))
         .collect::<Vec<_>>()
         .join(", ");
-    let mut items: Vec<String> = Vec::new();
-    items.extend(diff.new.iter().map(|f| f.render_json(false)));
-    items.extend(diff.baselined.iter().map(|f| f.render_json(true)));
-    let stale: Vec<String> = diff
-        .stale
-        .iter()
-        .map(|e| {
-            format!(
-                "{{\"rule\": \"{}\", \"file\": \"{}\", \"symbol\": \"{}\", \"count\": {}}}",
-                ftgm_lint::json::escape(&e.rule),
-                ftgm_lint::json::escape(&e.file),
-                ftgm_lint::json::escape(&e.symbol),
-                e.count
-            )
-        })
-        .collect();
+    let items: Vec<String> = findings.iter().map(Finding::render_json).collect();
     format!(
-        "{{\n  \"schema\": \"ftgm-lint-v1\",\n  \"rules\": [{}],\n  \
-         \"new_count\": {},\n  \"baselined_count\": {},\n  \"stale_count\": {},\n  \
-         \"findings\": [\n    {}\n  ],\n  \"stale_baseline_entries\": [\n    {}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"ftgm-lint-v2\",\n  \"rules\": [{}],\n  \
+         \"count\": {},\n  \"findings\": [\n    {}\n  ]\n}}\n",
         rules_list,
-        diff.new.len(),
-        diff.baselined.len(),
-        diff.stale.len(),
-        items.join(",\n    "),
-        stale.join(",\n    ")
+        findings.len(),
+        items.join(",\n    ")
     )
-}
-
-fn print_human(diff: &ftgm_lint::baseline::Diff, quiet: bool) {
-    for f in &diff.new {
-        println!("{}", f.render());
-    }
-    if !quiet {
-        for f in &diff.baselined {
-            println!("{} (baselined)", f.render());
-        }
-    }
-    for e in &diff.stale {
-        println!(
-            "stale baseline entry ({}x): {} in {} — `{}` was fixed; run --write-baseline",
-            e.count, e.rule, e.file, e.symbol
-        );
-    }
-    println!(
-        "ftgm-lint: {} new, {} baselined, {} stale baseline entr{}",
-        diff.new.len(),
-        diff.baselined.len(),
-        diff.stale.len(),
-        if diff.stale.len() == 1 { "y" } else { "ies" }
-    );
 }

@@ -199,11 +199,8 @@ fn report_json_is_replay_identical() {
 #[test]
 fn different_seeds_differ() {
     let s = named("double-flip-during-reload");
-    let jsons: Vec<String> = (0..4).map(|seed| run_scenario(&s, seed).to_json()).collect();
-    let mut unique = jsons.clone();
-    unique.sort();
-    unique.dedup();
-    assert!(unique.len() >= 2, "all four seeds produced identical runs");
+    let [a, b] = [0, 1].map(|seed| run_scenario(&s, seed).to_json());
+    assert_ne!(a, b, "seeds 0 and 1 produced identical runs");
 }
 
 #[test]

@@ -15,7 +15,7 @@ use ftgm_bench::mpi::{
     summary_json as mpi_summary_json,
 };
 use ftgm_bench::scale::{
-    run_sched_cell, run_world_cell, scale_spec, sched_cells, summary_json, world_cells,
+    check as scale_check, run_world_cell, scale_spec, summary_json, world_cells,
 };
 use ftgm_scenario::{load_specs, run_corpus_parallel, ScenarioOutcome};
 use ftgm_workload::{demo_suite, reports_to_json, run_suite_parallel};
@@ -115,9 +115,9 @@ fn numbers(json: &str, key: &str) -> Vec<u64> {
 
 /// Golden schema for `BENCH_scale.json` (written by
 /// `cargo run --release -p ftgm-bench --bin scale`): all required keys
-/// present, integers only, and the deterministic sched8 checksum agrees
-/// with an in-process replay — so the committed artifact cannot drift
-/// silently ahead of (or behind) the code.
+/// present, integers only, no committed violations. The release-gated
+/// `scale_summary_matches_the_committed_file_byte_for_byte` below holds
+/// the values themselves.
 #[test]
 fn bench_scale_json_matches_golden_schema() {
     let json = read_artifact("BENCH_scale.json");
@@ -126,15 +126,12 @@ fn bench_scale_json_matches_golden_schema() {
         "BENCH_scale.json",
         &json,
         &[
-            "schema", "seed", "violations", "sched_cells", "label", "nodes", "population",
-            "ops", "pops", "cal_checksum", "heap_checksum", "checksums_match",
-            "heap_wall_ns", "cal_wall_ns", "heap_events_per_sec", "cal_events_per_sec",
-            "speedup_permille", "world_cells", "topology", "fault", "events_delivered",
-            "total_issued", "total_completed", "steady_p99_ns", "recovery_blackout_ns",
-            "recoveries",
+            "schema", "seed", "violations", "world_cells", "label", "topology", "nodes",
+            "fault", "events_delivered", "total_issued", "total_completed", "steady_p99_ns",
+            "recovery_blackout_ns", "recoveries",
         ],
     );
-    assert!(json.contains("\"schema\": \"ftgm-scale-v2\""));
+    assert!(json.contains("\"schema\": \"ftgm-scale-v3\""));
     assert!(
         json.contains("\"violations\": 0"),
         "a BENCH_scale.json with violations must never be committed"
@@ -243,7 +240,7 @@ fn bench_mpi_json_matches_golden_schema() {
             "checkpoints_stored", "recoveries", "completion_ns", "blackout_ns",
         ],
     );
-    assert!(json.contains("\"schema\": \"ftgm-mpi-v1\""));
+    assert!(json.contains("\"schema\": \"ftgm-mpi-v2\""));
     assert!(
         json.contains("\"violations\": 0"),
         "a BENCH_mpi.json with oracle violations must never be committed"
@@ -282,39 +279,29 @@ fn bench_slo_json_matches_golden_schema() {
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "release-gated: replays the smoke scale cells twice (ci.sh runs this with --release)"
+    ignore = "release-gated: runs the full six-cell scale sweep (ci.sh runs this with --release)"
 )]
-fn scale_deterministic_summary_is_byte_identical_across_runs() {
-    let run = || {
-        let sched: Vec<_> = sched_cells(true)
-            .iter()
-            .map(|c| run_sched_cell(c, 2003))
-            .collect();
-        let worlds: Vec<_> = world_cells(true)
-            .iter()
-            .map(|c| run_world_cell(c, 2003))
-            .collect();
-        summary_json(2003, &sched, &worlds, 0, false)
-    };
-    let first = run();
-    let second = run();
-    assert_eq!(first, second, "deterministic scale summary diverged");
-    assert_integer_only_json("scale summary", &first);
-    // Wall-clock numbers are machine noise and must not leak into the
-    // deterministic rendering.
-    assert!(!first.contains("wall_ns"), "measured field in deterministic JSON");
-    assert!(!first.contains("events_per_sec"), "measured field in deterministic JSON");
-
-    // The committed artifact's deterministic core must match this very
-    // build: same sched8 checksum, same event count — regenerate
-    // BENCH_scale.json whenever the simulator's event flow changes.
+fn scale_summary_matches_the_committed_file_byte_for_byte() {
+    // Every field of BENCH_scale.json is on the simulated clock, so the
+    // committed file is an earlier run of this very sweep: one
+    // `events_delivered` off means the simulator's event flow changed
+    // (re-run the scale bin and say why) or a run is not deterministic.
+    let worlds: Vec<_> = world_cells(false)
+        .iter()
+        .map(|c| run_world_cell(c, 2003))
+        .collect();
+    let rendered = summary_json(2003, &worlds, scale_check(&worlds).len());
+    assert_integer_only_json("scale summary", &rendered);
     let committed = read_artifact("BENCH_scale.json");
-    let sched8 = run_sched_cell(&sched_cells(true)[0], 2003);
-    let needle = format!("\"cal_checksum\": {}", sched8.cal_checksum);
-    assert!(
-        committed.contains(&needle),
-        "committed BENCH_scale.json is stale: expected {needle}; re-run the scale bin"
-    );
+    for (n, (ours, theirs)) in rendered.lines().zip(committed.lines()).enumerate() {
+        assert_eq!(
+            ours,
+            theirs,
+            "committed BENCH_scale.json is stale at line {}; re-run the scale bin",
+            n + 1
+        );
+    }
+    assert_eq!(rendered.len(), committed.len(), "BENCH_scale.json: length differs");
 }
 
 #[test]
@@ -332,18 +319,18 @@ fn mpi_summaries_are_byte_identical_across_thread_counts_and_runs() {
     let render = |results: &[_]| {
         let violations = mpi_check(results);
         assert!(violations.is_empty(), "smoke sweep violated oracles: {violations:?}");
-        mpi_summary_json(2003, results, 0, false)
+        mpi_summary_json(2003, results, 0)
     };
     let a = render(&single);
     let b = render(&multi);
     assert_eq!(a, b, "worker thread count leaked into the MPI summary");
     assert_eq!(a, render(&run_mpi_cells(&cells, 2003, 1)), "MPI replay diverged");
     assert_integer_only_json("mpi summary", &a);
-    assert!(!a.contains("wall_ns"), "measured field in deterministic JSON");
 
-    // The committed artifact's deterministic core must match this very
-    // build: the fault-free 256-rank allreduce checksum cannot drift
-    // silently — regenerate BENCH_mpi.json when the MPI tier changes.
+    // The committed artifact must match this very build: the whole
+    // fault-free 256-rank allreduce cell — checksum, counts, simulated
+    // completion time — cannot drift silently. Regenerate BENCH_mpi.json
+    // when the MPI tier changes.
     let committed = read_artifact("BENCH_mpi.json");
     let twin = mpi_cells(false)
         .into_iter()
@@ -351,10 +338,15 @@ fn mpi_summaries_are_byte_identical_across_thread_counts_and_runs() {
         .expect("full sweep defines ar-rd-256-none");
     let r = run_mpi_cell(&twin, 2003, ftgm_sim::SimDuration::ZERO);
     assert!(r.completed, "ar-rd-256-none must complete");
-    let needle = format!("\"checksum\": \"{:016x}\"", r.checksum);
+    let alone = mpi_summary_json(2003, &[r], 0);
+    let cell = alone
+        .find("    {\n")
+        .zip(alone.find("\n    }\n"))
+        .map(|(open, close)| &alone[open..close])
+        .expect("one rendered cell object");
     assert!(
-        committed.contains(&needle),
-        "committed BENCH_mpi.json is stale: expected {needle}; re-run the mpi bin"
+        committed.contains(cell),
+        "committed BENCH_mpi.json is stale: expected\n{cell}\nre-run the mpi bin"
     );
 }
 

@@ -43,7 +43,7 @@ fn repeated_faults_on_one_node() {
     for _ in 0..2 {
         w.run_for(SimDuration::from_ms(100));
         ft.inject_forced_hang(&mut w, NodeId(1));
-        w.run_for(SimDuration::from_secs(3));
+        w.run_for(SimDuration::from_secs(2));
     }
     assert_eq!(ft.recoveries(NodeId(1)), 2);
     let s = stats.borrow();
@@ -60,11 +60,14 @@ fn both_nodes_hang_staggered() {
     ft.inject_forced_hang(&mut w, NodeId(0));
     w.run_for(SimDuration::from_ms(400));
     ft.inject_forced_hang(&mut w, NodeId(1));
-    w.run_for(SimDuration::from_secs(5));
+    // Both flows are moving again 1.7 s after the second hang; every
+    // further simulated second is full-rate traffic the assertions
+    // below do not need.
+    w.run_for(SimDuration::from_ms(2_500));
     assert_eq!(ft.recoveries(NodeId(0)), 1);
     assert_eq!(ft.recoveries(NodeId(1)), 1);
     let before = (a.borrow().received_ok, b.borrow().received_ok);
-    w.run_for(SimDuration::from_secs(1));
+    w.run_for(SimDuration::from_ms(500));
     let sa = a.borrow();
     let sb = b.borrow();
     assert!(sa.clean(), "{sa:?}");
@@ -81,7 +84,7 @@ fn multi_port_process_recovery() {
     let b = traffic(&mut w, NodeId(0), 3, NodeId(1), 4);
     w.run_for(SimDuration::from_ms(50));
     ft.inject_forced_hang(&mut w, NodeId(1));
-    w.run_for(SimDuration::from_secs(4));
+    w.run_for(SimDuration::from_ms(2_500));
     let sa = a.borrow();
     let sb = b.borrow();
     assert!(sa.clean() && sb.clean(), "{sa:?} {sb:?}");
@@ -102,12 +105,14 @@ fn hang_while_previous_recovery_in_progress_is_absorbed() {
     // Hit the same node again mid-recovery (after reload, before reopen).
     w.run_for(SimDuration::from_ms(1_000));
     ft.inject_forced_hang(&mut w, NodeId(1));
-    w.run_for(SimDuration::from_secs(6));
+    // The second recovery ends 1.65 s after its hang; the rest of the
+    // run is full-rate traffic.
+    w.run_for(SimDuration::from_ms(2_500));
     // Both hangs end up healed (the second needs its own detection cycle).
     assert!(ft.recoveries(NodeId(1)) >= 1);
     assert!(!w.nodes[1].mcp.chip.is_hung());
     let before = stats.borrow().received_ok;
-    w.run_for(SimDuration::from_secs(1));
+    w.run_for(SimDuration::from_ms(500));
     let s = stats.borrow();
     assert!(s.received_ok > before, "traffic flowing at the end");
     assert!(s.clean(), "{s:?}");
@@ -118,7 +123,7 @@ fn injected_bit_flip_hang_recovers_transparently() {
     // Drive the real campaign path (bit flip, not forced hang) with seeds
     // until one hangs, and require a clean recovery.
     let config = RunConfig {
-        window: SimDuration::from_ms(3_500),
+        window: SimDuration::from_ms(2_500),
         ..RunConfig::effectiveness()
     };
     let mut seen_hang = false;
@@ -143,7 +148,7 @@ fn busy_clears_and_watchdog_rearms_after_each_recovery() {
     for round in 1..=2u64 {
         w.run_for(SimDuration::from_ms(100));
         ft.inject_forced_hang(&mut w, NodeId(1));
-        w.run_for(SimDuration::from_secs(3));
+        w.run_for(SimDuration::from_secs(2));
         assert_eq!(ft.recoveries(NodeId(1)), round);
         assert!(!ft.busy(NodeId(1)), "round {round}: FTD still busy");
         let now = w.now();
@@ -176,7 +181,7 @@ fn false_alarm_leaves_ftd_ready_for_real_hang() {
         "IT1 watchdog not armed after false alarm"
     );
     ft.inject_forced_hang(&mut w, NodeId(1));
-    w.run_for(SimDuration::from_secs(3));
+    w.run_for(SimDuration::from_secs(2));
     assert_eq!(ft.recoveries(NodeId(1)), 1, "real hang after false alarm healed");
     assert!(!ft.busy(NodeId(1)));
     let s = stats.borrow();
@@ -210,7 +215,7 @@ fn restore_port_state_reentry_is_idempotent() {
     restore_port_state(&mut w, NodeId(1), 2);
     restore_port_state(&mut w, NodeId(1), 2);
     let before = stats.borrow().received_ok;
-    w.run_for(SimDuration::from_secs(1));
+    w.run_for(SimDuration::from_ms(300));
     let s = stats.borrow();
     assert!(s.received_ok > before, "traffic resumed after double restore");
     assert!(s.clean(), "double restore broke exactly-once: {s:?}");

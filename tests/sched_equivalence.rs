@@ -144,22 +144,31 @@ fn equal_timestamps_pop_in_insertion_order_on_both_backends() {
     assert_eq!(expect.next(), None, "events missing");
 }
 
-/// The scale bench's own scripted workload (pushes, hold-model
-/// pop-pushes, and cancels against live ids) produces identical
-/// checksums on both backends at several seeds — the same differential
-/// check `cargo run -p ftgm-bench --bin scale` enforces at full size.
+/// The 256-node population: 8 192 pre-pushed events (enough to make the
+/// calendar resize), then hold-model rounds — pop one, push one — with an
+/// extra push and one cancel of a recent push every eighth round, so the
+/// live population stays steady while cancels hit both pending and
+/// already-fired ids.
 #[test]
-fn scale_bench_scripts_produce_identical_checksums() {
-    use ftgm_bench::scale::{run_sched_cell, sched_cells};
-    let cell = sched_cells(true)[0];
-    for seed in [1u64, 2003, 0xFEED] {
-        let r = run_sched_cell(&cell, seed);
-        assert!(
-            r.checksums_match(),
-            "seed {seed}: calendar {:#x} vs heap {:#x}",
-            r.cal_checksum,
-            r.heap_checksum
-        );
-        assert!(r.pops > 0);
+fn calendar_matches_heap_on_the_256_node_hold_model() {
+    use ftgm_sim::SimRng;
+    const POPULATION: usize = 256 * 32;
+    const ROUNDS: usize = 40_000;
+    let mut rng = SimRng::new(0x5CA1_E256);
+    let mut ops: Vec<EncodedOp> = (0..POPULATION).map(|_| (0, rng.gen_range(48), 0)).collect();
+    let mut pushes = POPULATION as u64;
+    for round in 0..ROUNDS {
+        if round % 8 == 7 {
+            ops.push((0, rng.gen_range(48), 0));
+            pushes += 1;
+            // `pick` is an index into the pushes so far: one of the
+            // last POPULATION / 2, usually but not always still pending.
+            ops.push((7, 0, pushes - 1 - rng.gen_range(POPULATION as u64 / 2)));
+        }
+        ops.push((5, 0, 0));
+        ops.push((0, rng.gen_range(48), 0));
+        pushes += 1;
     }
+    let executed = assert_backends_equivalent(&ops);
+    assert!(executed > ops.len() + POPULATION / 2, "drain covered the live population");
 }
