@@ -97,39 +97,13 @@ pub struct ChunkRecord {
 /// keep their capacity.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AckOutcome {
-    /// Token ids of messages that became fully acknowledged, in order.
-    pub completed: Vec<u64>,
+    /// `(token id, sending port)` of each message that became fully
+    /// acknowledged, in order.
+    pub completed: Vec<(u64, u8)>,
     /// Chunk slabs that may be recycled.
     pub freed_slabs: Vec<u32>,
     /// Whether the ACK advanced the window at all.
     pub progressed: bool,
-}
-
-/// A sequence cursor for the chunk currently being staged. The MCP's
-/// send loop walks one message at a time; this type owns the "next
-/// chunk sequence" so that every sequence-number mutation lives in this
-/// module (the seqnum-discipline lint's accessor surface) and stays in
-/// lock-step with [`SenderStream::record_send`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChunkCursor {
-    next_seq: u32,
-}
-
-impl ChunkCursor {
-    /// A cursor whose next chunk takes sequence `first_seq`.
-    pub fn new(first_seq: u32) -> ChunkCursor {
-        ChunkCursor { next_seq: first_seq }
-    }
-
-    /// The sequence number the next staged chunk will carry.
-    pub fn seq(&self) -> u32 {
-        self.next_seq
-    }
-
-    /// Consumes the current sequence number and steps to the next one.
-    pub fn advance(&mut self) {
-        self.next_seq = self.next_seq.wrapping_add(1);
-    }
 }
 
 /// Sender-side state for one stream.
@@ -226,7 +200,7 @@ impl SenderStream {
         loop {
             // Find the extent of the first message.
             let Some(first) = self.chunks.front() else { break };
-            let msg_id = first.msg_id;
+            let (msg_id, src_port) = (first.msg_id, first.src_port);
             let mut last_seq = None;
             for c in &self.chunks {
                 if c.msg_id != msg_id {
@@ -246,7 +220,7 @@ impl SenderStream {
                     out.freed_slabs.push(c.slab);
                 }
             }
-            out.completed.push(msg_id);
+            out.completed.push((msg_id, src_port));
         }
     }
 
@@ -283,6 +257,49 @@ impl SenderStream {
         self.retries += 1;
         self.last_progress = now; // back off one full RTO per round
         Some(self.rewind_from(self.cum_acked))
+    }
+}
+
+/// Everything the MCP keeps per sending stream.
+#[derive(Clone, Debug)]
+pub struct TxStream {
+    /// The Go-Back-N window. Renumber it only through
+    /// [`TxStream::renumber_from`], which moves the staging frontier too.
+    pub sender: SenderStream,
+    /// Staging frontier: the sequence number of the next chunk to stage.
+    /// Ahead of [`SenderStream::next_seq`] while staging DMAs are in flight.
+    stage_seq: u32,
+    /// The chunk with this sequence number carries the SYN flag.
+    syn_seq: u32,
+}
+
+impl TxStream {
+    /// A fresh stream whose first chunk takes sequence `first_seq` and
+    /// establishes the stream at the receiver.
+    pub fn new(first_seq: u32, now: SimTime) -> TxStream {
+        TxStream {
+            sender: SenderStream::new(first_seq, now),
+            stage_seq: first_seq,
+            syn_seq: first_seq,
+        }
+    }
+
+    /// Hands the next staged chunk its sequence number and SYN flag.
+    /// `host_seq` is the number an FTGM host dictates for a message's first
+    /// chunk; it must continue the stream ([`SenderStream::admit`] panics
+    /// otherwise).
+    pub fn next_stage_seq(&mut self, host_seq: Option<u32>) -> (u32, bool) {
+        let seq = host_seq.unwrap_or(self.stage_seq);
+        self.stage_seq = seq.wrapping_add(1);
+        (seq, seq == self.syn_seq)
+    }
+
+    /// [`SenderStream::renumber_from`], with the staging frontier moved
+    /// behind the renumbered window.
+    pub fn renumber_from(&mut self, new_base: u32) -> Vec<ChunkRecord> {
+        let renumbered = self.sender.renumber_from(new_base);
+        self.stage_seq = self.sender.next_seq();
+        renumbered
     }
 }
 
@@ -335,6 +352,78 @@ impl ReceiverStream {
     /// last acknowledged sequence per stream).
     pub fn restore(&mut self, expected: u32) {
         self.expected = expected;
+    }
+}
+
+/// Everything the MCP keeps per receiving stream: the Go-Back-N receiver,
+/// the message being reassembled (`A` is the machine's assembly record),
+/// the FTGM commit point and the NACK-suppression latch.
+#[derive(Clone, Debug)]
+pub struct RxStream<A> {
+    /// The expected-sequence counter. Advance it only through
+    /// [`RxStream::accept`], restore it only through [`RxStream::restore`].
+    pub receiver: ReceiverStream,
+    /// The message whose chunks are arriving, if its first chunk matched
+    /// a receive token.
+    pub assembly: Option<A>,
+    /// Accepted final chunks whose delivery DMA has not completed, oldest
+    /// first: the ACK frontier may not pass the oldest (Figure 5).
+    uncommitted: VecDeque<u32>,
+    /// The stall point already NACKed; cleared when the stream advances.
+    nack_sent: Option<u32>,
+}
+
+impl<A> RxStream<A> {
+    /// A fresh stream expecting `first_seq` next.
+    pub fn new(first_seq: u32) -> RxStream<A> {
+        RxStream {
+            receiver: ReceiverStream::new(first_seq),
+            assembly: None,
+            uncommitted: VecDeque::new(),
+            nack_sent: None,
+        }
+    }
+
+    /// FTGM recovery: restarts the stream at `expected`, discarding the
+    /// half-assembled message, the held ACKs and the NACK latch — but only
+    /// forward (wrap-aware): a restore at or behind the live frontier
+    /// changes nothing.
+    pub fn restore(&mut self, expected: u32) {
+        if expected.wrapping_sub(self.receiver.expected()) as i32 > 0 {
+            *self = RxStream::new(expected);
+        }
+    }
+
+    /// Advances past the chunk just accepted and re-arms the NACK latch.
+    /// `hold_ack` marks a final chunk whose ACK must wait until
+    /// [`RxStream::commit`] reports its message in the user's buffer.
+    pub fn accept(&mut self, hold_ack: bool) {
+        if hold_ack {
+            self.uncommitted.push_back(self.receiver.expected());
+        }
+        self.receiver.advance();
+        self.nack_sent = None;
+    }
+
+    /// The sequence to NACK for an out-of-order arrival, or `None` if this
+    /// stall point was NACKed already (one NACK per gap).
+    pub fn nack_due(&mut self) -> Option<u32> {
+        let expected = self.receiver.expected();
+        (self.nack_sent.replace(expected) != Some(expected)).then_some(expected)
+    }
+
+    /// The delivery DMA of final chunk `seq` completed. Removal is by
+    /// value: a DMA that outlived a [`RxStream::restore`] commits nothing.
+    /// Returns the frontier to ACK.
+    pub fn commit(&mut self, seq: u32) -> u32 {
+        self.uncommitted.retain(|&s| s != seq);
+        self.committed_frontier()
+    }
+
+    /// The highest ACK value the stream may advertise: its expected
+    /// frontier, clamped below the oldest uncommitted final chunk.
+    pub fn committed_frontier(&self) -> u32 {
+        self.uncommitted.front().copied().unwrap_or(self.receiver.expected())
     }
 }
 
@@ -398,12 +487,12 @@ mod tests {
         assert_eq!(s.outstanding(), 3, "chunks retained until message completes");
         // Ack through chunk 1: msg 10 completes and frees two slabs.
         let o = ack(&mut s, 2, T0);
-        assert_eq!(o.completed, vec![10]);
+        assert_eq!(o.completed, vec![(10, 0)]);
         assert_eq!(o.freed_slabs.len(), 2);
         assert_eq!(s.outstanding(), 1);
         // Ack chunk 2: msg 11 completes.
         let o = ack(&mut s, 3, T0);
-        assert_eq!(o.completed, vec![11]);
+        assert_eq!(o.completed, vec![(11, 0)]);
         assert_eq!(s.outstanding(), 0);
     }
 
@@ -423,7 +512,7 @@ mod tests {
         let mut s = SenderStream::new(0, T0);
         s.admit(rec(0, 1, true));
         s.admit(rec(1, 2, true));
-        assert_eq!(ack(&mut s, 1, T0).completed, vec![1]);
+        assert_eq!(ack(&mut s, 1, T0).completed, vec![(1, 0)]);
         let o = ack(&mut s, 1, T0);
         assert!(!o.progressed);
         assert!(o.completed.is_empty());
@@ -436,12 +525,12 @@ mod tests {
         s.admit(rec(1, 2, true));
         let mut out = AckOutcome::default();
         s.on_ack(1, T0, &mut out);
-        assert_eq!((out.completed.as_slice(), out.freed_slabs.len()), (&[1u64][..], 1));
+        assert_eq!((out.completed.as_slice(), out.freed_slabs.len()), (&[(1u64, 0u8)][..], 1));
         // A stale ACK leaves nothing of the previous outcome behind.
         s.on_ack(1, T0, &mut out);
         assert_eq!(out, AckOutcome::default());
         s.on_ack(2, T0, &mut out);
-        assert_eq!(out.completed, vec![2]);
+        assert_eq!(out.completed, vec![(2, 0)]);
     }
 
     #[test]
@@ -527,7 +616,7 @@ mod tests {
         s.admit(ChunkRecord { seq: 42, ..rec(42, 1, true) });
         assert_eq!(s.next_seq(), 43);
         let o = ack(&mut s, 43, T0);
-        assert_eq!(o.completed, vec![1]);
+        assert_eq!(o.completed, vec![(1, 0)]);
     }
 
     #[test]
@@ -554,7 +643,7 @@ mod tests {
         s.admit(ChunkRecord { seq: u32::MAX, ..rec(u32::MAX, 1, true) });
         s.admit(ChunkRecord { seq: 0, ..rec(0, 2, true) });
         let o = ack(&mut s, 1, T0);
-        assert_eq!(o.completed, vec![1, 2]);
+        assert_eq!(o.completed, vec![(1, 0), (2, 0)]);
         let mut r = ReceiverStream::new(u32::MAX);
         assert_eq!(r.classify(u32::MAX), RxVerdict::Accept);
         r.advance();

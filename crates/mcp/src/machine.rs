@@ -20,12 +20,13 @@
 //! GM ACKs a packet at acceptance; FTGM must not ACK a *message* until it
 //! has been DMAed into the user's buffer (Figure 5). With cumulative ACKs
 //! this needs care: an intermediate chunk of a later message must not
-//! smuggle the previous message's final chunk past the commit point. The
-//! machine therefore tracks, per receive stream, the set of accepted-but-
-//! uncommitted final chunks and only ever advertises an ACK frontier below
-//! the oldest of them.
+//! smuggle the previous message's final chunk past the commit point. Each
+//! receive stream ([`RxStream`]) therefore queues its accepted-but-
+//! uncommitted final chunks in arrival order and only ever advertises an
+//! ACK frontier below the oldest of them.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 
 use ftgm_lanai::chip::{isr, ChipEffect, HangCause, HostDmaDir, HostDmaReq, LanaiChip, WireFrame};
 use ftgm_lanai::cpu::RETURN_ADDR;
@@ -36,9 +37,7 @@ use ftgm_sim::{SimDuration, SimTime};
 
 use crate::accounting::{Handler, HandlerTimes};
 use crate::firmware::{layout, FirmwareImage};
-use crate::gobackn::{
-    AckOutcome, ChunkCursor, ChunkRecord, ReceiverStream, RxVerdict, SenderStream, StreamKey,
-};
+use crate::gobackn::{AckOutcome, ChunkRecord, RxStream, RxVerdict, StreamKey, TxStream};
 use crate::packet::{flags, stream_word, Header, PacketType};
 use crate::params::{McpParams, Variant};
 
@@ -183,20 +182,15 @@ impl HdmaJob {
 struct ActiveSend {
     desc: SendDesc,
     next_offset: u32,
-    /// Sequence cursor for the chunk being staged; lives in gobackn.rs
-    /// so sequence mutations stay inside the accessor surface.
-    cursor: ChunkCursor,
+    key: StreamKey,
 }
 
 /// Message reassembly state at the receiver.
 #[derive(Clone, Debug)]
 struct RxAssembly {
     token: RecvTokenDesc,
-    port: u8,
-    msg_len: u32,
-    src_node: NodeId,
-    src_port: u8,
-    prio_high: bool,
+    /// Header of the message's first chunk (origin, port, class, length).
+    first: Header,
 }
 
 #[derive(Clone, Debug, Default)]
@@ -205,6 +199,20 @@ struct PortState {
     recv_tokens: Vec<RecvTokenDesc>,
     /// Bumped by `close_port`; invalidates in-flight staging jobs.
     epoch: u64,
+}
+
+impl PortState {
+    /// Takes the smallest posted buffer of the right priority that holds
+    /// `msg_len` bytes.
+    fn match_recv_token(&mut self, msg_len: u32, prio_high: bool) -> Option<RecvTokenDesc> {
+        self.recv_tokens
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.prio_high == prio_high && t.capacity >= msg_len)
+            .min_by_key(|(_, t)| t.capacity)
+            .map(|(i, _)| i)
+            .map(|i| self.recv_tokens.remove(i))
+    }
 }
 
 /// Protocol/behaviour counters.
@@ -256,22 +264,10 @@ pub struct McpMachine {
     send_q_high: VecDeque<SendDesc>,
     send_q_low: VecDeque<SendDesc>,
     active_send: Option<ActiveSend>,
-    /// Next sequence number to *assign* per stream (runs ahead of the
-    /// admitted `SenderStream` counter while chunks are being staged).
-    tx_assign_seq: BTreeMap<StreamKey, u32>,
-    /// Sequence numbers that carry the SYN (stream-establishing) flag.
-    tx_syn_seq: BTreeMap<StreamKey, u32>,
-    tx_streams: BTreeMap<StreamKey, SenderStream>,
-    rx_streams: BTreeMap<StreamKey, ReceiverStream>,
-    rx_assembly: BTreeMap<StreamKey, RxAssembly>,
-    /// Accepted final chunks whose delivery DMA has not completed: the ACK
-    /// frontier may not pass the oldest of these (FTGM commit point).
-    rx_uncommitted: BTreeMap<StreamKey, BTreeSet<u32>>,
-    /// Last NACK value sent per stream (suppression: one NACK per stall
-    /// point, re-armed when the stream advances).
-    rx_nack_sent: BTreeMap<StreamKey, u32>,
-    /// Port of each outstanding send token (for event routing).
-    send_token_port: BTreeMap<u64, u8>,
+    /// All per-stream protocol state, one record per stream. Ordered
+    /// maps: the retransmit scan and `close_port` walk them in key order.
+    tx_streams: BTreeMap<StreamKey, TxStream>,
+    rx_streams: BTreeMap<StreamKey, RxStream<RxAssembly>>,
 
     free_tx_slabs: Vec<u32>,
     free_rx_slabs: Vec<u32>,
@@ -331,14 +327,8 @@ impl McpMachine {
             send_q_high: VecDeque::new(),
             send_q_low: VecDeque::new(),
             active_send: None,
-            tx_assign_seq: BTreeMap::new(),
-            tx_syn_seq: BTreeMap::new(),
             tx_streams: BTreeMap::new(),
             rx_streams: BTreeMap::new(),
-            rx_assembly: BTreeMap::new(),
-            rx_uncommitted: BTreeMap::new(),
-            rx_nack_sent: BTreeMap::new(),
-            send_token_port: BTreeMap::new(),
             free_tx_slabs: (0..layout::SLAB_COUNT).rev().collect(),
             free_rx_slabs: (0..layout::SLAB_COUNT).rev().collect(),
             hdma_jobs: VecDeque::new(),
@@ -438,46 +428,21 @@ impl McpMachine {
         p.open = false;
         p.recv_tokens.clear();
         p.epoch += 1;
-        let tokens = &mut self.send_token_port;
-        for q in [&mut self.send_q_high, &mut self.send_q_low] {
-            q.retain(|d| {
-                if d.port == port {
-                    tokens.remove(&d.token_id);
-                    false
-                } else {
-                    true
-                }
-            });
-        }
+        self.send_q_high.retain(|d| d.port != port);
+        self.send_q_low.retain(|d| d.port != port);
         // Re-entry safety: the FAULT_DETECTED handler may run twice for
         // one port under the FTD retry path, with traffic already flowing
         // again. Drop the port's sender-side stream state so replayed
         // sends re-establish their streams at the backup's sequence
         // numbers instead of colliding with the advanced counters (the
         // peer's restored expected-seq counters drop the duplicates).
-        if let Some(active) = self.active_send.take() {
-            if active.desc.port == port {
-                self.send_token_port.remove(&active.desc.token_id);
-            } else {
-                self.active_send = Some(active);
+        self.active_send.take_if(|a| a.desc.port == port);
+        self.tx_streams.retain(|key, tx| {
+            if key.port == port {
+                self.free_tx_slabs.extend(tx.sender.retained().map(|c| c.slab));
             }
-        }
-        let purged: Vec<StreamKey> = self
-            .tx_streams
-            .keys()
-            .filter(|k| k.port == port)
-            .copied()
-            .collect();
-        for key in purged {
-            if let Some(s) = self.tx_streams.remove(&key) {
-                for c in s.retained() {
-                    self.free_tx_slabs.push(c.slab);
-                    self.send_token_port.remove(&c.msg_id);
-                }
-            }
-            self.tx_assign_seq.remove(&key);
-            self.tx_syn_seq.remove(&key);
-        }
+            key.port != port
+        });
         self.pending_resend.retain(|c| c.src_port != port);
     }
 
@@ -495,7 +460,6 @@ impl McpMachine {
     /// Host PIO: posts a send descriptor and rings the doorbell.
     pub fn post_send(&mut self, desc: SendDesc) {
         debug_assert!(self.ports[desc.port as usize].open, "send on closed port");
-        self.send_token_port.insert(desc.token_id, desc.port);
         if desc.prio_high {
             self.send_q_high.push_back(desc);
         } else {
@@ -529,24 +493,15 @@ impl McpMachine {
     /// The same rule protects traffic accepted live between a re-entrant
     /// handler's two restore passes.
     pub fn restore_receiver_stream(&mut self, key: StreamKey, expected: u32) {
-        if let Some(s) = self.rx_streams.get_mut(&key) {
-            if expected.wrapping_sub(s.expected()) as i32 <= 0 {
-                // The live stream is at or ahead of this backup's view:
-                // keep it, along with any in-progress assembly.
-                return;
-            }
-            s.restore(expected);
-        } else {
-            self.rx_streams.insert(key, ReceiverStream::new(expected));
-        }
-        self.rx_assembly.remove(&key);
-        self.rx_uncommitted.remove(&key);
-        self.rx_nack_sent.remove(&key);
+        self.rx_streams
+            .entry(key)
+            .and_modify(|rx| rx.restore(expected))
+            .or_insert_with(|| RxStream::new(expected));
     }
 
     /// Receive-stream frontiers, for tests and state inspection.
     pub fn receiver_expected(&self, key: StreamKey) -> Option<u32> {
-        self.rx_streams.get(&key).map(|s| s.expected())
+        self.rx_streams.get(&key).map(|rx| rx.receiver.expected())
     }
 
     /// Sender streams holding unacknowledged chunks, for stall diagnosis:
@@ -554,8 +509,9 @@ impl McpMachine {
     pub fn stalled_tx_streams(&self) -> Vec<(StreamKey, u32, u32, u32, u32)> {
         self.tx_streams
             .iter()
+            .map(|(k, tx)| (*k, &tx.sender))
             .filter(|(_, s)| s.outstanding() > 0)
-            .map(|(k, s)| (*k, s.outstanding(), s.retries(), s.cum_acked(), s.next_seq()))
+            .map(|(k, s)| (k, s.outstanding(), s.retries(), s.cum_acked(), s.next_seq()))
             .collect()
     }
 
@@ -578,14 +534,8 @@ impl McpMachine {
         self.send_q_high.clear();
         self.send_q_low.clear();
         self.active_send = None;
-        self.tx_assign_seq.clear();
-        self.tx_syn_seq.clear();
         self.tx_streams.clear();
         self.rx_streams.clear();
-        self.rx_assembly.clear();
-        self.rx_uncommitted.clear();
-        self.rx_nack_sent.clear();
-        self.send_token_port.clear();
         self.free_tx_slabs = (0..layout::SLAB_COUNT).rev().collect();
         self.free_rx_slabs = (0..layout::SLAB_COUNT).rev().collect();
         self.hdma_jobs.clear();
@@ -654,13 +604,13 @@ impl McpMachine {
         }
         let next = self.send_q_high.front().or(self.send_q_low.front());
         let key = match (&self.active_send, next) {
-            (Some(a), _) => self.tx_key(a.desc.dst_node, a.desc.port, a.desc.prio_high),
-            (None, Some(d)) => self.tx_key(d.dst_node, d.port, d.prio_high),
+            (Some(a), _) => a.key,
+            (None, Some(d)) => self.stream_key(d.dst_node, d.port, d.prio_high),
             (None, None) => return false,
         };
         self.tx_streams
             .get(&key)
-            .map(|s| s.window_open(self.params.window))
+            .map(|tx| tx.sender.window_open(self.params.window))
             .unwrap_or(true)
     }
 
@@ -721,32 +671,31 @@ impl McpMachine {
         if self.ltimer_times.len() < self.ltimer_log_cap {
             self.ltimer_times.push(now);
         }
-        let mut failed_keys: Vec<StreamKey> = Vec::new();
-        for (key, s) in self.tx_streams.iter_mut() {
-            if let Some(chunks) = s.check_timeout(now, self.params.rto) {
-                if s.retries() > self.params.retry_limit {
-                    failed_keys.push(*key);
-                } else {
-                    self.pending_resend.extend(chunks);
-                }
+        self.tx_streams.retain(|key, tx| {
+            let Some(chunks) = tx.sender.check_timeout(now, self.params.rto) else {
+                return true;
+            };
+            if tx.sender.retries() <= self.params.retry_limit {
+                self.pending_resend.extend(chunks);
+                return true;
             }
-        }
-        for key in failed_keys {
-            if let Some(s) = self.tx_streams.remove(&key) {
-                let mut ids: Vec<u64> = Vec::new();
-                for c in s.retained() {
-                    self.free_tx_slabs.push(c.slab);
-                    if !ids.contains(&c.msg_id) {
-                        ids.push(c.msg_id);
-                    }
-                }
-                for id in ids {
+            // Retries exhausted: the stream is dropped and every message
+            // on it fails (a message's chunks are contiguous), the one
+            // still being staged included: its in-flight staging job
+            // finds no stream and is discarded.
+            self.free_tx_slabs.extend(tx.sender.retained().map(|c| c.slab));
+            let staging = self.active_send.take_if(|a| a.key == *key);
+            let ids = tx.sender.retained().map(|c| (c.msg_id, c.src_port));
+            let mut last = None;
+            for (token_id, port) in ids.chain(staging.map(|a| (a.desc.token_id, a.desc.port))) {
+                if last.replace((token_id, port)) != Some((token_id, port)) {
                     self.stats.send_errors += 1;
-                    self.post_token_event(id, NicEvent::SendError { token_id: id });
+                    let event = NicEvent::SendError { token_id };
+                    self.effects.push(McpEffect::PostEvent { port, event });
                 }
             }
-            self.tx_assign_seq.remove(&key);
-        }
+            false
+        });
         self.chip
             .arm_timer(TimerId::It0, now, self.params.ltimer_ticks);
         if self.params.is_ftgm() && self.params.watchdog_ticks > 0 {
@@ -773,11 +722,11 @@ impl McpMachine {
     fn handle_resend(&mut self, rec: ChunkRecord) -> SimDuration {
         // Resend only chunks still retained (an ACK may have released
         // them between scheduling and execution).
-        let key = self.tx_key(rec.dst_node, rec.src_port, rec.prio_high);
+        let key = self.stream_key(rec.dst_node, rec.src_port, rec.prio_high);
         let still = self
             .tx_streams
             .get(&key)
-            .is_some_and(|s| s.retained().any(|c| c.seq == rec.seq));
+            .is_some_and(|tx| tx.sender.retained().any(|c| c.seq == rec.seq));
         if !still {
             return SimDuration::from_nanos(100);
         }
@@ -801,13 +750,8 @@ impl McpMachine {
             }
             Ok((h, payload)) => match h.ptype {
                 PacketType::Data => self.handle_data(h, payload),
-                PacketType::Ack => {
-                    self.handle_ack(now, h);
-                    self.charge(Handler::AckProcess, self.params.ack_process);
-                    cost += self.params.ack_process;
-                }
-                PacketType::Nack => {
-                    self.handle_nack(h);
+                PacketType::Ack | PacketType::Nack => {
+                    self.handle_ctrl_rx(now, h);
                     self.charge(Handler::AckProcess, self.params.ack_process);
                     cost += self.params.ack_process;
                 }
@@ -825,84 +769,68 @@ impl McpMachine {
             self.stats.no_token_drops += 1;
             return;
         }
-        let key = self.rx_key(&h);
-        if !self.rx_streams.contains_key(&key) {
-            // A brand-new stream may only synchronize from a SYN chunk —
-            // the sender's stream-establishing sequence number. Anything
-            // else is dropped stateless: adopting an arbitrary first-seen
-            // sequence could silently skip a dropped earlier message.
-            if !h.syn || h.chunk_offset != 0 {
-                self.stats.no_token_drops += 1;
-                return;
+        let key = self.stream_key(h.src_node, h.src_port, h.prio_high);
+        let gm_resync = !self.host_owns_seqs();
+        let delay_final_ack = self.params.is_ftgm() && self.params.knobs.delayed_commit_ack;
+        let rx = match self.rx_streams.entry(key) {
+            Entry::Vacant(e) => {
+                // A brand-new stream may only synchronize from a SYN chunk —
+                // the sender's stream-establishing sequence number. Anything
+                // else is dropped stateless: adopting an arbitrary first-seen
+                // sequence could silently skip a dropped earlier message.
+                if !h.syn || h.chunk_offset != 0 {
+                    self.stats.no_token_drops += 1;
+                    return;
+                }
+                e.insert(RxStream::new(h.seq))
             }
-            self.rx_streams.insert(key, ReceiverStream::new(h.seq));
-        } else if h.syn
-            && h.chunk_offset == 0
-            && !self.host_owns_seqs()
-            && self.rx_streams[&key].expected() != h.seq
-        {
-            // GM semantics: a SYN on a known stream means the peer's MCP
-            // re-established the connection (e.g. after a naive reload).
-            // GM resynchronizes — and thereby accepts duplicates of
-            // anything delivered before the reset (Figure 4's flaw).
-            // FTGM's host-owned streams never do this.
-            self.rx_streams.insert(key, ReceiverStream::new(h.seq));
-            self.rx_assembly.remove(&key);
-            self.rx_uncommitted.remove(&key);
-            self.rx_nack_sent.remove(&key);
-        }
-        let stream = self.rx_streams.get_mut(&key).expect("just ensured");
-        match stream.classify(h.seq) {
+            Entry::Occupied(e) => {
+                let rx = e.into_mut();
+                if h.syn && h.chunk_offset == 0 && gm_resync && rx.receiver.expected() != h.seq {
+                    // GM semantics: a SYN on a known stream means the peer's
+                    // MCP re-established the connection (e.g. after a naive
+                    // reload). GM resynchronizes — and thereby accepts
+                    // duplicates of anything delivered before the reset
+                    // (Figure 4's flaw). FTGM's host-owned streams never do.
+                    *rx = RxStream::new(h.seq);
+                }
+                rx
+            }
+        };
+        match rx.receiver.classify(h.seq) {
             RxVerdict::Duplicate => {
                 self.stats.duplicates += 1;
-                let ack = self.committed_frontier(key);
-                self.queue_ctrl(key, PacketType::Ack, ack);
+                let ack = rx.committed_frontier();
+                self.pending_ctrl.push_back((key, PacketType::Ack, ack));
                 return;
             }
             RxVerdict::OutOfOrder => {
-                let expected = self.rx_streams[&key].expected();
-                // Suppress repeat NACKs for the same stall point: one per
-                // gap, re-armed once the stream advances.
-                if self.rx_nack_sent.get(&key) != Some(&expected) {
-                    self.rx_nack_sent.insert(key, expected);
+                if let Some(expected) = rx.nack_due() {
                     self.stats.nacks_sent += 1;
-                    self.queue_ctrl(key, PacketType::Nack, expected);
+                    self.pending_ctrl.push_back((key, PacketType::Nack, expected));
                 }
                 return;
             }
             RxVerdict::Accept => {}
         }
-        // First chunk of a message: match a receive token.
+        // First chunk of a message: discard any stale half-message and
+        // match a receive token.
         if h.chunk_offset == 0 {
-            self.rx_assembly.remove(&key); // discard any stale half-message
-            let Some(token) = self.match_recv_token(h.dst_port, h.msg_len, h.prio_high) else {
-                self.stats.no_token_drops += 1;
-                return; // don't advance; sender will retransmit
-            };
-            self.rx_assembly.insert(
-                key,
-                RxAssembly {
-                    token,
-                    port: h.dst_port,
-                    msg_len: h.msg_len,
-                    src_node: h.src_node,
-                    src_port: h.src_port,
-                    prio_high: h.prio_high,
-                },
-            );
+            let token = self.ports[h.dst_port as usize].match_recv_token(h.msg_len, h.prio_high);
+            rx.assembly = token.map(|token| RxAssembly { token, first: h });
         }
-        let Some(asm) = self.rx_assembly.get(&key) else {
-            // Mid-message chunk with no assembly (we recovered, or the
-            // first chunk lacked a token): drop; Go-Back-N restarts the
-            // message from its first chunk.
+        let Some(asm) = &rx.assembly else {
+            // No receive token for the first chunk, or a mid-message chunk
+            // with no assembly (we recovered): drop without advancing;
+            // Go-Back-N restarts the message from its first chunk.
             self.stats.no_token_drops += 1;
             return;
         };
-        if h.chunk_offset + h.payload_len > asm.msg_len
-            || asm.msg_len > asm.token.capacity
+        if h.chunk_offset + h.payload_len > asm.first.msg_len
+            || asm.first.msg_len > asm.token.capacity
         {
             self.stats.parse_drops += 1;
-            self.rx_assembly.remove(&key);
+            rx.assembly = None;
             return;
         }
         let Some(rx_slab) = self.free_rx_slabs.pop() else {
@@ -911,47 +839,33 @@ impl McpMachine {
         };
         let dst_host_addr = asm.token.host_addr + h.chunk_offset as u64;
 
-        // Accept.
-        self.rx_streams
-            .get_mut(&key)
-            .expect("stream exists")
-            .advance();
-        self.rx_nack_sent.remove(&key);
+        // Accept. Under FTGM with the delayed commit point, a final
+        // chunk's ACK waits for its delivery DMA; everything else ACKs at
+        // acceptance, clamped to the committed frontier.
+        let hold_ack = delay_final_ack && h.last_chunk;
+        rx.accept(hold_ack);
         self.stats.data_rx_accepted += 1;
         self.chip.sram.write_bytes(rx_slab_addr(rx_slab), payload);
 
-        let completion = if h.last_chunk {
-            let asm = self.rx_assembly.remove(&key).expect("assembly exists");
+        let completion = if h.last_chunk { rx.assembly.take() } else { None }.map(|asm| {
             self.stats.messages_delivered += 1;
-            Some((
-                asm.port,
+            (
+                asm.first.dst_port,
                 NicEvent::Received {
-                    src_node: asm.src_node,
-                    src_port: asm.src_port,
+                    src_node: asm.first.src_node,
+                    src_port: asm.first.src_port,
                     token_id: asm.token.token_id,
-                    len: asm.msg_len,
+                    len: asm.first.msg_len,
                     seq: h.seq,
-                    prio_high: asm.prio_high,
+                    prio_high: asm.first.prio_high,
                 },
-            ))
-        } else {
-            None
-        };
+            )
+        });
 
-        // ACK policy. Under FTGM with the delayed commit point, a final
-        // chunk's ACK waits for its delivery DMA; everything else ACKs at
-        // acceptance, clamped to the committed frontier.
-        let delay_this_ack = self.params.is_ftgm()
-            && self.params.knobs.delayed_commit_ack
-            && h.last_chunk;
-        let commits_final = if delay_this_ack {
-            self.rx_uncommitted.entry(key).or_default().insert(h.seq);
-            Some(h.seq)
-        } else {
-            let ack = self.committed_frontier(key);
-            self.queue_ctrl(key, PacketType::Ack, ack);
-            None
-        };
+        if !hold_ack {
+            let ack = rx.committed_frontier();
+            self.pending_ctrl.push_back((key, PacketType::Ack, ack));
+        }
 
         self.hdma_jobs.push_back(HdmaJob::Deliver {
             req: HostDmaReq {
@@ -962,75 +876,52 @@ impl McpMachine {
             },
             rx_slab,
             stream: key,
-            commits_final,
+            commits_final: hold_ack.then_some(h.seq),
             completion,
         });
         self.charge(Handler::RdmaSetup, self.params.rdma_setup);
     }
 
-    /// The highest ACK value this stream may advertise: its expected
-    /// frontier, clamped below the oldest uncommitted final chunk.
-    fn committed_frontier(&self, key: StreamKey) -> u32 {
-        let expected = self
-            .rx_streams
-            .get(&key)
-            .map(|s| s.expected())
-            .unwrap_or(0);
-        match self.rx_uncommitted.get(&key).and_then(|s| s.iter().next()) {
-            Some(&oldest_final) => oldest_final,
-            None => expected,
-        }
-    }
-
-    fn handle_ack(&mut self, now: SimTime, h: Header) {
-        let key = self.ack_key(&h);
-        let Some(s) = self.tx_streams.get_mut(&key) else {
+    /// An ACK or NACK arrived; its `src_port`/priority fields carry the
+    /// identity of *our* sending stream.
+    fn handle_ctrl_rx(&mut self, now: SimTime, h: Header) {
+        let key = self.stream_key(h.src_node, h.src_port, h.prio_high);
+        let gm_resync = !self.host_owns_seqs();
+        let Some(tx) = self.tx_streams.get_mut(&key) else {
             return;
         };
-        let mut out = std::mem::take(&mut self.acked);
-        s.on_ack(h.seq, now, &mut out);
-        for &id in &out.completed {
-            self.stats.sends_completed += 1;
-            self.post_token_event(id, NicEvent::SendCompleted { token_id: id });
+        if h.ptype == PacketType::Ack {
+            tx.sender.on_ack(h.seq, now, &mut self.acked);
+            for &(token_id, port) in &self.acked.completed {
+                self.stats.sends_completed += 1;
+                let event = NicEvent::SendCompleted { token_id };
+                self.effects.push(McpEffect::PostEvent { port, event });
+            }
+            self.free_tx_slabs.extend_from_slice(&self.acked.freed_slabs);
+            return;
         }
-        self.free_tx_slabs.extend_from_slice(&out.freed_slabs);
-        self.acked = out;
-    }
-
-    fn handle_nack(&mut self, h: Header) {
-        let key = self.ack_key(&h);
-        if !self.host_owns_seqs() {
+        let s = &tx.sender;
+        if gm_resync
+            && h.seq.wrapping_sub(s.cum_acked()) > s.next_seq().wrapping_sub(s.cum_acked())
+        {
             // GM-style resync: a NACK naming a sequence outside our window
             // means the two ends disagree about the stream (e.g. we
             // reloaded and renumbered). GM adopts the receiver's expected
             // number and renumbers its retained chunks — the exact move
             // that makes Figure 4's receiver accept duplicates.
-            let out_of_window = self.tx_streams.get(&key).is_some_and(|s| {
-                h.seq.wrapping_sub(s.cum_acked()) > s.next_seq().wrapping_sub(s.cum_acked())
-            });
-            if out_of_window {
-                if let Some(s) = self.tx_streams.get_mut(&key) {
-                    let renumbered = s.renumber_from(h.seq);
-                    self.tx_assign_seq
-                        .insert(key, h.seq.wrapping_add(renumbered.len() as u32));
-                    self.pending_resend
-                        .retain(|c| c.dst_node != key.node);
-                    self.pending_resend.extend(renumbered);
-                }
-                return;
-            }
+            let renumbered = tx.renumber_from(h.seq);
+            self.pending_resend.retain(|c| c.dst_node != key.node);
+            self.pending_resend.extend(renumbered);
+            return;
         }
-        if let Some(s) = self.tx_streams.get(&key) {
-            let rewind = s.rewind_from(h.seq);
-            // A rewind supersedes whatever retransmissions were already
-            // queued for this stream — extending instead would amplify
-            // NACK bursts exponentially.
-            let keys: Vec<u32> = rewind.iter().map(|c| c.seq).collect();
-            self.pending_resend.retain(|c| {
-                !(c.dst_node == key.node && keys.contains(&c.seq))
-            });
-            self.pending_resend.extend(rewind);
-        }
+        let rewind = s.rewind_from(h.seq);
+        // A rewind supersedes whatever retransmissions were already
+        // queued for this stream — extending instead would amplify
+        // NACK bursts exponentially.
+        self.pending_resend.retain(|c| {
+            !(c.dst_node == key.node && rewind.iter().any(|r| r.seq == c.seq))
+        });
+        self.pending_resend.extend(rewind);
     }
 
     fn handle_hdma_done(&mut self, _now: SimTime) -> SimDuration {
@@ -1058,20 +949,17 @@ impl McpMachine {
         };
         let cost = match job {
             HdmaJob::Stage { rec, stream, epoch, .. } => {
-                if epoch != self.ports[rec.src_port as usize].epoch {
-                    // The port was closed (recovery re-entry) after this
-                    // chunk was staged; its stream is gone and the backup
-                    // replay owns retransmission. Drop it on the floor.
+                let live = epoch == self.ports[rec.src_port as usize].epoch;
+                if let Some(tx) = self.tx_streams.get_mut(&stream).filter(|_| live) {
+                    tx.sender.admit(rec.clone());
+                    self.run_send_chunk(&rec, false)
+                } else {
+                    // The port was closed (recovery re-entry) or the stream
+                    // failed after this chunk was staged: the stream is
+                    // gone, and so is anyone who could retransmit the
+                    // chunk. Drop it on the floor.
                     self.free_tx_slabs.push(rec.slab);
                     SimDuration::from_nanos(100)
-                } else {
-                    let cost = self.run_send_chunk(&rec, false);
-                    let now_seq = rec.seq;
-                    self.tx_streams
-                        .entry(stream)
-                        .or_insert_with(|| SenderStream::new(now_seq, SimTime::ZERO))
-                        .admit(rec);
-                    cost
                 }
             }
             HdmaJob::Deliver {
@@ -1085,14 +973,10 @@ impl McpMachine {
                 if let Some(final_seq) = commits_final {
                     // FTGM commit point: the message is in the user buffer;
                     // only now may its ACK leave (Figure 5's fix).
-                    if let Some(set) = self.rx_uncommitted.get_mut(&stream) {
-                        set.remove(&final_seq);
-                        if set.is_empty() {
-                            self.rx_uncommitted.remove(&stream);
-                        }
+                    if let Some(rx) = self.rx_streams.get_mut(&stream) {
+                        let ack = rx.commit(final_seq);
+                        self.pending_ctrl.push_back((stream, PacketType::Ack, ack));
                     }
-                    let ack = self.committed_frontier(stream);
-                    self.queue_ctrl(stream, PacketType::Ack, ack);
                 }
                 if let Some((port, event)) = completion {
                     self.effects.push(McpEffect::PostEvent { port, event });
@@ -1126,46 +1010,26 @@ impl McpMachine {
             let Some(desc) = desc else {
                 return SimDuration::from_nanos(100);
             };
-            let key = self.tx_key(desc.dst_node, desc.port, desc.prio_high);
-            let stream_is_new = !self.tx_streams.contains_key(&key);
-            let first_seq = match (self.host_owns_seqs(), desc.first_seq) {
-                (true, Some(s)) => s,
-                _ => {
-                    let init = self.gm_initial_seq(key);
-                    *self.tx_assign_seq.entry(key).or_insert(init)
-                }
-            };
-            self.tx_assign_seq.insert(key, first_seq);
-            if stream_is_new {
-                // The chunk carrying this sequence establishes the stream
-                // at the receiver.
-                self.tx_syn_seq.insert(key, first_seq);
-            }
-            self.tx_streams
-                .entry(key)
-                .or_insert_with(|| SenderStream::new(first_seq, now));
-            self.active_send = Some(ActiveSend {
-                desc,
-                next_offset: 0,
-                cursor: ChunkCursor::new(first_seq),
-            });
+            let key = self.stream_key(desc.dst_node, desc.port, desc.prio_high);
+            self.active_send = Some(ActiveSend { desc, next_offset: 0, key });
         }
-        let Some(slab) = self.free_tx_slabs.pop() else {
+        let host_owns = self.host_owns_seqs();
+        let (Some(active), Some(slab)) = (&mut self.active_send, self.free_tx_slabs.pop()) else {
             return SimDuration::from_nanos(100);
         };
-        let (key_node, key_port, key_prio) = {
-            let a = self.active_send.as_ref().expect("ensured above");
-            (a.desc.dst_node, a.desc.port, a.desc.prio_high)
-        };
-        let key_for_syn = self.tx_key(key_node, key_port, key_prio);
-        let syn_seq = self.tx_syn_seq.get(&key_for_syn).copied();
-        let active = self.active_send.as_mut().expect("ensured above");
+        // FTGM: the host numbers the message. GM: the stream's staging
+        // frontier does, from a negotiated initial number.
+        let host_first = active.desc.first_seq.filter(|_| host_owns);
+        let tx = self.tx_streams.entry(active.key).or_insert_with(|| {
+            let init = || Self::gm_initial_seq(self.node, self.reload_count, active.key);
+            TxStream::new(host_first.unwrap_or_else(init), now)
+        });
         let off = active.next_offset;
+        let (seq, syn) = tx.next_stage_seq(host_first.filter(|_| off == 0));
         let len = (active.desc.len - off).min(self.params.max_chunk);
         let last = off + len == active.desc.len;
-        let syn = syn_seq == Some(active.cursor.seq());
         let rec = ChunkRecord {
-            seq: active.cursor.seq(),
+            seq,
             msg_id: active.desc.token_id,
             slab,
             len,
@@ -1178,25 +1042,21 @@ impl McpMachine {
             src_port: active.desc.port,
             prio_high: active.desc.prio_high,
         };
-        let host_addr = active.desc.host_addr + off as u64;
-        active.next_offset += len;
-        active.cursor.advance();
-        if last {
-            self.active_send = None;
-        }
-        let key = self.tx_key(key_node, key_port, key_prio);
-        self.tx_assign_seq.insert(key, rec.seq.wrapping_add(1));
         self.hdma_jobs.push_back(HdmaJob::Stage {
             req: HostDmaReq {
                 dir: HostDmaDir::HostToSram,
-                host_addr,
+                host_addr: active.desc.host_addr + off as u64,
                 sram_addr: FirmwareImage::slab_addr(rec.slab),
                 len,
             },
             epoch: self.ports[rec.src_port as usize].epoch,
             rec,
-            stream: key,
+            stream: active.key,
         });
+        active.next_offset += len;
+        if last {
+            self.active_send = None;
+        }
         let mut cost = self.params.sdma_setup;
         self.charge(Handler::SdmaSetup, self.params.sdma_setup);
         if self.params.is_ftgm() {
@@ -1211,12 +1071,12 @@ impl McpMachine {
     /// reload generation. This is what makes a naive MCP reload hand the
     /// receiver "invalid" sequence numbers (Figure 4). FTGM's host-owned
     /// streams always start at zero instead.
-    fn gm_initial_seq(&self, key: StreamKey) -> u32 {
-        let mut x = (self.node.0 as u64) << 48
+    fn gm_initial_seq(node: NodeId, reload_count: u32, key: StreamKey) -> u32 {
+        let mut x = (node.0 as u64) << 48
             | (key.node.0 as u64) << 32
             | (key.port as u64) << 24
             | (key.prio_high as u64) << 23
-            | self.reload_count as u64;
+            | reload_count as u64;
         x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
         x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -1227,39 +1087,18 @@ impl McpMachine {
         self.params.variant == Variant::Ftgm && self.params.knobs.host_sequence_numbers
     }
 
-    // --- key derivation -----------------------------------------------------
-
-    fn tx_key(&self, dst: NodeId, src_port: u8, prio_high: bool) -> StreamKey {
-        if self.params.variant == Variant::Ftgm && self.params.knobs.host_sequence_numbers {
-            StreamKey::per_port(dst, src_port, prio_high)
+    /// The key of the stream between this interface and `node` that
+    /// `port` (the sending side's) and the priority class select: one per
+    /// (port, node, priority) when the host numbers it, else one per node.
+    fn stream_key(&self, node: NodeId, port: u8, prio_high: bool) -> StreamKey {
+        if self.host_owns_seqs() {
+            StreamKey::per_port(node, port, prio_high)
         } else {
-            StreamKey::connection(dst)
-        }
-    }
-
-    fn rx_key(&self, h: &Header) -> StreamKey {
-        if self.params.variant == Variant::Ftgm && self.params.knobs.host_sequence_numbers {
-            StreamKey::per_port(h.src_node, h.src_port, h.prio_high)
-        } else {
-            StreamKey::connection(h.src_node)
-        }
-    }
-
-    /// Key of *our* sending stream that an ACK/NACK from `h.src_node`
-    /// names (its `src_port`/priority fields carry the stream identity).
-    fn ack_key(&self, h: &Header) -> StreamKey {
-        if self.params.variant == Variant::Ftgm && self.params.knobs.host_sequence_numbers {
-            StreamKey::per_port(h.src_node, h.src_port, h.prio_high)
-        } else {
-            StreamKey::connection(h.src_node)
+            StreamKey::connection(node)
         }
     }
 
     // --- helpers -----------------------------------------------------------
-
-    fn queue_ctrl(&mut self, key: StreamKey, ptype: PacketType, seq: u32) {
-        self.pending_ctrl.push_back((key, ptype, seq));
-    }
 
     /// Runs the `send_chunk` firmware for `rec`, emitting transmit
     /// effects. Returns the handler cost (firmware cycles at the core
@@ -1333,34 +1172,6 @@ impl McpMachine {
             return;
         }
         self.effects.push(McpEffect::Transmit { dst, frame });
-    }
-
-    fn match_recv_token(&mut self, port: u8, msg_len: u32, prio_high: bool) -> Option<RecvTokenDesc> {
-        let p = &mut self.ports[port as usize];
-        if !p.open {
-            return None;
-        }
-        let mut best: Option<usize> = None;
-        for (i, t) in p.recv_tokens.iter().enumerate() {
-            if t.prio_high == prio_high && t.capacity >= msg_len {
-                let better = match best {
-                    None => true,
-                    Some(b) => t.capacity < p.recv_tokens[b].capacity,
-                };
-                if better {
-                    best = Some(i);
-                }
-            }
-        }
-        best.map(|i| p.recv_tokens.remove(i))
-    }
-
-    fn post_token_event(&mut self, token_id: u64, event: NicEvent) {
-        let port = self
-            .send_token_port
-            .remove(&token_id)
-            .unwrap_or(0);
-        self.effects.push(McpEffect::PostEvent { port, event });
     }
 
     fn route_chip_effect(&mut self, e: ChipEffect) {

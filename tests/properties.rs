@@ -338,7 +338,7 @@ fn drive_gobackn_over_adversarial_channel(
             match perturb(&mut to_ack, &mut rng) {
                 Some(ModelFrame::Ack(v)) => {
                     tx.on_ack(v, now, &mut acked);
-                    completed.extend_from_slice(&acked.completed);
+                    completed.extend(acked.completed.iter().map(|&(id, _port)| id));
                 }
                 Some(ModelFrame::Nack(v)) => {
                     // A rewind supersedes queued retransmissions (as the
