@@ -915,12 +915,11 @@ impl McpMachine {
             return;
         }
         let rewind = s.rewind_from(h.seq);
-        // A rewind supersedes whatever retransmissions were already
-        // queued for this stream — extending instead would amplify
-        // NACK bursts exponentially.
-        self.pending_resend.retain(|c| {
-            !(c.dst_node == key.node && rewind.iter().any(|r| r.seq == c.seq))
-        });
+        // A rewind supersedes whatever retransmissions of its chunks were
+        // already queued — extending instead would amplify NACK bursts
+        // exponentially. Whole records are compared: another stream to
+        // the same node may have the same sequence numbers queued.
+        self.pending_resend.retain(|c| !rewind.contains(c));
         self.pending_resend.extend(rewind);
     }
 
@@ -1721,6 +1720,35 @@ pub(crate) mod tests {
         assert_eq!(rig.a.stats().data_tx, 0);
         assert_eq!(rig.a.free_tx_slabs.len() as u32, layout::SLAB_COUNT, "slab returned");
         assert!(rig.a.stalled_tx_streams().is_empty(), "no stream admitted the chunk");
+    }
+
+    #[test]
+    fn nack_rewind_leaves_a_sibling_streams_retransmissions_queued() {
+        let mut rig = Rig::new(McpParams::ftgm());
+        rig.a.open_port(0);
+        rig.a.open_port(1);
+        // Node 1's port is closed: both chunks go out, neither is ACKed.
+        rig.send_prio(0, 0, NodeId(1), 2, &[1u8; 64], 1, Some(0), false);
+        rig.send_prio(0, 1, NodeId(1), 2, &[2u8; 64], 2, Some(0), false);
+        rig.settle();
+        // As after a timeout: each stream's sequence 0 waits to be resent.
+        let streams = rig.a.tx_streams.values();
+        let queued: Vec<ChunkRecord> =
+            streams.flat_map(|tx| tx.sender.retained().cloned()).collect();
+        let ids = |q: &VecDeque<ChunkRecord>| -> Vec<(u8, u32)> {
+            q.iter().map(|c| (c.src_port, c.seq)).collect()
+        };
+        rig.a.pending_resend.extend(queued);
+        assert_eq!(ids(&rig.a.pending_resend), [(0, 0), (1, 0)]);
+        // Node 1 NACKs sequence 0 of the port-0 stream only.
+        let nack = Header::control_frame_prio(PacketType::Nack, NodeId(1), 0, 0, 0, false);
+        let (h, _) = Header::parse(&nack).unwrap();
+        rig.a.handle_ctrl_rx(rig.now, h);
+        assert_eq!(
+            ids(&rig.a.pending_resend),
+            [(1, 0), (0, 0)],
+            "the rewind replaces port 0's queued chunk and leaves port 1's alone"
+        );
     }
 
     #[test]
