@@ -43,6 +43,10 @@ step test-debug 1800 cargo test -q
 # tier under budget).
 step chaos-determinism 900 cargo test --release -q -p ftgm-core \
     --test chaos_smoke --test determinism
+# The other suite with release-gated tests, which nothing else runs: the
+# full corpus replay against its goldens and its thread-count invariance
+# (crates/scenario/tests/corpus.rs).
+step corpus-release 600 cargo test --release -q -p ftgm-scenario --test corpus
 # Allocation budget of the steady-state message path: a two-node
 # ping-pong under a counting global allocator must stay within
 # tests/alloc_budget.rs's per-message budget and schedule no boxed

@@ -187,8 +187,9 @@ impl HostPort {
             app: None,
             send_tokens,
             recv_tokens,
-            // Token ids are node-global: namespace them by port so the
-            // MCP's token maps never collide across ports.
+            // Token ids are node-global: namespace them by port, since a
+            // GM connection stream carries every port's messages and the
+            // MCP tells them apart by token id.
             next_token: ((port as u64 + 1) << 48) | 1,
             backup: PortBackup::new(),
             send_bufs: BTreeMap::new(),

@@ -103,8 +103,10 @@ const R2_DIRS: [&str; 10] = [
 /// host-side ones (the paper's §sequence-numbering split).
 const R3_ACCESSOR_MODULES: [&str; 2] = ["crates/mcp/src/gobackn.rs", "crates/gm/src/backup.rs"];
 
-/// Sequence-number field names R3 guards.
-const R3_FIELDS: [&str; 5] = ["next_seq", "cum_acked", "expected", "first_seq", "seq"];
+/// Sequence-number field names R3 guards. `stage_seq` and `syn_seq` are
+/// the staging frontier and SYN sequence of `gobackn::TxStream`.
+const R3_FIELDS: [&str; 7] =
+    ["next_seq", "cum_acked", "expected", "first_seq", "seq", "stage_seq", "syn_seq"];
 
 /// R4: matches over fault/event enums that must stay exhaustive.
 const R4_FILES: [&str; 2] = ["crates/faults/src/classify.rs", "crates/core/src/recovery.rs"];
@@ -208,13 +210,12 @@ pub(crate) const R7_ENTRY_FNS: [(&str, &str); 2] = [
 /// are the byte-stable JSON emitters that ci.sh grep-gates as
 /// integer-only; `CampaignResult::to_json` in `faults/src/campaign.rs`
 /// is deliberately absent — its Table-1 percentages are floats by design.
-pub(crate) const R9_ENTRY_FNS: [(&str, &str); 16] = [
+pub(crate) const R9_ENTRY_FNS: [(&str, &str); 15] = [
     ("crates/bench/src/bin/chaos.rs", "rollup_json"),
     ("crates/bench/src/mpi.rs", "cell_json"),
     ("crates/bench/src/mpi.rs", "summary_json"),
     ("crates/bench/src/bin/slo.rs", "summary_json"),
     ("crates/scenario/src/run.rs", "to_json"),
-    ("crates/bench/src/scale.rs", "sched_cell_json"),
     ("crates/bench/src/scale.rs", "summary_json"),
     ("crates/bench/src/scale.rs", "world_cell_json"),
     ("crates/faults/src/chaos.rs", "to_json"),
@@ -226,6 +227,24 @@ pub(crate) const R9_ENTRY_FNS: [(&str, &str); 16] = [
     ("crates/workload/src/slo.rs", "to_json"),
     ("crates/workload/src/slo.rs", "write_json"),
 ];
+
+/// Every file and directory a rule table scopes a rule by, for the
+/// workspace gate's check that none of them has gone stale.
+pub fn scoped_paths() -> impl Iterator<Item = &'static str> {
+    R1_FILES
+        .into_iter()
+        .chain(R1_DIRS)
+        .chain(R2_DIRS)
+        .chain(R3_ACCESSOR_MODULES)
+        .chain(R4_FILES)
+        .chain(R5_FILES)
+        .chain(R7_ENTRY_FILES)
+}
+
+/// Every `(file, fn name)` a graph rule is seeded from, for the same check.
+pub fn entry_fns() -> impl Iterator<Item = (&'static str, &'static str)> {
+    R7_ENTRY_FNS.into_iter().chain(R9_ENTRY_FNS)
+}
 
 /// Runs every applicable per-line rule over one file. `rel` is the
 /// repo-relative path with forward slashes; `parsed` supplies the
@@ -614,13 +633,15 @@ mod tests {
                    s.next_seq = 4;\n\
                    s.cum_acked += 1;\n\
                    s.inner.expected = 7;\n\
+                   tx.stage_seq = 9;\n\
+                   tx.syn_seq = 9;\n\
                    let _ = s.next_seq == 4;\n\
                    let _ = s.next_seq;\n\
                    s.next_seq_hint = 1;\n\
                    match x { P { expected } => expected, }\n\
                    }\n";
         let f = scan_str("crates/mcp/src/machine.rs", src);
-        assert_eq!(f.len(), 3, "{f:#?}");
+        assert_eq!(f.len(), 5, "{f:#?}");
         assert!(f.iter().all(|x| x.rule == SEQNUM_DISCIPLINE));
     }
 

@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use ftgm_lint::{default_root, scan_workspace};
+use ftgm_lint::{default_root, load_workspace, rules, scan_workspace};
 
 #[test]
 fn workspace_has_no_new_findings() {
@@ -25,6 +25,20 @@ fn workspace_has_no_new_findings() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+/// A rule is scoped by path and seeded by `(file, fn)` name; a rename or a
+/// deletion would otherwise drop code out of a rule without a word.
+#[test]
+fn rule_tables_name_only_things_that_exist() {
+    let root = default_root();
+    let ws = load_workspace(&root).expect("workspace loads");
+    let gone: Vec<&str> = rules::scoped_paths().filter(|p| !root.join(p).exists()).collect();
+    assert!(gone.is_empty(), "rule tables scope paths that do not exist: {gone:?}");
+    let unresolved: Vec<_> = rules::entry_fns()
+        .filter(|&(file, name)| ws.select(|rel, def| rel == file && def.name == name).is_empty())
+        .collect();
+    assert!(unresolved.is_empty(), "entry fns with no definition: {unresolved:?}");
 }
 
 /// A throwaway fake workspace with one rule-governed file, torn down on

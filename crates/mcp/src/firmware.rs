@@ -248,10 +248,8 @@ mod tests {
         chip
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_send_chunk(
         chip: &mut LanaiChip,
-        fw: &FirmwareImage,
         entry: u32,
         payload: &[u8],
         seq: u32,
@@ -299,7 +297,7 @@ mod tests {
         let payload: Vec<u8> = (0..300u32).map(|i| (i * 7) as u8).collect();
         let stream = crate::packet::stream_word(NodeId(4), 2, 6, flags::LAST_CHUNK);
         let (status, frames) =
-            run_send_chunk(&mut chip, &fw, fw.entry_send(), &payload, 9, stream, 300, 0);
+            run_send_chunk(&mut chip, fw.entry_send(), &payload, 9, stream, 300, 0);
         assert_eq!(status, 1);
         assert_eq!(frames.len(), 1);
         let expected = build_data_frame(NodeId(4), 2, 6, 9, 300, 0, flags::LAST_CHUNK, &payload);
@@ -313,7 +311,7 @@ mod tests {
         let payload = vec![0xA5u8; 48];
         let stream = crate::packet::stream_word(NodeId(1), 0, 0, flags::LAST_CHUNK);
         let (status, frames) =
-            run_send_chunk(&mut chip, &fw, fw.entry_send(), &payload, 0, stream, 48, 0);
+            run_send_chunk(&mut chip, fw.entry_send(), &payload, 0, stream, 48, 0);
         assert_eq!(status, 1);
         let expected = build_data_frame(NodeId(1), 0, 0, 0, 48, 0, flags::LAST_CHUNK, &payload);
         assert_eq!(frames[0], expected);
@@ -326,7 +324,7 @@ mod tests {
         let payload = vec![0x11u8; 1000];
         let stream = crate::packet::stream_word(NodeId(2), 1, 3, 0);
         let (_, frames) =
-            run_send_chunk(&mut chip, &fw, fw.entry_send(), &payload, 5, stream, 5000, 1000);
+            run_send_chunk(&mut chip, fw.entry_send(), &payload, 5, stream, 5000, 1000);
         let (h, p) = Header::parse(&frames[0]).expect("parses");
         assert_eq!(h.ptype, PacketType::Data);
         assert_eq!(h.seq, 5);
@@ -343,7 +341,7 @@ mod tests {
         let payload = vec![3u8; 128];
         let stream = crate::packet::stream_word(NodeId(0), 0, 0, flags::LAST_CHUNK);
         let (status, frames) =
-            run_send_chunk(&mut chip, &fw, fw.entry_resend(), &payload, 7, stream, 128, 0);
+            run_send_chunk(&mut chip, fw.entry_resend(), &payload, 7, stream, 128, 0);
         assert_eq!(status, 1);
         let (h, _) = Header::parse(&frames[0]).unwrap();
         assert!(h.resend);
@@ -357,7 +355,6 @@ mod tests {
         let mut chip = loaded_chip(&fw);
         let (status, frames) = run_send_chunk(
             &mut chip,
-            &fw,
             fw.entry_send(),
             &[],
             0,
@@ -376,7 +373,7 @@ mod tests {
         let mut chip = loaded_chip(&fw);
         let payload = vec![0u8; 4097];
         let (status, frames) =
-            run_send_chunk(&mut chip, &fw, fw.entry_send(), &payload, 0, 0, 4097, 0);
+            run_send_chunk(&mut chip, fw.entry_send(), &payload, 0, 0, 4097, 0);
         assert_eq!(status, -1);
         assert!(frames.is_empty());
     }
@@ -388,7 +385,7 @@ mod tests {
         let payload = vec![9u8; 4096];
         let stream = crate::packet::stream_word(NodeId(0), 0, 0, 0);
         let (status, frames) =
-            run_send_chunk(&mut chip, &fw, fw.entry_send(), &payload, 1, stream, 8192, 0);
+            run_send_chunk(&mut chip, fw.entry_send(), &payload, 1, stream, 8192, 0);
         assert_eq!(status, 1);
         assert_eq!(frames[0].len(), 32 + 4096);
     }
@@ -402,7 +399,7 @@ mod tests {
         let zeros = vec![0u8; fw.bytes().len()];
         chip.sram.write_bytes(layout::CODE_BASE, &zeros);
         let payload = vec![1u8; 64];
-        let (_, _) = run_send_chunk(&mut chip, &fw, fw.entry_send(), &payload, 0, 0, 64, 0);
+        let (_, _) = run_send_chunk(&mut chip, fw.entry_send(), &payload, 0, 0, 64, 0);
         assert!(chip.is_hung());
     }
 

@@ -652,6 +652,31 @@ mod tests {
     }
 
     #[test]
+    fn commit_point_is_the_oldest_held_final_across_the_wrap() {
+        let mut rx: RxStream<()> = RxStream::new(u32::MAX);
+        rx.accept(true); // final u32::MAX, delivery DMA pending
+        rx.accept(true); // final 0, delivery DMA pending
+        assert_eq!(rx.receiver.expected(), 1);
+        // The oldest held final is the numerically largest one.
+        assert_eq!(rx.committed_frontier(), u32::MAX);
+        assert_eq!(rx.commit(u32::MAX), 0);
+        assert_eq!(rx.commit(0), 1);
+        // A delivery that outlived a restore commits nothing.
+        rx.accept(true);
+        rx.restore(7);
+        assert_eq!(rx.commit(1), 7);
+    }
+
+    #[test]
+    fn one_nack_per_stall_point() {
+        let mut rx: RxStream<()> = RxStream::new(4);
+        assert_eq!(rx.nack_due(), Some(4));
+        assert_eq!(rx.nack_due(), None);
+        rx.accept(false);
+        assert_eq!(rx.nack_due(), Some(5), "re-armed once the stream advances");
+    }
+
+    #[test]
     fn stream_keys_distinguish_modes_ports_and_priorities() {
         let a = StreamKey::connection(NodeId(1));
         let b = StreamKey::per_port(NodeId(1), 0, false);

@@ -847,7 +847,7 @@ impl McpMachine {
         self.stats.data_rx_accepted += 1;
         self.chip.sram.write_bytes(rx_slab_addr(rx_slab), payload);
 
-        let completion = if h.last_chunk { rx.assembly.take() } else { None }.map(|asm| {
+        let completion = rx.assembly.take_if(|_| h.last_chunk).map(|asm| {
             self.stats.messages_delivered += 1;
             (
                 asm.first.dst_port,
@@ -1669,6 +1669,53 @@ pub(crate) mod tests {
         assert_eq!(m.receiver_expected(wkey), Some(1));
         m.restore_receiver_stream(wkey, u32::MAX);
         assert_eq!(m.receiver_expected(wkey), Some(1), "wrapped stale view must not rewind");
+    }
+
+    #[test]
+    fn reack_names_the_oldest_uncommitted_final_across_the_wrap() {
+        let mut rig = Rig::new(McpParams::ftgm());
+        rig.b.open_port(2);
+        let key = StreamKey::per_port(NodeId(0), 0, false);
+        rig.b.restore_receiver_stream(key, 0xFFFF_FFFE);
+        let data = |seq: u32| WireFrame {
+            bytes: crate::packet::build_data_frame(
+                NodeId(0),
+                0,
+                2,
+                seq,
+                64,
+                0,
+                crate::packet::flags::LAST_CHUNK,
+                &[seq as u8; 64],
+            ),
+        };
+        // Three single-chunk messages are accepted, the last one past the
+        // wrap, and a duplicate of the first follows. The world never
+        // completes a host DMA, so no message reaches its buffer.
+        for (token, seq) in [0xFFFF_FFFE, 0xFFFF_FFFF, 0, 0xFFFF_FFFE].into_iter().enumerate() {
+            rig.provide(1, 2, 100 + token as u64, 4096);
+            rig.b.on_frame(data(seq));
+        }
+        let mut effects = Vec::new();
+        let mut acks = Vec::new();
+        for _ in 0..64 {
+            rig.now += SimDuration::from_us(2);
+            rig.b.dispatch(rig.now);
+            rig.b.swap_effects(&mut effects);
+            acks.extend(effects.drain(..).filter_map(|e| match e {
+                McpEffect::Transmit { frame, .. } => Some(Header::parse(&frame).unwrap().0),
+                McpEffect::HostDma(_) | McpEffect::PostEvent { .. } | McpEffect::HostInterrupt => {
+                    None
+                }
+            }));
+        }
+        assert_eq!(rig.b.stats().data_rx_accepted, 3);
+        assert_eq!(rig.b.stats().duplicates, 1);
+        assert_eq!(rig.b.receiver_expected(key), Some(1));
+        // Only the duplicate draws an ACK, and it may not pass the oldest
+        // message still on its way to the user's buffer.
+        let acks: Vec<(PacketType, u32)> = acks.iter().map(|h| (h.ptype, h.seq)).collect();
+        assert_eq!(acks, [(PacketType::Ack, 0xFFFF_FFFE)]);
     }
 
     #[test]

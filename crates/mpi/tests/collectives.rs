@@ -108,7 +108,6 @@ fn broadcast_from_every_root() {
 fn allreduce_sums_across_ranks() {
     /// Checks its reduced vector and reports through panics.
     struct Reduce {
-        rank: u32,
         issued: bool,
     }
     impl RankProgram for Reduce {
@@ -130,7 +129,7 @@ fn allreduce_sums_across_ranks() {
     }
     for n in [2u32, 3, 5, 8] {
         let mut h = MpiHarness::star(n as usize, WorldConfig::ftgm());
-        h.spawn_all(4096, |rank| Box::new(Reduce { rank, issued: false }));
+        h.spawn_all(4096, |_rank| Box::new(Reduce { issued: false }));
         h.world.run_for(SimDuration::from_ms(100));
         assert!(h.all_done(), "n={n}: {:?}", h.state.borrow());
     }
