@@ -32,6 +32,28 @@ step() {
 }
 
 step build 900 cargo build --release
+# The repo benchmark is its own package built against the public API of
+# ten crates, and nothing else here compiles it. Build it, then run the
+# two one-second children that cover the scheduler and library path on
+# both variants (hang_recovery is the only workload that runs
+# restore_port_state). A child exits 0 even when its correctness gate
+# counted failures, so the gate is its last line: `r <messages> 0`.
+benchmark_child() {
+    _last=$(target/release/ftgm-benchmark --child "$1" --seed 7 --seconds 1 | tail -n 1)
+    case "$_last" in
+    "r "*" 0") ;;
+    *)
+        echo "benchmark child $1: last line '$_last', wanted 'r <n> 0'" >&2
+        return 1
+        ;;
+    esac
+}
+benchmark_smoke() {
+    cargo build --release --offline --manifest-path benchmark/Cargo.toml --target-dir target
+    benchmark_child pingpong_small
+    benchmark_child hang_recovery
+}
+step benchmark-smoke 300 benchmark_smoke
 step test-debug 1800 cargo test -q
 # Chaos smoke + determinism regression: the deterministic multi-fault
 # scenario set, the byte-identical-exports checks across thread counts,

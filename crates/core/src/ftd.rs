@@ -124,26 +124,6 @@ impl FtdState {
 /// actually running (a context switch).
 pub const FTD_WAKE_LATENCY: SimDuration = SimDuration::from_us(30);
 
-/// Driver FATAL-interrupt handler: wake the FTD (§4.3). Called from the
-/// world's IRQ path via the installed hook. Returns `true` if the daemon
-/// was woken (a FATAL on a busy daemon queues a re-verification instead;
-/// a FATAL on a dead interface is ignored).
-pub fn on_fatal_irq(world: &mut World, node: NodeId, ftd: &mut FtdState) -> bool {
-    if ftd.dead {
-        return false;
-    }
-    if ftd.busy {
-        ftd.pending_reverify = true;
-        return false;
-    }
-    ftd.busy = true;
-    let n = node.0 as usize;
-    world.nodes[n].host.procs.wake(ftd.pid);
-    let now = world.now();
-    world.trace.emit(now, TraceKind::FtdWoken { node: node.0 });
-    true
-}
-
 /// The FTD main routine, resumed after the wake latency. Returns the
 /// sequence of timed steps as `(delay-so-far, action)` closures scheduled
 /// onto the world.

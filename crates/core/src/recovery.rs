@@ -22,7 +22,6 @@
 
 use ftgm_gm::World;
 use ftgm_host::CpuCost;
-use ftgm_mcp::machine::{RecvTokenDesc, SendDesc};
 use ftgm_mcp::StreamKey;
 use ftgm_net::NodeId;
 use ftgm_sim::SimDuration;
@@ -46,16 +45,29 @@ pub struct RestoreSummary {
 ///
 /// Exposed separately so tests can exercise the data path without the
 /// 900 ms of modelled wall time.
+///
+/// Total over its arguments: this handler must never panic (it IS the
+/// recovery path), and `World::post_fault_detected` forwards any `u8`
+/// port to it through the `fault_event` hook (an unknown *node* panics
+/// earlier, in `post_fault_detected` itself). A node or port that does
+/// not exist, or a port that is not open host-side, restores nothing.
 pub fn restore_port_state(world: &mut World, node: NodeId, port: u8) -> RestoreSummary {
     let n = node.0 as usize;
     let mut summary = RestoreSummary::default();
-    // Cursory check: is the port even open host-side?
-    if world.nodes[n].ports[port as usize].is_none() {
+    // Cursory check: is the port even open host-side? The three backup
+    // lists are taken in this one checked borrow; nothing below can
+    // close the port.
+    let Some(sim) = world.nodes.get_mut(n) else {
         return summary;
-    }
+    };
+    let Some(Some(hp)) = sim.ports.get(port as usize) else {
+        return summary;
+    };
+    let expected = hp.backup.expected_seqs();
+    let recvs = hp.backup.outstanding_recvs();
+    let sends = hp.backup.outstanding_sends();
     // Charge the host CPU for the handler's work.
-    world.nodes[n]
-        .host
+    sim.host
         .cpu
         .charge(CpuCost::Recovery, SimDuration::from_us(50));
 
@@ -63,22 +75,13 @@ pub fn restore_port_state(world: &mut World, node: NodeId, port: u8) -> RestoreS
     // the LANai to reopen the port" — close-then-open drops any token
     // state an interrupted earlier attempt may have left, making the
     // restore idempotent.
-    world.nodes[n].mcp.close_port(port);
-    world.nodes[n].mcp.open_port(port);
+    sim.mcp.close_port(port);
+    sim.mcp.open_port(port);
 
     // 3. Restore per-stream expected sequence numbers before any data can
     //    arrive, so the LANai ACKs/NACKs correctly from the first packet.
-    //
-    // The port was present at the top of the function, but this handler
-    // must never panic (it IS the recovery path), so each borrow
-    // re-checks and bails out with whatever was restored so far.
-    let expected: Vec<(NodeId, u8, bool, u32)> =
-        match world.nodes[n].ports[port as usize].as_ref() {
-            Some(hp) => hp.backup.expected_seqs(),
-            None => return summary,
-        };
     for (src_node, src_port, prio_high, next) in expected {
-        world.nodes[n].mcp.restore_receiver_stream(
+        sim.mcp.restore_receiver_stream(
             StreamKey::per_port(src_node, src_port, prio_high),
             next,
         );
@@ -86,20 +89,8 @@ pub fn restore_port_state(world: &mut World, node: NodeId, port: u8) -> RestoreS
     }
 
     // 2a. Replay receive tokens (unfilled pinned buffers).
-    let recvs = match world.nodes[n].ports[port as usize].as_ref() {
-        Some(hp) => hp.backup.outstanding_recvs(),
-        None => return summary,
-    };
-    for copy in recvs {
-        world.nodes[n].mcp.post_recv_token(
-            port,
-            RecvTokenDesc {
-                token_id: copy.token_id,
-                host_addr: copy.host_addr,
-                capacity: copy.capacity,
-                prio_high: copy.prio_high,
-            },
-        );
+    for desc in recvs {
+        sim.mcp.post_recv_token(port, desc);
         summary.recvs_replayed += 1;
     }
 
@@ -107,21 +98,8 @@ pub fn restore_port_state(world: &mut World, node: NodeId, port: u8) -> RestoreS
     //     their original sequence numbers — the receiver's restored (or
     //     never-lost) expected counters ACK the right ones and drop
     //     duplicates.
-    let sends = match world.nodes[n].ports[port as usize].as_ref() {
-        Some(hp) => hp.backup.outstanding_sends(),
-        None => return summary,
-    };
-    for copy in sends {
-        world.nodes[n].mcp.post_send(SendDesc {
-            token_id: copy.token_id,
-            port: copy.port,
-            dst_node: copy.dst_node,
-            dst_port: copy.dst_port,
-            host_addr: copy.host_addr,
-            len: copy.len,
-            prio_high: copy.prio_high,
-            first_seq: Some(copy.first_seq),
-        });
+    for desc in sends {
+        sim.mcp.post_send(desc);
         summary.sends_replayed += 1;
     }
 

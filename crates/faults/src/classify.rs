@@ -250,21 +250,6 @@ impl ScenarioVerdict {
             ScenarioVerdict::Violated => "violated",
         }
     }
-
-    /// Parses a verdict label back to the verdict (the inverse of
-    /// [`ScenarioVerdict::label`]; the scenario DSL's `expect` clause).
-    pub fn from_label(label: &str) -> Option<ScenarioVerdict> {
-        // Search the variant list instead of matching on the string:
-        // a new variant extends this automatically via `label()`, and
-        // there is no wildcard arm to swallow it.
-        const ALL: [ScenarioVerdict; 4] = [
-            ScenarioVerdict::Survived,
-            ScenarioVerdict::Rerouted,
-            ScenarioVerdict::Escalated,
-            ScenarioVerdict::Violated,
-        ];
-        ALL.into_iter().find(|v| v.label() == label)
-    }
 }
 
 impl fmt::Display for ScenarioVerdict {

@@ -23,47 +23,14 @@
 
 use std::collections::BTreeMap;
 
+use ftgm_mcp::machine::{RecvTokenDesc, SendDesc};
 use ftgm_net::NodeId;
-
-/// A retained copy of a send token the LANai currently holds.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SendTokenCopy {
-    /// Token id (matches completion events).
-    pub token_id: u64,
-    /// Sending port.
-    pub port: u8,
-    /// Destination interface.
-    pub dst_node: NodeId,
-    /// Destination port.
-    pub dst_port: u8,
-    /// Pinned buffer physical address.
-    pub host_addr: u64,
-    /// Message length.
-    pub len: u32,
-    /// High priority?
-    pub prio_high: bool,
-    /// First sequence number assigned to this message's chunks.
-    pub first_seq: u32,
-}
-
-/// A retained copy of a receive token the LANai currently holds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RecvTokenCopy {
-    /// Token id.
-    pub token_id: u64,
-    /// Pinned buffer physical address.
-    pub host_addr: u64,
-    /// Buffer capacity.
-    pub capacity: u32,
-    /// Priority level accepted.
-    pub prio_high: bool,
-}
 
 /// Per-port backup state (≈20 KB of extra process memory in the paper).
 #[derive(Clone, Debug, Default)]
 pub struct PortBackup {
-    send_tokens: BTreeMap<u64, SendTokenCopy>,
-    recv_tokens: BTreeMap<u64, RecvTokenCopy>,
+    send_tokens: BTreeMap<u64, SendDesc>,
+    recv_tokens: BTreeMap<u64, RecvTokenDesc>,
     /// Outgoing per-(remote node, priority) sequence counters for this
     /// port.
     next_seq: BTreeMap<(NodeId, bool), u32>,
@@ -81,19 +48,19 @@ impl PortBackup {
     // --- send tokens --------------------------------------------------------
 
     /// Records a send token as it passes to the LANai.
-    pub fn add_send(&mut self, copy: SendTokenCopy) {
+    pub fn add_send(&mut self, copy: SendDesc) {
         self.send_tokens.insert(copy.token_id, copy);
     }
 
     /// Removes a send token as its callback fires (send complete/failed).
     /// Returns the copy if it was present.
-    pub fn remove_send(&mut self, token_id: u64) -> Option<SendTokenCopy> {
+    pub fn remove_send(&mut self, token_id: u64) -> Option<SendDesc> {
         self.send_tokens.remove(&token_id)
     }
 
     /// Outstanding send-token copies, ordered by first sequence number so
     /// that recovery re-posts messages in their original stream order.
-    pub fn outstanding_sends(&self) -> Vec<SendTokenCopy> {
+    pub fn outstanding_sends(&self) -> Vec<SendDesc> {
         let mut v: Vec<_> = self.send_tokens.values().cloned().collect();
         v.sort_by_key(|c| (c.dst_node, c.dst_port, c.first_seq));
         v
@@ -107,21 +74,20 @@ impl PortBackup {
     // --- receive tokens -----------------------------------------------------
 
     /// Records a receive token as it passes to the LANai.
-    pub fn add_recv(&mut self, copy: RecvTokenCopy) {
+    pub fn add_recv(&mut self, copy: RecvTokenDesc) {
         self.recv_tokens.insert(copy.token_id, copy);
     }
 
     /// Removes a receive token as its buffer is handed back with a
     /// received message.
-    pub fn remove_recv(&mut self, token_id: u64) -> Option<RecvTokenCopy> {
+    pub fn remove_recv(&mut self, token_id: u64) -> Option<RecvTokenDesc> {
         self.recv_tokens.remove(&token_id)
     }
 
-    /// Outstanding receive-token copies (unfilled pinned buffers).
-    pub fn outstanding_recvs(&self) -> Vec<RecvTokenCopy> {
-        let mut v: Vec<_> = self.recv_tokens.values().copied().collect();
-        v.sort_by_key(|c| c.token_id);
-        v
+    /// Outstanding receive-token copies (unfilled pinned buffers), in
+    /// token-id order.
+    pub fn outstanding_recvs(&self) -> Vec<RecvTokenDesc> {
+        self.recv_tokens.values().copied().collect()
     }
 
     /// Number of receive tokens the LANai currently holds.
@@ -171,8 +137,8 @@ impl PortBackup {
     /// Approximate backup footprint in bytes (for the paper's "~20 KB per
     /// process" memory claim).
     pub fn footprint_bytes(&self) -> usize {
-        self.send_tokens.len() * std::mem::size_of::<SendTokenCopy>()
-            + self.recv_tokens.len() * std::mem::size_of::<RecvTokenCopy>()
+        self.send_tokens.len() * std::mem::size_of::<SendDesc>()
+            + self.recv_tokens.len() * std::mem::size_of::<RecvTokenDesc>()
             + self.next_seq.len() * 12
             + self.ack_table.len() * 12
     }
@@ -182,8 +148,8 @@ impl PortBackup {
 mod tests {
     use super::*;
 
-    fn send_copy(id: u64, dst: NodeId, first_seq: u32) -> SendTokenCopy {
-        SendTokenCopy {
+    fn send_copy(id: u64, dst: NodeId, first_seq: u32) -> SendDesc {
+        SendDesc {
             token_id: id,
             port: 0,
             dst_node: dst,
@@ -191,7 +157,7 @@ mod tests {
             host_addr: 0x1000 * id,
             len: 256,
             prio_high: false,
-            first_seq,
+            first_seq: Some(first_seq),
         }
     }
 
@@ -219,7 +185,7 @@ mod tests {
     #[test]
     fn recv_token_lifecycle() {
         let mut b = PortBackup::new();
-        b.add_recv(RecvTokenCopy {
+        b.add_recv(RecvTokenDesc {
             token_id: 9,
             host_addr: 0x100,
             capacity: 4096,
@@ -261,7 +227,7 @@ mod tests {
         let mut b = PortBackup::new();
         for i in 0..64 {
             b.add_send(send_copy(i, NodeId(1), i as u32));
-            b.add_recv(RecvTokenCopy {
+            b.add_recv(RecvTokenDesc {
                 token_id: 1000 + i,
                 host_addr: 0,
                 capacity: 4096,

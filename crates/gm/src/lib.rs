@@ -23,7 +23,7 @@ pub mod apps;
 pub mod backup;
 pub mod world;
 
-pub use backup::{PortBackup, RecvTokenCopy, SendTokenCopy};
+pub use backup::PortBackup;
 pub use world::{
     App, AppId, Ctx, GmEvent, HostApiCosts, Hooks, NodeSim, World, WorldConfig,
     WorldStats,

@@ -29,7 +29,7 @@ use ftgm_mcp::{McpMachine, McpParams};
 use ftgm_net::{reroute, DropReason, Fabric, FabricParams, Mapper, NodeId, RouteTable, Topology};
 use ftgm_sim::{DmaDir, DropKind, Scheduler, SimDuration, SimTime, Trace, TraceKind};
 
-use crate::backup::{PortBackup, RecvTokenCopy, SendTokenCopy};
+use crate::backup::PortBackup;
 
 /// Host-CPU costs of GM library calls (Table 2's host-utilization rows).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -279,58 +279,11 @@ pub struct WorldStats {
     pub closure_calls: u64,
 }
 
-/// A [`GmEvent`] while it waits in the scheduler: the same five kinds,
-/// with the payload as a boxed slice so that [`Event`] stays within its
-/// size budget (a `Vec` is one word wider).
-enum QueuedGmEvent {
-    Received { src_node: NodeId, src_port: u8, token_id: u64, len: u32, data: Box<[u8]> },
-    SentOk { token_id: u64 },
-    SendError { token_id: u64 },
-    Alarm { tag: u64 },
-    InterfaceDead,
-}
-
-impl From<GmEvent> for QueuedGmEvent {
-    fn from(ev: GmEvent) -> QueuedGmEvent {
-        match ev {
-            GmEvent::Received { src_node, src_port, token_id, len, data } => {
-                QueuedGmEvent::Received {
-                    src_node,
-                    src_port,
-                    token_id,
-                    len,
-                    // Exact-capacity copies convert without reallocating.
-                    data: data.into_boxed_slice(),
-                }
-            }
-            GmEvent::SentOk { token_id } => QueuedGmEvent::SentOk { token_id },
-            GmEvent::SendError { token_id } => QueuedGmEvent::SendError { token_id },
-            GmEvent::Alarm { tag } => QueuedGmEvent::Alarm { tag },
-            GmEvent::InterfaceDead => QueuedGmEvent::InterfaceDead,
-        }
-    }
-}
-
-impl From<QueuedGmEvent> for GmEvent {
-    fn from(ev: QueuedGmEvent) -> GmEvent {
-        match ev {
-            QueuedGmEvent::Received { src_node, src_port, token_id, len, data } => {
-                GmEvent::Received { src_node, src_port, token_id, len, data: data.into_vec() }
-            }
-            QueuedGmEvent::SentOk { token_id } => GmEvent::SentOk { token_id },
-            QueuedGmEvent::SendError { token_id } => GmEvent::SendError { token_id },
-            QueuedGmEvent::Alarm { tag } => GmEvent::Alarm { tag },
-            QueuedGmEvent::InterfaceDead => GmEvent::InterfaceDead,
-        }
-    }
-}
-
 /// Everything the scheduler carries. The steady-state message path uses
 /// only the typed kinds; `Call` is for recovery code, hooks and
-/// `spawn_app`. The scheduler stores 24 bytes beside each event, so the
-/// enum is kept to 40 to fill exactly one cache line (a unit test holds
-/// it there): that is why `PostSend` spells out [`SendDesc`]'s fields
-/// instead of nesting the struct, whose padding the tag could not use.
+/// `spawn_app`. The scheduler stores 16 bytes beside each event, so the
+/// enum is kept to 48 to fill exactly one cache line (a unit test holds
+/// it there): [`SendDesc`] and [`GmEvent`] are 40 each and nest whole.
 enum Event {
     McpDispatch(u16),
     TimerPoll(u16),
@@ -341,21 +294,11 @@ enum Event {
     /// chip raised its line.
     HostIrq(u16),
     /// A send descriptor's PIO write and doorbell reach the NIC.
-    PostSend {
-        node: u16,
-        token_id: u64,
-        port: u8,
-        dst_node: NodeId,
-        dst_port: u8,
-        host_addr: u64,
-        len: u32,
-        prio_high: bool,
-        first_seq: Option<u32>,
-    },
+    PostSend { node: u16, desc: SendDesc },
     /// A receive token's PIO write and doorbell reach the NIC.
     PostRecvToken { node: u16, port: u8, desc: RecvTokenDesc },
     /// The library hands a GM event (or an alarm) to an application.
-    AppDelivery { app: AppId, ev: QueuedGmEvent },
+    AppDelivery { app: AppId, ev: GmEvent },
     Call(Box<dyn FnOnce(&mut World)>),
 }
 
@@ -572,29 +515,10 @@ impl World {
                 self.handle_nic_event(node as usize, port, event);
             }
             Event::HostIrq(n) => self.handle_irq(n as usize),
-            Event::PostSend {
-                node,
-                token_id,
-                port,
-                dst_node,
-                dst_port,
-                host_addr,
-                len,
-                prio_high,
-                first_seq,
-            } => {
+            Event::PostSend { node, desc } => {
                 let n = node as usize;
                 if !self.nodes[n].frozen() {
-                    self.nodes[n].mcp.post_send(SendDesc {
-                        token_id,
-                        port,
-                        dst_node,
-                        dst_port,
-                        host_addr,
-                        len,
-                        prio_high,
-                        first_seq,
-                    });
+                    self.nodes[n].mcp.post_send(desc);
                     self.sync_node(n);
                 }
             }
@@ -606,7 +530,7 @@ impl World {
                 }
             }
             Event::AppDelivery { app, ev } => {
-                self.with_app(app, |app, ctx| app.on_event(ctx, ev.into()));
+                self.with_app(app, |app, ctx| app.on_event(ctx, ev));
             }
             Event::Call(f) => f(self),
         }
@@ -850,7 +774,7 @@ impl World {
         let Some(id) = hp.app else { return };
         self.stats.app_events += 1;
         self.sched
-            .schedule_in(delay, Event::AppDelivery { app: id, ev: ev.into() });
+            .schedule_in(delay, Event::AppDelivery { app: id, ev });
     }
 
     // --- GM library: NIC event processing (gm_receive / gm_unknown) --------
@@ -1003,11 +927,6 @@ impl World {
     /// Immutable access to a node.
     pub fn node(&self, node: NodeId) -> &NodeSim {
         &self.nodes[node.0 as usize]
-    }
-
-    /// Mutable access to a node.
-    pub fn node_mut(&mut self, node: NodeId) -> &mut NodeSim {
-        &mut self.nodes[node.0 as usize]
     }
 
     /// Posts a `FAULT_DETECTED` event into a port's receive queue (the
@@ -1240,6 +1159,16 @@ impl Ctx<'_> {
             );
         }
 
+        let desc = SendDesc {
+            token_id,
+            port,
+            dst_node: dst,
+            dst_port,
+            host_addr: region.pa,
+            len: data.len() as u32,
+            prio_high,
+            first_seq,
+        };
         let mut cost = api.send;
         if is_ftgm {
             // The paper's send-side housekeeping: copy the token into the
@@ -1247,16 +1176,7 @@ impl Ctx<'_> {
             let hp = self.world.nodes[n].ports[port as usize]
                 .as_mut()
                 .expect("own port open");
-            hp.backup.add_send(SendTokenCopy {
-                token_id,
-                port,
-                dst_node: dst,
-                dst_port,
-                host_addr: region.pa,
-                len: data.len() as u32,
-                prio_high,
-                first_seq: first_seq.expect("ftgm assigns"),
-            });
+            hp.backup.add_send(desc.clone());
             self.world.nodes[n]
                 .host
                 .cpu
@@ -1265,20 +1185,9 @@ impl Ctx<'_> {
         }
 
         // The PIO write + doorbell reach the NIC after the host-side cost.
-        self.world.sched.schedule_in(
-            cost,
-            Event::PostSend {
-                node: self.node.0,
-                token_id,
-                port,
-                dst_node: dst,
-                dst_port,
-                host_addr: region.pa,
-                len: data.len() as u32,
-                prio_high,
-                first_seq,
-            },
-        );
+        self.world
+            .sched
+            .schedule_in(cost, Event::PostSend { node: self.node.0, desc });
         token_id
     }
 
@@ -1332,28 +1241,23 @@ impl Ctx<'_> {
                 TraceKind::RecvProvided { node: n as u16, port, token: token_id, depth },
             );
         }
-        if is_ftgm {
-            let hp = self.world.nodes[n].ports[port as usize]
-                .as_mut()
-                .expect("own port open");
-            hp.backup.add_recv(RecvTokenCopy {
-                token_id,
-                host_addr: region.pa,
-                capacity,
-                prio_high,
-            });
-            self.world.nodes[n]
-                .host
-                .cpu
-                .charge(CpuCost::RecvTokenBackup, api.provide_backup);
-            cost += api.provide_backup;
-        }
         let desc = RecvTokenDesc {
             token_id,
             host_addr: region.pa,
             capacity,
             prio_high,
         };
+        if is_ftgm {
+            let hp = self.world.nodes[n].ports[port as usize]
+                .as_mut()
+                .expect("own port open");
+            hp.backup.add_recv(desc);
+            self.world.nodes[n]
+                .host
+                .cpu
+                .charge(CpuCost::RecvTokenBackup, api.provide_backup);
+            cost += api.provide_backup;
+        }
         self.world
             .sched
             .schedule_in(cost, Event::PostRecvToken { node: self.node.0, port, desc });
@@ -1362,15 +1266,10 @@ impl Ctx<'_> {
 
     /// Sets a one-shot alarm delivered as [`GmEvent::Alarm`].
     pub fn set_alarm(&mut self, delay: SimDuration, tag: u64) {
-        let ev = QueuedGmEvent::Alarm { tag };
+        let ev = GmEvent::Alarm { tag };
         self.world
             .sched
             .schedule_in(delay, Event::AppDelivery { app: self.app_id, ev });
-    }
-
-    /// MCP statistics of the local interface (for workload bookkeeping).
-    pub fn local_mcp_stats(&self) -> ftgm_mcp::McpStats {
-        self.world.nodes[self.node.0 as usize].mcp.stats()
     }
 }
 
@@ -1608,10 +1507,10 @@ mod more_tests {
 
     #[test]
     fn event_fills_exactly_one_scheduler_cache_line() {
-        // The scheduler's entry is 24 bytes of (time, seq, slot, gen) plus
-        // the event; a 41st byte would push every queued entry onto a
-        // second cache line.
-        assert!(std::mem::size_of::<Event>() <= 40, "{}", std::mem::size_of::<Event>());
+        // The scheduler's entry is 16 bytes of (time, seq) plus the
+        // event; a 49th byte would push every queued entry onto a second
+        // cache line.
+        assert!(std::mem::size_of::<Event>() <= 48, "{}", std::mem::size_of::<Event>());
     }
 
     #[test]

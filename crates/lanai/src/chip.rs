@@ -326,11 +326,6 @@ impl LanaiChip {
         self.timers[id.index()].arm_ticks(now, ticks);
     }
 
-    /// Disarms timer `id`.
-    pub fn disarm_timer(&mut self, id: TimerId) {
-        self.timers[id.index()].disarm();
-    }
-
     /// The earliest pending timer deadline, if any — the world schedules a
     /// poll event at this instant.
     pub fn next_timer_deadline(&self) -> Option<SimTime> {

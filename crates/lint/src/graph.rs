@@ -53,11 +53,6 @@ pub struct Workspace {
     pub nodes: Vec<Node>,
     /// Sorted, deduplicated adjacency (caller → callees).
     pub out: Vec<Vec<usize>>,
-    /// Per crate-dir: transitive dependency closure (crate dirs,
-    /// including itself). `None` when no manifests were provided.
-    deps: Option<BTreeMap<String, BTreeSet<String>>>,
-    /// Crate import name (`ftgm_core`) → crate dir (`core`).
-    imports: BTreeMap<String, String>,
 }
 
 /// BFS result over the graph from a set of entry nodes.
@@ -155,7 +150,7 @@ impl Workspace {
             out[n] = targets.into_iter().collect();
         }
 
-        Workspace { files, nodes, out, deps, imports }
+        Workspace { files, nodes, out }
     }
 
     pub fn fn_def(&self, n: usize) -> &FnDef {
@@ -214,17 +209,6 @@ impl Workspace {
             }
         }
         Reach { dist, parent }
-    }
-
-    /// `true` when crate dir `target` is in `caller`'s dependency
-    /// closure (or no manifests were given).
-    pub fn crate_allowed(&self, caller: Option<&str>, target: Option<&str>) -> bool {
-        allowed(&self.deps, caller, target)
-    }
-
-    /// Crate import name → crate dir (e.g. `ftgm_core` → `core`).
-    pub fn import_dir(&self, import: &str) -> Option<&str> {
-        self.imports.get(import).map(String::as_str)
     }
 }
 

@@ -1,4 +1,4 @@
-//! The per-line FTGM invariant rules (R1–R6) and their matchers.
+//! The per-line FTGM invariant rules (R1–R5) and their matchers.
 //!
 //! Each rule is a set of per-line token matchers applied to the blanked
 //! "code view" ([`crate::strip::FileView`]) of the files it governs.
@@ -21,7 +21,6 @@ pub const DETERMINISM: &str = "determinism";
 pub const SEQNUM_DISCIPLINE: &str = "seqnum-discipline";
 pub const NO_WILDCARD_MATCH: &str = "no-wildcard-match";
 pub const NO_TRUNCATING_CAST: &str = "no-truncating-cast";
-pub const TYPED_TRACE: &str = "typed-trace";
 /// R7: panicking construct in a function *reachable from* a recovery
 /// entry point (transitive closure of R1).
 pub const TRANSITIVE_PANIC: &str = "transitive-panic";
@@ -32,13 +31,12 @@ pub const DETERMINISM_TAINT: &str = "determinism-taint";
 pub const FLOAT_IN_DETERMINISTIC_PATH: &str = "float-in-deterministic-path";
 
 /// All rule names, in report order.
-pub const ALL_RULES: [&str; 9] = [
+pub const ALL_RULES: [&str; 8] = [
     RECOVERY_NO_PANIC,
     DETERMINISM,
     SEQNUM_DISCIPLINE,
     NO_WILDCARD_MATCH,
     NO_TRUNCATING_CAST,
-    TYPED_TRACE,
     TRANSITIVE_PANIC,
     DETERMINISM_TAINT,
     FLOAT_IN_DETERMINISTIC_PATH,
@@ -114,11 +112,6 @@ const R4_FILES: [&str; 2] = ["crates/faults/src/classify.rs", "crates/core/src/r
 /// R5: wire-format modules where a silent truncation corrupts packets.
 const R5_FILES: [&str; 2] = ["crates/mcp/src/packet.rs", "crates/net/src/crc.rs"];
 
-/// R6: the stringly-typed trace API is gone; non-test code must emit
-/// typed [`TraceKind`] events (`trace.emit(...)`), never reconstruct the
-/// old `trace.record(...)`/`trace.find(...)` string surface.
-const R6_CALLS: [&str; 2] = ["record", "find"];
-
 /// One-line description per rule (for `--explain` style output and docs).
 pub fn describe(rule: &str) -> &'static str {
     match rule {
@@ -133,9 +126,6 @@ pub fn describe(rule: &str) -> &'static str {
         }
         NO_WILDCARD_MATCH => "no `_ =>` arms in matches over fault/event enums",
         NO_TRUNCATING_CAST => "no bare `as u8`/`as u16` casts in wire-format modules",
-        TYPED_TRACE => {
-            "no stringly trace calls (`trace.record`/`trace.find`) in non-test code; emit typed TraceKind events"
-        }
         TRANSITIVE_PANIC => {
             "no panicking construct in any function reachable from a recovery entry point (call-graph closure of R1)"
         }
@@ -267,8 +257,7 @@ pub fn scan(rel: &str, view: &FileView, parsed: &ParsedFile) -> Vec<Finding> {
         && !R3_ACCESSOR_MODULES.contains(&rel);
     let r4 = R4_FILES.contains(&rel);
     let r5 = R5_FILES.contains(&rel);
-    let r6 = rel.starts_with("crates/") && rel.contains("/src/");
-    if !(r1 || r2 || r3 || r4 || r5 || r6) {
+    if !(r1 || r2 || r3 || r4 || r5) {
         return findings;
     }
 
@@ -303,9 +292,6 @@ pub fn scan(rel: &str, view: &FileView, parsed: &ParsedFile) -> Vec<Finding> {
         }
         if r5 {
             match_r5(code, &mut emit);
-        }
-        if r6 {
-            match_r6(code, &mut emit);
         }
     }
     findings
@@ -505,33 +491,6 @@ fn match_r5(code: &str, emit: &mut dyn FnMut(&'static str, usize, String)) {
     }
 }
 
-/// R6: calls into the removed stringly-typed trace surface.
-fn match_r6(code: &str, emit: &mut dyn FnMut(&'static str, usize, String)) {
-    let b = code.as_bytes();
-    for pos in token_positions(code, "trace") {
-        let mut i = skip_ws(b, pos + "trace".len());
-        if i >= b.len() || b[i] != b'.' {
-            continue;
-        }
-        i = skip_ws(b, i + 1);
-        for call in R6_CALLS {
-            if code[i..].starts_with(call) {
-                let after = skip_ws(b, i + call.len());
-                if after < b.len() && b[after] == b'(' {
-                    emit(
-                        TYPED_TRACE,
-                        pos,
-                        format!(
-                            "`trace.{call}(...)` is the removed stringly API; emit a typed \
-                             TraceKind event (or query with first_where/last_where/count_where)"
-                        ),
-                    );
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -687,38 +646,6 @@ mod tests {
     fn r5_ignores_widening_and_types() {
         let src = "fn f(x: u8) -> u32 { let v: Vec<u8> = vec![x]; v[0] as u32 }\n";
         assert!(scan_str("crates/net/src/crc.rs", src).is_empty());
-    }
-
-    #[test]
-    fn r6_catches_stringly_trace_calls() {
-        let src = "fn f(w: &mut W) {\n\
-                   w.trace.record(now, \"ftd_woken\");\n\
-                   let _ = w.trace .find(\"reopened\");\n\
-                   }\n";
-        let f = scan_str("crates/gm/src/world.rs", src);
-        assert_eq!(f.len(), 2, "{f:#?}");
-        assert!(f.iter().all(|x| x.rule == TYPED_TRACE));
-        assert_eq!(f[0].line, 2);
-        assert_eq!(f[1].line, 3);
-    }
-
-    #[test]
-    fn r6_applies_to_every_crate_src_file() {
-        let src = "fn f(t: &mut T) { t.trace.record(0, \"x\"); }\n";
-        assert_eq!(scan_str("crates/bench/src/bin/fig9.rs", src).len(), 1);
-        assert_eq!(scan_str("crates/faults/src/chaos.rs", src).len(), 1);
-        assert!(scan_str("tools/gen.rs", src).is_empty(), "outside crates/*/src");
-    }
-
-    #[test]
-    fn r6_ignores_typed_api_and_other_receivers() {
-        let src = "fn f(w: &mut W, log: &mut L) {\n\
-                   w.trace.emit(now, TraceKind::FtdWoken { node });\n\
-                   let _ = w.trace.first_where(|k| true);\n\
-                   log.record(1);\n\
-                   recorder.find(2);\n\
-                   }\n";
-        assert!(scan_str("crates/gm/src/world.rs", src).is_empty());
     }
 
     #[test]

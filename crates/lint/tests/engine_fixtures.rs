@@ -100,29 +100,6 @@ fn r5_good_accepts_widening_and_try_from() {
 }
 
 #[test]
-fn r6_bad_flags_stringly_trace_calls() {
-    let f = scan_fixture("r6_bad.rs", "crates/gm/src/world.rs");
-    assert_eq!(f.len(), 4, "{f:#?}");
-    assert_all_rule(&f, rules::TYPED_TRACE);
-}
-
-#[test]
-fn r6_good_accepts_typed_api_and_other_receivers() {
-    let f = scan_fixture("r6_good.rs", "crates/gm/src/world.rs");
-    assert!(f.is_empty(), "{f:#?}");
-}
-
-#[test]
-fn r6_governs_all_crate_sources_but_not_tests() {
-    // Unlike R1–R5, R6 has no file allowlist: any crates/*/src/ file is in
-    // scope, while test trees stay exempt.
-    let f = scan_fixture("r6_bad.rs", "crates/bench/src/bin/chaos.rs");
-    assert_eq!(f.len(), 4, "{f:#?}");
-    let f = scan_fixture("r6_bad.rs", "tests/trace_oracle.rs");
-    assert!(f.is_empty(), "{f:#?}");
-}
-
-#[test]
 fn r2_workload_bad_flags_entropy_outside_sim_rng() {
     // The workload crate's generators must draw all randomness through
     // sim::rng; OS entropy, hash ordering and wall clocks all fire.

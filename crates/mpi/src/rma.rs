@@ -245,11 +245,6 @@ impl WindowStore {
         self.windows.entry((owner, win)).or_default();
     }
 
-    /// `true` if `(owner, win)` exists here.
-    pub fn has_window(&self, owner: u32, win: u32) -> bool {
-        self.windows.contains_key(&(owner, win))
-    }
-
     fn grow_to(&mut self, owner: u32, win: u32, end: usize) -> &mut Vec<u8> {
         let w = self.windows.entry((owner, win)).or_default();
         if w.len() < end {

@@ -8,7 +8,7 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time,
 //! * [`Scheduler`] — a deterministic event queue with stable FIFO
-//!   tie-breaking and cancellation,
+//!   tie-breaking,
 //! * [`rng::SimRng`] — a seedable, reproducible pseudo-random generator
 //!   (xoshiro256**), so that a campaign run with the same seed replays
 //!   bit-for-bit,
@@ -45,7 +45,7 @@ pub mod trace;
 pub use metrics::{HistId, Histogram, Metrics, Samples};
 pub use pool::map_indexed;
 pub use rng::SimRng;
-pub use sched::{EventId, HeapScheduler, Scheduler};
+pub use sched::{HeapScheduler, Scheduler};
 pub use time::{SimDuration, SimTime};
 pub use trace::{
     DmaDir, DropKind, RecoveryPhase, Trace, TraceEvent, TraceKind, TraceMode, ZoneTrigger,

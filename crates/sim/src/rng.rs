@@ -57,11 +57,6 @@ impl SimRng {
         result
     }
 
-    /// Returns the next 32 random bits.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a uniformly distributed value in `[0, bound)` using Lemire's
     /// multiply-shift rejection method (unbiased).
     ///

@@ -5,50 +5,31 @@
 //! sorted so its earliest entry is at the back. Popping scans bucket
 //! windows forward from the clock; the first entry whose timestamp falls
 //! inside its bucket's current window is the global minimum. Bucket count
-//! and width adapt to the live population, so `schedule`/`pop`/`cancel`
-//! are amortized O(1) instead of the O(log n) heap plus O(log n)
-//! tombstone-set bookkeeping the previous implementation paid per event.
+//! and width adapt to the queued population, so `schedule`/`pop` are
+//! amortized O(1) instead of a binary heap's O(log n) per event.
 //!
 //! Ordering is by `(time, sequence)`: two events scheduled for the same
 //! instant pop in the order they were scheduled, which makes whole
-//! simulations replayable. Cancellation is O(1) through a slot map with
-//! generation counters ([`EventId`] packs a slot index and a generation);
-//! timer re-arming (the watchdog path) relies on it.
+//! simulations replayable. A scheduled event always fires: there is no
+//! cancellation. A deadline that moves earlier is answered by scheduling
+//! a second event and letting the later one fire as a harmless poll.
 //!
-//! [`HeapScheduler`] preserves the original binary-heap implementation
-//! verbatim. It is kept as the *differential-test oracle*: the
-//! `sched_equivalence` suite drives randomized push/pop/cancel workloads
-//! through both implementations and asserts identical pop order, and the
-//! `scale` bench uses it as the performance baseline.
+//! [`HeapScheduler`] is a plain binary heap with the same interface. It
+//! is the *differential-test oracle*: the `sched_equivalence` suite
+//! drives randomized push/pop/pop-run workloads through both
+//! implementations and asserts identical pop order. Not used in
+//! production worlds.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
 
-/// Identifies a scheduled event so it can be cancelled before it fires.
-///
-/// For the calendar queue this packs `(slot, generation)`; for the heap
-/// oracle it wraps the event sequence number. Either way the value is
-/// opaque and only meaningful to the scheduler that issued it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
-
-impl EventId {
-    fn pack(slot: u32, gen: u32) -> EventId {
-        EventId((u64::from(gen) << 32) | u64::from(slot))
-    }
-
-    fn unpack(self) -> (u32, u32) {
-        (self.0 as u32, (self.0 >> 32) as u32)
-    }
-}
-
+/// 16 bytes of key beside the event: a 48-byte event makes a queued
+/// entry exactly one 64-byte cache line.
 struct Entry<E> {
     at: SimTime,
     seq: u64,
-    slot: u32,
-    gen: u32,
     event: E,
 }
 
@@ -74,9 +55,10 @@ const INITIAL_SHIFT: u32 = 10;
 /// use ftgm_sim::{Scheduler, SimDuration};
 ///
 /// let mut s: Scheduler<u32> = Scheduler::new();
-/// let id = s.schedule_in(SimDuration::from_us(1), 1);
 /// s.schedule_in(SimDuration::from_us(2), 2);
-/// s.cancel(id);
+/// s.schedule_in(SimDuration::from_us(1), 1);
+/// assert_eq!(s.peek_time().map(|t| t.as_nanos()), Some(1_000));
+/// assert_eq!(s.pop().map(|(_, e)| e), Some(1));
 /// assert_eq!(s.pop().map(|(_, e)| e), Some(2));
 /// assert!(s.pop().is_none());
 /// ```
@@ -90,14 +72,8 @@ pub struct Scheduler<E> {
     mask: usize,
     /// Bucket width is `2^shift` nanoseconds.
     shift: u32,
-    /// Generation counter per slot. An entry is live iff its stored
-    /// generation matches its slot's current generation.
-    slot_gens: Vec<u32>,
-    free_slots: Vec<u32>,
-    /// Live (scheduled, not fired, not cancelled) entries.
+    /// Scheduled, not yet fired entries.
     live: usize,
-    /// Cancelled entries still physically present in some bucket.
-    dead: usize,
     popped: u64,
 }
 
@@ -116,10 +92,7 @@ impl<E> Scheduler<E> {
             buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
             mask: MIN_BUCKETS - 1,
             shift: INITIAL_SHIFT,
-            slot_gens: Vec::new(),
-            free_slots: Vec::new(),
             live: 0,
-            dead: 0,
             popped: 0,
         }
     }
@@ -143,7 +116,7 @@ impl<E> Scheduler<E> {
     /// # Panics
     ///
     /// Panics if `at` is earlier than `now()`.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: at={at:?} now={:?}",
@@ -151,81 +124,31 @@ impl<E> Scheduler<E> {
         );
         let seq = self.next_event_seq;
         self.next_event_seq += 1;
-        let slot = match self.free_slots.pop() {
-            Some(s) => s,
-            None => {
-                self.slot_gens.push(0);
-                (self.slot_gens.len() - 1) as u32
-            }
-        };
-        let gen = self.slot_gens[slot as usize];
         let idx = self.bucket_of(at);
         let bucket = &mut self.buckets[idx];
         // Keep the bucket sorted descending by (at, seq): everything
         // strictly greater than the new entry stays in front of it.
         let pos = bucket.partition_point(|e| (e.at, e.seq) > (at, seq));
-        bucket.insert(
-            pos,
-            Entry {
-                at,
-                seq,
-                slot,
-                gen,
-                event,
-            },
-        );
+        bucket.insert(pos, Entry { at, seq, event });
         self.live += 1;
         if self.live > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
             self.resize();
         }
-        EventId::pack(slot, gen)
     }
 
     /// Schedules `event` to fire `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventId {
+    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
         self.schedule_at(self.now + delay, event)
-    }
-
-    /// Cancels a scheduled event. Returns `true` if the event had not yet
-    /// fired or been cancelled. Cancelling an already-fired event is a no-op.
-    ///
-    /// O(1): the entry stays in its bucket as a tombstone (detected by
-    /// generation mismatch) until it is swept during a pop or resize.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        let (slot, gen) = id.unpack();
-        match self.slot_gens.get_mut(slot as usize) {
-            Some(cur) if *cur == gen => {
-                *cur = cur.wrapping_add(1);
-                self.live -= 1;
-                self.dead += 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Pops dead (cancelled) entries off the back of bucket `idx`,
-    /// recycling their slots, so the back entry — if any — is live.
-    fn clean_back(&mut self, idx: usize) {
-        while let Some(e) = self.buckets[idx].last() {
-            if self.slot_gens[e.slot as usize] == e.gen {
-                break;
-            }
-            let slot = e.slot;
-            self.buckets[idx].pop();
-            self.free_slots.push(slot);
-            self.dead -= 1;
-        }
     }
 
     /// Finds the bucket whose back entry is the global minimum.
     ///
     /// Scans bucket windows forward from `now`: within one calendar
     /// rotation each window maps to exactly one bucket, so the first back
-    /// entry found inside its own window is the earliest live event. If a
+    /// entry found inside its own window is the earliest event. If a
     /// whole rotation turns up nothing (every event is beyond one rotation),
     /// falls back to a direct min-scan over all bucket minima.
-    fn locate_min(&mut self) -> Option<usize> {
+    fn locate_min(&self) -> Option<usize> {
         if self.live == 0 {
             return None;
         }
@@ -234,7 +157,6 @@ impl<E> Scheduler<E> {
         for k in 0..nbuckets {
             let window = base.saturating_add(k);
             let idx = (window as usize) & self.mask;
-            self.clean_back(idx);
             if let Some(e) = self.buckets[idx].last() {
                 if e.at.as_nanos() >> self.shift == window {
                     return Some(idx);
@@ -242,9 +164,8 @@ impl<E> Scheduler<E> {
             }
         }
         let mut best: Option<(SimTime, u64, usize)> = None;
-        for idx in 0..self.buckets.len() {
-            self.clean_back(idx);
-            if let Some(e) = self.buckets[idx].last() {
+        for (idx, bucket) in self.buckets.iter().enumerate() {
+            if let Some(e) = bucket.last() {
                 if best.is_none_or(|(at, seq, _)| (e.at, e.seq) < (at, seq)) {
                     best = Some((e.at, e.seq, idx));
                 }
@@ -253,24 +174,17 @@ impl<E> Scheduler<E> {
         best.map(|(_, _, idx)| idx)
     }
 
-    /// Removes and returns the next live event, advancing the clock to its
+    /// Removes and returns the next event, advancing the clock to its
     /// timestamp. Returns `None` when the queue is exhausted.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let idx = self.locate_min()?;
         let e = self.buckets[idx].pop()?;
-        // Retire the slot: bump the generation so a stale cancel of this
-        // id reports false, then recycle it.
-        let gen = &mut self.slot_gens[e.slot as usize];
-        *gen = gen.wrapping_add(1);
-        self.free_slots.push(e.slot);
         self.live -= 1;
         debug_assert!(e.at >= self.now);
         self.now = e.at;
         self.popped += 1;
         let nbuckets = self.buckets.len();
-        if (self.live < nbuckets / 4 && nbuckets > MIN_BUCKETS)
-            || self.dead > 2 * self.live + 64
-        {
+        if self.live < nbuckets / 4 && nbuckets > MIN_BUCKETS {
             self.resize();
         }
         Some((e.at, e.event))
@@ -297,84 +211,45 @@ impl<E> Scheduler<E> {
         };
         let t = first.at;
         debug_assert!(t >= self.now);
-        self.retire(first.slot);
         self.now = t;
-        self.popped += 1;
         out.push((t, first.event));
-        loop {
-            self.clean_back(idx);
-            match self.buckets[idx].last() {
-                Some(e) if e.at == t => {}
-                _ => break,
-            }
-            let Some(e) = self.buckets[idx].pop() else {
-                break;
-            };
-            self.retire(e.slot);
-            self.popped += 1;
+        while let Some(e) = self.buckets[idx].pop_if(|e| e.at == t) {
             out.push((t, e.event));
         }
+        self.live -= out.len();
+        self.popped += out.len() as u64;
         let nbuckets = self.buckets.len();
-        if (self.live < nbuckets / 4 && nbuckets > MIN_BUCKETS)
-            || self.dead > 2 * self.live + 64
-        {
+        if self.live < nbuckets / 4 && nbuckets > MIN_BUCKETS {
             self.resize();
         }
         out.len()
     }
 
-    /// Retires a fired entry's slot: bumps the generation so a stale
-    /// cancel of its id reports false, then recycles it.
-    fn retire(&mut self, slot: u32) {
-        let gen = &mut self.slot_gens[slot as usize];
-        *gen = gen.wrapping_add(1);
-        self.free_slots.push(slot);
-        self.live -= 1;
-    }
-
-    /// Timestamp of the next live event without popping it.
-    ///
-    /// Takes `&mut self` because locating the minimum sweeps cancelled
-    /// entries off bucket backs.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    /// Timestamp of the next event without popping it.
+    pub fn peek_time(&self) -> Option<SimTime> {
         let idx = self.locate_min()?;
         self.buckets[idx].last().map(|e| e.at)
     }
 
-    /// `true` when no live events remain.
-    ///
-    /// Takes `&mut self` for parity with [`Scheduler::peek_time`].
-    #[allow(clippy::len_without_is_empty, clippy::wrong_self_convention)]
-    pub fn is_empty(&mut self) -> bool {
+    /// `true` when no events are pending.
+    pub fn is_empty(&self) -> bool {
         self.live == 0
     }
 
-    /// Number of live (pending, not cancelled) events.
-    #[allow(clippy::len_without_is_empty)] // is_empty exists, but needs &mut
+    /// Number of pending events.
     pub fn len(&self) -> usize {
         self.live
     }
 
-    /// Rebuilds the calendar for the current live population: drops
-    /// tombstones, recomputes the bucket count (≈ one live event per
-    /// bucket) and the bucket width (≈ the mean gap between now and the
-    /// farthest event, so one rotation covers the whole horizon).
+    /// Rebuilds the calendar for the current population: recomputes the
+    /// bucket count (≈ one event per bucket) and the bucket width (≈ the
+    /// mean gap between now and the farthest event, so one rotation
+    /// covers the whole horizon).
     fn resize(&mut self) {
         let mut all: Vec<Entry<E>> = Vec::with_capacity(self.live);
-        {
-            let slot_gens = &self.slot_gens;
-            let free_slots = &mut self.free_slots;
-            for bucket in &mut self.buckets {
-                for e in bucket.drain(..) {
-                    if slot_gens[e.slot as usize] == e.gen {
-                        all.push(e);
-                    } else {
-                        free_slots.push(e.slot);
-                    }
-                }
-            }
+        for bucket in &mut self.buckets {
+            all.append(bucket);
         }
-        self.dead = 0;
         debug_assert_eq!(all.len(), self.live);
 
         let nbuckets = all
@@ -409,14 +284,13 @@ impl<E> std::fmt::Debug for Scheduler<E> {
             .field("buckets", &self.buckets.len())
             .field("width_ns", &(1u64 << self.shift))
             .field("live", &self.live)
-            .field("dead", &self.dead)
             .field("delivered", &self.popped)
             .finish()
     }
 }
 
 // ---------------------------------------------------------------------------
-// The legacy binary-heap scheduler, kept verbatim as the test oracle.
+// The binary-heap scheduler, kept as the test oracle.
 // ---------------------------------------------------------------------------
 
 struct HeapEntry<E> {
@@ -446,21 +320,17 @@ impl<E> Ord for HeapEntry<E> {
     }
 }
 
-/// The original binary-heap scheduler, retained as the differential-test
-/// oracle and the performance baseline for the calendar queue.
+/// A binary-heap scheduler, retained as the differential-test oracle
+/// for the calendar queue.
 ///
 /// Semantics are identical to [`Scheduler`] — `(time, sequence)` ordering,
-/// past-scheduling panics, tombstone cancellation — and the
-/// `sched_equivalence` suite holds the two to identical pop order under
-/// randomized workloads. Not used in production worlds.
+/// past-scheduling panics — and the `sched_equivalence` suite holds the
+/// two to identical pop order under randomized workloads. Not used in
+/// production worlds.
 pub struct HeapScheduler<E> {
     now: SimTime,
     next_event_seq: u64,
     heap: BinaryHeap<HeapEntry<E>>,
-    /// Sequence numbers of scheduled-but-not-yet-fired, not-cancelled
-    /// events. A `BTreeSet` keeps the scheduler free of hash-iteration
-    /// order even though `live` is only probed for membership.
-    live: BTreeSet<u64>,
     popped: u64,
 }
 
@@ -477,7 +347,6 @@ impl<E> HeapScheduler<E> {
             now: SimTime::ZERO,
             next_event_seq: 0,
             heap: BinaryHeap::new(),
-            live: BTreeSet::new(),
             popped: 0,
         }
     }
@@ -497,7 +366,7 @@ impl<E> HeapScheduler<E> {
     /// # Panics
     ///
     /// Panics if `at` is earlier than `now()`.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: at={at:?} now={:?}",
@@ -505,35 +374,22 @@ impl<E> HeapScheduler<E> {
         );
         let seq = self.next_event_seq;
         self.next_event_seq += 1;
-        self.live.insert(seq);
         self.heap.push(HeapEntry { at, seq, event });
-        EventId(seq)
     }
 
     /// Schedules `event` to fire `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventId {
+    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
         self.schedule_at(self.now + delay, event)
     }
 
-    /// Cancels a scheduled event. Returns `true` if the event had not yet
-    /// fired or been cancelled. Cancelling an already-fired event is a no-op.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.live.remove(&id.0)
-    }
-
-    /// Removes and returns the next live event, advancing the clock to its
+    /// Removes and returns the next event, advancing the clock to its
     /// timestamp. Returns `None` when the queue is exhausted.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if !self.live.remove(&entry.seq) {
-                continue;
-            }
-            debug_assert!(entry.at >= self.now);
-            self.now = entry.at;
-            self.popped += 1;
-            return Some((entry.at, entry.event));
-        }
-        None
+        let entry = self.heap.pop()?;
+        debug_assert!(entry.at >= self.now);
+        self.now = entry.at;
+        self.popped += 1;
+        Some((entry.at, entry.event))
     }
 
     /// Drains the entire run of events sharing the earliest timestamp
@@ -558,31 +414,19 @@ impl<E> HeapScheduler<E> {
         out.len()
     }
 
-    /// Timestamp of the next live event without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(entry) = self.heap.peek() {
-            if !self.live.contains(&entry.seq) {
-                self.heap.pop();
-                continue;
-            }
-            return Some(entry.at);
-        }
-        None
+    /// Timestamp of the next event without popping it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|entry| entry.at)
     }
 
-    /// `true` when no live events remain.
-    ///
-    /// Takes `&mut self` because checking collects cancelled-entry
-    /// tombstones off the heap top.
-    #[allow(clippy::len_without_is_empty, clippy::wrong_self_convention)]
-    pub fn is_empty(&mut self) -> bool {
-        self.peek_time().is_none()
+    /// `true` when no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
     }
 
-    /// Number of live (pending, not cancelled) events.
-    #[allow(clippy::len_without_is_empty)] // is_empty exists, but needs &mut
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.heap.len()
     }
 }
 
@@ -591,7 +435,6 @@ impl<E> std::fmt::Debug for HeapScheduler<E> {
         f.debug_struct("HeapScheduler")
             .field("now", &self.now)
             .field("pending", &self.heap.len())
-            .field("live", &self.live.len())
             .field("delivered", &self.popped)
             .finish()
     }
@@ -649,34 +492,6 @@ mod tests {
                 }
 
                 #[test]
-                fn cancel_prevents_delivery() {
-                    let mut s: $sched<u32> = $sched::new();
-                    let id = s.schedule_at(SimTime::from_nanos(1), 1);
-                    s.schedule_at(SimTime::from_nanos(2), 2);
-                    assert!(s.cancel(id));
-                    assert!(!s.cancel(id), "double cancel reports false");
-                    assert_eq!(s.pop().map(|(_, e)| e), Some(2));
-                }
-
-                #[test]
-                fn cancel_after_fire_is_noop() {
-                    let mut s: $sched<u32> = $sched::new();
-                    let id = s.schedule_at(SimTime::from_nanos(1), 1);
-                    assert_eq!(s.pop().map(|(_, e)| e), Some(1));
-                    assert!(!s.cancel(id));
-                }
-
-                #[test]
-                fn peek_skips_cancelled() {
-                    let mut s: $sched<u32> = $sched::new();
-                    let id = s.schedule_at(SimTime::from_nanos(1), 1);
-                    s.schedule_at(SimTime::from_nanos(7), 2);
-                    s.cancel(id);
-                    assert_eq!(s.peek_time(), Some(SimTime::from_nanos(7)));
-                    assert_eq!(s.len(), 1);
-                }
-
-                #[test]
                 fn schedule_in_is_relative_to_now() {
                     let mut s: $sched<u32> = $sched::new();
                     s.schedule_at(SimTime::from_nanos(100), 1);
@@ -721,35 +536,14 @@ mod tests {
                 }
 
                 #[test]
-                fn pop_run_skips_cancelled_entries_inside_the_run() {
-                    let mut s: $sched<u32> = $sched::new();
-                    let _a = s.schedule_at(SimTime::from_nanos(10), 0);
-                    let b = s.schedule_at(SimTime::from_nanos(10), 1);
-                    let _c = s.schedule_at(SimTime::from_nanos(10), 2);
-                    s.cancel(b);
-                    let mut out = Vec::new();
-                    assert_eq!(s.pop_run(&mut out), 2);
-                    let got: Vec<u32> = out.iter().map(|&(_, e)| e).collect();
-                    assert_eq!(got, vec![0, 2]);
-                    assert_eq!(s.events_delivered(), 2);
-                }
-
-                #[test]
                 fn pop_run_matches_sequential_pops() {
                     // Same mixed workload through both drain styles must
                     // yield the identical (time, payload) stream.
                     let build = || {
                         let mut s: $sched<u32> = $sched::new();
-                        let mut cancels = Vec::new();
                         for i in 0..200u32 {
                             let at = SimTime::from_nanos(u64::from(i * 13 % 29));
-                            let id = s.schedule_at(at, i);
-                            if i % 7 == 0 {
-                                cancels.push(id);
-                            }
-                        }
-                        for id in cancels {
-                            s.cancel(id);
+                            s.schedule_at(at, i);
                         }
                         s
                     };
@@ -812,27 +606,7 @@ mod tests {
     }
 
     #[test]
-    fn slot_reuse_does_not_resurrect_stale_ids() {
-        let mut s: Scheduler<u32> = Scheduler::new();
-        let a = s.schedule_at(SimTime::from_nanos(1), 1);
-        assert_eq!(s.pop().map(|(_, e)| e), Some(1));
-        // The slot is recycled for b; the stale id must not cancel it.
-        let _b = s.schedule_at(SimTime::from_nanos(2), 2);
-        assert!(!s.cancel(a));
-        assert_eq!(s.pop().map(|(_, e)| e), Some(2));
-    }
-
-    #[test]
-    fn mass_cancellation_triggers_tombstone_purge() {
-        let mut s: Scheduler<usize> = Scheduler::new();
-        let ids: Vec<EventId> = (0..500)
-            .map(|i| s.schedule_at(SimTime::from_nanos(1 + i as u64), i))
-            .collect();
-        for id in ids.iter().take(499) {
-            assert!(s.cancel(*id));
-        }
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.pop().map(|(_, e)| e), Some(499));
-        assert!(s.is_empty());
+    fn a_48_byte_event_makes_a_one_cache_line_entry() {
+        assert_eq!(std::mem::size_of::<Entry<[u64; 6]>>(), 64);
     }
 }

@@ -5,10 +5,11 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use ftgm_core::{restore_port_state, FtSystem};
+use ftgm_core::{restore_port_state, FtSystem, RestoreSummary};
 use ftgm_faults::{Outcome, RunConfig};
 use ftgm_gm::apps::{PatternReceiver, PatternSender, TrafficStats};
 use ftgm_gm::{World, WorldConfig};
+use ftgm_host::CpuCost;
 use ftgm_lanai::timers::TimerId;
 use ftgm_net::NodeId;
 use ftgm_sim::{SimDuration, TraceKind};
@@ -219,6 +220,32 @@ fn restore_port_state_reentry_is_idempotent() {
     let s = stats.borrow();
     assert!(s.received_ok > before, "traffic resumed after double restore");
     assert!(s.clean(), "double restore broke exactly-once: {s:?}");
+}
+
+#[test]
+fn restore_is_total_over_its_arguments() {
+    // The handler IS the recovery path: a port that was never opened, a
+    // port past the table and a node that does not exist restore nothing
+    // and touch nothing, instead of panicking on an index.
+    let (mut w, _ft) = ft_world();
+    let _stats = traffic(&mut w, NodeId(0), 0, NodeId(1), 2);
+    w.run_for(SimDuration::from_ms(50));
+    let queued = w.nodes[0].mcp.queued_sends();
+    let charged = w.nodes[0].host.cpu.count_for(CpuCost::Recovery);
+    for (node, port) in [(NodeId(0), 7), (NodeId(0), 8), (NodeId(99), 0)] {
+        let summary = restore_port_state(&mut w, node, port);
+        assert_eq!(summary, RestoreSummary::default(), "{node:?} port {port}");
+        assert_eq!(
+            w.nodes[0].mcp.queued_sends(),
+            queued,
+            "{node:?} port {port}"
+        );
+        assert_eq!(
+            w.nodes[0].host.cpu.count_for(CpuCost::Recovery),
+            charged,
+            "{node:?} port {port}"
+        );
+    }
 }
 
 #[test]
