@@ -10,7 +10,7 @@
 //! * **per-process recovery time** — `FAULT_DETECTED` delivered → port
 //!   reopened (~900,000 µs).
 
-use ftgm_sim::{SimDuration, SimTime, Trace, TraceKind};
+use ftgm_sim::{SimDuration, SimTime, Trace, TraceEvent, TraceKind};
 
 /// The recovery-time breakdown of one fault-recovery episode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -26,33 +26,28 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
-    /// Extracts the most recent complete episode from a trace.
+    /// Extracts the most recent episode from a trace, if it is complete.
     ///
+    /// The episode is anchored on the last fault activation; its other
+    /// three milestones must follow on that fault's node, in order.
     /// Returns `None` if any milestone is missing (e.g. the fault was not
     /// detected).
     pub fn from_trace(trace: &Trace) -> Option<RecoveryReport> {
-        let fault_at = trace
-            .last_where(|k| {
-                matches!(
-                    k,
-                    TraceKind::FaultInjected { .. } | TraceKind::ForcedHang { .. }
-                )
-            })?
-            .at;
-        let ftd_woken_at = trace
-            .last_where(|k| matches!(k, TraceKind::FtdWoken { .. }))?
-            .at;
-        let ftd_done_at = trace
-            .last_where(|k| matches!(k, TraceKind::FaultDetectedPosted { .. }))?
-            .at;
-        let ports_reopened_at = trace
-            .last_where(|k| matches!(k, TraceKind::PortReopened { .. }))?
-            .at;
+        let events = trace.events();
+        let is_fault =
+            |k: &TraceKind| matches!(k, TraceKind::FaultInjected { .. } | TraceKind::ForcedHang { .. });
+        let episode = events.get(events.iter().rposition(|e| is_fault(&e.kind))?..)?;
+        let node = episode.first()?.kind.node();
+        let woken = tail_from(episode, node, false, |k| matches!(k, TraceKind::FtdWoken { .. }))?;
+        let done = tail_from(woken, node, true, |k| {
+            matches!(k, TraceKind::FaultDetectedPosted { .. })
+        })?;
+        let reopened = tail_from(done, node, true, |k| matches!(k, TraceKind::PortReopened { .. }))?;
         Some(RecoveryReport {
-            fault_at,
-            ftd_woken_at,
-            ftd_done_at,
-            ports_reopened_at,
+            fault_at: episode.first()?.at,
+            ftd_woken_at: woken.first()?.at,
+            ftd_done_at: done.first()?.at,
+            ports_reopened_at: reopened.first()?.at,
         })
     }
 
@@ -75,6 +70,23 @@ impl RecoveryReport {
     pub fn total(&self) -> SimDuration {
         self.ports_reopened_at.saturating_since(self.fault_at)
     }
+}
+
+/// The tail of `events` from the first (or `last`) event on `node` whose
+/// kind matches `pred`.
+fn tail_from(
+    events: &[TraceEvent],
+    node: Option<u16>,
+    last: bool,
+    pred: fn(&TraceKind) -> bool,
+) -> Option<&[TraceEvent]> {
+    let hit = |e: &TraceEvent| e.kind.node() == node && pred(&e.kind);
+    let at = if last {
+        events.iter().rposition(hit)
+    } else {
+        events.iter().position(hit)
+    }?;
+    events.get(at..)
 }
 
 #[cfg(test)]
@@ -138,5 +150,29 @@ mod tests {
         let r = RecoveryReport::from_trace(&tr).unwrap();
         assert_eq!(r.fault_at, t(5_000_000));
         assert_eq!(r.detection(), SimDuration::from_us(800));
+    }
+
+    #[test]
+    fn a_later_undetected_fault_is_not_stitched_onto_an_earlier_episode() {
+        let mut tr = sample_trace();
+        tr.emit(t(5_000_000), TraceKind::ForcedHang { node: 3 });
+        assert_eq!(RecoveryReport::from_trace(&tr), None);
+    }
+
+    #[test]
+    fn another_nodes_milestones_do_not_complete_an_episode() {
+        // Node 3 hangs first and is never detected; node 1's complete
+        // episode then runs around it. The last fault is node 1's.
+        let mut tr = Trace::enabled();
+        tr.emit(t(0), TraceKind::ForcedHang { node: 3 });
+        for ev in sample_trace().events() {
+            tr.emit(ev.at + SimDuration::from_us(100), ev.kind);
+        }
+        let r = RecoveryReport::from_trace(&tr).expect("node 1's episode");
+        assert_eq!((r.fault_at, r.total()), (t(100), SimDuration::from_us(1_665_800)));
+        // A fault on node 3 after that finds none of node 1's milestones.
+        tr.emit(t(1_700_000), TraceKind::FaultInjected { node: 3, bit: 9 });
+        tr.emit(t(1_700_800), TraceKind::FtdWoken { node: 3 });
+        assert_eq!(RecoveryReport::from_trace(&tr), None);
     }
 }
