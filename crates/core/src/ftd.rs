@@ -165,137 +165,49 @@ pub fn probe_confirms_hang(world: &World, node: NodeId) -> bool {
         .unwrap_or(true)
 }
 
-/// The timed phases of the FTD's reset-and-restore sequence.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FtdPhase {
-    /// Disable interrupts, unmap I/O, reset the card.
-    Reset,
-    /// Clear all of SRAM.
-    ClearSram,
-    /// PIO-write the MCP image over the EBUS.
-    ReloadMcp,
-    /// Restart the DMA engine, re-enable interrupts.
-    RestartEngines,
-    /// Re-register the host page hash table with the MCP.
-    RestorePageTable,
-    /// Restore mapping/route tables into SRAM.
-    RestoreRoutes,
+/// The duration of `phase` on `world`/`node`.
+pub fn phase_duration(world: &World, node: NodeId, phase: RecoveryPhase) -> SimDuration {
+    let d = &world.nodes[node.0 as usize].host.driver;
+    let p = *d.params();
+    match phase {
+        RecoveryPhase::Reset => p.reset_settle,
+        RecoveryPhase::ClearSram => p.sram_clear,
+        RecoveryPhase::ReloadMcp => d.mcp_load_time(),
+        RecoveryPhase::RestartEngines => SimDuration::from_us(200),
+        RecoveryPhase::RestorePageTable => p.page_table_restore,
+        RecoveryPhase::RestoreRoutes => p.route_table_restore,
+    }
 }
 
-impl FtdPhase {
-    /// All phases in execution order.
-    pub const ORDER: [FtdPhase; 6] = [
-        FtdPhase::Reset,
-        FtdPhase::ClearSram,
-        FtdPhase::ReloadMcp,
-        FtdPhase::RestartEngines,
-        FtdPhase::RestorePageTable,
-        FtdPhase::RestoreRoutes,
-    ];
-
-    /// The phase's position within [`FtdPhase::ORDER`] (the index the
-    /// world's `ftd_phase` hook reports, so crates below `ftgm-core` can
-    /// name phases without depending on this type).
-    pub fn index(self) -> usize {
-        match self {
-            FtdPhase::Reset => 0,
-            FtdPhase::ClearSram => 1,
-            FtdPhase::ReloadMcp => 2,
-            FtdPhase::RestartEngines => 3,
-            FtdPhase::RestorePageTable => 4,
-            FtdPhase::RestoreRoutes => 5,
+/// Executes the state change of `phase` (timing handled by the caller).
+pub fn apply_phase(world: &mut World, node: NodeId, phase: RecoveryPhase) {
+    let n = node.0 as usize;
+    match phase {
+        RecoveryPhase::Reset => {
+            world.nodes[n].host.driver.set_interrupts_enabled(false);
+            world.abort_host_dma(node);
+            // The chip reset itself happens with the reload below; the
+            // settle time is what this phase charges.
         }
-    }
-
-    /// The trace layer's name for this phase (so emitted
-    /// [`TraceKind::RecoveryPhaseDone`] events and the metrics histograms
-    /// stay decoupled from this executable type).
-    pub fn recovery_phase(self) -> RecoveryPhase {
-        match self {
-            FtdPhase::Reset => RecoveryPhase::Reset,
-            FtdPhase::ClearSram => RecoveryPhase::ClearSram,
-            FtdPhase::ReloadMcp => RecoveryPhase::ReloadMcp,
-            FtdPhase::RestartEngines => RecoveryPhase::RestartEngines,
-            FtdPhase::RestorePageTable => RecoveryPhase::RestorePageTable,
-            FtdPhase::RestoreRoutes => RecoveryPhase::RestoreRoutes,
+        RecoveryPhase::ClearSram => {
+            // Folded into reset_and_reload (clear + reload must be
+            // atomic against the simulation's view).
         }
-    }
-
-    /// Stable snake_case name, the spelling the scenario DSL uses for
-    /// `on node N phase <name>` triggers.
-    pub fn name(self) -> &'static str {
-        match self {
-            FtdPhase::Reset => "reset",
-            FtdPhase::ClearSram => "clear_sram",
-            FtdPhase::ReloadMcp => "reload_mcp",
-            FtdPhase::RestartEngines => "restart_engines",
-            FtdPhase::RestorePageTable => "restore_page_table",
-            FtdPhase::RestoreRoutes => "restore_routes",
+        RecoveryPhase::ReloadMcp => {
+            let image = world.nodes[n].host.driver.mcp_image().to_vec();
+            world.nodes[n].mcp.reset_and_reload(&image);
         }
-    }
-
-    /// Parses a snake_case phase name back to the phase (the inverse of
-    /// [`FtdPhase::name`]).
-    pub fn from_name(name: &str) -> Option<FtdPhase> {
-        FtdPhase::ORDER.into_iter().find(|p| p.name() == name)
-    }
-
-    /// Human-readable label for traces.
-    pub fn label(self) -> &'static str {
-        match self {
-            FtdPhase::Reset => "card reset",
-            FtdPhase::ClearSram => "clear SRAM",
-            FtdPhase::ReloadMcp => "reload MCP",
-            FtdPhase::RestartEngines => "restart DMA engines + IRQs",
-            FtdPhase::RestorePageTable => "restore page hash table",
-            FtdPhase::RestoreRoutes => "restore mapping/route tables",
+        RecoveryPhase::RestartEngines => {
+            world.nodes[n].host.driver.set_interrupts_enabled(true);
         }
-    }
-
-    /// The phase's duration on `world`/`node`.
-    pub fn duration(self, world: &World, node: NodeId) -> SimDuration {
-        let d = &world.nodes[node.0 as usize].host.driver;
-        let p = *d.params();
-        match self {
-            FtdPhase::Reset => p.reset_settle,
-            FtdPhase::ClearSram => p.sram_clear,
-            FtdPhase::ReloadMcp => d.mcp_load_time(),
-            FtdPhase::RestartEngines => SimDuration::from_us(200),
-            FtdPhase::RestorePageTable => p.page_table_restore,
-            FtdPhase::RestoreRoutes => p.route_table_restore,
+        RecoveryPhase::RestorePageTable => {
+            // The table lives in host memory ([`ftgm_host::PageHashTable`]);
+            // the MCP caches entries on demand, so re-registering is a
+            // notification, not a data copy.
         }
-    }
-
-    /// Executes the phase's state change (timing handled by the caller).
-    pub fn apply(self, world: &mut World, node: NodeId) {
-        let n = node.0 as usize;
-        match self {
-            FtdPhase::Reset => {
-                world.nodes[n].host.driver.set_interrupts_enabled(false);
-                world.abort_host_dma(node);
-                // The chip reset itself happens with the reload below; the
-                // settle time is what this phase charges.
-            }
-            FtdPhase::ClearSram => {
-                // Folded into reset_and_reload (clear + reload must be
-                // atomic against the simulation's view).
-            }
-            FtdPhase::ReloadMcp => {
-                let image = world.nodes[n].host.driver.mcp_image().to_vec();
-                world.nodes[n].mcp.reset_and_reload(&image);
-            }
-            FtdPhase::RestartEngines => {
-                world.nodes[n].host.driver.set_interrupts_enabled(true);
-            }
-            FtdPhase::RestorePageTable => {
-                // The table lives in host memory ([`ftgm_host::PageHashTable`]);
-                // the MCP caches entries on demand, so re-registering is a
-                // notification, not a data copy.
-            }
-            FtdPhase::RestoreRoutes => {
-                let routes = world.nodes[n].route_backup.clone();
-                world.nodes[n].mcp.set_routes(routes);
-            }
+        RecoveryPhase::RestoreRoutes => {
+            let routes = world.nodes[n].route_backup.clone();
+            world.nodes[n].mcp.set_routes(routes);
         }
     }
 }

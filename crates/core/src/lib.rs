@@ -51,9 +51,9 @@ use std::rc::Rc;
 
 use ftgm_gm::World;
 use ftgm_net::NodeId;
-use ftgm_sim::{SimDuration, SimTime, TraceKind};
+use ftgm_sim::{RecoveryPhase, SimDuration, SimTime, TraceKind};
 
-use ftd::{FtdPhase, FtdState, FTD_WAKE_LATENCY};
+use ftd::{FtdState, FTD_WAKE_LATENCY};
 pub use coordinator::{Coordinator, CoordinatorConfig};
 pub use ftd::RetryPolicy;
 pub use recovery::{restore_port_state, RestoreSummary, PER_PROCESS_RECOVERY};
@@ -266,24 +266,24 @@ impl FtSystem {
         );
         // Run the phased reset/restore sequence.
         let mut cumulative = SimDuration::ZERO;
-        for phase in FtdPhase::ORDER {
-            let dur = phase.duration(world, node);
+        for phase in RecoveryPhase::ORDER {
+            let dur = ftd::phase_duration(world, node, phase);
             cumulative += dur;
             world.schedule_call(cumulative, move |w| {
-                phase.apply(w, node);
+                ftd::apply_phase(w, node, phase);
                 let now = w.now();
                 w.trace.emit(
                     now,
                     TraceKind::RecoveryPhaseDone {
                         node: node.0,
-                        phase: phase.recovery_phase(),
+                        phase,
                         dur,
                     },
                 );
                 // Chaos hook: lets experiments inject faults timed to land
                 // inside this exact recovery phase.
                 if let Some(hook) = w.hooks.ftd_phase.clone() {
-                    hook(w, node, phase.index());
+                    hook(w, node, phase);
                 }
             });
         }

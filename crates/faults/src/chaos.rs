@@ -30,13 +30,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use ftgm_core::ftd::FtdPhase;
 use ftgm_core::{Coordinator, CoordinatorConfig, FtSystem, RetryPolicy};
 use ftgm_gm::apps::{PatternReceiver, PatternSender, TrafficStats};
 use ftgm_gm::{World, WorldConfig};
 use ftgm_net::fabric::LinkFaults;
 use ftgm_net::{reroute, NodeId, SwitchId};
-use ftgm_sim::{export, Metrics, SimDuration, SimRng, TraceKind, ZoneTrigger};
+use ftgm_sim::{export, Metrics, RecoveryPhase, SimDuration, SimRng, TraceKind, ZoneTrigger};
 
 use crate::classify::{classify_resolution, Resolution};
 use crate::inject::{flip_random_bit, InjectionTarget};
@@ -210,7 +209,7 @@ pub struct PhaseTrigger {
     /// Node whose FTD is watched.
     pub node: u16,
     /// Phase whose completion pulls the trigger.
-    pub phase: FtdPhase,
+    pub phase: RecoveryPhase,
     /// What happens.
     pub action: ChaosAction,
     /// How many times the trigger may fire before disarming.
@@ -220,7 +219,7 @@ pub struct PhaseTrigger {
 impl PhaseTrigger {
     /// A trigger that fires `times` times when `node`'s FTD completes
     /// `phase`, then disarms.
-    pub fn times(node: u16, phase: FtdPhase, action: ChaosAction, times: u32) -> PhaseTrigger {
+    pub fn times(node: u16, phase: RecoveryPhase, action: ChaosAction, times: u32) -> PhaseTrigger {
         PhaseTrigger {
             node,
             phase,
@@ -230,7 +229,7 @@ impl PhaseTrigger {
     }
 
     /// A one-shot trigger on `node` completing `phase`.
-    pub fn once(node: u16, phase: FtdPhase, action: ChaosAction) -> PhaseTrigger {
+    pub fn once(node: u16, phase: RecoveryPhase, action: ChaosAction) -> PhaseTrigger {
         PhaseTrigger::times(node, phase, action, 1)
     }
 }
@@ -611,12 +610,12 @@ fn run_scenario_core(scenario: &ChaosScenario, seed: u64) -> (ChaosReport, World
     if !scenario.phase_triggers.is_empty() {
         let triggers = Rc::new(RefCell::new(scenario.phase_triggers.clone()));
         let hook_rng = rng.clone();
-        world.hooks.ftd_phase = Some(Rc::new(move |w, node, phase_idx| {
+        world.hooks.ftd_phase = Some(Rc::new(move |w, node, phase| {
             let mut due: Vec<ChaosAction> = Vec::new();
             {
                 let mut ts = triggers.borrow_mut();
                 for t in ts.iter_mut() {
-                    if t.remaining > 0 && t.node == node.0 && t.phase.index() == phase_idx {
+                    if t.remaining > 0 && t.node == node.0 && t.phase == phase {
                         t.remaining -= 1;
                         due.push(t.action.clone());
                     }

@@ -27,7 +27,9 @@ use ftgm_lanai::chip::{isr, HostDmaDir, HostDmaReq, WireFrame};
 use ftgm_mcp::machine::{McpEffect, NicEvent, RecvTokenDesc, SendDesc};
 use ftgm_mcp::{McpMachine, McpParams};
 use ftgm_net::{reroute, DropReason, Fabric, FabricParams, Mapper, NodeId, RouteTable, Topology};
-use ftgm_sim::{DmaDir, DropKind, Scheduler, SimDuration, SimTime, Trace, TraceKind};
+use ftgm_sim::{
+    DmaDir, DropKind, RecoveryPhase, Scheduler, SimDuration, SimTime, Trace, TraceKind,
+};
 
 use crate::backup::PortBackup;
 
@@ -232,10 +234,10 @@ impl NodeSim {
 pub type FatalIrqHook = Rc<dyn Fn(&mut World, NodeId)>;
 /// A hook on the library's `FAULT_DETECTED` (`gm_unknown()`) path.
 pub type FaultEventHook = Rc<dyn Fn(&mut World, NodeId, u8)>;
-/// A hook fired right after each FTD recovery phase applies on a node.
-/// The `usize` is the phase's index in the FTD's execution order; chaos
-/// experiments use it to time fault injections inside specific phases.
-pub type FtdPhaseHook = Rc<dyn Fn(&mut World, NodeId, usize)>;
+/// A hook fired right after each FTD recovery phase applies on a node,
+/// with the phase that just completed; chaos experiments use it to time
+/// fault injections inside specific phases.
+pub type FtdPhaseHook = Rc<dyn Fn(&mut World, NodeId, RecoveryPhase)>;
 
 /// Recovery hooks installed by `ftgm-core`.
 #[derive(Clone, Default)]

@@ -31,7 +31,7 @@ use std::path::{Path, PathBuf};
 pub struct ChainHop {
     /// Repo-relative path of the hop's defining file.
     pub file: String,
-    /// The hop's function symbol (`FtdPhase::apply`, `ftd_main`, …).
+    /// The hop's function symbol (`apply_phase`, `ftd_main`, …).
     pub symbol: String,
 }
 

@@ -5,15 +5,15 @@
 //! [`crate::parse::Diag`]s. That keeps the pretty-printer round trip
 //! exact — `parse(print(spec)) == spec` compares these types directly
 //! with derived `PartialEq` — and keeps the compiler
-//! ([`crate::compile`]) free of source-location bookkeeping.
+//! ([`mod@crate::compile`]) free of source-location bookkeeping.
 //!
 //! Every quantity is an integer: durations are a value plus an explicit
 //! unit (never normalized, so the printer reproduces the author's
 //! spelling), and probabilities are permille. No float ever appears in
 //! a scenario file.
 
-use ftgm_core::ftd::FtdPhase;
-use ftgm_sim::SimDuration;
+use ftgm_sim::{RecoveryPhase, SimDuration};
+use ftgm_workload::PhaseKind;
 
 /// A duration literal: integer value plus the unit it was written in.
 ///
@@ -172,47 +172,11 @@ impl Topo {
     }
 }
 
-/// Phase names in timeline order (mirrors `ftgm_workload::PhaseKind`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum PhaseName {
-    /// Ramp-up.
-    Warmup,
-    /// Steady state; SLO bounds apply.
-    Steady,
-    /// Declared fault window.
-    Fault,
-    /// Generators stop; in-flight traffic lands.
-    Drain,
-}
-
-impl PhaseName {
-    /// Source spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            PhaseName::Warmup => "warmup",
-            PhaseName::Steady => "steady",
-            PhaseName::Fault => "fault",
-            PhaseName::Drain => "drain",
-        }
-    }
-
-    /// Parses a source spelling back to the phase name.
-    pub fn from_name(name: &str) -> Option<PhaseName> {
-        match name {
-            "warmup" => Some(PhaseName::Warmup),
-            "steady" => Some(PhaseName::Steady),
-            "fault" => Some(PhaseName::Fault),
-            "drain" => Some(PhaseName::Drain),
-            _ => None,
-        }
-    }
-}
-
 /// One timeline phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PhaseDecl {
     /// Which phase.
-    pub kind: PhaseName,
+    pub kind: PhaseKind,
     /// How long it lasts.
     pub duration: Dur,
 }
@@ -377,7 +341,7 @@ pub enum Action {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultDecl {
     /// Declared phase the fault fires in.
-    pub phase: PhaseName,
+    pub phase: PhaseKind,
     /// Offset after that phase starts.
     pub at: Dur,
     /// The fault primitive.
@@ -391,7 +355,7 @@ pub struct TriggerDecl {
     /// Node whose FTD is watched.
     pub node: u16,
     /// FTD phase whose completion pulls the trigger.
-    pub phase: FtdPhase,
+    pub phase: RecoveryPhase,
     /// The fault primitive.
     pub action: Action,
     /// Fire budget before the trigger disarms.
@@ -472,7 +436,7 @@ pub struct Spec {
 
 impl Spec {
     /// The duration of the first phase of kind `kind`, if declared.
-    pub fn phase_duration(&self, kind: PhaseName) -> Option<Dur> {
+    pub fn phase_duration(&self, kind: PhaseKind) -> Option<Dur> {
         self.phases
             .iter()
             .find(|p| p.kind == kind)

@@ -26,9 +26,7 @@ use ftgm_workload::{
     WorkloadSpec,
 };
 
-use crate::ast::{
-    Action, ArrivalDecl, Expect, FlowKind, MixDecl, PhaseName, Spec, Target,
-};
+use crate::ast::{Action, ArrivalDecl, Expect, FlowKind, MixDecl, Spec, Target};
 
 /// Default master seed (the paper's publication year) when a scenario
 /// does not pin one.
@@ -132,15 +130,6 @@ fn lower_action(a: &Action) -> ChaosAction {
     }
 }
 
-fn lower_phase(kind: PhaseName) -> PhaseKind {
-    match kind {
-        PhaseName::Warmup => PhaseKind::Warmup,
-        PhaseName::Steady => PhaseKind::Steady,
-        PhaseName::Fault => PhaseKind::Fault,
-        PhaseName::Drain => PhaseKind::Drain,
-    }
-}
-
 fn lower_mix(m: &MixDecl) -> SizeMix {
     match m {
         MixDecl::Fixed(bytes) => SizeMix::Fixed { bytes: *bytes },
@@ -178,7 +167,7 @@ fn lower_expect(e: Expect) -> ScenarioVerdict {
 }
 
 /// Nanosecond offset of the start of the first phase of kind `kind`.
-fn phase_start_ns(spec: &Spec, kind: PhaseName) -> u64 {
+fn phase_start_ns(spec: &Spec, kind: PhaseKind) -> u64 {
     let mut ns = 0u64;
     for p in &spec.phases {
         if p.kind == kind {
@@ -198,7 +187,7 @@ pub fn compile(spec: &Spec) -> CompiledScenario {
     let seed = spec.seed.unwrap_or(DEFAULT_SEED);
     let topology = lower_topology(spec.topology);
     let warmup_ns = spec
-        .phase_duration(PhaseName::Warmup)
+        .phase_duration(PhaseKind::Warmup)
         .map_or(0, |d| d.as_nanos());
     let total_ns: u64 = spec
         .phases
@@ -254,7 +243,7 @@ pub fn compile(spec: &Spec) -> CompiledScenario {
     let workload = spec.has_load().then(|| {
         let mut w = WorkloadSpec::new(spec.name.clone(), topology, Variant::Ftgm, seed);
         for p in &spec.phases {
-            w = w.phase(lower_phase(p.kind), p.duration.to_sim());
+            w = w.phase(p.kind, p.duration.to_sim());
         }
         for f in &spec.flows {
             let model = match &f.kind {
@@ -368,16 +357,16 @@ mod tests {
             ],
             phases: vec![
                 PhaseDecl {
-                    kind: PhaseName::Warmup,
+                    kind: PhaseKind::Warmup,
                     duration: Dur::ms(10),
                 },
                 PhaseDecl {
-                    kind: PhaseName::Fault,
+                    kind: PhaseKind::Fault,
                     duration: Dur::ms(100),
                 },
             ],
             faults: vec![FaultDecl {
-                phase: PhaseName::Fault,
+                phase: PhaseKind::Fault,
                 at: Dur::ms(5),
                 action: Action::Hang { node: 1 },
             }],
@@ -426,7 +415,7 @@ mod tests {
         spec.phases.insert(
             1,
             PhaseDecl {
-                kind: PhaseName::Steady,
+                kind: PhaseKind::Steady,
                 duration: Dur::ms(50),
             },
         );

@@ -5,11 +5,12 @@
 //! `parse(print(spec))` to pin the exact round trip; determinism (a
 //! seed always yields the same spec) keeps failures replayable.
 
-use ftgm_core::ftd::FtdPhase;
+use ftgm_sim::RecoveryPhase;
+use ftgm_workload::PhaseKind;
 
 use crate::ast::{
-    Action, ArrivalDecl, Dur, Expect, FaultDecl, FlowDecl, FlowKind, MixDecl, PhaseDecl,
-    PhaseName, SloDecl, Spec, Target, Topo, TriggerDecl, Unit,
+    Action, ArrivalDecl, Dur, Expect, FaultDecl, FlowDecl, FlowKind, MixDecl, PhaseDecl, SloDecl,
+    Spec, Target, Topo, TriggerDecl, Unit,
 };
 
 /// SplitMix64 — tiny, deterministic, and plenty for fuzzing.
@@ -191,10 +192,10 @@ pub fn gen_spec(seed: u64) -> Spec {
 
     // Phases: warmup always, then a random in-order suffix.
     let mut phases = vec![PhaseDecl {
-        kind: PhaseName::Warmup,
+        kind: PhaseKind::Warmup,
         duration: gen_dur(&mut r),
     }];
-    for kind in [PhaseName::Steady, PhaseName::Fault, PhaseName::Drain] {
+    for kind in [PhaseKind::Steady, PhaseKind::Fault, PhaseKind::Drain] {
         if r.chance(600) {
             phases.push(PhaseDecl {
                 kind,
@@ -278,7 +279,7 @@ pub fn gen_spec(seed: u64) -> Spec {
     // Faults only in declared non-warmup phases, offsets inside them.
     let injectable: Vec<PhaseDecl> = phases
         .iter()
-        .filter(|p| p.kind != PhaseName::Warmup)
+        .filter(|p| p.kind != PhaseKind::Warmup)
         .copied()
         .collect();
     let mut faults = Vec::new();
@@ -299,7 +300,7 @@ pub fn gen_spec(seed: u64) -> Spec {
     for _ in 0..r.below(3) {
         triggers.push(TriggerDecl {
             node: r.below(u64::from(nodes)) as u16,
-            phase: FtdPhase::ORDER[r.below(6) as usize],
+            phase: RecoveryPhase::ORDER[r.below(6) as usize],
             action: gen_action(&mut r, nodes, switches),
             limit: r.range(1, 3) as u32,
         });
@@ -307,8 +308,8 @@ pub fn gen_spec(seed: u64) -> Spec {
 
     // SLO bounds only where observable.
     let has_load = !load_srcs.is_empty();
-    let has_steady = phases.iter().any(|p| p.kind == PhaseName::Steady);
-    let has_fault_phase = phases.iter().any(|p| p.kind == PhaseName::Fault);
+    let has_steady = phases.iter().any(|p| p.kind == PhaseKind::Steady);
+    let has_fault_phase = phases.iter().any(|p| p.kind == PhaseKind::Fault);
     let mut slo = SloDecl::default();
     if !validated_srcs.is_empty() && r.chance(500) {
         slo.flow_blackout = Some(gen_dur(&mut r));

@@ -10,11 +10,12 @@
 
 use std::collections::BTreeMap;
 
-use ftgm_core::ftd::FtdPhase;
+use ftgm_sim::RecoveryPhase;
+use ftgm_workload::PhaseKind;
 
 use crate::ast::{
-    Action, ArrivalDecl, Dur, Expect, FaultDecl, FlowDecl, FlowKind, MixDecl, PhaseDecl, PhaseName,
-    SloDecl, Spec, Target, Topo, TriggerDecl, Unit,
+    Action, ArrivalDecl, Dur, Expect, FaultDecl, FlowDecl, FlowKind, MixDecl, PhaseDecl, SloDecl,
+    Spec, Target, Topo, TriggerDecl, Unit,
 };
 use crate::scan::{scan, Tok, TokKind};
 
@@ -890,7 +891,7 @@ fn parse_phases(p: &mut Parser<'_>) -> Option<Vec<Sp<PhaseDecl>>> {
                 break;
             }
             Some(t) if t.kind == TokKind::Ident => {
-                let Some(kind) = PhaseName::from_name(t.text(p.src)) else {
+                let Some(kind) = PhaseKind::from_name(t.text(p.src)) else {
                     p.diags.push(Diag::new(
                         t.line,
                         t.col,
@@ -1055,7 +1056,7 @@ fn parse_action(p: &mut Parser<'_>) -> Option<Action> {
 fn parse_fault(p: &mut Parser<'_>) -> Option<FaultDecl> {
     p.expect_kw("in")?;
     let pt = p.take_ident("a phase name")?;
-    let Some(phase) = PhaseName::from_name(pt.text(p.src)) else {
+    let Some(phase) = PhaseKind::from_name(pt.text(p.src)) else {
         p.diags.push(Diag::new(
             pt.line,
             pt.col,
@@ -1081,7 +1082,7 @@ fn parse_trigger(p: &mut Parser<'_>) -> Option<TriggerDecl> {
     let node = p.take_u16("node id")?;
     p.expect_kw("phase")?;
     let pt = p.take_ident("an FTD phase name")?;
-    let Some(phase) = FtdPhase::from_name(pt.text(p.src)) else {
+    let Some(phase) = RecoveryPhase::from_name(pt.text(p.src)) else {
         p.diags.push(Diag::new(
             pt.line,
             pt.col,
@@ -1283,7 +1284,7 @@ fn validate(p: &Parser<'_>, partial: Partial) -> Result<Spec, Vec<Diag>> {
             phases.col,
             "the phase list is empty",
         )),
-        Some(first) if first.v.kind != PhaseName::Warmup => diags.push(Diag::new(
+        Some(first) if first.v.kind != PhaseKind::Warmup => diags.push(Diag::new(
             first.line,
             first.col,
             "the first phase must be 'warmup'",
@@ -1383,7 +1384,7 @@ fn validate(p: &Parser<'_>, partial: Partial) -> Result<Spec, Vec<Diag>> {
     // Faults: declared phase, not warmup, offset inside the phase,
     // action endpoints in range.
     for f in &faults {
-        if f.v.phase == PhaseName::Warmup {
+        if f.v.phase == PhaseKind::Warmup {
             diags.push(Diag::new(
                 f.line,
                 f.col,
@@ -1433,7 +1434,7 @@ fn validate(p: &Parser<'_>, partial: Partial) -> Result<Spec, Vec<Diag>> {
     let has_validated = !validated_srcs.is_empty();
     let has_load = !load_srcs.is_empty();
     if let Some(s) = &slo_sp {
-        let has_phase = |k: PhaseName| list.iter().any(|p| p.v.kind == k);
+        let has_phase = |k: PhaseKind| list.iter().any(|p| p.v.kind == k);
         if slo.flow_blackout.is_some() && !has_validated {
             diags.push(Diag::new(
                 s.line,
@@ -1442,9 +1443,9 @@ fn validate(p: &Parser<'_>, partial: Partial) -> Result<Spec, Vec<Diag>> {
             ));
         }
         for (key, set, phase) in [
-            ("fault_blackout", slo.fault_blackout.is_some(), PhaseName::Fault),
-            ("steady_completed", slo.steady_completed.is_some(), PhaseName::Steady),
-            ("p99_overhead", slo.p99_overhead.is_some(), PhaseName::Steady),
+            ("fault_blackout", slo.fault_blackout.is_some(), PhaseKind::Fault),
+            ("steady_completed", slo.steady_completed.is_some(), PhaseKind::Steady),
+            ("p99_overhead", slo.p99_overhead.is_some(), PhaseKind::Steady),
         ] {
             if set && !has_load {
                 diags.push(Diag::new(

@@ -202,7 +202,8 @@ pub fn print(spec: &Spec) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{Expect, PhaseDecl, PhaseName, Topo};
+    use crate::ast::{Expect, PhaseDecl, Topo};
+    use ftgm_workload::PhaseKind;
     use crate::parse::parse;
 
     #[test]
@@ -221,7 +222,7 @@ mod tests {
                 },
             }],
             phases: vec![PhaseDecl {
-                kind: PhaseName::Warmup,
+                kind: PhaseKind::Warmup,
                 duration: Dur::ms(10),
             }],
             faults: Vec::new(),

@@ -22,11 +22,13 @@
 
 use crate::metrics::Metrics;
 use crate::time::{SimDuration, SimTime};
+use std::fmt::Write as _;
 
-/// The FTD reset-and-restore phases, as the trace layer names them.
+/// The timed phases of the FTD's reset-and-restore sequence.
 ///
-/// `ftgm-core` owns the execution logic; this mirror exists so crates
-/// below it (and exporters) can name phases without a dependency cycle.
+/// The one phase vocabulary of the workspace: `ftgm_core::ftd` executes
+/// these, the world's `ftd_phase` hook reports them, the scenario DSL
+/// parses them and the exporters print them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RecoveryPhase {
     /// Disable interrupts, unmap I/O, reset the card.
@@ -78,7 +80,7 @@ impl RecoveryPhase {
         }
     }
 
-    /// Stable snake-case name for JSON exports.
+    /// Stable snake-case name for JSON exports and the scenario DSL.
     pub fn name(self) -> &'static str {
         match self {
             RecoveryPhase::Reset => "reset",
@@ -89,13 +91,20 @@ impl RecoveryPhase {
             RecoveryPhase::RestoreRoutes => "restore_routes",
         }
     }
+
+    /// Parses a snake_case phase name back to the phase (the inverse of
+    /// [`RecoveryPhase::name`]; the scenario DSL's `on node N phase <name>`).
+    pub fn from_name(name: &str) -> Option<RecoveryPhase> {
+        RecoveryPhase::ORDER.into_iter().find(|p| p.name() == name)
+    }
 }
 
 /// Why the fabric dropped an injected packet, as the trace layer names it.
 ///
-/// `ftgm-net` owns the drop logic (`DropReason`); this mirror exists so
-/// the metrics registry and exporters can count per-reason drops without
-/// a dependency cycle, exactly like [`RecoveryPhase`].
+/// `ftgm-net` owns the drop logic (`DropReason`, whose `DeadPort` carries
+/// the port number) and sits above this crate; this payload-free mirror
+/// gives the metrics registry a dense index for its per-reason counters
+/// and the exporters a stable name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DropKind {
     /// The source node has no cabled NIC link.
@@ -163,8 +172,7 @@ impl DropKind {
 
 /// What made the zone coordinator escalate to a fabric-wide reroute.
 ///
-/// `ftgm-core` owns the coordinator; this mirror exists for the same
-/// layering reason as [`RecoveryPhase`] and [`DropKind`].
+/// `ftgm_core::coordinator` decides with this type directly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ZoneTrigger {
     /// The set of down links changed since the last reroute.
@@ -205,14 +213,162 @@ impl DmaDir {
     }
 }
 
-/// What happened. Every variant carries the identifying fields the paper's
-/// measurements and the chaos oracles need; the sim-time stamp lives on
-/// the enclosing [`TraceEvent`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum TraceKind {
+/// How one typed payload field of a [`TraceKind`] prints in the JSON
+/// exports: integers and `bool` bare, a [`SimDuration`] as `<field>_ns`,
+/// the vocabulary enums quoted by their `name()`.
+trait Field: Copy {
+    /// Appends `,"<name>":<value>`.
+    fn write_json(self, name: &str, out: &mut String);
+}
+
+macro_rules! bare_fields {
+    ($($ty:ty),*) => {$(
+        impl Field for $ty {
+            fn write_json(self, name: &str, out: &mut String) {
+                // Writing to a String never fails.
+                let _ = write!(out, ",\"{name}\":{self}");
+            }
+        }
+    )*};
+}
+bare_fields!(u8, u16, u32, u64, usize, bool);
+
+macro_rules! named_fields {
+    ($($ty:ty),*) => {$(
+        impl Field for $ty {
+            fn write_json(self, name: &str, out: &mut String) {
+                let _ = write!(out, ",\"{name}\":\"{}\"", self.name());
+            }
+        }
+    )*};
+}
+named_fields!(DmaDir, DropKind, RecoveryPhase, ZoneTrigger);
+
+impl Field for SimDuration {
+    fn write_json(self, name: &str, out: &mut String) {
+        let _ = write!(out, ",\"{name}_ns\":{}", self.as_nanos());
+    }
+}
+
+/// The one spelling of every trace event. A row reads
+///
+/// ```text
+/// /// doc
+/// Name("category", milestone | high_frequency, node | observer | -) {
+///     /// doc
+///     field: type, …
+/// } => message-expression;
+/// ```
+///
+/// and [`TraceKind`], [`KIND_COUNT`], [`KIND_NAMES`] and every per-kind
+/// accessor are generated from it. The third slot names the field that is
+/// the event's node (`-` if it concerns none); the message expression
+/// sees the fields by name; the JSON payload is the fields in order, each
+/// through [`Field`]. Rows stand in [`TraceKind::kind_index`] order, which
+/// is the order of the `"counters"` object in every metrics export: a new
+/// kind goes last.
+macro_rules! trace_kinds {
+    (@high_frequency milestone) => { false };
+    (@high_frequency high_frequency) => { true };
+    (@node -) => { None };
+    (@node $field:ident) => { Some($field) };
+    ($(
+        $(#[$doc:meta])*
+        $name:ident($category:literal, $frequency:ident, $node:tt) $({$(
+            $(#[$field_doc:meta])*
+            $field:ident: $ty:ty,
+        )*})? => $message:expr;
+    )*) => {
+        /// What happened. Every variant carries the identifying fields the paper's
+        /// measurements and the chaos oracles need; the sim-time stamp lives on
+        /// the enclosing [`TraceEvent`].
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        pub enum TraceKind {$(
+            $(#[$doc])*
+            $name $({$(
+                $(#[$field_doc])*
+                $field: $ty,
+            )*})?,
+        )*}
+
+        /// The table's rows by position: [`TraceKind`] carries payloads, so
+        /// it has no `as usize` of its own.
+        enum Row {$(
+            $name,
+        )*}
+
+        /// Number of [`TraceKind`] variants (sizes the metrics counter array).
+        pub const KIND_COUNT: usize = [$(Row::$name),*].len();
+
+        /// Stable kind names, indexed by [`TraceKind::kind_index`].
+        pub const KIND_NAMES: [&str; KIND_COUNT] = [$(stringify!($name)),*];
+
+        impl TraceKind {
+            /// Dense index into [`KIND_NAMES`] / the metrics counter array.
+            pub fn kind_index(&self) -> usize {
+                match self {$(
+                    TraceKind::$name { .. } => Row::$name as usize,
+                )*}
+            }
+
+            /// Stable kind name for JSON exports.
+            pub fn name(&self) -> &'static str {
+                match self {$(
+                    TraceKind::$name { .. } => stringify!($name),
+                )*}
+            }
+
+            /// Short category tag (`"wdog"`, `"ftd"`, `"fault"`, `"recov"`,
+            /// `"gm"`, `"dma"`, `"mcp"`, `"net"`, `"coord"`, `"mpi"`), mirroring
+            /// the render column.
+            pub fn category(&self) -> &'static str {
+                match self {$(
+                    TraceKind::$name { .. } => $category,
+                )*}
+            }
+
+            /// The node the event concerns, if any (Chrome-trace `pid`).
+            #[allow(unused_variables)] // every field is bound, one is read
+            pub fn node(&self) -> Option<u16> {
+                match *self {$(
+                    TraceKind::$name $({ $($field),* })? => trace_kinds!(@node $node),
+                )*}
+            }
+
+            /// High-frequency kinds update metrics but are only *stored* in
+            /// [`TraceMode::Full`] — per-message traffic would otherwise dominate
+            /// both memory and the rendered timeline.
+            pub fn is_high_frequency(&self) -> bool {
+                match self {$(
+                    TraceKind::$name { .. } => trace_kinds!(@high_frequency $frequency),
+                )*}
+            }
+
+            /// Human-readable description (the render line's message column).
+            #[allow(unused_variables)] // a message need not mention every field
+            pub fn message(&self) -> String {
+                match *self {$(
+                    TraceKind::$name $({ $($field),* })? => $message,
+                )*}
+            }
+
+            /// Appends this kind's payload as JSON key/value pairs (leading comma
+            /// included per pair) — shared by the JSON-lines and Chrome exporters.
+            pub fn write_json_fields(&self, out: &mut String) {
+                match *self {$(
+                    TraceKind::$name $({ $($field),* })? => {
+                        $($($field.write_json(stringify!($field), out);)*)?
+                    }
+                )*}
+            }
+        }
+    };
+}
+
+trace_kinds! {
     // --- send/recv token lifecycle (high-frequency) ---------------------
     /// `gm_send` consumed a send token and posted a descriptor.
-    SendPosted {
+    SendPosted("gm", high_frequency, node) {
         /// Sending node.
         node: u16,
         /// Sending port.
@@ -223,27 +379,29 @@ pub enum TraceKind {
         len: u32,
         /// Send tokens in flight after this post (queue depth).
         depth: u32,
-    },
+    } => format!(
+        "node{node} port {port}: send posted (token {token}, {len}B, depth {depth})"
+    );
     /// A send completed; its token returned to the process.
-    SendCompleted {
+    SendCompleted("gm", high_frequency, node) {
         /// Sending node.
         node: u16,
         /// Sending port.
         port: u8,
         /// The send token id.
         token: u64,
-    },
+    } => format!("node{node} port {port}: send completed (token {token})");
     /// A send failed permanently (GM `SendError` semantics).
-    SendFailed {
+    SendFailed("gm", milestone, node) {
         /// Sending node.
         node: u16,
         /// Sending port.
         port: u8,
         /// The send token id.
         token: u64,
-    },
+    } => format!("node{node} port {port}: send FAILED (token {token})");
     /// `gm_provide_receive_buffer` handed a buffer to the LANai.
-    RecvProvided {
+    RecvProvided("gm", high_frequency, node) {
         /// Receiving node.
         node: u16,
         /// Receiving port.
@@ -252,9 +410,11 @@ pub enum TraceKind {
         token: u64,
         /// Receive tokens in flight after this provide (queue depth).
         depth: u32,
-    },
+    } => format!(
+        "node{node} port {port}: receive buffer provided (token {token}, depth {depth})"
+    );
     /// A message landed in a provided buffer and reached `gm_receive`.
-    MessageReceived {
+    MessageReceived("gm", high_frequency, node) {
         /// Receiving node.
         node: u16,
         /// Receiving port.
@@ -265,267 +425,222 @@ pub enum TraceKind {
         src_port: u8,
         /// Message length in bytes.
         len: u32,
-    },
+    } => format!(
+        "node{node} port {port}: received {len}B from node{src_node} port {src_port}"
+    );
 
     // --- DMA and firmware protocol (high-frequency) ---------------------
     /// The MCP queued a host DMA (send staging or delivery).
-    DmaStaged {
+    DmaStaged("dma", high_frequency, node) {
         /// Node whose PCI bus carries the transfer.
         node: u16,
         /// Transfer length in bytes.
         len: u32,
-    },
+    } => format!("node{node}: host DMA staged ({len}B)");
     /// A host DMA completed and its bytes moved.
-    DmaDone {
+    DmaDone("dma", high_frequency, node) {
         /// Node whose PCI bus carried the transfer.
         node: u16,
         /// Transfer direction.
         dir: DmaDir,
         /// Transfer length in bytes.
         len: u32,
-    },
+    } => format!("node{node}: host DMA done ({}, {len}B)", dir.name());
     /// The delayed-ACK commit point advanced (messages became final).
-    CommitAdvanced {
+    CommitAdvanced("mcp", high_frequency, node) {
         /// Receiving node.
         node: u16,
         /// Messages committed since the last advance.
         messages: u64,
-    },
+    } => format!("node{node}: delayed-ACK commit advanced (+{messages} messages)");
     /// Go-Back-N retransmitted chunks.
-    Resent {
+    Resent("mcp", high_frequency, node) {
         /// Sending node.
         node: u16,
         /// Chunks resent since the last report.
         chunks: u64,
-    },
+    } => format!("node{node}: retransmitted {chunks} chunks");
 
     // --- watchdog -------------------------------------------------------
     /// IT1 was (re)armed by recovery code (boot/false-alarm paths).
-    WatchdogArmed {
+    WatchdogArmed("wdog", milestone, node) {
         /// Node whose IT1 was armed.
         node: u16,
         /// Interval in half-microsecond ticks.
         ticks: u32,
-    },
+    } => format!("node{node}: IT1 watchdog armed ({ticks} ticks)");
     /// `L_timer()` ran and pushed IT1 forward (high-frequency).
-    WatchdogRearmed {
+    WatchdogRearmed("wdog", high_frequency, node) {
         /// Node whose IT1 was re-armed.
         node: u16,
         /// Gap since the previous re-arm.
         gap: SimDuration,
-    },
+    } => format!("node{node}: IT1 re-armed by L_timer (gap {gap})");
     /// IT1 expired: the FATAL interrupt reached the driver.
-    WatchdogFired {
+    WatchdogFired("wdog", milestone, node) {
         /// Node whose watchdog expired.
         node: u16,
-    },
+    } => format!("node{node}: IT1 expired — FATAL interrupt at driver");
 
     // --- fault activations ----------------------------------------------
     /// A campaign flipped one SRAM bit.
-    FaultInjected {
+    FaultInjected("fault", milestone, node) {
         /// Faulted node.
         node: u16,
         /// Bit offset within the target region.
         bit: u64,
-    },
+    } => format!("node{node}: fault injected (bit {bit})");
     /// An experiment force-hung the network processor.
-    ForcedHang {
+    ForcedHang("fault", milestone, node) {
         /// Faulted node.
         node: u16,
-    },
+    } => format!("node{node}: forced hang");
     /// A fabric link went administratively down.
-    LinkDown {
+    LinkDown("fault", milestone, -) {
         /// Link index in the topology.
         link: usize,
-    },
+    } => format!("link {link} down");
     /// A fabric link came back up.
-    LinkUp {
+    LinkUp("fault", milestone, -) {
         /// Link index in the topology.
         link: usize,
-    },
+    } => format!("link {link} back up");
     /// A fabric-wide loss/corruption window opened.
-    NoiseOpened,
+    NoiseOpened("fault", milestone, -) => "fabric noise window opens".to_string();
     /// The loss/corruption window closed.
-    NoiseClosed,
-    /// Every cabled link of one switch went down at once.
-    SwitchKilled {
-        /// The dead switch's index in the topology.
-        switch: u16,
-        /// Links taken down (those that were still up).
-        links: u32,
-    },
-
-    // --- fabric drops (high-frequency) ----------------------------------
-    /// The fabric dropped an injected packet.
-    FabricDrop {
-        /// The injecting (sending) node.
-        node: u16,
-        /// Why the packet was dropped.
-        reason: DropKind,
-    },
-
-    // --- mapper-driven reroute ------------------------------------------
-    /// A BFS re-discovery over the residual fabric started.
-    RerouteStarted {
-        /// Links currently down (avoided by the mapper).
-        down_links: u32,
-    },
-    /// Fresh source-route tables were installed into the live fabric.
-    RoutesInstalled {
-        /// Nodes whose tables were (re)written.
-        nodes: u32,
-        /// Nodes whose tables actually changed.
-        changed: u32,
-    },
-
-    // --- zone coordinator (DIR-net-style backup agent) ------------------
-    /// A backup agent saw a peer's recovery exceed the stall bound.
-    PeerStallDetected {
-        /// The observing (healthy) node.
-        observer: u16,
-        /// The stalled peer.
-        peer: u16,
-    },
-    /// The coordinator escalated to a fabric-wide zone reroute.
-    ZoneRerouteTriggered {
-        /// The observing (healthy) node.
-        observer: u16,
-        /// What tripped the escalation.
-        trigger: ZoneTrigger,
-    },
-    /// A reroute left a live peer with no routes; it was escalated dead.
-    PeerIsolated {
-        /// The observing (healthy) node.
-        observer: u16,
-        /// The unreachable peer.
-        peer: u16,
-    },
+    NoiseClosed("fault", milestone, -) => "fabric noise window closes".to_string();
 
     // --- FTD recovery pipeline ------------------------------------------
     /// A FATAL arrived on an escalated (dead) interface and was ignored.
-    FtdFatalIgnoredDead {
+    FtdFatalIgnoredDead("ftd", milestone, node) {
         /// The dead interface's node.
         node: u16,
-    },
+    } => format!("node{node}: FATAL on dead interface ignored");
     /// A FATAL arrived mid-recovery; a re-verification was queued.
-    FtdReverifyQueued {
+    FtdReverifyQueued("ftd", milestone, node) {
         /// Recovering node.
         node: u16,
-    },
+    } => format!("node{node}: FATAL during recovery — re-verification queued");
     /// The driver woke the FTD (detection complete).
-    FtdWoken {
+    FtdWoken("ftd", milestone, node) {
         /// Node whose FTD was woken.
         node: u16,
-    },
+    } => format!("node{node}: driver wakes FTD");
     /// The FTD is running (post context-switch).
-    FtdRunning {
+    FtdRunning("ftd", milestone, node) {
         /// Node whose FTD runs.
         node: u16,
-    },
+    } => format!("node{node}: FTD running");
     /// The magic-word probe was written (or the write failed).
-    ProbeWritten {
+    ProbeWritten("ftd", milestone, node) {
         /// Probed node.
         node: u16,
         /// Whether the SRAM write succeeded.
         ok: bool,
-    },
+    } => if ok {
+        format!("node{node}: magic-word probe written")
+    } else {
+        format!("node{node}: magic-word probe write FAILED (treating as hung)")
+    };
     /// The probe was cleared by a live MCP: false alarm.
-    ProbeFalseAlarm {
+    ProbeFalseAlarm("ftd", milestone, node) {
         /// Probed node.
         node: u16,
-    },
+    } => format!("node{node}: probe cleared — false alarm");
     /// The magic word survived: hang confirmed.
-    ProbeConfirmedHang {
+    ProbeConfirmedHang("ftd", milestone, node) {
         /// Hung node.
         node: u16,
-    },
+    } => format!("node{node}: magic word intact — hang confirmed");
     /// A queued FATAL re-entered the probe loop before sleeping.
-    ProbeRequeued {
+    ProbeRequeued("ftd", milestone, node) {
         /// Probed node.
         node: u16,
-    },
+    } => format!("node{node}: queued FATAL — probing again");
     /// A reset/reload attempt started.
-    RecoveryAttempt {
+    RecoveryAttempt("ftd", milestone, node) {
         /// Recovering node.
         node: u16,
         /// 1-based attempt number within the episode.
         attempt: u32,
         /// The policy's attempt budget.
         max_attempts: u32,
-    },
+    } => format!("node{node}: reset/reload attempt {attempt}/{max_attempts}");
     /// One timed recovery phase completed. The span covers
     /// `[at - dur, at]`.
-    RecoveryPhaseDone {
+    RecoveryPhaseDone("ftd", milestone, node) {
         /// Recovering node.
         node: u16,
         /// Which phase.
         phase: RecoveryPhase,
         /// The phase's charged duration.
         dur: SimDuration,
-    },
+    } => format!("node{node}: {} done", phase.label());
     /// Post-reload verification probe started.
-    ReloadVerifying {
+    ReloadVerifying("ftd", milestone, node) {
         /// Recovering node.
         node: u16,
-    },
+    } => format!("node{node}: verifying reloaded MCP");
     /// The reloaded MCP cleared the probe: verified alive.
-    ReloadVerified {
+    ReloadVerified("ftd", milestone, node) {
         /// Recovered node.
         node: u16,
-    },
+    } => format!("node{node}: reloaded MCP verified alive");
     /// Verification failed; the next attempt was scheduled after backoff.
-    RetryScheduled {
+    RetryScheduled("ftd", milestone, node) {
         /// Recovering node.
         node: u16,
         /// The attempt that just failed (1-based).
         attempt: u32,
         /// Backoff before the next attempt.
         backoff: SimDuration,
-    },
+    } => format!(
+        "node{node}: reload verification FAILED (attempt {attempt}) — retry in {backoff}"
+    );
     /// `FAULT_DETECTED` was posted into a port's receive queue.
-    FaultDetectedPosted {
+    FaultDetectedPosted("ftd", milestone, node) {
         /// Recovered node.
         node: u16,
         /// The open port.
         port: u8,
-    },
+    } => format!("node{node}: FAULT_DETECTED posted port {port}");
     /// The attempt budget ran out: interface escalated to dead.
-    Escalated {
+    Escalated("ftd", milestone, node) {
         /// The dead interface's node.
         node: u16,
         /// Reload attempts spent before giving up.
         attempts: u32,
-    },
+    } => format!("node{node}: escalating — interface DEAD after {attempts} failed reloads");
     /// Escalation failed outstanding sends back to applications.
-    OutstandingSendsFailed {
+    OutstandingSendsFailed("ftd", milestone, node) {
         /// The dead interface's node.
         node: u16,
         /// Sends failed back.
         count: u64,
-    },
+    } => format!("node{node}: {count} outstanding sends failed back to applications");
     /// The FTD went back to sleep.
-    FtdSleeping {
+    FtdSleeping("ftd", milestone, node) {
         /// Node whose FTD sleeps.
         node: u16,
-    },
+    } => format!("node{node}: FTD sleeping again");
 
     // --- per-process recovery -------------------------------------------
     /// `FAULT_DETECTED` entered `gm_unknown()` on a port.
-    GmUnknownEntered {
+    GmUnknownEntered("recov", milestone, node) {
         /// Recovering node.
         node: u16,
         /// The port.
         port: u8,
-    },
+    } => format!("node{node} port {port}: FAULT_DETECTED entered gm_unknown()");
     /// A stale per-port handler stepped aside for a newer recovery.
-    StaleHandlerSuperseded {
+    StaleHandlerSuperseded("recov", milestone, node) {
         /// Recovering node.
         node: u16,
         /// The port.
         port: u8,
-    },
+    } => format!("node{node} port {port}: stale handler superseded by newer recovery");
     /// A port finished its handler and reopened.
-    PortReopened {
+    PortReopened("recov", milestone, node) {
         /// Recovered node.
         node: u16,
         /// The reopened port.
@@ -536,487 +651,77 @@ pub enum TraceKind {
         recvs_replayed: u32,
         /// Per-destination sequence streams restored.
         streams_restored: u32,
-    },
+    } => format!(
+        "node{node} port {port}: port reopened ({sends_replayed} sends, \
+         {recvs_replayed} recvs, {streams_restored} streams restored)"
+    );
+
+    // --- fault activations, continued (a new kind takes the next index) -
+    /// Every cabled link of one switch went down at once.
+    SwitchKilled("fault", milestone, -) {
+        /// The dead switch's index in the topology.
+        switch: u16,
+        /// Links taken down (those that were still up).
+        links: u32,
+    } => format!("switch {switch} dead — {links} links down");
+
+    // --- fabric drops (high-frequency) ----------------------------------
+    /// The fabric dropped an injected packet.
+    FabricDrop("net", high_frequency, node) {
+        /// The injecting (sending) node.
+        node: u16,
+        /// Why the packet was dropped.
+        reason: DropKind,
+    } => format!("node{node}: fabric dropped packet ({})", reason.name());
+
+    // --- mapper-driven reroute ------------------------------------------
+    /// A BFS re-discovery over the residual fabric started.
+    RerouteStarted("net", milestone, -) {
+        /// Links currently down (avoided by the mapper).
+        down_links: u32,
+    } => format!("reroute: BFS re-discovery avoiding {down_links} down links");
+    /// Fresh source-route tables were installed into the live fabric.
+    RoutesInstalled("net", milestone, -) {
+        /// Nodes whose tables were (re)written.
+        nodes: u32,
+        /// Nodes whose tables actually changed.
+        changed: u32,
+    } => format!("reroute: route tables installed on {nodes} nodes ({changed} changed)");
+
+    // --- zone coordinator (DIR-net-style backup agent) ------------------
+    /// A backup agent saw a peer's recovery exceed the stall bound.
+    PeerStallDetected("coord", milestone, observer) {
+        /// The observing (healthy) node.
+        observer: u16,
+        /// The stalled peer.
+        peer: u16,
+    } => format!("node{observer}: peer node{peer} recovery exceeds stall bound");
+    /// The coordinator escalated to a fabric-wide zone reroute.
+    ZoneRerouteTriggered("coord", milestone, observer) {
+        /// The observing (healthy) node.
+        observer: u16,
+        /// What tripped the escalation.
+        trigger: ZoneTrigger,
+    } => format!("node{observer}: zone reroute escalated ({})", trigger.name());
+    /// A reroute left a live peer with no routes; it was escalated dead.
+    PeerIsolated("coord", milestone, observer) {
+        /// The observing (healthy) node.
+        observer: u16,
+        /// The unreachable peer.
+        peer: u16,
+    } => format!("node{observer}: peer node{peer} unreachable after reroute — escalating dead");
 
     // --- middleware (MPI tier) ------------------------------------------
     /// The MPI middleware buffered an unmatched envelope in a rank's
     /// mailbox; `depth` is the buffered count after the store.
-    MailboxQueued {
+    MailboxQueued("mpi", high_frequency, node) {
         /// The rank's host interface.
         node: u16,
         /// The rank's GM port.
         port: u8,
         /// Mailbox depth after the delivery.
         depth: u32,
-    },
-}
-
-/// Number of [`TraceKind`] variants (sizes the metrics counter array).
-pub const KIND_COUNT: usize = 46;
-
-/// Stable kind names, indexed by [`TraceKind::kind_index`].
-pub const KIND_NAMES: [&str; KIND_COUNT] = [
-    "SendPosted",
-    "SendCompleted",
-    "SendFailed",
-    "RecvProvided",
-    "MessageReceived",
-    "DmaStaged",
-    "DmaDone",
-    "CommitAdvanced",
-    "Resent",
-    "WatchdogArmed",
-    "WatchdogRearmed",
-    "WatchdogFired",
-    "FaultInjected",
-    "ForcedHang",
-    "LinkDown",
-    "LinkUp",
-    "NoiseOpened",
-    "NoiseClosed",
-    "FtdFatalIgnoredDead",
-    "FtdReverifyQueued",
-    "FtdWoken",
-    "FtdRunning",
-    "ProbeWritten",
-    "ProbeFalseAlarm",
-    "ProbeConfirmedHang",
-    "ProbeRequeued",
-    "RecoveryAttempt",
-    "RecoveryPhaseDone",
-    "ReloadVerifying",
-    "ReloadVerified",
-    "RetryScheduled",
-    "FaultDetectedPosted",
-    "Escalated",
-    "OutstandingSendsFailed",
-    "FtdSleeping",
-    "GmUnknownEntered",
-    "StaleHandlerSuperseded",
-    "PortReopened",
-    "SwitchKilled",
-    "FabricDrop",
-    "RerouteStarted",
-    "RoutesInstalled",
-    "PeerStallDetected",
-    "ZoneRerouteTriggered",
-    "PeerIsolated",
-    "MailboxQueued",
-];
-
-impl TraceKind {
-    /// Dense index into [`KIND_NAMES`] / the metrics counter array.
-    pub fn kind_index(&self) -> usize {
-        match self {
-            TraceKind::SendPosted { .. } => 0,
-            TraceKind::SendCompleted { .. } => 1,
-            TraceKind::SendFailed { .. } => 2,
-            TraceKind::RecvProvided { .. } => 3,
-            TraceKind::MessageReceived { .. } => 4,
-            TraceKind::DmaStaged { .. } => 5,
-            TraceKind::DmaDone { .. } => 6,
-            TraceKind::CommitAdvanced { .. } => 7,
-            TraceKind::Resent { .. } => 8,
-            TraceKind::WatchdogArmed { .. } => 9,
-            TraceKind::WatchdogRearmed { .. } => 10,
-            TraceKind::WatchdogFired { .. } => 11,
-            TraceKind::FaultInjected { .. } => 12,
-            TraceKind::ForcedHang { .. } => 13,
-            TraceKind::LinkDown { .. } => 14,
-            TraceKind::LinkUp { .. } => 15,
-            TraceKind::NoiseOpened => 16,
-            TraceKind::NoiseClosed => 17,
-            TraceKind::FtdFatalIgnoredDead { .. } => 18,
-            TraceKind::FtdReverifyQueued { .. } => 19,
-            TraceKind::FtdWoken { .. } => 20,
-            TraceKind::FtdRunning { .. } => 21,
-            TraceKind::ProbeWritten { .. } => 22,
-            TraceKind::ProbeFalseAlarm { .. } => 23,
-            TraceKind::ProbeConfirmedHang { .. } => 24,
-            TraceKind::ProbeRequeued { .. } => 25,
-            TraceKind::RecoveryAttempt { .. } => 26,
-            TraceKind::RecoveryPhaseDone { .. } => 27,
-            TraceKind::ReloadVerifying { .. } => 28,
-            TraceKind::ReloadVerified { .. } => 29,
-            TraceKind::RetryScheduled { .. } => 30,
-            TraceKind::FaultDetectedPosted { .. } => 31,
-            TraceKind::Escalated { .. } => 32,
-            TraceKind::OutstandingSendsFailed { .. } => 33,
-            TraceKind::FtdSleeping { .. } => 34,
-            TraceKind::GmUnknownEntered { .. } => 35,
-            TraceKind::StaleHandlerSuperseded { .. } => 36,
-            TraceKind::PortReopened { .. } => 37,
-            TraceKind::SwitchKilled { .. } => 38,
-            TraceKind::FabricDrop { .. } => 39,
-            TraceKind::RerouteStarted { .. } => 40,
-            TraceKind::RoutesInstalled { .. } => 41,
-            TraceKind::PeerStallDetected { .. } => 42,
-            TraceKind::ZoneRerouteTriggered { .. } => 43,
-            TraceKind::PeerIsolated { .. } => 44,
-            TraceKind::MailboxQueued { .. } => 45,
-        }
-    }
-
-    /// Stable kind name for JSON exports.
-    pub fn name(&self) -> &'static str {
-        KIND_NAMES.get(self.kind_index()).copied().unwrap_or("Unknown")
-    }
-
-    /// Short category tag (`"wdog"`, `"ftd"`, `"fault"`, `"recov"`,
-    /// `"gm"`, `"dma"`, `"mcp"`, `"net"`, `"coord"`, `"mpi"`), mirroring
-    /// the render column.
-    pub fn category(&self) -> &'static str {
-        match self {
-            TraceKind::MailboxQueued { .. } => "mpi",
-            TraceKind::SendPosted { .. }
-            | TraceKind::SendCompleted { .. }
-            | TraceKind::SendFailed { .. }
-            | TraceKind::RecvProvided { .. }
-            | TraceKind::MessageReceived { .. } => "gm",
-            TraceKind::DmaStaged { .. } | TraceKind::DmaDone { .. } => "dma",
-            TraceKind::CommitAdvanced { .. } | TraceKind::Resent { .. } => "mcp",
-            TraceKind::WatchdogArmed { .. }
-            | TraceKind::WatchdogRearmed { .. }
-            | TraceKind::WatchdogFired { .. } => "wdog",
-            TraceKind::FaultInjected { .. }
-            | TraceKind::ForcedHang { .. }
-            | TraceKind::LinkDown { .. }
-            | TraceKind::LinkUp { .. }
-            | TraceKind::NoiseOpened
-            | TraceKind::NoiseClosed
-            | TraceKind::SwitchKilled { .. } => "fault",
-            TraceKind::FabricDrop { .. }
-            | TraceKind::RerouteStarted { .. }
-            | TraceKind::RoutesInstalled { .. } => "net",
-            TraceKind::PeerStallDetected { .. }
-            | TraceKind::ZoneRerouteTriggered { .. }
-            | TraceKind::PeerIsolated { .. } => "coord",
-            TraceKind::GmUnknownEntered { .. }
-            | TraceKind::StaleHandlerSuperseded { .. }
-            | TraceKind::PortReopened { .. } => "recov",
-            _ => "ftd",
-        }
-    }
-
-    /// The node the event concerns, if any (Chrome-trace `pid`).
-    pub fn node(&self) -> Option<u16> {
-        match *self {
-            TraceKind::SendPosted { node, .. }
-            | TraceKind::SendCompleted { node, .. }
-            | TraceKind::SendFailed { node, .. }
-            | TraceKind::RecvProvided { node, .. }
-            | TraceKind::MessageReceived { node, .. }
-            | TraceKind::DmaStaged { node, .. }
-            | TraceKind::DmaDone { node, .. }
-            | TraceKind::CommitAdvanced { node, .. }
-            | TraceKind::Resent { node, .. }
-            | TraceKind::WatchdogArmed { node, .. }
-            | TraceKind::WatchdogRearmed { node, .. }
-            | TraceKind::WatchdogFired { node }
-            | TraceKind::FaultInjected { node, .. }
-            | TraceKind::ForcedHang { node }
-            | TraceKind::FtdFatalIgnoredDead { node }
-            | TraceKind::FtdReverifyQueued { node }
-            | TraceKind::FtdWoken { node }
-            | TraceKind::FtdRunning { node }
-            | TraceKind::ProbeWritten { node, .. }
-            | TraceKind::ProbeFalseAlarm { node }
-            | TraceKind::ProbeConfirmedHang { node }
-            | TraceKind::ProbeRequeued { node }
-            | TraceKind::RecoveryAttempt { node, .. }
-            | TraceKind::RecoveryPhaseDone { node, .. }
-            | TraceKind::ReloadVerifying { node }
-            | TraceKind::ReloadVerified { node }
-            | TraceKind::RetryScheduled { node, .. }
-            | TraceKind::FaultDetectedPosted { node, .. }
-            | TraceKind::Escalated { node, .. }
-            | TraceKind::OutstandingSendsFailed { node, .. }
-            | TraceKind::FtdSleeping { node }
-            | TraceKind::GmUnknownEntered { node, .. }
-            | TraceKind::StaleHandlerSuperseded { node, .. }
-            | TraceKind::PortReopened { node, .. }
-            | TraceKind::MailboxQueued { node, .. } => Some(node),
-            TraceKind::FabricDrop { node, .. } => Some(node),
-            TraceKind::PeerStallDetected { observer, .. }
-            | TraceKind::ZoneRerouteTriggered { observer, .. }
-            | TraceKind::PeerIsolated { observer, .. } => Some(observer),
-            TraceKind::LinkDown { .. }
-            | TraceKind::LinkUp { .. }
-            | TraceKind::NoiseOpened
-            | TraceKind::NoiseClosed
-            | TraceKind::SwitchKilled { .. }
-            | TraceKind::RerouteStarted { .. }
-            | TraceKind::RoutesInstalled { .. } => None,
-        }
-    }
-
-    /// High-frequency kinds update metrics but are only *stored* in
-    /// [`TraceMode::Full`] — per-message traffic would otherwise dominate
-    /// both memory and the rendered timeline.
-    pub fn is_high_frequency(&self) -> bool {
-        matches!(
-            self,
-            TraceKind::SendPosted { .. }
-                | TraceKind::SendCompleted { .. }
-                | TraceKind::RecvProvided { .. }
-                | TraceKind::MessageReceived { .. }
-                | TraceKind::DmaStaged { .. }
-                | TraceKind::DmaDone { .. }
-                | TraceKind::CommitAdvanced { .. }
-                | TraceKind::Resent { .. }
-                | TraceKind::WatchdogRearmed { .. }
-                | TraceKind::FabricDrop { .. }
-                | TraceKind::MailboxQueued { .. }
-        )
-    }
-
-    /// Human-readable description (the render line's message column).
-    pub fn message(&self) -> String {
-        match *self {
-            TraceKind::SendPosted { node, port, token, len, depth } => format!(
-                "node{node} port {port}: send posted (token {token}, {len}B, depth {depth})"
-            ),
-            TraceKind::SendCompleted { node, port, token } => {
-                format!("node{node} port {port}: send completed (token {token})")
-            }
-            TraceKind::SendFailed { node, port, token } => {
-                format!("node{node} port {port}: send FAILED (token {token})")
-            }
-            TraceKind::RecvProvided { node, port, token, depth } => format!(
-                "node{node} port {port}: receive buffer provided (token {token}, depth {depth})"
-            ),
-            TraceKind::MessageReceived { node, port, src_node, src_port, len } => format!(
-                "node{node} port {port}: received {len}B from node{src_node} port {src_port}"
-            ),
-            TraceKind::DmaStaged { node, len } => {
-                format!("node{node}: host DMA staged ({len}B)")
-            }
-            TraceKind::DmaDone { node, dir, len } => {
-                format!("node{node}: host DMA done ({}, {len}B)", dir.name())
-            }
-            TraceKind::CommitAdvanced { node, messages } => {
-                format!("node{node}: delayed-ACK commit advanced (+{messages} messages)")
-            }
-            TraceKind::Resent { node, chunks } => {
-                format!("node{node}: retransmitted {chunks} chunks")
-            }
-            TraceKind::WatchdogArmed { node, ticks } => {
-                format!("node{node}: IT1 watchdog armed ({ticks} ticks)")
-            }
-            TraceKind::WatchdogRearmed { node, gap } => {
-                format!("node{node}: IT1 re-armed by L_timer (gap {gap})")
-            }
-            TraceKind::WatchdogFired { node } => {
-                format!("node{node}: IT1 expired — FATAL interrupt at driver")
-            }
-            TraceKind::FaultInjected { node, bit } => {
-                format!("node{node}: fault injected (bit {bit})")
-            }
-            TraceKind::ForcedHang { node } => format!("node{node}: forced hang"),
-            TraceKind::LinkDown { link } => format!("link {link} down"),
-            TraceKind::LinkUp { link } => format!("link {link} back up"),
-            TraceKind::NoiseOpened => "fabric noise window opens".to_string(),
-            TraceKind::NoiseClosed => "fabric noise window closes".to_string(),
-            TraceKind::FtdFatalIgnoredDead { node } => {
-                format!("node{node}: FATAL on dead interface ignored")
-            }
-            TraceKind::FtdReverifyQueued { node } => {
-                format!("node{node}: FATAL during recovery — re-verification queued")
-            }
-            TraceKind::FtdWoken { node } => format!("node{node}: driver wakes FTD"),
-            TraceKind::FtdRunning { node } => format!("node{node}: FTD running"),
-            TraceKind::ProbeWritten { node, ok: true } => {
-                format!("node{node}: magic-word probe written")
-            }
-            TraceKind::ProbeWritten { node, ok: false } => {
-                format!("node{node}: magic-word probe write FAILED (treating as hung)")
-            }
-            TraceKind::ProbeFalseAlarm { node } => {
-                format!("node{node}: probe cleared — false alarm")
-            }
-            TraceKind::ProbeConfirmedHang { node } => {
-                format!("node{node}: magic word intact — hang confirmed")
-            }
-            TraceKind::ProbeRequeued { node } => {
-                format!("node{node}: queued FATAL — probing again")
-            }
-            TraceKind::RecoveryAttempt { node, attempt, max_attempts } => {
-                format!("node{node}: reset/reload attempt {attempt}/{max_attempts}")
-            }
-            TraceKind::RecoveryPhaseDone { node, phase, .. } => {
-                format!("node{node}: {} done", phase.label())
-            }
-            TraceKind::ReloadVerifying { node } => {
-                format!("node{node}: verifying reloaded MCP")
-            }
-            TraceKind::ReloadVerified { node } => {
-                format!("node{node}: reloaded MCP verified alive")
-            }
-            TraceKind::RetryScheduled { node, attempt, backoff } => format!(
-                "node{node}: reload verification FAILED (attempt {attempt}) — retry in {backoff}"
-            ),
-            TraceKind::FaultDetectedPosted { node, port } => {
-                format!("node{node}: FAULT_DETECTED posted port {port}")
-            }
-            TraceKind::Escalated { node, attempts } => {
-                format!("node{node}: escalating — interface DEAD after {attempts} failed reloads")
-            }
-            TraceKind::OutstandingSendsFailed { node, count } => {
-                format!("node{node}: {count} outstanding sends failed back to applications")
-            }
-            TraceKind::FtdSleeping { node } => format!("node{node}: FTD sleeping again"),
-            TraceKind::GmUnknownEntered { node, port } => {
-                format!("node{node} port {port}: FAULT_DETECTED entered gm_unknown()")
-            }
-            TraceKind::StaleHandlerSuperseded { node, port } => {
-                format!("node{node} port {port}: stale handler superseded by newer recovery")
-            }
-            TraceKind::PortReopened { node, port, sends_replayed, recvs_replayed, streams_restored } => {
-                format!(
-                    "node{node} port {port}: port reopened ({sends_replayed} sends, \
-                     {recvs_replayed} recvs, {streams_restored} streams restored)"
-                )
-            }
-            TraceKind::SwitchKilled { switch, links } => {
-                format!("switch {switch} dead — {links} links down")
-            }
-            TraceKind::FabricDrop { node, reason } => {
-                format!("node{node}: fabric dropped packet ({})", reason.name())
-            }
-            TraceKind::RerouteStarted { down_links } => {
-                format!("reroute: BFS re-discovery avoiding {down_links} down links")
-            }
-            TraceKind::RoutesInstalled { nodes, changed } => {
-                format!("reroute: route tables installed on {nodes} nodes ({changed} changed)")
-            }
-            TraceKind::PeerStallDetected { observer, peer } => {
-                format!("node{observer}: peer node{peer} recovery exceeds stall bound")
-            }
-            TraceKind::ZoneRerouteTriggered { observer, trigger } => {
-                format!("node{observer}: zone reroute escalated ({})", trigger.name())
-            }
-            TraceKind::PeerIsolated { observer, peer } => {
-                format!("node{observer}: peer node{peer} unreachable after reroute — escalating dead")
-            }
-            TraceKind::MailboxQueued { node, port, depth } => {
-                format!("node{node}.{port}: mpi mailbox buffered an envelope (depth {depth})")
-            }
-        }
-    }
-
-    /// Appends this kind's payload as JSON key/value pairs (leading comma
-    /// included per pair) — shared by the JSON-lines and Chrome exporters.
-    pub fn write_json_fields(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        // Writing to a String never fails; errors are impossible here and
-        // the write! results are () on the String impl path.
-        let w = out;
-        match *self {
-            TraceKind::SendPosted { node, port, token, len, depth } => {
-                let _ = write!(w, ",\"node\":{node},\"port\":{port},\"token\":{token},\"len\":{len},\"depth\":{depth}");
-            }
-            TraceKind::SendCompleted { node, port, token }
-            | TraceKind::SendFailed { node, port, token } => {
-                let _ = write!(w, ",\"node\":{node},\"port\":{port},\"token\":{token}");
-            }
-            TraceKind::RecvProvided { node, port, token, depth } => {
-                let _ = write!(w, ",\"node\":{node},\"port\":{port},\"token\":{token},\"depth\":{depth}");
-            }
-            TraceKind::MessageReceived { node, port, src_node, src_port, len } => {
-                let _ = write!(w, ",\"node\":{node},\"port\":{port},\"src_node\":{src_node},\"src_port\":{src_port},\"len\":{len}");
-            }
-            TraceKind::DmaStaged { node, len } => {
-                let _ = write!(w, ",\"node\":{node},\"len\":{len}");
-            }
-            TraceKind::DmaDone { node, dir, len } => {
-                let _ = write!(w, ",\"node\":{node},\"dir\":\"{}\",\"len\":{len}", dir.name());
-            }
-            TraceKind::CommitAdvanced { node, messages } => {
-                let _ = write!(w, ",\"node\":{node},\"messages\":{messages}");
-            }
-            TraceKind::Resent { node, chunks } => {
-                let _ = write!(w, ",\"node\":{node},\"chunks\":{chunks}");
-            }
-            TraceKind::WatchdogArmed { node, ticks } => {
-                let _ = write!(w, ",\"node\":{node},\"ticks\":{ticks}");
-            }
-            TraceKind::WatchdogRearmed { node, gap } => {
-                let _ = write!(w, ",\"node\":{node},\"gap_ns\":{}", gap.as_nanos());
-            }
-            TraceKind::WatchdogFired { node }
-            | TraceKind::ForcedHang { node }
-            | TraceKind::FtdFatalIgnoredDead { node }
-            | TraceKind::FtdReverifyQueued { node }
-            | TraceKind::FtdWoken { node }
-            | TraceKind::FtdRunning { node }
-            | TraceKind::ProbeFalseAlarm { node }
-            | TraceKind::ProbeConfirmedHang { node }
-            | TraceKind::ProbeRequeued { node }
-            | TraceKind::ReloadVerifying { node }
-            | TraceKind::ReloadVerified { node }
-            | TraceKind::FtdSleeping { node } => {
-                let _ = write!(w, ",\"node\":{node}");
-            }
-            TraceKind::FaultInjected { node, bit } => {
-                let _ = write!(w, ",\"node\":{node},\"bit\":{bit}");
-            }
-            TraceKind::LinkDown { link } | TraceKind::LinkUp { link } => {
-                let _ = write!(w, ",\"link\":{link}");
-            }
-            TraceKind::NoiseOpened | TraceKind::NoiseClosed => {}
-            TraceKind::ProbeWritten { node, ok } => {
-                let _ = write!(w, ",\"node\":{node},\"ok\":{ok}");
-            }
-            TraceKind::RecoveryAttempt { node, attempt, max_attempts } => {
-                let _ = write!(w, ",\"node\":{node},\"attempt\":{attempt},\"max_attempts\":{max_attempts}");
-            }
-            TraceKind::RecoveryPhaseDone { node, phase, dur } => {
-                let _ = write!(w, ",\"node\":{node},\"phase\":\"{}\",\"dur_ns\":{}", phase.name(), dur.as_nanos());
-            }
-            TraceKind::RetryScheduled { node, attempt, backoff } => {
-                let _ = write!(w, ",\"node\":{node},\"attempt\":{attempt},\"backoff_ns\":{}", backoff.as_nanos());
-            }
-            TraceKind::FaultDetectedPosted { node, port }
-            | TraceKind::GmUnknownEntered { node, port }
-            | TraceKind::StaleHandlerSuperseded { node, port } => {
-                let _ = write!(w, ",\"node\":{node},\"port\":{port}");
-            }
-            TraceKind::Escalated { node, attempts } => {
-                let _ = write!(w, ",\"node\":{node},\"attempts\":{attempts}");
-            }
-            TraceKind::OutstandingSendsFailed { node, count } => {
-                let _ = write!(w, ",\"node\":{node},\"count\":{count}");
-            }
-            TraceKind::PortReopened { node, port, sends_replayed, recvs_replayed, streams_restored } => {
-                let _ = write!(
-                    w,
-                    ",\"node\":{node},\"port\":{port},\"sends_replayed\":{sends_replayed},\"recvs_replayed\":{recvs_replayed},\"streams_restored\":{streams_restored}"
-                );
-            }
-            TraceKind::SwitchKilled { switch, links } => {
-                let _ = write!(w, ",\"switch\":{switch},\"links\":{links}");
-            }
-            TraceKind::FabricDrop { node, reason } => {
-                let _ = write!(w, ",\"node\":{node},\"reason\":\"{}\"", reason.name());
-            }
-            TraceKind::RerouteStarted { down_links } => {
-                let _ = write!(w, ",\"down_links\":{down_links}");
-            }
-            TraceKind::RoutesInstalled { nodes, changed } => {
-                let _ = write!(w, ",\"nodes\":{nodes},\"changed\":{changed}");
-            }
-            TraceKind::PeerStallDetected { observer, peer }
-            | TraceKind::PeerIsolated { observer, peer } => {
-                let _ = write!(w, ",\"observer\":{observer},\"peer\":{peer}");
-            }
-            TraceKind::ZoneRerouteTriggered { observer, trigger } => {
-                let _ = write!(w, ",\"observer\":{observer},\"trigger\":\"{}\"", trigger.name());
-            }
-            TraceKind::MailboxQueued { node, port, depth } => {
-                let _ = write!(w, ",\"node\":{node},\"port\":{port},\"depth\":{depth}");
-            }
-        }
-    }
+    } => format!("node{node}.{port}: mpi mailbox buffered an envelope (depth {depth})");
 }
 
 /// One recorded event.
@@ -1034,7 +739,8 @@ pub enum TraceMode {
     /// Record nothing, count nothing.
     #[default]
     Disabled,
-    /// Store milestone events; high-frequency kinds feed metrics only.
+    /// Store milestone events; kinds that are
+    /// [high-frequency](TraceKind::is_high_frequency) feed metrics only.
     Milestones,
     /// Store every event.
     Full,

@@ -166,8 +166,8 @@ pub struct FlowSpec {
     pub sizes: SizeMix,
 }
 
-/// Role of a phase in the run timeline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Role of a phase in the run timeline, in timeline order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PhaseKind {
     /// Ramp-up; measured but expected to be noisy.
     Warmup,
@@ -180,13 +180,24 @@ pub enum PhaseKind {
 }
 
 impl PhaseKind {
-    /// Stable lower-case name used in reports and JSON.
+    /// Stable lower-case name used in reports, JSON and scenario files.
     pub fn name(self) -> &'static str {
         match self {
             PhaseKind::Warmup => "warmup",
             PhaseKind::Steady => "steady",
             PhaseKind::Fault => "fault",
             PhaseKind::Drain => "drain",
+        }
+    }
+
+    /// Parses a [`PhaseKind::name`] back to the phase.
+    pub fn from_name(name: &str) -> Option<PhaseKind> {
+        match name {
+            "warmup" => Some(PhaseKind::Warmup),
+            "steady" => Some(PhaseKind::Steady),
+            "fault" => Some(PhaseKind::Fault),
+            "drain" => Some(PhaseKind::Drain),
+            _ => None,
         }
     }
 

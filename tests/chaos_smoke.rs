@@ -7,10 +7,9 @@
 mod common;
 
 use common::{pick, STANDARD};
-use ftgm_core::ftd::FtdPhase;
 use ftgm_faults::chaos::{run_scenario, ChaosAction, ChaosEvent, ChaosScenario, PhaseTrigger};
 use ftgm_faults::{InjectionTarget, Resolution};
-use ftgm_sim::SimDuration;
+use ftgm_sim::{RecoveryPhase, SimDuration};
 
 const SEED: u64 = 42;
 
@@ -102,7 +101,7 @@ fn faults_inside_every_ftd_phase_converge() {
     // Parameterized over the FTD's phase order: a code flip timed inside
     // each recovery phase. Whatever the phase, the interface converges to
     // recovered-or-escalated within the horizon.
-    for phase in FtdPhase::ORDER {
+    for phase in RecoveryPhase::ORDER {
         let mut s = ChaosScenario::two_node(&format!("flip-inside-{phase:?}"));
         s.events.push(ChaosEvent {
             at: SimDuration::from_ms(0),

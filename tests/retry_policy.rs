@@ -10,7 +10,7 @@ use std::rc::Rc;
 use ftgm_core::FtSystem;
 use ftgm_gm::{World, WorldConfig};
 use ftgm_net::NodeId;
-use ftgm_sim::{SimDuration, TraceKind};
+use ftgm_sim::{RecoveryPhase, SimDuration, TraceKind};
 
 fn ft_world() -> (World, FtSystem) {
     let mut config = WorldConfig::ftgm();
@@ -25,10 +25,10 @@ fn ft_world() -> (World, FtSystem) {
 /// that many times.
 fn sabotage_reloads(w: &mut World, rehangs: u32) {
     let remaining = Rc::new(RefCell::new(rehangs));
-    w.hooks.ftd_phase = Some(Rc::new(move |w: &mut World, node: NodeId, phase_idx| {
-        // RestoreRoutes is the last phase (index 5); hanging here leaves
-        // the freshly reloaded MCP dead at verification time.
-        if phase_idx == 5 && *remaining.borrow() > 0 {
+    w.hooks.ftd_phase = Some(Rc::new(move |w: &mut World, node: NodeId, phase| {
+        // RestoreRoutes is the last phase; hanging here leaves the
+        // freshly reloaded MCP dead at verification time.
+        if phase == RecoveryPhase::RestoreRoutes && *remaining.borrow() > 0 {
             *remaining.borrow_mut() -= 1;
             w.nodes[node.0 as usize].mcp.force_hang();
         }
