@@ -77,6 +77,10 @@ step corpus-release 600 cargo test --release -q -p ftgm-scenario --test corpus
 step alloc-budget 300 cargo test --release -q -p ftgm-core --test alloc_budget
 mkdir -p results
 step lint 120 cargo run -q -p ftgm-lint -- --report results/lint_report.json
+# Rustdoc with intra-doc links is part of the API (the trace table in
+# crates/sim/src/trace.rs generates half of its output as docs); a
+# broken or ambiguous link fails here.
+step docs 300 env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline -q
 # Recovery-under-load SLO sweep: produces the perf-trajectory file
 # BENCH_slo.json (plus results/slo_summary.json) on every green build
 # and exits non-zero on any SLO-oracle violation.

@@ -16,7 +16,7 @@
 //!   declared death surfaces as a typed [`OpResult::Fault`] instead of a
 //!   hang or an abort,
 //! * [`Op::Checkpoint`] captures opaque program state onto a buddy rank's
-//!   in-memory [`ReplicaStore`](crate::recovery::ReplicaStore),
+//!   in-memory [`ReplicaStore`],
 //! * after a death the job restarts under the configured
 //!   [`RestartPolicy`]: **notify** (programs decide), **shrink**
 //!   (collectives re-plan over the dense survivor index in a new epoch),

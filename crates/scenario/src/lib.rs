@@ -22,11 +22,11 @@
 //! ```
 //!
 //! The pipeline is [`scan`](scan::scan) → [`parse`](parse::parse) →
-//! [`compile`](compile::compile) → [`run_compiled`](run::run_compiled):
-//! text to spanned tokens, tokens to a validated [`Spec`](ast::Spec)
-//! (every error a `line:col`-anchored [`Diag`](parse::Diag)), spec to
+//! [`compile`](compile::compile) → [`run_compiled`]:
+//! text to spanned tokens, tokens to a validated [`Spec`]
+//! (every error a `line:col`-anchored [`Diag`]), spec to
 //! the existing chaos + workload engines, and execution to a
-//! [`ScenarioOutcome`](run::ScenarioOutcome) whose verdict is checked
+//! [`ScenarioOutcome`] whose verdict is checked
 //! against the `expect` line. The language is fully round-trippable —
 //! [`print`](print::print) emits the canonical spelling and
 //! `parse(print(spec)) == spec` — and total: the scanner tokenizes any
@@ -36,7 +36,7 @@
 //! rejection fixtures in `scenarios/bad/`); `docs/SCENARIOS.md` is the
 //! grammar reference. That directory is the only place a named chaos
 //! scenario is stated: [`corpus::load_dir`] loads it,
-//! [`run_corpus_parallel`](run::run_corpus_parallel) replays it, and
+//! [`run_corpus_parallel`] replays it, and
 //! [`corpus::gate`] holds the replay against the `expect` lines, the
 //! oracles and the golden bytes — the `chaos` bench binary and the test
 //! suites are thin callers of those three.
