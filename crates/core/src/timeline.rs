@@ -34,9 +34,10 @@ impl RecoveryReport {
     /// detected).
     pub fn from_trace(trace: &Trace) -> Option<RecoveryReport> {
         let events = trace.events();
-        let is_fault =
-            |k: &TraceKind| matches!(k, TraceKind::FaultInjected { .. } | TraceKind::ForcedHang { .. });
-        let episode = events.get(events.iter().rposition(|e| is_fault(&e.kind))?..)?;
+        let fault = events.iter().rposition(|e| {
+            matches!(e.kind, TraceKind::FaultInjected { .. } | TraceKind::ForcedHang { .. })
+        })?;
+        let episode = events.get(fault..)?;
         let node = episode.first()?.kind.node();
         let woken = tail_from(episode, node, false, |k| matches!(k, TraceKind::FtdWoken { .. }))?;
         let done = tail_from(woken, node, true, |k| {
