@@ -1,8 +1,8 @@
-//! The four bins that rewrite a tracked file (`chaos`, `scale`, `mpi`,
-//! `slo`) refuse an argument they do not know — a typo, or a positional
-//! they never accepted — before a single file is read or written: a
-//! mistyped `--smoke` must not fall through to the full sweep that
-//! overwrites `BENCH_scale.json`.
+//! The three bins that rewrite a tracked file (`chaos`, `scale`, `mpi`)
+//! refuse an argument they do not know — a typo, or a positional they
+//! never accepted — before a single file is read or written: a mistyped
+//! `--smoke` must not fall through to the full sweep that overwrites
+//! `BENCH_scale.json`.
 
 use std::fs;
 use std::path::Path;
@@ -17,7 +17,6 @@ fn unknown_arguments_print_usage_and_touch_nothing() {
     let chaos = (env!("CARGO_BIN_EXE_chaos"), "usage: chaos [--update]");
     let scale = (env!("CARGO_BIN_EXE_scale"), "usage: scale [--smoke] [seed]");
     let mpi = (env!("CARGO_BIN_EXE_mpi"), "usage: mpi [--smoke] [--threads N] [seed]");
-    let slo = (env!("CARGO_BIN_EXE_slo"), "usage: slo [seed]");
     for ((bin, usage), args) in [
         (chaos, &["--updat"][..]),
         (chaos, &["2003"]),
@@ -27,8 +26,6 @@ fn unknown_arguments_print_usage_and_touch_nothing() {
         (mpi, &["--smok"]),
         (mpi, &["--smoke", "--threads"]),
         (mpi, &["--threads", "two"]),
-        (slo, &["--bogus"]),
-        (slo, &["2003", "out.json"]),
     ] {
         let out = Command::new(bin)
             .args(args)

@@ -647,9 +647,9 @@ impl App for RpcClient {
         if let GmEvent::Received { data, .. } = ev {
             ctx.gm_provide_receive_buffer(self.request_size.max(64));
             let rtt = ctx.now() - self.sent_at;
-            let id = u64::from_le_bytes(data[..8].try_into().expect("8 bytes"));
+            let want = (self.next_id - 1).wrapping_mul(2);
             let mut s = self.stats.borrow_mut();
-            if id == (self.next_id - 1) * 2 {
+            if read_id(&data) == Some(want) {
                 s.latencies.record(rtt);
             } else {
                 s.bad_responses += 1;
@@ -688,12 +688,21 @@ impl App for RpcServer {
         } = ev
         {
             ctx.gm_provide_receive_buffer(self.buffer_size);
-            let id = u64::from_le_bytes(data[..8].try_into().expect("8 bytes"));
+            // A request too short to carry an id gets no reply.
+            let Some(id) = read_id(&data) else { return };
             let mut resp = vec![0u8; 16];
-            resp[..8].copy_from_slice(&(id * 2).to_le_bytes());
+            resp[..8].copy_from_slice(&id.wrapping_mul(2).to_le_bytes());
             ctx.gm_send(&resp, src_node, src_port);
         }
     }
+}
+
+/// The little-endian request id in a payload's first 8 bytes; `None`
+/// when the payload is shorter.
+fn read_id(data: &[u8]) -> Option<u64> {
+    data.get(..8)
+        .and_then(|b| <[u8; 8]>::try_from(b).ok())
+        .map(u64::from_le_bytes)
 }
 
 #[cfg(test)]
@@ -719,5 +728,84 @@ mod rpc_tests {
         // An RPC is a full round trip: ~2x the one-way latency.
         assert!((20.0..40.0).contains(&p50), "p50 {p50}us");
         assert!(s.quantile(0.99).unwrap() >= s.quantile(0.5).unwrap());
+    }
+
+    /// Sends `payloads` to node 1 port 2 at start and keeps every reply.
+    struct RawRequests {
+        payloads: Vec<Vec<u8>>,
+        replies: Rc<RefCell<Vec<Vec<u8>>>>,
+    }
+
+    impl App for RawRequests {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            for p in &self.payloads {
+                ctx.gm_provide_receive_buffer(64);
+                ctx.gm_send(p, NodeId(1), 2);
+            }
+        }
+
+        fn on_event(&mut self, _ctx: &mut Ctx<'_>, ev: GmEvent) {
+            if let GmEvent::Received { data, .. } = ev {
+                self.replies.borrow_mut().push(data);
+            }
+        }
+    }
+
+    /// Answers every request with 4 bytes, too short to echo an id.
+    struct ShortReplies;
+
+    impl App for ShortReplies {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            for _ in 0..8 {
+                ctx.gm_provide_receive_buffer(256);
+            }
+        }
+
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: GmEvent) {
+            if let GmEvent::Received {
+                src_node,
+                src_port,
+                ..
+            } = ev
+            {
+                ctx.gm_provide_receive_buffer(256);
+                ctx.gm_send(&[0; 4], src_node, src_port);
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_payloads_are_dropped_or_counted_not_panics() {
+        // Server: a 4-byte request carries no id and gets no reply; the
+        // largest id doubles with wrap-around.
+        let mut w = World::two_node(WorldConfig::ftgm());
+        let replies = Rc::new(RefCell::new(Vec::new()));
+        w.spawn_app(NodeId(1), 2, Box::new(RpcServer::new(64)));
+        w.spawn_app(
+            NodeId(0),
+            0,
+            Box::new(RawRequests {
+                payloads: vec![vec![1, 2, 3, 4], u64::MAX.to_le_bytes().repeat(2)],
+                replies: replies.clone(),
+            }),
+        );
+        w.run_for(SimDuration::from_ms(5));
+        let got = replies.borrow();
+        assert_eq!(got.len(), 1, "only the well-formed request is answered");
+        assert_eq!(read_id(&got[0]), Some(u64::MAX.wrapping_mul(2)));
+
+        // Client: a response too short to echo an id is a bad response.
+        let mut w = World::two_node(WorldConfig::ftgm());
+        let stats = Rc::new(RefCell::new(RpcStats::default()));
+        w.spawn_app(NodeId(1), 2, Box::new(ShortReplies));
+        w.spawn_app(
+            NodeId(0),
+            0,
+            Box::new(RpcClient::new(NodeId(1), 2, 128, stats.clone())),
+        );
+        w.run_for(SimDuration::from_ms(5));
+        let s = stats.borrow();
+        assert!(s.bad_responses > 0, "{s:?}");
+        assert_eq!(s.latencies.len(), 0);
     }
 }

@@ -200,11 +200,10 @@ pub(crate) const R7_ENTRY_FNS: [(&str, &str); 2] = [
 /// are the byte-stable JSON emitters that ci.sh grep-gates as
 /// integer-only; `CampaignResult::to_json` in `faults/src/campaign.rs`
 /// is deliberately absent — its Table-1 percentages are floats by design.
-pub(crate) const R9_ENTRY_FNS: [(&str, &str); 15] = [
+pub(crate) const R9_ENTRY_FNS: [(&str, &str); 12] = [
     ("crates/bench/src/bin/chaos.rs", "rollup_json"),
     ("crates/bench/src/mpi.rs", "cell_json"),
     ("crates/bench/src/mpi.rs", "summary_json"),
-    ("crates/bench/src/bin/slo.rs", "summary_json"),
     ("crates/scenario/src/run.rs", "to_json"),
     ("crates/bench/src/scale.rs", "summary_json"),
     ("crates/bench/src/scale.rs", "world_cell_json"),
@@ -213,9 +212,7 @@ pub(crate) const R9_ENTRY_FNS: [(&str, &str); 15] = [
     ("crates/sim/src/metrics.rs", "to_json_indented"),
     ("crates/sim/src/trace.rs", "write_json_fields"),
     ("crates/workload/src/slo.rs", "fold_report"),
-    ("crates/workload/src/slo.rs", "reports_to_json"),
     ("crates/workload/src/slo.rs", "to_json"),
-    ("crates/workload/src/slo.rs", "write_json"),
 ];
 
 /// Every file and directory a rule table scopes a rule by, for the

@@ -10,12 +10,9 @@
 //!   caller already built (e.g. the world inside an `ftgm-mpi`
 //!   harness), leaving variant and daemon wiring to the caller.
 //!
-//! [`run_suite_parallel`] fans a suite out over worker threads through
-//! [`ftgm_sim::map_indexed`]: output order equals input order and
-//! per-spec results are independent of the thread count, so a 1-thread
-//! and a 3-thread run serialize to identical bytes.
-//!
-//! [`ftgm_mpi`-style]: crate::driver::run_spec_on
+//! A report depends only on its spec, so a suite fanned out over
+//! [`ftgm_sim::map_indexed`] serializes to the same bytes for any
+//! thread count.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -26,7 +23,7 @@ use ftgm_faults::chaos::{apply_action, ChaosTopology};
 use ftgm_gm::apps::RpcServer;
 use ftgm_gm::{World, WorldConfig};
 use ftgm_net::NodeId;
-use ftgm_sim::{map_indexed, SimRng};
+use ftgm_sim::SimRng;
 
 use crate::gen::{ClosedLoopClient, OpenLoopSender, Sink};
 use crate::slo::{fold_report, FlowProbe, PhaseWindows, SloReport};
@@ -167,11 +164,4 @@ pub fn run_spec_on(spec: &WorkloadSpec, world: &mut World, ft: Option<&FtSystem>
         &taken,
         recoveries,
     )
-}
-
-/// Runs a suite over `threads` workers. Output order equals input
-/// order and each report depends only on its spec, so the serialized
-/// suite is byte-identical for any thread count.
-pub fn run_suite_parallel(specs: &[WorkloadSpec], threads: usize) -> Vec<SloReport> {
-    map_indexed(specs.len(), threads, |i| run_spec(&specs[i]))
 }

@@ -14,10 +14,9 @@
 //!   closed-loop request/response clients with think time, and a
 //!   multi-phase timeline (warmup → steady → fault window → drain)
 //!   with scripted faults tied to phases;
-//! * [`run_spec`] / [`run_spec_on`] / [`run_suite_parallel`] — the
-//!   driver, running specs over two-node, star, or ring worlds, GM or
-//!   FTGM, optionally composing with the chaos engine's fault
-//!   primitives;
+//! * [`run_spec`] / [`run_spec_on`] — the driver, running specs over
+//!   two-node, star, or ring worlds, GM or FTGM, optionally composing
+//!   with the chaos engine's fault primitives;
 //! * [`SloReport`] — per-phase p50/p95/p99/p999 latency, goodput,
 //!   in-flight depth, and availability (longest no-completion gap,
 //!   completion ratio), serialized as byte-stable integer JSON;
@@ -61,12 +60,9 @@ pub mod gen;
 pub mod slo;
 pub mod spec;
 
-pub use driver::{run_spec, run_spec_on, run_suite_parallel, topology_label};
+pub use driver::{run_spec, run_spec_on, topology_label};
 pub use gen::{ClosedLoopClient, OpenLoopSender, Sink};
-pub use slo::{
-    fold_report, reports_to_json, Completion, FlowProbe, PhaseSlo, PhaseWindows, SloBounds,
-    SloReport,
-};
+pub use slo::{fold_report, Completion, FlowProbe, PhaseSlo, PhaseWindows, SloBounds, SloReport};
 pub use spec::{
     demo_suite, Arrival, ClientModel, FaultPoint, FlowSpec, Phase, PhaseKind, SizeMix, Variant,
     WorkloadSpec,

@@ -149,69 +149,46 @@ impl SloReport {
 
     /// Serializes the report as deterministic, integer-valued JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write_json(&mut out, "");
-        out
-    }
-
-    fn write_json(&self, out: &mut String, indent: &str) {
         use std::fmt::Write as _;
-        let _ = writeln!(out, "{indent}{{");
-        let _ = writeln!(out, "{indent}  \"name\": \"{}\",", self.name);
-        let _ = writeln!(out, "{indent}  \"topology\": \"{}\",", self.topology);
-        let _ = writeln!(out, "{indent}  \"variant\": \"{}\",", self.variant);
-        let _ = writeln!(out, "{indent}  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "{indent}  \"run_ns\": {},", self.run_ns);
-        let _ = writeln!(out, "{indent}  \"total_issued\": {},", self.total_issued);
-        let _ = writeln!(out, "{indent}  \"total_completed\": {},", self.total_completed);
-        let _ = writeln!(out, "{indent}  \"send_errors\": {},", self.send_errors);
-        let _ = writeln!(out, "{indent}  \"bad_responses\": {},", self.bad_responses);
-        let _ = writeln!(out, "{indent}  \"iface_dead\": {},", self.iface_dead);
-        let _ = writeln!(out, "{indent}  \"recoveries\": {},", self.recoveries);
-        let _ = writeln!(out, "{indent}  \"phases\": [");
+        let mut out = String::new();
+        let _ = writeln!(out, "{{");
+        let _ = writeln!(out, "  \"name\": \"{}\",", self.name);
+        let _ = writeln!(out, "  \"topology\": \"{}\",", self.topology);
+        let _ = writeln!(out, "  \"variant\": \"{}\",", self.variant);
+        let _ = writeln!(out, "  \"seed\": {},", self.seed);
+        let _ = writeln!(out, "  \"run_ns\": {},", self.run_ns);
+        let _ = writeln!(out, "  \"total_issued\": {},", self.total_issued);
+        let _ = writeln!(out, "  \"total_completed\": {},", self.total_completed);
+        let _ = writeln!(out, "  \"send_errors\": {},", self.send_errors);
+        let _ = writeln!(out, "  \"bad_responses\": {},", self.bad_responses);
+        let _ = writeln!(out, "  \"iface_dead\": {},", self.iface_dead);
+        let _ = writeln!(out, "  \"recoveries\": {},", self.recoveries);
+        let _ = writeln!(out, "  \"phases\": [");
         for (i, p) in self.phases.iter().enumerate() {
             let comma = if i + 1 < self.phases.len() { "," } else { "" };
-            let _ = writeln!(out, "{indent}    {{");
-            let _ = writeln!(out, "{indent}      \"phase\": \"{}\",", p.name);
-            let _ = writeln!(out, "{indent}      \"start_ns\": {},", p.start_ns);
-            let _ = writeln!(out, "{indent}      \"end_ns\": {},", p.end_ns);
-            let _ = writeln!(out, "{indent}      \"issued\": {},", p.issued);
-            let _ = writeln!(out, "{indent}      \"completed\": {},", p.completed);
-            let _ = writeln!(out, "{indent}      \"bytes\": {},", p.bytes);
-            let _ = writeln!(
-                out,
-                "{indent}      \"goodput_bytes_per_sec\": {},",
-                p.goodput_bytes_per_sec
-            );
-            let _ = writeln!(out, "{indent}      \"p50_ns\": {},", p.p50_ns);
-            let _ = writeln!(out, "{indent}      \"p95_ns\": {},", p.p95_ns);
-            let _ = writeln!(out, "{indent}      \"p99_ns\": {},", p.p99_ns);
-            let _ = writeln!(out, "{indent}      \"p999_ns\": {},", p.p999_ns);
-            let _ = writeln!(out, "{indent}      \"mean_ns\": {},", p.mean_ns);
-            let _ = writeln!(out, "{indent}      \"max_ns\": {},", p.max_ns);
-            let _ = writeln!(out, "{indent}      \"max_in_flight\": {},", p.max_in_flight);
-            let _ = writeln!(out, "{indent}      \"longest_gap_ns\": {},", p.longest_gap_ns);
-            let _ = writeln!(
-                out,
-                "{indent}      \"completed_permille\": {}",
-                p.completed_permille
-            );
-            let _ = writeln!(out, "{indent}    }}{comma}");
+            let _ = writeln!(out, "    {{");
+            let _ = writeln!(out, "      \"phase\": \"{}\",", p.name);
+            let _ = writeln!(out, "      \"start_ns\": {},", p.start_ns);
+            let _ = writeln!(out, "      \"end_ns\": {},", p.end_ns);
+            let _ = writeln!(out, "      \"issued\": {},", p.issued);
+            let _ = writeln!(out, "      \"completed\": {},", p.completed);
+            let _ = writeln!(out, "      \"bytes\": {},", p.bytes);
+            let _ = writeln!(out, "      \"goodput_bytes_per_sec\": {},", p.goodput_bytes_per_sec);
+            let _ = writeln!(out, "      \"p50_ns\": {},", p.p50_ns);
+            let _ = writeln!(out, "      \"p95_ns\": {},", p.p95_ns);
+            let _ = writeln!(out, "      \"p99_ns\": {},", p.p99_ns);
+            let _ = writeln!(out, "      \"p999_ns\": {},", p.p999_ns);
+            let _ = writeln!(out, "      \"mean_ns\": {},", p.mean_ns);
+            let _ = writeln!(out, "      \"max_ns\": {},", p.max_ns);
+            let _ = writeln!(out, "      \"max_in_flight\": {},", p.max_in_flight);
+            let _ = writeln!(out, "      \"longest_gap_ns\": {},", p.longest_gap_ns);
+            let _ = writeln!(out, "      \"completed_permille\": {}", p.completed_permille);
+            let _ = writeln!(out, "    }}{comma}");
         }
-        let _ = writeln!(out, "{indent}  ]");
-        let _ = write!(out, "{indent}}}");
+        let _ = writeln!(out, "  ]");
+        let _ = write!(out, "}}");
+        out
     }
-}
-
-/// Serializes a suite of reports as one deterministic JSON array.
-pub fn reports_to_json(reports: &[SloReport]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in reports.iter().enumerate() {
-        r.write_json(&mut out, "  ");
-        out.push_str(if i + 1 < reports.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("]\n");
-    out
 }
 
 /// Phase windows the folder buckets into: `(name, start_ns, end_ns)`,

@@ -1,7 +1,8 @@
 //! End-to-end smoke tests for the workload driver: the demo suite
 //! runs, recovers from its scripted hang, and replays byte-for-byte.
 
-use ftgm_workload::{demo_suite, run_spec, run_suite_parallel, reports_to_json};
+use ftgm_sim::map_indexed;
+use ftgm_workload::{demo_suite, run_spec};
 
 #[test]
 fn demo_hang_recovers_under_load() {
@@ -45,11 +46,12 @@ fn demo_hang_recovers_under_load() {
 
 #[test]
 fn suite_replays_byte_identically() {
-    let a = reports_to_json(&run_suite_parallel(&demo_suite(), 1));
-    let b = reports_to_json(&run_suite_parallel(&demo_suite(), 3));
+    let specs = demo_suite();
+    let run = |threads| map_indexed(specs.len(), threads, |i| run_spec(&specs[i]).to_json());
+    let a = run(1);
+    let b = run(3);
     assert_eq!(a, b, "thread count must not leak into reports");
-    let c = reports_to_json(&run_suite_parallel(&demo_suite(), 3));
-    assert_eq!(b, c, "repeated runs must serialize identically");
+    assert_eq!(b, run(3), "repeated runs must serialize identically");
 }
 
 #[test]

@@ -18,7 +18,8 @@ use ftgm_bench::scale::{
     check as scale_check, run_world_cell, scale_spec, summary_json, world_cells,
 };
 use ftgm_scenario::{load_specs, run_corpus_parallel, ScenarioOutcome};
-use ftgm_workload::{demo_suite, reports_to_json, run_suite_parallel};
+use ftgm_sim::map_indexed;
+use ftgm_workload::run_spec;
 
 /// Asserts a golden benchmark artifact is integer-only: after stripping
 /// string literals, no `.`, `e`, or `E` may remain — floats (and their
@@ -257,25 +258,6 @@ fn bench_mpi_json_matches_golden_schema() {
     }
 }
 
-/// Golden schema for `BENCH_slo.json` (written by the `slo` bin).
-#[test]
-fn bench_slo_json_matches_golden_schema() {
-    let json = read_artifact("BENCH_slo.json");
-    assert_integer_only_json("BENCH_slo.json", &json);
-    assert_has_keys(
-        "BENCH_slo.json",
-        &json,
-        &[
-            "schema", "seed", "violations", "cells", "name", "topology", "load", "fault",
-            "variant", "steady_p50_ns", "steady_p99_ns", "steady_p999_ns",
-            "steady_goodput_bytes_per_sec", "steady_completed_permille",
-            "fault_blackout_ns", "fault_completed", "recoveries", "total_issued",
-            "total_completed",
-        ],
-    );
-    assert!(json.contains("\"schema\": \"ftgm-slo-v1\""));
-}
-
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -365,10 +347,8 @@ fn scale_world_reports_are_byte_identical_across_thread_counts() {
         .map(|c| scale_spec(c, 2003))
         .collect();
     assert_eq!(specs.len(), 2, "steady and hang cells expected");
-    let single = reports_to_json(&run_suite_parallel(&specs, 1));
-    let multi = reports_to_json(&run_suite_parallel(&specs, 3));
-    assert!(!single.is_empty());
-    assert_eq!(single, multi, "thread count leaked into 256-node reports");
+    let render = |threads| map_indexed(specs.len(), threads, |i| run_spec(&specs[i]).to_json());
+    assert_eq!(render(1), render(3), "thread count leaked into 256-node reports");
 }
 
 #[test]
@@ -408,38 +388,4 @@ fn correlated_exports_are_byte_identical_across_thread_counts() {
 )]
 fn exports_are_byte_identical_across_repeated_runs() {
     assert_same_exports(&replay(&STANDARD, 7, 2), &replay(&STANDARD, 7, 2));
-}
-
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "release-gated: the demo suite simulates seconds of fabric time (ci.sh runs this with --release)"
-)]
-fn workload_slo_reports_are_byte_identical_across_thread_counts() {
-    // Same spec + seed ⇒ byte-identical SloReport JSON, independent of
-    // how many worker threads the suite fans out over.
-    let single = reports_to_json(&run_suite_parallel(&demo_suite(), 1));
-    let multi = reports_to_json(&run_suite_parallel(&demo_suite(), 3));
-    assert!(!single.is_empty());
-    assert_eq!(single, multi, "thread count leaked into SLO reports");
-}
-
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "release-gated: the demo suite simulates seconds of fabric time (ci.sh runs this with --release)"
-)]
-fn workload_slo_reports_are_byte_identical_across_repeated_runs() {
-    let first = reports_to_json(&run_suite_parallel(&demo_suite(), 2));
-    let second = reports_to_json(&run_suite_parallel(&demo_suite(), 2));
-    assert_eq!(first, second, "SLO replay diverged");
-    // The reports actually carry signal: the scripted hang recovered.
-    let reports = run_suite_parallel(&demo_suite(), 2);
-    let hang = reports
-        .iter()
-        .filter(|r| r.name == "demo_hang")
-        .next()
-        .map(|r| r.recoveries)
-        .unwrap_or(0);
-    assert_eq!(hang, 1, "demo_hang must recover exactly once");
 }
