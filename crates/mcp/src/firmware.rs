@@ -15,6 +15,8 @@
 //! exits. Faults landing in a path the workload never runs are the model's
 //! organic source of the paper's 51% "no impact" outcomes.
 
+use std::sync::OnceLock;
+
 use ftgm_lanai::asm::{assemble, Assembled};
 
 /// SRAM byte addresses used by the MCP (8 MB SRAM, the top LANai9
@@ -178,6 +180,8 @@ err:
 #[derive(Clone, Debug)]
 pub struct FirmwareImage {
     assembled: Assembled,
+    entry_send: u32,
+    entry_resend: u32,
 }
 
 impl FirmwareImage {
@@ -189,7 +193,20 @@ impl FirmwareImage {
     /// invariant, covered by tests.
     pub fn build() -> FirmwareImage {
         let assembled = assemble(SEND_CHUNK_ASM).expect("send_chunk assembles");
-        FirmwareImage { assembled }
+        let entry_send = layout::CODE_BASE + assembled.label("send_chunk");
+        let entry_resend = layout::CODE_BASE + assembled.label("send_chunk_resend");
+        FirmwareImage {
+            assembled,
+            entry_send,
+            entry_resend,
+        }
+    }
+
+    /// The process-wide image every [`McpMachine`](crate::McpMachine)
+    /// loads, assembled on first use.
+    pub fn shared() -> &'static FirmwareImage {
+        static IMAGE: OnceLock<FirmwareImage> = OnceLock::new();
+        IMAGE.get_or_init(FirmwareImage::build)
     }
 
     /// The image bytes to load at [`layout::CODE_BASE`].
@@ -199,12 +216,12 @@ impl FirmwareImage {
 
     /// Absolute SRAM entry address of `send_chunk`.
     pub fn entry_send(&self) -> u32 {
-        layout::CODE_BASE + self.assembled.label("send_chunk")
+        self.entry_send
     }
 
     /// Absolute SRAM entry address of the resend path.
     pub fn entry_resend(&self) -> u32 {
-        layout::CODE_BASE + self.assembled.label("send_chunk_resend")
+        self.entry_resend
     }
 
     /// The absolute SRAM byte range holding `send_chunk` code — the fault

@@ -248,7 +248,7 @@ pub struct McpMachine {
     pub chip: LanaiChip,
     node: NodeId,
     params: McpParams,
-    firmware: FirmwareImage,
+    firmware: &'static FirmwareImage,
     routes: RouteTable,
 
     busy_until: SimTime,
@@ -311,7 +311,7 @@ impl McpMachine {
     /// the driver's initial MCP load). Call [`McpMachine::boot`] before
     /// use.
     pub fn new(node: NodeId, params: McpParams) -> McpMachine {
-        let firmware = FirmwareImage::build();
+        let firmware = FirmwareImage::shared();
         let mut chip = LanaiChip::new(layout::SRAM_LEN);
         chip.sram.write_bytes(layout::CODE_BASE, firmware.bytes());
         McpMachine {
@@ -357,8 +357,8 @@ impl McpMachine {
     }
 
     /// The firmware image (exposes the fault-injection code range).
-    pub fn firmware(&self) -> &FirmwareImage {
-        &self.firmware
+    pub fn firmware(&self) -> &'static FirmwareImage {
+        self.firmware
     }
 
     /// Counters.
@@ -521,8 +521,10 @@ impl McpMachine {
     }
 
     /// The FTD's reset path: resets the card, clears SRAM, reloads the
-    /// pristine firmware image and wipes all protocol state (it lived in
-    /// SRAM). Ports close; timers stay disarmed until [`McpMachine::boot`].
+    /// pristine firmware image and wipes all protocol state and the route
+    /// table (they lived in SRAM). Ports close; timers stay disarmed until
+    /// [`McpMachine::boot`], and routes stay empty until the FTD restores
+    /// them with [`McpMachine::set_routes`].
     pub fn reset_and_reload(&mut self, image: &[u8]) {
         self.chip.reset();
         self.chip.sram.clear();
@@ -530,6 +532,7 @@ impl McpMachine {
         self.booted = false;
         self.busy_until = SimTime::ZERO;
         self.reload_count += 1;
+        self.routes = RouteTable::default();
         self.ports = Default::default();
         self.send_q_high.clear();
         self.send_q_low.clear();

@@ -12,10 +12,18 @@
 //! yielding minimal-hop source routes. (Probe-packet timing is irrelevant
 //! to every experiment in the paper; mapping happens before traffic
 //! starts.)
+//!
+//! Every interface's routes begin with its own cable into its *entry
+//! switch*, and from there a host affects the search only by being
+//! skipped as a destination. So the mapper searches once per entry
+//! switch, not once per interface: every host cabled to that switch
+//! shares one route vector, with its own slot masked. Clones are O(1);
+//! [`RouteTable::insert`] copies on write.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
-use crate::topology::{Endpoint, NodeId, Topology};
+use crate::topology::{Endpoint, NodeId, SwitchId, Topology};
 
 /// A source route: one output-port byte per switch traversed.
 pub type Route = Vec<u8>;
@@ -23,11 +31,17 @@ pub type Route = Vec<u8>;
 /// Routes from one interface to every reachable peer.
 ///
 /// Node ids are small and dense, and the MCP looks a route up for every
-/// frame it transmits, so the table is a vector indexed by node id.
+/// frame it transmits, so the table is a vector indexed by node id. The
+/// vector is shared with every interface on the same entry switch (and
+/// with every clone: the MCP's copy and the host's backup), so cloning a
+/// table is O(1).
 #[derive(Clone, Debug, Default)]
 pub struct RouteTable {
     /// `routes[dst]`; trailing slots may be absent or `None`.
-    routes: Vec<Option<Route>>,
+    routes: Arc<Vec<Option<Route>>>,
+    /// The slot this table hides: its own interface, which the shared
+    /// vector holds a route to for the switch's other hosts.
+    own: Option<NodeId>,
 }
 
 impl PartialEq for RouteTable {
@@ -43,6 +57,9 @@ impl Eq for RouteTable {}
 impl RouteTable {
     /// The route to `dst`, if one was discovered.
     pub fn route(&self, dst: NodeId) -> Option<&Route> {
+        if self.own == Some(dst) {
+            return None;
+        }
         self.routes.get(usize::from(dst.0))?.as_ref()
     }
 
@@ -60,18 +77,24 @@ impl RouteTable {
     /// destination order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &Route)> {
         (0..=u16::MAX)
-            .zip(&self.routes)
+            .zip(self.routes.iter())
+            .filter(|&(i, _)| self.own != Some(NodeId(i)))
             .filter_map(|(i, r)| Some((NodeId(i), r.as_ref()?)))
     }
 
     /// Inserts a route (used when restoring a table from a host backup),
-    /// replacing any previous route to `dst`.
+    /// replacing any previous route to `dst`. Copies the shared vector
+    /// first if anyone else holds it.
     pub fn insert(&mut self, dst: NodeId, route: Route) {
-        let i = usize::from(dst.0);
-        if i >= self.routes.len() {
-            self.routes.resize(i + 1, None);
+        if self.own == Some(dst) {
+            self.own = None;
         }
-        if let Some(slot) = self.routes.get_mut(i) {
+        let routes = Arc::make_mut(&mut self.routes);
+        let i = usize::from(dst.0);
+        if i >= routes.len() {
+            routes.resize(i + 1, None);
+        }
+        if let Some(slot) = routes.get_mut(i) {
             *slot = Some(route);
         }
     }
@@ -105,19 +128,129 @@ impl Mapper {
     /// returns `false` — the mapper's re-configuration pass after a link
     /// disappears ("the GM mapper can also reconfigure the network if
     /// links or nodes appear or disappear").
+    ///
+    /// One search per entry switch: every interface cabled to a switch
+    /// gets the same shared routes, with its own slot masked.
     pub fn map_avoiding(topo: &Topology, link_up: impl Fn(usize) -> bool) -> Vec<RouteTable> {
+        let mut by_switch: Vec<Option<Arc<Vec<Option<Route>>>>> = vec![None; topo.switch_count()];
         (0..topo.node_count())
-            .map(|n| Self::map_from_avoiding(topo, NodeId(n as u16), &link_up))
+            .map(|n| {
+                let src = NodeId(n as u16);
+                let entry = topo
+                    .nic_link(src)
+                    .filter(|&l| link_up(l))
+                    .and_then(|l| topo.peer(l, Endpoint::Nic(src)));
+                match entry {
+                    Some(Endpoint::SwitchPort { switch, .. }) => {
+                        let Some(shared) = by_switch.get_mut(usize::from(switch.0)) else {
+                            return RouteTable::default();
+                        };
+                        let routes = shared
+                            .get_or_insert_with(|| Arc::new(Self::search(topo, switch, &link_up)));
+                        RouteTable {
+                            routes: Arc::clone(routes),
+                            own: Some(src),
+                        }
+                    }
+                    // Two NICs cabled back to back: one empty route.
+                    Some(Endpoint::Nic(peer)) => {
+                        let mut table = RouteTable::default();
+                        table.insert(peer, Vec::new());
+                        table
+                    }
+                    None => RouteTable::default(),
+                }
+            })
             .collect()
     }
 
-    /// Computes the route table for a single source interface.
-    pub fn map_from(topo: &Topology, src: NodeId) -> RouteTable {
-        Self::map_from_avoiding(topo, src, &|_| true)
+    /// Breadth-first search from `root`, switches expanded in discovery
+    /// order and ports ascending: the route to every host it reaches,
+    /// indexed by node id. Each switch keeps a parent pointer, so a route
+    /// is allocated once, when its host is first reached.
+    fn search(
+        topo: &Topology,
+        root: SwitchId,
+        link_up: &impl Fn(usize) -> bool,
+    ) -> Vec<Option<Route>> {
+        let switches = topo.switch_count();
+        // parent[s] = (switch s was first reached from, the port out of it).
+        let mut parent: Vec<Option<(SwitchId, u8)>> = vec![None; switches];
+        let mut seen = vec![false; switches];
+        let mut routes: Vec<Option<Route>> = vec![None; topo.node_count()];
+        let mut queue = VecDeque::new();
+        if let Some(s) = seen.get_mut(usize::from(root.0)) {
+            *s = true;
+            queue.push_back((root, 0));
+        }
+        // (switch, its hop count from the root).
+        while let Some((switch, hops)) = queue.pop_front() {
+            for port in 0..topo.switch_port_count(switch) {
+                let Some(link) = topo.switch_port_link(switch, port) else {
+                    continue;
+                };
+                if !link_up(link) {
+                    continue;
+                }
+                match topo.peer(link, Endpoint::SwitchPort { switch, port }) {
+                    Some(Endpoint::Nic(n)) => {
+                        if let Some(slot @ None) = routes.get_mut(usize::from(n.0)) {
+                            *slot = Some(Self::route_to(&parent, hops, switch, port));
+                        }
+                    }
+                    Some(Endpoint::SwitchPort { switch: far, .. }) => {
+                        let f = usize::from(far.0);
+                        if let Some(s @ false) = seen.get_mut(f) {
+                            *s = true;
+                            if let Some(p) = parent.get_mut(f) {
+                                *p = Some((switch, port));
+                            }
+                            queue.push_back((far, hops + 1));
+                        }
+                    }
+                    None => {}
+                }
+            }
+        }
+        routes
     }
 
-    /// [`Mapper::map_from`] with a link filter.
-    pub fn map_from_avoiding(
+    /// The route from the search root through `switch` (reached in
+    /// `hops` switch hops) and out of its `port`, read off the parent
+    /// pointers in one allocation.
+    fn route_to(
+        parent: &[Option<(SwitchId, u8)>],
+        hops: usize,
+        switch: SwitchId,
+        port: u8,
+    ) -> Route {
+        let mut route = Vec::with_capacity(hops + 1);
+        route.push(port);
+        let mut at = switch;
+        // The parent chain is a tree rooted at the search root; `hops`
+        // bounds the walk.
+        for _ in 0..hops {
+            let Some(&Some((up, out))) = parent.get(usize::from(at.0)) else {
+                break;
+            };
+            route.push(out);
+            at = up;
+        }
+        route.reverse();
+        route
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fabric::{Fabric, FabricParams};
+    use ftgm_sim::{SimRng, SimTime};
+
+    /// The per-source search the mapper ran before it searched once per
+    /// entry switch, kept as the differential oracle: one BFS from every
+    /// interface, carrying a cloned route on every queue push.
+    fn oracle_map_from(
         topo: &Topology,
         src: NodeId,
         link_up: &impl Fn(usize) -> bool,
@@ -172,13 +305,81 @@ impl Mapper {
         }
         table
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::fabric::{Fabric, FabricParams};
-    use ftgm_sim::SimTime;
+    /// node0 and node1 cabled NIC to NIC, node2 uncabled.
+    fn back_to_back_and_uncabled() -> Topology {
+        let mut b = Topology::builder();
+        b.add_nodes(3);
+        b.connect(Endpoint::Nic(NodeId(0)), Endpoint::Nic(NodeId(1)));
+        b.build()
+    }
+
+    #[test]
+    fn per_switch_search_matches_the_per_source_oracle() {
+        let mut rng = SimRng::new(32);
+        for topo in [
+            Topology::two_nodes_one_switch(),
+            Topology::star(6),
+            Topology::ring(5),
+            Topology::ring(8),
+            Topology::switch_chain(4, 3),
+            Topology::fat_tree(2, 2, 2),
+            Topology::fat_tree(2, 5, 4),
+            Topology::fat_tree(4, 17, 16),
+            Topology::torus(4, 5),
+            Topology::torus(16, 17),
+            back_to_back_and_uncabled(),
+        ] {
+            let links = topo.links().len();
+            // All links up, then 20 seeded masks taking down 1 to 8 links.
+            let mut masks = vec![vec![true; links]];
+            for _ in 0..20 {
+                let mut up = vec![true; links];
+                for _ in 0..=rng.gen_range(8) {
+                    up[rng.gen_range(links as u64) as usize] = false;
+                }
+                masks.push(up);
+            }
+            for up in &masks {
+                let link_up = |l: usize| up[l];
+                let tables = Mapper::map_avoiding(&topo, link_up);
+                assert_eq!(tables.len(), topo.node_count());
+                for (n, table) in tables.iter().enumerate() {
+                    let src = NodeId(n as u16);
+                    let oracle = oracle_map_from(&topo, src, &link_up);
+                    assert!(
+                        table.iter().eq(oracle.iter()),
+                        "{} hosts, {links} links: node{n}'s routes differ from the oracle",
+                        topo.node_count()
+                    );
+                    assert_eq!(table.route(src), None, "no self-route");
+                    assert_eq!(table.len(), oracle.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn insert_copies_the_shared_routes_on_write() {
+        let topo = Topology::star(4);
+        let tables = Mapper::map(&topo);
+        let (mcp, backup) = (tables[1].clone(), tables[1].clone());
+        let mut restored = mcp.clone();
+        restored.insert(NodeId(3), vec![7, 7]);
+        restored.insert(NodeId(1), vec![9]);
+        assert_eq!(restored.route(NodeId(3)), Some(&vec![7, 7]));
+        assert_eq!(restored.route(NodeId(1)), Some(&vec![9]), "an insert unmasks the own slot");
+        // Neither the twins it was cloned from nor the switch-mates that
+        // share its routes see the writes.
+        for twin in [&mcp, &backup, &tables[1]] {
+            assert_eq!(twin.route(NodeId(3)), Some(&vec![3]));
+            assert_eq!(twin.route(NodeId(1)), None);
+        }
+        for (n, mate) in tables.iter().enumerate() {
+            assert_eq!(mate, &oracle_map_from(&topo, NodeId(n as u16), &|_| true));
+        }
+        assert_eq!(tables[0].route(NodeId(1)), Some(&vec![1]));
+    }
 
     #[test]
     fn two_node_routes() {

@@ -1,13 +1,16 @@
-//! Heap-allocation budget of the steady-state message path.
+//! Heap-allocation budgets: the steady-state message path and world
+//! construction.
 //!
 //! Its own test binary, because it installs a counting global allocator:
 //! a two-node closed-loop ping-pong must cost at most
 //! [`BUDGET_PER_MESSAGE`] allocations per one-way message once warm, and
 //! must schedule no boxed-closure event at all. What remains is the wire
 //! frame, the ACK frame and the `GmEvent::Received` payload copy
-//! (DESIGN.md §5b), the same three on GM and on FTGM. The count does not
-//! depend on the build profile; `ci.sh` runs the release build as its own
-//! step.
+//! (DESIGN.md §5b), the same three on GM and on FTGM. Building a world
+//! must stay within a per-host budget: the mapper searches once per
+//! switch and every host on a switch shares its routes, so the count
+//! grows with switches × hosts, not hosts². The counts do not depend on
+//! the build profile; `ci.sh` runs the release build as its own step.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,6 +22,12 @@ use ftgm_sim::SimDuration;
 
 /// Allocations (and reallocations) allowed per one-way message.
 const BUDGET_PER_MESSAGE: f64 = 4.0;
+/// Allocations allowed per host to build the 256-host fat tree: 16 leaf
+/// switches, so 16 shared routes per host plus the host and NIC models.
+const BUDGET_PER_HOST_FAT_TREE: u64 = 64;
+/// Allocations allowed per host to build the 272-host torus: one switch
+/// per host, so every host's search allocates a route to every host.
+const BUDGET_PER_HOST_TORUS: u64 = 400;
 
 struct Counting;
 
@@ -161,4 +170,31 @@ fn steady_state_ping_pong_stays_within_the_allocation_budget() {
     });
     // Whole allocations: the fraction is amortised growth of run-long logs.
     assert_eq!(gm.round(), ftgm.round(), "FTGM's bookkeeping allocates nothing GM's does not");
+}
+
+/// Allocations per host to build a world.
+fn world_allocs_per_host(build: impl FnOnce() -> World) -> u64 {
+    let a0 = allocs();
+    let w = build();
+    let a1 = allocs();
+    (a1 - a0) / w.nodes.len() as u64
+}
+
+#[test]
+fn world_construction_stays_within_the_allocation_budget() {
+    // Warm the process-wide firmware image: it is assembled once, not
+    // once per world.
+    drop(World::two_node(WorldConfig::ftgm()));
+    let fat_tree = world_allocs_per_host(|| World::fat_tree(4, 16, 16, WorldConfig::ftgm()));
+    let torus = world_allocs_per_host(|| World::torus(16, 17, WorldConfig::ftgm()));
+    for (name, per_host, budget) in [
+        ("fat_tree(4,16,16)", fat_tree, BUDGET_PER_HOST_FAT_TREE),
+        ("torus(16,17)", torus, BUDGET_PER_HOST_TORUS),
+    ] {
+        println!("{name}: {per_host} allocations per host to build the world");
+        assert!(
+            per_host <= budget,
+            "{name}: {per_host} allocations per host, budget {budget}"
+        );
+    }
 }

@@ -12,7 +12,7 @@ use ftgm_gm::{World, WorldConfig};
 use ftgm_host::CpuCost;
 use ftgm_lanai::timers::TimerId;
 use ftgm_net::NodeId;
-use ftgm_sim::{SimDuration, TraceKind};
+use ftgm_sim::{RecoveryPhase, SimDuration, TraceKind};
 
 fn ft_world() -> (World, FtSystem) {
     let mut config = WorldConfig::ftgm();
@@ -160,6 +160,40 @@ fn busy_clears_and_watchdog_rearms_after_each_recovery() {
     }
     let s = stats.borrow();
     assert!(s.clean(), "{s:?}");
+}
+
+#[test]
+fn reload_wipes_the_route_table_and_restore_routes_brings_it_back() {
+    let (mut w, ft) = ft_world();
+    let stats = traffic(&mut w, NodeId(0), 0, NodeId(1), 2);
+    // (phase, MCP table == host backup, MCP table empty) per phase.
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let log = seen.clone();
+    w.hooks.ftd_phase = Some(Rc::new(move |w: &mut World, node: NodeId, phase| {
+        let n = &w.nodes[node.0 as usize];
+        log.borrow_mut().push((
+            phase,
+            n.mcp.routes() == &n.route_backup,
+            n.mcp.routes().is_empty(),
+        ));
+    }));
+    w.run_for(SimDuration::from_ms(20));
+    ft.inject_forced_hang(&mut w, NodeId(1));
+    w.run_for(SimDuration::from_secs(2));
+    assert_eq!(ft.recoveries(NodeId(1)), 1);
+    let seen = seen.borrow();
+    let at = |phase| seen.iter().find(|(p, ..)| *p == phase).copied();
+    assert_eq!(
+        at(RecoveryPhase::RestartEngines),
+        Some((RecoveryPhase::RestartEngines, false, true)),
+        "the reload lost the table with the rest of SRAM"
+    );
+    assert_eq!(
+        at(RecoveryPhase::RestoreRoutes),
+        Some((RecoveryPhase::RestoreRoutes, true, false)),
+        "RestoreRoutes installs the host's copy"
+    );
+    assert!(stats.borrow().clean());
 }
 
 #[test]
