@@ -62,9 +62,11 @@ step test-debug 1800 cargo test -q
 # compares them with the committed BENCH_scale.json / BENCH_mpi.json
 # byte for byte. All run in release (the scenarios simulate seconds of
 # cluster time; debug builds are gated off with #[ignore] to keep the
-# tier under budget).
+# tier under budget). ftgm-bench's cli suite rides along: it checks the
+# bins' argument handling and that table2, fig8, fig9 and watchdog_gap
+# print their tracked results/ files byte for byte.
 step chaos-determinism 900 cargo test --release -q -p ftgm-core \
-    --test chaos_smoke --test determinism
+    --test chaos_smoke --test determinism -p ftgm-bench --test cli
 # The other suite with release-gated tests, which nothing else runs: the
 # full corpus replay against its goldens and its thread-count invariance
 # (crates/scenario/tests/corpus.rs).

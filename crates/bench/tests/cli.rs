@@ -2,7 +2,8 @@
 //! refuse an argument they do not know — a typo, or a positional they
 //! never accepted — before a single file is read or written: a mistyped
 //! `--smoke` must not fall through to the full sweep that overwrites
-//! `BENCH_scale.json`.
+//! `BENCH_scale.json`. The quick paper bins print exactly their tracked
+//! `results/` file.
 
 use std::fs;
 use std::path::Path;
@@ -38,5 +39,28 @@ fn unknown_arguments_print_usage_and_touch_nothing() {
         assert!(out.stdout.is_empty(), "{bin} {args:?}");
         let left_behind = fs::read_dir(&cwd).expect("cwd readable").count();
         assert_eq!(left_behind, 0, "{bin} {args:?} wrote into the working directory");
+    }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-gated: the bins simulate seconds of cluster time (ci.sh runs this with --release)"
+)]
+fn quick_paper_bins_reproduce_their_results_files() {
+    // Every number in these files is on the simulated clock, so a fresh
+    // run prints the committed bytes; a difference means the model
+    // moved (re-run the bin as results/README.md says, and say why).
+    let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    for (bin, file) in [
+        (env!("CARGO_BIN_EXE_table2"), "table2.txt"),
+        (env!("CARGO_BIN_EXE_fig8"), "fig8.txt"),
+        (env!("CARGO_BIN_EXE_fig9"), "fig9.txt"),
+        (env!("CARGO_BIN_EXE_watchdog_gap"), "watchdog_gap.txt"),
+    ] {
+        let out = Command::new(bin).output().expect("bin runs");
+        assert!(out.status.success(), "{bin} failed");
+        let committed = fs::read_to_string(results.join(file)).expect("results file");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), committed, "results/{file} is stale");
     }
 }

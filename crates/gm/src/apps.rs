@@ -9,12 +9,16 @@
 //! * [`PatternSender`]/[`PatternReceiver`] — continuously validated
 //!   traffic used by the fault-injection campaigns (Table 1, §5.2): every
 //!   message carries a deterministic pattern, so silent corruption,
-//!   duplication, loss and reordering are all observable.
+//!   duplication, loss and reordering are all observable,
+//! * [`RpcServer`] — the responder of closed-loop request/response
+//!   clients; requests and replies are pattern messages too, checked by
+//!   the same [`pattern_index`].
 //!
 //! All workloads expose their measurements through shared
 //! `Rc<RefCell<…>>` stats handles, readable after the simulation runs.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use ftgm_net::NodeId;
@@ -282,6 +286,24 @@ pub fn pattern_message(idx: u64, size: u32) -> Vec<u8> {
     data
 }
 
+/// The index a payload claims in its first 8 bytes; `None` when it is
+/// shorter.
+fn claimed_index(data: &[u8]) -> Option<u64> {
+    Some(u64::from_le_bytes(data.get(..8)?.try_into().ok()?))
+}
+
+/// The index of a [`pattern_message`]: `Some(idx)` when every byte of
+/// `data` matches message `idx`'s pattern, `None` for a payload that is
+/// short or damaged anywhere.
+pub fn pattern_index(data: &[u8]) -> Option<u64> {
+    let idx = claimed_index(data)?;
+    data.iter()
+        .enumerate()
+        .skip(8)
+        .all(|(i, &b)| b == pattern_byte(idx, i))
+        .then_some(idx)
+}
+
 /// Ground-truth observations of the validated traffic pair.
 #[derive(Clone, Debug, Default)]
 pub struct TrafficStats {
@@ -296,9 +318,9 @@ pub struct TrafficStats {
     /// Messages received with corrupted contents.
     pub received_corrupt: u64,
     /// Messages received out of order or duplicated (index not strictly
-    /// increasing).
+    /// increasing per source).
     pub misordered: u64,
-    /// Highest message index received, if any.
+    /// Highest valid message index received, if any.
     pub last_idx: Option<u64>,
     /// `InterfaceDead` escalation events observed (either side).
     pub iface_dead: u64,
@@ -394,11 +416,13 @@ impl App for PatternSender {
     }
 }
 
-/// Receives and validates pattern messages.
+/// Receives and validates pattern messages. Ordering is tracked per
+/// `(src_node, src_port)`, so several senders can share one receiver.
 pub struct PatternReceiver {
     buffer_size: u32,
     buffers: u32,
     stats: Rc<RefCell<TrafficStats>>,
+    last_idx: BTreeMap<(NodeId, u8), u64>,
 }
 
 impl PatternReceiver {
@@ -408,6 +432,7 @@ impl PatternReceiver {
             buffer_size,
             buffers,
             stats,
+            last_idx: BTreeMap::new(),
         }
     }
 }
@@ -424,29 +449,26 @@ impl App for PatternReceiver {
             self.stats.borrow_mut().iface_dead += 1;
             return;
         }
-        if let GmEvent::Received { data, .. } = ev {
+        if let GmEvent::Received {
+            src_node,
+            src_port,
+            data,
+            ..
+        } = ev
+        {
             ctx.gm_provide_receive_buffer(self.buffer_size);
             let mut s = self.stats.borrow_mut();
-            if data.len() < 8 {
+            // A corrupted index field also shows up as a wildly wrong
+            // pattern, so ordering is checked only for valid data.
+            let Some(idx) = pattern_index(&data) else {
                 s.received_corrupt += 1;
                 return;
-            }
-            let idx = u64::from_le_bytes(data[..8].try_into().expect("8 bytes"));
-            let expected_ok = data
-                .iter()
-                .enumerate()
-                .skip(8)
-                .all(|(i, &b)| b == pattern_byte(idx, i));
-            // Plausibility: a corrupted index field also shows up as a
-            // wildly wrong pattern, so check ordering only for valid data.
-            if !expected_ok {
-                s.received_corrupt += 1;
-                return;
-            }
-            match s.last_idx {
-                Some(last) if idx <= last => s.misordered += 1,
+            };
+            match self.last_idx.get(&(src_node, src_port)) {
+                Some(&last) if idx <= last => s.misordered += 1,
                 _ => {
-                    s.last_idx = Some(idx);
+                    self.last_idx.insert((src_node, src_port), idx);
+                    s.last_idx = Some(s.last_idx.map_or(idx, |l| l.max(idx)));
                     s.received_ok += 1;
                     let now = ctx.now().as_nanos();
                     if s.last_ok_at_ns != 0 {
@@ -467,9 +489,11 @@ mod tests {
 
     #[test]
     fn pattern_roundtrip_validates() {
-        let m = pattern_message(42, 256);
-        assert_eq!(u64::from_le_bytes(m[..8].try_into().unwrap()), 42);
-        assert!(m.iter().enumerate().skip(8).all(|(i, &b)| b == pattern_byte(42, i)));
+        let mut m = pattern_message(42, 256);
+        assert_eq!(pattern_index(&m), Some(42));
+        assert_eq!(pattern_index(&m[..7]), None);
+        m[200] ^= 1;
+        assert_eq!(pattern_index(&m), None);
     }
 
     #[test]
@@ -565,110 +589,49 @@ mod tests {
             assert!(s.clean(), "{s:?}");
         }
     }
+
+    #[test]
+    fn two_senders_share_one_receiver_in_order() {
+        let mut w = World::two_node(WorldConfig::ftgm());
+        let stats = Rc::new(RefCell::new(TrafficStats::default()));
+        w.spawn_app(
+            NodeId(1),
+            2,
+            Box::new(PatternReceiver::new(512, 16, stats.clone())),
+        );
+        for port in [0, 1] {
+            w.spawn_app(
+                NodeId(0),
+                port,
+                Box::new(PatternSender::new(NodeId(1), 2, 256, 8, Some(100), stats.clone())),
+            );
+        }
+        w.run_for(SimDuration::from_ms(100));
+        let s = stats.borrow();
+        assert_eq!((s.sent, s.received_ok), (200, 200), "{s:?}");
+        assert_eq!(s.last_idx, Some(99));
+        assert!(s.clean(), "{s:?}");
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Request/response RPC (service availability workloads)
 // ---------------------------------------------------------------------------
 
-/// Latency observations of the RPC client. Quantiles delegate to the
-/// shared [`Samples`] implementation (nearest-rank, `None` when empty).
-#[derive(Clone, Debug, Default)]
-pub struct RpcStats {
-    /// Completed request→response round trips, in issue order.
-    pub latencies: Samples,
-    /// Requests issued.
-    pub issued: u64,
-    /// Responses whose payload failed validation.
-    pub bad_responses: u64,
-}
-
-impl RpcStats {
-    /// The `q`-quantile (0.0–1.0) of completed latencies.
-    pub fn quantile(&self, q: f64) -> Option<SimDuration> {
-        self.latencies.quantile(q)
-    }
-
-    /// Longest observed round trip.
-    pub fn max(&self) -> Option<SimDuration> {
-        self.latencies.max()
-    }
-}
-
-/// A closed-loop RPC client: issues the next request when the previous
-/// response arrives (requests carry an id; responses echo it doubled).
-pub struct RpcClient {
-    server: NodeId,
-    server_port: u8,
-    request_size: u32,
-    next_id: u64,
-    sent_at: SimTime,
-    stats: Rc<RefCell<RpcStats>>,
-}
-
-impl RpcClient {
-    /// A client of `server:server_port` sending `request_size`-byte
-    /// requests.
-    pub fn new(
-        server: NodeId,
-        server_port: u8,
-        request_size: u32,
-        stats: Rc<RefCell<RpcStats>>,
-    ) -> RpcClient {
-        RpcClient {
-            server,
-            server_port,
-            request_size: request_size.max(16),
-            next_id: 1,
-            sent_at: SimTime::ZERO,
-            stats,
-        }
-    }
-
-    fn issue(&mut self, ctx: &mut Ctx<'_>) {
-        let mut req = vec![0u8; self.request_size as usize];
-        req[..8].copy_from_slice(&self.next_id.to_le_bytes());
-        self.sent_at = ctx.now();
-        self.stats.borrow_mut().issued += 1;
-        ctx.gm_send(&req, self.server, self.server_port);
-        self.next_id += 1;
-    }
-}
-
-impl App for RpcClient {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        for _ in 0..4 {
-            ctx.gm_provide_receive_buffer(self.request_size.max(64));
-        }
-        self.issue(ctx);
-    }
-
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: GmEvent) {
-        if let GmEvent::Received { data, .. } = ev {
-            ctx.gm_provide_receive_buffer(self.request_size.max(64));
-            let rtt = ctx.now() - self.sent_at;
-            let want = (self.next_id - 1).wrapping_mul(2);
-            let mut s = self.stats.borrow_mut();
-            if read_id(&data) == Some(want) {
-                s.latencies.record(rtt);
-            } else {
-                s.bad_responses += 1;
-            }
-            drop(s);
-            self.issue(ctx);
-        }
-    }
-}
-
-/// The RPC server: echoes each request with its id doubled.
+/// The server of closed-loop request/response clients: answers each
+/// request `id` with the 16-byte `pattern_message(id * 2, 16)`.
+/// Requests that fail the pattern check count in the stats'
+/// `received_corrupt`; one whose id is still readable is answered
+/// anyway, so a damaged body never stalls its client.
 pub struct RpcServer {
     buffer_size: u32,
+    stats: Rc<RefCell<TrafficStats>>,
 }
 
 impl RpcServer {
     /// A server accepting requests up to `buffer_size` bytes.
-    pub fn new(buffer_size: u32) -> RpcServer {
-        RpcServer { buffer_size }
+    pub fn new(buffer_size: u32, stats: Rc<RefCell<TrafficStats>>) -> RpcServer {
+        RpcServer { buffer_size, stats }
     }
 }
 
@@ -688,47 +651,23 @@ impl App for RpcServer {
         } = ev
         {
             ctx.gm_provide_receive_buffer(self.buffer_size);
+            let checked = pattern_index(&data);
+            if checked.is_none() {
+                self.stats.borrow_mut().received_corrupt += 1;
+            }
             // A request too short to carry an id gets no reply.
-            let Some(id) = read_id(&data) else { return };
-            let mut resp = vec![0u8; 16];
-            resp[..8].copy_from_slice(&id.wrapping_mul(2).to_le_bytes());
-            ctx.gm_send(&resp, src_node, src_port);
+            let Some(id) = checked.or_else(|| claimed_index(&data)) else {
+                return;
+            };
+            ctx.gm_send(&pattern_message(id.wrapping_mul(2), 16), src_node, src_port);
         }
     }
-}
-
-/// The little-endian request id in a payload's first 8 bytes; `None`
-/// when the payload is shorter.
-fn read_id(data: &[u8]) -> Option<u64> {
-    data.get(..8)
-        .and_then(|b| <[u8; 8]>::try_from(b).ok())
-        .map(u64::from_le_bytes)
 }
 
 #[cfg(test)]
 mod rpc_tests {
     use super::*;
     use crate::world::{World, WorldConfig};
-
-    #[test]
-    fn closed_loop_rpc_measures_latency() {
-        let mut w = World::two_node(WorldConfig::ftgm());
-        let stats = Rc::new(RefCell::new(RpcStats::default()));
-        w.spawn_app(NodeId(1), 2, Box::new(RpcServer::new(4096)));
-        w.spawn_app(
-            NodeId(0),
-            0,
-            Box::new(RpcClient::new(NodeId(1), 2, 128, stats.clone())),
-        );
-        w.run_for(SimDuration::from_ms(20));
-        let s = stats.borrow();
-        assert!(s.latencies.len() > 100, "{}", s.latencies.len());
-        assert_eq!(s.bad_responses, 0);
-        let p50 = s.quantile(0.5).unwrap().as_micros_f64();
-        // An RPC is a full round trip: ~2x the one-way latency.
-        assert!((20.0..40.0).contains(&p50), "p50 {p50}us");
-        assert!(s.quantile(0.99).unwrap() >= s.quantile(0.5).unwrap());
-    }
 
     /// Sends `payloads` to node 1 port 2 at start and keeps every reply.
     struct RawRequests {
@@ -751,61 +690,31 @@ mod rpc_tests {
         }
     }
 
-    /// Answers every request with 4 bytes, too short to echo an id.
-    struct ShortReplies;
-
-    impl App for ShortReplies {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            for _ in 0..8 {
-                ctx.gm_provide_receive_buffer(256);
-            }
-        }
-
-        fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: GmEvent) {
-            if let GmEvent::Received {
-                src_node,
-                src_port,
-                ..
-            } = ev
-            {
-                ctx.gm_provide_receive_buffer(256);
-                ctx.gm_send(&[0; 4], src_node, src_port);
-            }
-        }
-    }
-
     #[test]
     fn malformed_payloads_are_dropped_or_counted_not_panics() {
-        // Server: a 4-byte request carries no id and gets no reply; the
-        // largest id doubles with wrap-around.
+        // A 4-byte request carries no id and gets no reply; a damaged
+        // body with a readable id is counted and still answered, and
+        // the largest id doubles with wrap-around.
         let mut w = World::two_node(WorldConfig::ftgm());
         let replies = Rc::new(RefCell::new(Vec::new()));
-        w.spawn_app(NodeId(1), 2, Box::new(RpcServer::new(64)));
+        let stats = Rc::new(RefCell::new(TrafficStats::default()));
+        w.spawn_app(NodeId(1), 2, Box::new(RpcServer::new(64, stats.clone())));
         w.spawn_app(
             NodeId(0),
             0,
             Box::new(RawRequests {
-                payloads: vec![vec![1, 2, 3, 4], u64::MAX.to_le_bytes().repeat(2)],
+                payloads: vec![
+                    vec![1, 2, 3, 4],
+                    u64::MAX.to_le_bytes().repeat(2),
+                    pattern_message(7, 32),
+                ],
                 replies: replies.clone(),
             }),
         );
         w.run_for(SimDuration::from_ms(5));
         let got = replies.borrow();
-        assert_eq!(got.len(), 1, "only the well-formed request is answered");
-        assert_eq!(read_id(&got[0]), Some(u64::MAX.wrapping_mul(2)));
-
-        // Client: a response too short to echo an id is a bad response.
-        let mut w = World::two_node(WorldConfig::ftgm());
-        let stats = Rc::new(RefCell::new(RpcStats::default()));
-        w.spawn_app(NodeId(1), 2, Box::new(ShortReplies));
-        w.spawn_app(
-            NodeId(0),
-            0,
-            Box::new(RpcClient::new(NodeId(1), 2, 128, stats.clone())),
-        );
-        w.run_for(SimDuration::from_ms(5));
-        let s = stats.borrow();
-        assert!(s.bad_responses > 0, "{s:?}");
-        assert_eq!(s.latencies.len(), 0);
+        let ids: Vec<Option<u64>> = got.iter().map(|r| pattern_index(r)).collect();
+        assert_eq!(ids, [Some(u64::MAX.wrapping_mul(2)), Some(14)]);
+        assert_eq!(stats.borrow().received_corrupt, 2);
     }
 }

@@ -56,5 +56,5 @@ pub use corpus::{gate, load_dir, load_specs, CorpusError, CorpusFault, GateRepor
 pub use gen::gen_spec;
 pub use parse::{parse, render_diags, Diag};
 pub use print::print;
-pub use run::{run_compiled, run_corpus_parallel, run_text, ExpectMismatch, ScenarioOutcome};
+pub use run::{judge, run_compiled, run_corpus_parallel, run_text, ExpectMismatch, ScenarioOutcome};
 pub use scan::{scan, Tok, TokKind};

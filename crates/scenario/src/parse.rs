@@ -321,6 +321,21 @@ impl<'a> Parser<'a> {
         Some(d)
     }
 
+    /// A message size in bytes, within the `16..=1048576` every flow
+    /// kind accepts.
+    fn take_size(&mut self, what: &str) -> Option<u32> {
+        let s = self.take_u32(what)?;
+        if !(16..=1_048_576).contains(&s.v) {
+            self.diags.push(Diag::new(
+                s.line,
+                s.col,
+                format!("message size {} must be within 16..=1048576 bytes", s.v),
+            ));
+            return None;
+        }
+        Some(s.v)
+    }
+
     /// Skips tokens until the next statement keyword or the scenario's
     /// closing brace, stepping over nested braced blocks wholesale.
     fn sync(&mut self) {
@@ -710,16 +725,7 @@ fn parse_flow(p: &mut Parser<'_>) -> Option<FlowDecl> {
             let mut pipeline = 2u32;
             if p.peek().is_some_and(|t| t.text(p.src) == "size") {
                 p.bump();
-                let s = p.take_u32("message size")?;
-                if !(16..=1_048_576).contains(&s.v) {
-                    p.diags.push(Diag::new(
-                        s.line,
-                        s.col,
-                        format!("message size {} must be within 16..=1048576 bytes", s.v),
-                    ));
-                    return None;
-                }
-                size = s.v;
+                size = p.take_size("message size")?;
             }
             if p.peek().is_some_and(|t| t.text(p.src) == "pipeline") {
                 p.bump();
@@ -831,16 +837,13 @@ fn parse_arrival(p: &mut Parser<'_>) -> Option<ArrivalDecl> {
 
 fn parse_mix(p: &mut Parser<'_>) -> Option<MixDecl> {
     match p.peek() {
-        Some(t) if t.kind == TokKind::Int => {
-            let s = p.take_u32("message size")?;
-            Some(MixDecl::Fixed(s.v))
-        }
+        Some(t) if t.kind == TokKind::Int => Some(MixDecl::Fixed(p.take_size("message size")?)),
         Some(t) if t.kind == TokKind::Ident && t.text(p.src) == "mix" => {
             p.bump();
             p.expect_punct(TokKind::LBrace, "'{' to open the size mix")?;
             let mut options = Vec::new();
             loop {
-                let bytes = p.take_u32("mix entry size")?;
+                let bytes = p.take_size("mix entry size")?;
                 p.expect_punct(TokKind::Colon, "':' between size and weight")?;
                 let weight = p.take_u32("mix entry weight")?;
                 if weight.v == 0 {
@@ -851,7 +854,7 @@ fn parse_mix(p: &mut Parser<'_>) -> Option<MixDecl> {
                     ));
                     return None;
                 }
-                options.push((bytes.v, weight.v));
+                options.push((bytes, weight.v));
                 match p.peek() {
                     Some(t) if t.kind == TokKind::Comma => {
                         p.bump();

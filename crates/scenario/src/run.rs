@@ -1,9 +1,9 @@
 //! Scenario execution: compiled campaigns → verdicts and golden JSON.
 //!
 //! [`run_compiled`] executes the chaos run (always) and the load run
-//! plus its plain-GM twin (when compiled in), folds every oracle and
-//! SLO violation into one [`ScenarioOutcome`], and classifies the
-//! verdict with [`classify_scenario`].
+//! plus its plain-GM twin (when compiled in); [`judge`] folds every
+//! oracle, SLO and payload-check violation into one [`ScenarioOutcome`]
+//! and classifies the verdict with [`classify_scenario`].
 //! [`ScenarioOutcome::check`] then compares that verdict against
 //! the file's `expect` line — a disagreement is a typed
 //! [`ExpectMismatch`] naming both sides, never a silent pass.
@@ -68,7 +68,8 @@ pub struct ScenarioOutcome {
     pub load: Option<SloReport>,
     /// The plain-GM twin, when a `p99_overhead` bound demanded one.
     pub gm: Option<SloReport>,
-    /// SLO-bound violations from the load run (empty = all bounds held).
+    /// Violations from the load run and its twin: SLO bounds, and
+    /// deliveries that failed the payload check (empty = all held).
     pub slo_violations: Vec<String>,
 }
 
@@ -164,8 +165,28 @@ pub fn run_compiled(c: &CompiledScenario) -> ScenarioOutcome {
     let chaos = run_scenario_artifacts(&c.chaos, c.seed);
     let load = c.workload.as_ref().map(run_spec);
     let gm = c.gm_twin.as_ref().map(run_spec);
+    judge(c, chaos, load, gm)
+}
 
+/// Folds the runs of scenario `c` into its outcome: the chaos oracles,
+/// the enabled SLO checks, and the exactly-once check on the load run
+/// and its twin (any delivery a responder found corrupt, duplicated or
+/// out of order is a violation).
+pub fn judge(
+    c: &CompiledScenario,
+    chaos: ScenarioArtifacts,
+    load: Option<SloReport>,
+    gm: Option<SloReport>,
+) -> ScenarioOutcome {
     let mut slo_violations = Vec::new();
+    for r in load.iter().chain(&gm) {
+        if r.corrupt > 0 {
+            slo_violations.push(format!(
+                "{} ({}): {} deliveries failed the payload check",
+                r.name, r.variant, r.corrupt
+            ));
+        }
+    }
     if let Some(ftgm) = &load {
         if c.checks.recovery {
             slo_violations.extend(c.bounds.check_recovery(ftgm));

@@ -3,20 +3,26 @@
 //! Debug tier: every `scenarios/*.ftsc` loads through the one loader and
 //! prints round-trip — so a grammar change that orphans the corpus fails
 //! `cargo test` immediately — the loader and the gate return their typed
-//! failures, and four quick chaos checks replay named corpus files from
-//! their own seeds. Release tier (tier-1 via ci.sh) replays the whole
+//! failures, four quick chaos checks replay named corpus files from
+//! their own seeds, and a forged delivery to a load sink fails its
+//! scenario. Release tier (tier-1 via ci.sh) replays the whole
 //! corpus: expect verdicts, oracle cleanliness, byte-stable goldens, and
 //! 1-vs-3-thread invariance.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use ftgm_faults::chaos::{run_scenario, ChaosScenario};
+use ftgm_core::FtSystem;
+use ftgm_faults::chaos::{run_scenario, run_scenario_artifacts, ChaosScenario};
 use ftgm_faults::Resolution;
+use ftgm_gm::{App, Ctx, GmEvent, WorldConfig};
+use ftgm_net::NodeId;
 use ftgm_scenario::{
-    compile, gate, load_dir, load_specs, parse, print, render_diags, run_corpus_parallel,
+    compile, gate, judge, load_dir, load_specs, parse, print, render_diags, run_corpus_parallel,
     run_text, CompiledScenario, CorpusFault, ScenarioOutcome,
 };
+use ftgm_sim::SimDuration;
+use ftgm_workload::run_spec_on;
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
@@ -164,6 +170,55 @@ fn gate_update_never_pins_a_failing_outcome() {
 
     // The clean outcome alone is now green without --update.
     assert_eq!(gate(&outcomes[..1], &golden_dir, false).failures, [""; 0]);
+}
+
+/// Sends one 64-byte message that is no pattern message to node 1's
+/// `port`, 1 ms into the run.
+struct Forger {
+    port: u8,
+}
+
+impl App for Forger {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.set_alarm(SimDuration::from_ms(1), 0);
+    }
+
+    fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: GmEvent) {
+        if let GmEvent::Alarm { .. } = ev {
+            ctx.gm_send(&[0xFF; 64], NodeId(1), self.port);
+        }
+    }
+}
+
+/// A damaged delivery to a load flow's sink is counted in the report's
+/// `corrupt` and turns the scenario into a violation.
+#[test]
+fn corrupt_load_delivery_is_a_violation() {
+    let src = "scenario \"forged\" {\n\
+               \x20 topology two_node\n\
+               \x20 flow 0 -> 1 open every 50us sizes 256\n\
+               \x20 phases { warmup 2ms steady 10ms drain 2ms }\n\
+               \x20 expect survived\n\
+               }\n";
+    let c = compile(&parse(src).expect("parses"));
+    let spec = c.workload.clone().expect("a load run");
+    let mut world = spec.topology.build(WorldConfig::ftgm());
+    let ft = FtSystem::install(&mut world);
+    let sink_port = spec.flows[0].dst_port;
+    world.spawn_app(NodeId(0), 7, Box::new(Forger { port: sink_port }));
+    let load = run_spec_on(&spec, &mut world, Some(&ft));
+    assert_eq!(load.corrupt, 1, "{}", load.to_json());
+    assert!(load.total_completed > 100 && load.total_completed == load.total_issued);
+
+    let outcome = judge(&c, run_scenario_artifacts(&c.chaos, c.seed), Some(load), None);
+    let violations = outcome.violations();
+    assert_eq!(
+        violations,
+        ["forged (ftgm): 1 deliveries failed the payload check"],
+        "{violations:?}"
+    );
+    assert_ne!(outcome.verdict.label(), "survived");
+    assert!(outcome.to_json().contains("\"corrupt\": 1,"));
 }
 
 #[test]

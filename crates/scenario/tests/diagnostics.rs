@@ -77,3 +77,13 @@ fn diagnostics_name_the_offending_line_and_column() {
     );
     assert!(rendered.contains("type mismatch"), "{rendered}");
 }
+
+#[test]
+fn every_load_size_mix_entry_is_range_checked() {
+    // Each entry is checked where it stands, so the first diagnostic
+    // names the zero, not the whole mix.
+    let src = "scenario \"x\" {\n  topology two_node\n  flow 0 -> 1 open every 50us sizes mix { 256: 1, 0: 2 }\n  phases { warmup 10ms steady 100ms }\n  expect survived\n}\n";
+    let rendered = render_diags(&parse(src).expect_err("a zero-byte mix entry"));
+    let first = rendered.lines().next().unwrap_or_default();
+    assert_eq!(first, "error at 3:51: message size 0 must be within 16..=1048576 bytes");
+}

@@ -20,12 +20,12 @@ use std::rc::Rc;
 
 use ftgm_core::FtSystem;
 use ftgm_faults::chaos::{apply_action, ChaosTopology};
-use ftgm_gm::apps::RpcServer;
+use ftgm_gm::apps::{PatternReceiver, RpcServer, TrafficStats};
 use ftgm_gm::{World, WorldConfig};
 use ftgm_net::NodeId;
 use ftgm_sim::SimRng;
 
-use crate::gen::{ClosedLoopClient, OpenLoopSender, Sink};
+use crate::gen::{ClosedLoopClient, OpenLoopSender};
 use crate::slo::{fold_report, FlowProbe, PhaseWindows, SloReport};
 use crate::spec::{ClientModel, Variant, WorkloadSpec};
 
@@ -78,7 +78,8 @@ pub fn run_spec_on(spec: &WorkloadSpec, world: &mut World, ft: Option<&FtSystem>
     let stop_at = t0 + spec.offered_window();
 
     // Pass 1: one responder per (dst, dst_port), sized for the largest
-    // message any flow pushes at it.
+    // message any flow pushes at it. Every responder checks the pattern
+    // of what it receives; the report's `corrupt` sums their findings.
     let mut responders: BTreeMap<(u16, u8), (bool, u32)> = BTreeMap::new();
     for flow in &spec.flows {
         let closed = matches!(flow.model, ClientModel::ClosedLoop { .. });
@@ -88,12 +89,16 @@ pub fn run_spec_on(spec: &WorkloadSpec, world: &mut World, ft: Option<&FtSystem>
             .or_insert((closed, 0));
         entry.1 = entry.1.max(size);
     }
+    let mut checked: Vec<Rc<RefCell<TrafficStats>>> = Vec::new();
     for (&(node, port), &(closed, size)) in &responders {
-        if closed {
-            world.spawn_app(NodeId(node), port, Box::new(RpcServer::new(size)));
+        let stats = Rc::new(RefCell::new(TrafficStats::default()));
+        let app: Box<dyn ftgm_gm::App> = if closed {
+            Box::new(RpcServer::new(size, stats.clone()))
         } else {
-            world.spawn_app(NodeId(node), port, Box::new(Sink::new(size)));
-        }
+            Box::new(PatternReceiver::new(size, 16, stats.clone()))
+        };
+        world.spawn_app(NodeId(node), port, app);
+        checked.push(stats);
     }
 
     // Pass 2: generators, each with its own derived RNG and probe.
@@ -154,7 +159,7 @@ pub fn run_spec_on(spec: &WorkloadSpec, world: &mut World, ft: Option<&FtSystem>
     }
 
     let taken: Vec<FlowProbe> = probes.iter().map(|p| p.borrow().clone()).collect();
-    fold_report(
+    let mut report = fold_report(
         &spec.name,
         topology_label(spec.topology),
         spec.variant.name(),
@@ -163,5 +168,13 @@ pub fn run_spec_on(spec: &WorkloadSpec, world: &mut World, ft: Option<&FtSystem>
         &windows,
         &taken,
         recoveries,
-    )
+    );
+    report.corrupt = checked
+        .iter()
+        .map(|s| {
+            let s = s.borrow();
+            s.received_corrupt + s.misordered
+        })
+        .sum();
+    report
 }

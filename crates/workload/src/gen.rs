@@ -1,5 +1,8 @@
-//! Generator apps: the open-loop sender, the closed-loop client, and
-//! the sink responder.
+//! Generator apps: the open-loop sender and the closed-loop client.
+//!
+//! Every payload is a [`pattern_message`], so the responders the driver
+//! spawns ([`ftgm_gm::apps::PatternReceiver`] and
+//! [`ftgm_gm::apps::RpcServer`]) check every delivery.
 //!
 //! All randomness flows through a per-flow [`SimRng`] seeded from the
 //! spec's master seed, so a `(spec, seed)` pair replays bit-for-bit.
@@ -11,6 +14,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
+use ftgm_gm::apps::{pattern_index, pattern_message};
 use ftgm_gm::{App, Ctx, GmEvent};
 use ftgm_net::NodeId;
 use ftgm_sim::{SimDuration, SimRng, SimTime};
@@ -38,6 +42,7 @@ pub struct OpenLoopSender {
     probe: Rc<RefCell<FlowProbe>>,
     backlog: VecDeque<(SimTime, u32)>,
     posted: BTreeMap<u64, (SimTime, u32)>,
+    next_idx: u64,
     dead: bool,
 }
 
@@ -62,6 +67,7 @@ impl OpenLoopSender {
             probe,
             backlog: VecDeque::new(),
             posted: BTreeMap::new(),
+            next_idx: 0,
             dead: false,
         }
     }
@@ -71,7 +77,8 @@ impl OpenLoopSender {
             let Some((offered, size)) = self.backlog.pop_front() else {
                 break;
             };
-            let payload = vec![0x5Au8; size as usize];
+            let payload = pattern_message(self.next_idx, size);
+            self.next_idx += 1;
             let token = ctx.gm_send(&payload, self.dst, self.dst_port);
             self.posted.insert(token, (offered, size));
         }
@@ -122,8 +129,9 @@ impl App for OpenLoopSender {
 
 /// Closed-loop request/response client: one outstanding request, a
 /// think-time pause between a response and the next request. Pairs with
-/// [`ftgm_gm::apps::RpcServer`], which echoes a 16-byte response
-/// carrying `request_id * 2`.
+/// [`ftgm_gm::apps::RpcServer`], which answers request `id` with the
+/// 16-byte pattern message `id * 2`. A response that fails that check
+/// counts in `bad_responses` and ends the request like a good one.
 pub struct ClosedLoopClient {
     dst: NodeId,
     dst_port: u8,
@@ -180,10 +188,7 @@ impl ClosedLoopClient {
         let size = self.sizes.sample(&mut self.rng);
         let id = self.next_id;
         self.next_id += 1;
-        let mut req = vec![0u8; size as usize];
-        if let Some(head) = req.get_mut(..8) {
-            head.copy_from_slice(&id.to_le_bytes());
-        }
+        let req = pattern_message(id, size);
         self.probe.borrow_mut().record_arrival(now);
         self.want_id = Some(id.wrapping_mul(2));
         self.issued_at = now;
@@ -205,24 +210,23 @@ impl App for ClosedLoopClient {
         match ev {
             GmEvent::Received { data, .. } => {
                 ctx.gm_provide_receive_buffer(64);
-                let got = data
-                    .get(..8)
-                    .and_then(|b| <[u8; 8]>::try_from(b).ok())
-                    .map(u64::from_le_bytes);
+                let mut probe = self.probe.borrow_mut();
+                let Some(want) = self.want_id.take() else {
+                    probe.bad_responses += 1;
+                    return;
+                };
                 let now = ctx.now();
-                if self.want_id.is_some() && got == self.want_id {
-                    self.want_id = None;
-                    self.probe
-                        .borrow_mut()
-                        .record_completion(now, self.issued_at, self.req_bytes);
-                    self.probe.borrow_mut().record_depth(now, 0);
-                    if self.think == SimDuration::ZERO {
-                        self.issue(ctx);
-                    } else {
-                        ctx.set_alarm(self.think, THINK_TAG);
-                    }
+                if pattern_index(&data) == Some(want) {
+                    probe.record_completion(now, self.issued_at, self.req_bytes);
                 } else {
-                    self.probe.borrow_mut().bad_responses += 1;
+                    probe.bad_responses += 1;
+                }
+                probe.record_depth(now, 0);
+                drop(probe);
+                if self.think == SimDuration::ZERO {
+                    self.issue(ctx);
+                } else {
+                    ctx.set_alarm(self.think, THINK_TAG);
                 }
             }
             GmEvent::Alarm { tag: THINK_TAG } => {
@@ -241,33 +245,6 @@ impl App for ClosedLoopClient {
                 self.probe.borrow_mut().iface_dead += 1;
             }
             _ => {}
-        }
-    }
-}
-
-/// One-way traffic responder: keeps the receive ring fed and otherwise
-/// discards payloads.
-pub struct Sink {
-    buf_size: u32,
-}
-
-impl Sink {
-    /// A sink accepting messages up to `buf_size` bytes.
-    pub fn new(buf_size: u32) -> Sink {
-        Sink { buf_size }
-    }
-}
-
-impl App for Sink {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        for _ in 0..16u32.min(ctx.recv_tokens()) {
-            ctx.gm_provide_receive_buffer(self.buf_size);
-        }
-    }
-
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: GmEvent) {
-        if let GmEvent::Received { .. } = ev {
-            ctx.gm_provide_receive_buffer(self.buf_size);
         }
     }
 }

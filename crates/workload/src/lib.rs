@@ -61,7 +61,7 @@ pub mod slo;
 pub mod spec;
 
 pub use driver::{run_spec, run_spec_on, topology_label};
-pub use gen::{ClosedLoopClient, OpenLoopSender, Sink};
+pub use gen::{ClosedLoopClient, OpenLoopSender};
 pub use slo::{fold_report, Completion, FlowProbe, PhaseSlo, PhaseWindows, SloBounds, SloReport};
 pub use spec::{
     demo_suite, Arrival, ClientModel, FaultPoint, FlowSpec, Phase, PhaseKind, SizeMix, Variant,

@@ -118,6 +118,11 @@ pub struct SloReport {
     pub send_errors: u64,
     /// Bad closed-loop responses over the whole run.
     pub bad_responses: u64,
+    /// Deliveries the run's responders found damaged, duplicated or out
+    /// of order (`received_corrupt + misordered` of their
+    /// [`ftgm_gm::apps::TrafficStats`]). Set by the driver after
+    /// [`fold_report`], which leaves it 0.
+    pub corrupt: u64,
     /// `InterfaceDead` escalations over the whole run.
     pub iface_dead: u64,
     /// FTD recoveries summed over all nodes (0 for plain GM).
@@ -161,6 +166,7 @@ impl SloReport {
         let _ = writeln!(out, "  \"total_completed\": {},", self.total_completed);
         let _ = writeln!(out, "  \"send_errors\": {},", self.send_errors);
         let _ = writeln!(out, "  \"bad_responses\": {},", self.bad_responses);
+        let _ = writeln!(out, "  \"corrupt\": {},", self.corrupt);
         let _ = writeln!(out, "  \"iface_dead\": {},", self.iface_dead);
         let _ = writeln!(out, "  \"recoveries\": {},", self.recoveries);
         let _ = writeln!(out, "  \"phases\": [");
@@ -335,6 +341,7 @@ pub fn fold_report(
         phases,
         send_errors,
         bad_responses,
+        corrupt: 0,
         iface_dead,
         recoveries,
         run_ns: windows.iter().map(|&(_, _, end)| end).max().unwrap_or(0),

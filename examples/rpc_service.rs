@@ -62,6 +62,7 @@ fn main() {
     let steady = report.steady().expect("steady phase");
     let fault = report.fault().expect("fault phase");
     assert_eq!(report.bad_responses, 0, "service never answered wrong");
+    assert_eq!(report.corrupt, 0, "no request reached the server damaged");
     assert_eq!(report.recoveries, 1, "exactly one recovery");
     assert!(
         fault.max_ns > 1_000_000_000,

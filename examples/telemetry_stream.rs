@@ -83,11 +83,13 @@ fn main() {
     println!("  frames delivered : {}", report.total_completed);
     println!("  upsets/recoveries: 3 / {}", report.recoveries);
     println!("  send errors      : {}", report.send_errors);
+    println!("  frames damaged   : {}", report.corrupt);
     println!("  feed availability: {:.1}% of mission time", availability * 100.0);
 
     assert_eq!(report.recoveries, 3, "every upset recovered");
     assert_eq!(report.send_errors, 0);
     assert_eq!(report.iface_dead, 0, "no escalations");
+    assert_eq!(report.corrupt, 0, "every frame arrived intact, once, in order");
     for p in report.phases.iter().filter(|p| p.name == "fault") {
         assert!(p.completed > 0, "service resumed inside every fault window");
         assert!(
