@@ -63,8 +63,9 @@ step test-debug 1800 cargo test -q
 # byte for byte. All run in release (the scenarios simulate seconds of
 # cluster time; debug builds are gated off with #[ignore] to keep the
 # tier under budget). ftgm-bench's cli suite rides along: it checks the
-# bins' argument handling and that table2, fig8, fig9 and watchdog_gap
-# print their tracked results/ files byte for byte.
+# bins' argument handling and that the eight quick paper bins (table2,
+# table3, fig7, fig8, fig9, watchdog_gap and the two ablations) print
+# their tracked results/ files byte for byte.
 step chaos-determinism 900 cargo test --release -q -p ftgm-core \
     --test chaos_smoke --test determinism -p ftgm-bench --test cli
 # The other suite with release-gated tests, which nothing else runs: the

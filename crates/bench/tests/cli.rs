@@ -52,14 +52,19 @@ fn quick_paper_bins_reproduce_their_results_files() {
     // run prints the committed bytes; a difference means the model
     // moved (re-run the bin as results/README.md says, and say why).
     let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    for (bin, file) in [
-        (env!("CARGO_BIN_EXE_table2"), "table2.txt"),
-        (env!("CARGO_BIN_EXE_fig8"), "fig8.txt"),
-        (env!("CARGO_BIN_EXE_fig9"), "fig9.txt"),
-        (env!("CARGO_BIN_EXE_watchdog_gap"), "watchdog_gap.txt"),
+    // Arguments as in results/README.md's table.
+    for (bin, args, file) in [
+        (env!("CARGO_BIN_EXE_table2"), &[][..], "table2.txt"),
+        (env!("CARGO_BIN_EXE_table3"), &[], "table3.txt"),
+        (env!("CARGO_BIN_EXE_fig7"), &[], "fig7.txt"),
+        (env!("CARGO_BIN_EXE_fig8"), &[], "fig8.txt"),
+        (env!("CARGO_BIN_EXE_fig9"), &[], "fig9.txt"),
+        (env!("CARGO_BIN_EXE_watchdog_gap"), &[], "watchdog_gap.txt"),
+        (env!("CARGO_BIN_EXE_ablation_commit"), &["8"], "ablation_commit.txt"),
+        (env!("CARGO_BIN_EXE_ablation_seqnum"), &["6"], "ablation_seqnum.txt"),
     ] {
-        let out = Command::new(bin).output().expect("bin runs");
-        assert!(out.status.success(), "{bin} failed");
+        let out = Command::new(bin).args(args).output().expect("bin runs");
+        assert!(out.status.success(), "{bin} {args:?} failed");
         let committed = fs::read_to_string(results.join(file)).expect("results file");
         assert_eq!(String::from_utf8_lossy(&out.stdout), committed, "results/{file} is stale");
     }

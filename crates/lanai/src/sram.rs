@@ -3,7 +3,10 @@
 //! LANai9 cards carried 512 KB – 8 MB of SRAM holding the MCP image, packet
 //! staging buffers and protocol state. We model it as a flat little-endian
 //! byte array with checked word/halfword accessors and a bit-flip primitive
-//! for the fault campaign.
+//! for the fault campaign. Every store also marks its 4 KiB page in a
+//! written-page map, so [`Sram::clear`] zeroes only the pages something
+//! wrote: the MCP touches tens of kilobytes of an 8 MiB part, and a full
+//! fill would fault in every untouched page of the host process.
 
 use std::fmt;
 
@@ -13,10 +16,26 @@ use std::fmt;
 /// into traps rather than panics; infrastructure code (the MCP model, the
 /// driver's load path) uses the panicking `*_checked`-free convenience
 /// wrappers where an out-of-range access would be a simulator bug.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Sram {
     bytes: Vec<u8>,
+    /// One bit per [`PAGE`]-byte page: set once a store may have made the
+    /// page nonzero. A clear bit means the page is all zero.
+    written: Vec<u64>,
 }
+
+/// Page size of the written-page map.
+const PAGE: usize = 4096;
+
+/// Contents only: two memories holding the same bytes are equal whatever
+/// pages each has written.
+impl PartialEq for Sram {
+    fn eq(&self, other: &Sram) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for Sram {}
 
 /// Result of a checked memory access.
 pub type MemResult<T> = Result<T, MemFault>;
@@ -45,7 +64,10 @@ impl std::error::Error for MemFault {}
 impl Sram {
     /// Allocates `len` bytes of zeroed SRAM.
     pub fn new(len: usize) -> Sram {
-        Sram { bytes: vec![0; len] }
+        Sram {
+            bytes: vec![0; len],
+            written: vec![0; len.div_ceil(PAGE).div_ceil(64)],
+        }
     }
 
     /// Total size in bytes.
@@ -59,8 +81,22 @@ impl Sram {
     }
 
     /// Zeroes the entire memory (the FTD's "clear the LANai SRAM" step).
+    /// Only the written pages are filled; the rest are zero already.
     pub fn clear(&mut self) {
-        self.bytes.fill(0);
+        for (i, word) in self.written.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let start = (i * 64 + bits.trailing_zeros() as usize) * PAGE;
+                let end = (start + PAGE).min(self.bytes.len());
+                self.bytes[start..end].fill(0);
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// Marks a page of the written-page map.
+    fn mark(&mut self, page: usize) {
+        self.written[page / 64] |= 1 << (page % 64);
     }
 
     fn check(&self, addr: u32, size: u32) -> MemResult<usize> {
@@ -107,6 +143,7 @@ impl Sram {
     pub fn write_u8(&mut self, addr: u32, v: u8) -> MemResult<()> {
         let a = self.check(addr, 1)?;
         self.bytes[a] = v;
+        self.mark(a / PAGE);
         Ok(())
     }
 
@@ -114,6 +151,7 @@ impl Sram {
     pub fn write_u16(&mut self, addr: u32, v: u16) -> MemResult<()> {
         let a = self.check(addr, 2)?;
         self.bytes[a..a + 2].copy_from_slice(&v.to_le_bytes());
+        self.mark(a / PAGE);
         Ok(())
     }
 
@@ -121,6 +159,7 @@ impl Sram {
     pub fn write_u32(&mut self, addr: u32, v: u32) -> MemResult<()> {
         let a = self.check(addr, 4)?;
         self.bytes[a..a + 4].copy_from_slice(&v.to_le_bytes());
+        self.mark(a / PAGE);
         Ok(())
     }
 
@@ -134,6 +173,9 @@ impl Sram {
     pub fn write_bytes(&mut self, addr: u32, data: &[u8]) {
         let a = addr as usize;
         self.bytes[a..a + data.len()].copy_from_slice(data);
+        for page in (a / PAGE)..(a + data.len()).div_ceil(PAGE) {
+            self.mark(page);
+        }
     }
 
     /// Reads a byte range out of memory.
@@ -157,6 +199,7 @@ impl Sram {
         let byte = (bit / 8) as usize;
         let mask = 1u8 << (bit % 8);
         self.bytes[byte] ^= mask;
+        self.mark(byte / PAGE);
     }
 
     /// The checksum unit: [`word_checksum`] over `[addr, addr + len)`.
@@ -302,6 +345,91 @@ mod tests {
             assert_eq!(m.checksum(addr, REGION as u32), want, "addr {addr:#x}");
             assert_eq!(word_checksum(m.read_bytes(addr, REGION)), want);
         }
+    }
+
+    /// The model a store must match: `Ok` and the bytes written, or the
+    /// fault [`Sram::check`] reports and nothing written.
+    fn oracle_store(oracle: &mut [u8], addr: u32, v: &[u8]) -> MemResult<()> {
+        let a = addr as usize;
+        if a.checked_add(v.len()).is_none_or(|end| end > oracle.len()) {
+            return Err(MemFault {
+                addr,
+                misaligned: false,
+            });
+        }
+        if a % v.len() != 0 {
+            return Err(MemFault {
+                addr,
+                misaligned: true,
+            });
+        }
+        oracle[a..a + v.len()].copy_from_slice(v);
+        Ok(())
+    }
+
+    #[test]
+    fn stores_and_clears_match_a_flat_oracle() {
+        // Five whole pages and a partial sixth.
+        const LEN: usize = 5 * PAGE + 1000;
+        let mut rng = ftgm_sim::SimRng::new(0x5A4D);
+        let mut m = Sram::new(LEN);
+        let mut oracle = vec![0u8; LEN];
+        // Mostly in range, some past the end, some near the top of the
+        // address space.
+        let addr = |rng: &mut ftgm_sim::SimRng| match rng.gen_range(16) {
+            0 => u32::MAX - rng.gen_range(8) as u32,
+            _ => rng.gen_range(LEN as u64 + 8) as u32,
+        };
+        for step in 0..6000 {
+            let v = rng.next_u64().to_le_bytes();
+            match rng.gen_range(7) {
+                0 => {
+                    let a = addr(&mut rng);
+                    assert_eq!(m.write_u8(a, v[0]), oracle_store(&mut oracle, a, &v[..1]));
+                }
+                1 => {
+                    let a = addr(&mut rng);
+                    let h = u16::from_le_bytes([v[0], v[1]]);
+                    assert_eq!(m.write_u16(a, h), oracle_store(&mut oracle, a, &v[..2]));
+                }
+                2 => {
+                    let a = addr(&mut rng);
+                    let w = u32::from_le_bytes([v[0], v[1], v[2], v[3]]);
+                    assert_eq!(m.write_u32(a, w), oracle_store(&mut oracle, a, &v[..4]));
+                }
+                3 | 4 => {
+                    // Straddles a page boundary, the partial page's end
+                    // included.
+                    let boundary = (1 + rng.gen_range(5) as usize) * PAGE;
+                    let a = boundary - rng.gen_range(64) as usize;
+                    let n = (rng.gen_range(200) as usize).min(LEN - a);
+                    let data: Vec<u8> = (0..n).map(|_| rng.next_u64() as u8 | 1).collect();
+                    m.write_bytes(a as u32, &data);
+                    oracle[a..a + n].copy_from_slice(&data);
+                }
+                5 => {
+                    let bit = rng.gen_range(LEN as u64 * 8);
+                    m.flip_bit(bit);
+                    oracle[(bit / 8) as usize] ^= 1 << (bit % 8);
+                }
+                _ if rng.gen_range(8) == 0 => {
+                    m.clear();
+                    oracle.fill(0);
+                    assert!(m.written.iter().all(|w| *w == 0), "step {step}: map not emptied");
+                    assert!(m == Sram::new(LEN), "step {step}: cleared memory differs from fresh");
+                }
+                _ => {}
+            }
+            assert!(m.read_bytes(0, LEN) == oracle, "step {step}: memory differs from oracle");
+            // What makes a partial clear enough: no nonzero byte lies on
+            // an unmarked page.
+            for (page, bytes) in oracle.chunks(PAGE).enumerate() {
+                let marked = m.written[page / 64] & (1 << (page % 64)) != 0;
+                assert!(marked || bytes.iter().all(|b| *b == 0), "step {step}: page {page}");
+            }
+        }
+        m.clear();
+        assert!(m == Sram::new(LEN));
     }
 
     #[test]

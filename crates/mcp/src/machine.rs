@@ -1543,8 +1543,18 @@ pub(crate) mod tests {
         rig.settle();
         let image = rig.a.firmware().bytes().to_vec();
         rig.a.force_hang();
+        // A fault-injector flip in the last byte, a page the MCP never
+        // writes: the clear must reach it too.
+        let last_bit = rig.a.chip.sram.len() as u64 * 8 - 1;
+        rig.a.chip.sram.flip_bit(last_bit);
         rig.a.reset_and_reload(&image);
         assert!(!rig.a.chip.is_hung());
+        // DMA, send_chunk's stores, the receive slabs and the flip are all
+        // gone: byte for byte the SRAM of a NIC never used.
+        assert!(
+            rig.a.chip.sram == McpMachine::new(NodeId(0), McpParams::ftgm()).chip.sram,
+            "reloaded SRAM differs from a fresh NIC's"
+        );
         assert!(!rig.a.port_open(0), "ports close on reload");
         assert_eq!(rig.a.receiver_expected(StreamKey::per_port(NodeId(1), 0, false)), None);
         // Boot re-arms timers.
