@@ -56,20 +56,20 @@ benchmark_smoke() {
 step benchmark-smoke 300 benchmark_smoke
 step test-debug 1800 cargo test -q
 # Chaos smoke + determinism regression: the deterministic multi-fault
-# scenario set, the byte-identical-exports checks across thread counts,
-# the 256-node scale-cell determinism check, and the staleness gate that
-# renders the full scale sweep and the ar-rd-256-none MPI cell and
-# compares them with the committed BENCH_scale.json / BENCH_mpi.json
-# byte for byte. All run in release (the scenarios simulate seconds of
+# scenario set, the byte-identical-exports check across repeated runs,
+# the MPI summaries across thread counts, and the staleness gate that
+# renders the ar-rd-256-none MPI cell and compares it with the committed
+# BENCH_mpi.json. All run in release (the scenarios simulate seconds of
 # cluster time; debug builds are gated off with #[ignore] to keep the
 # tier under budget). ftgm-bench's cli suite rides along: it checks the
-# bins' argument handling and that the eight quick paper bins (table2,
-# table3, fig7, fig8, fig9, watchdog_gap and the two ablations) print
+# bins' argument handling and that the nine quick paper bins (table2,
+# table3, fig7, fig8, fig9, watchdog_gap and the three ablations) print
 # their tracked results/ files byte for byte.
 step chaos-determinism 900 cargo test --release -q -p ftgm-core \
     --test chaos_smoke --test determinism -p ftgm-bench --test cli
 # The other suite with release-gated tests, which nothing else runs: the
-# full corpus replay against its goldens and its thread-count invariance
+# full corpus replay against its goldens, and its thread-count
+# invariance down to every trace and metrics export
 # (crates/scenario/tests/corpus.rs).
 step corpus-release 600 cargo test --release -q -p ftgm-scenario --test corpus
 # Allocation budget of the steady-state message path: a two-node
@@ -90,16 +90,14 @@ step docs 300 env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --o
 # fat-tree spine-death scenario must also restore goodput by reroute.
 # The nine {two_node,star8,ring8}-*-load-*hang files are the
 # recovery-under-load SLO sweep: steady p99 overhead against a plain-GM
-# twin, and a fault-window blackout under 2 s. Rewrites the rollup BENCH_chaos.json on every build and drops each
+# twin, and a fault-window blackout under 2 s. The six
+# fat_tree{8,64,256}-{steady,hang} files are the recovery-at-scale
+# sweep: the same 2 s bound on fabrics of up to 256 hosts. Rewrites the
+# rollup BENCH_chaos.json on every build and drops each
 # scenario's trace/metrics exports under target/chaos/. After an
 # intentional behavior change, regenerate the goldens with: cargo run
 # --release -p ftgm-bench --bin chaos -- --update (see docs/SCENARIOS.md).
 step chaos-bench 900 cargo run --release -q -p ftgm-bench --bin chaos
-# Scale-bench smoke: the 8-node world cells only (recovery blackout
-# bound, every hang recovered, traffic completed). The full {8,64,256}
-# sweep that rewrites BENCH_scale.json is run manually: cargo run
-# --release -p ftgm-bench --bin scale.
-step scale-smoke 600 cargo run --release -q -p ftgm-bench --bin scale -- --smoke
 # MPI-tier smoke: the small recovery-under-collective cells (16-rank
 # allreduce/broadcast, 8-rank RMA, each with a fault-free twin plus hang
 # and spare-restart variants) as a differential gate: fault cells must
@@ -111,10 +109,10 @@ step mpi-bench 600 cargo run --release -q -p ftgm-bench --bin mpi -- --smoke
 
 # Schema sanity for the summaries the steps above regenerate: they must
 # carry the expected keys and stay integer-valued (a float would mean
-# platform-dependent serialization). BENCH_scale.json and BENCH_mpi.json
-# are not rewritten by the --smoke steps; their committed bytes are
-# gated by tests/determinism.rs (schema in the debug tier, values against
-# a fresh run in the chaos-determinism step above).
+# platform-dependent serialization). BENCH_mpi.json is not rewritten by
+# the --smoke step; its committed bytes are gated by tests/determinism.rs
+# (schema in the debug tier, values against a fresh run in the
+# chaos-determinism step above).
 for key in '"schema": "ftgm-chaos-v2"' '"corpus"' '"mismatches": 0' \
     '"violations": 0' '"golden_diffs": 0' '"scenarios"' '"expected"' \
     '"verdict"' '"resolutions"' '"zone_reroutes"' '"max_blackout_ns"' \
@@ -133,7 +131,7 @@ for key in '"schema": "ftgm-lint-v2"' '"rules"' '"count": 0' '"findings"'; do
         exit 1
     }
 done
-for f in BENCH_scale.json BENCH_chaos.json BENCH_mpi.json results/lint_report.json; do
+for f in BENCH_chaos.json BENCH_mpi.json results/lint_report.json; do
     if grep -Eq ':[[:space:]]*-?[0-9]+\.' "$f"; then
         echo "$f: non-integer numeric value found" >&2
         exit 1

@@ -61,6 +61,11 @@ fn rollup_json(
             .and_then(|rest| rest.strip_prefix('-'))
             .unwrap_or(&o.name);
         let r = &o.chaos.report;
+        // Load flows count too: their fault-window gap is the blackout
+        // `SloBounds::check_recovery` bounds.
+        let load = o.load.as_ref();
+        let load_gap = load.and_then(|l| l.fault()).map_or(0, |p| p.longest_gap_ns);
+        let load_completed = load.map_or(0, |l| l.total_completed);
         let ended = |res: Resolution| r.nodes.iter().filter(|n| n.resolution == res).count();
         let _ = write!(
             out,
@@ -91,8 +96,8 @@ fn rollup_json(
             o.zone_reroutes,
             r.metrics.fabric_drops_total(),
             r.metrics.fabric_drops(DropKind::BadLink),
-            r.flows.iter().map(|f| f.blackout_ns).max().unwrap_or(0),
-            r.flows.iter().map(|f| f.delivered).sum::<u64>(),
+            r.flows.iter().map(|f| f.blackout_ns).fold(load_gap, u64::max),
+            r.flows.iter().map(|f| f.delivered).sum::<u64>() + load_completed,
             o.violations().len()
         );
     }

@@ -20,7 +20,6 @@
 //! | §4.2     | `watchdog_gap` | [`measure_ltimer_gaps`] |
 
 pub mod mpi;
-pub mod scale;
 
 use std::cell::RefCell;
 use std::rc::Rc;

@@ -1,8 +1,8 @@
-//! The three bins that rewrite a tracked file (`chaos`, `scale`, `mpi`)
-//! refuse an argument they do not know — a typo, or a positional they
-//! never accepted — before a single file is read or written: a mistyped
+//! The two bins that rewrite a tracked file (`chaos`, `mpi`) refuse an
+//! argument they do not know — a typo, or a positional they never
+//! accepted — before a single file is read or written: a mistyped
 //! `--smoke` must not fall through to the full sweep that overwrites
-//! `BENCH_scale.json`. The quick paper bins print exactly their tracked
+//! `BENCH_mpi.json`. The quick paper bins print exactly their tracked
 //! `results/` file.
 
 use std::fs;
@@ -16,14 +16,11 @@ fn unknown_arguments_print_usage_and_touch_nothing() {
     fs::create_dir_all(&cwd).expect("scratch cwd");
 
     let chaos = (env!("CARGO_BIN_EXE_chaos"), "usage: chaos [--update]");
-    let scale = (env!("CARGO_BIN_EXE_scale"), "usage: scale [--smoke] [seed]");
     let mpi = (env!("CARGO_BIN_EXE_mpi"), "usage: mpi [--smoke] [--threads N] [seed]");
     for ((bin, usage), args) in [
         (chaos, &["--updat"][..]),
         (chaos, &["2003"]),
         (chaos, &["--update", "out.json"]),
-        (scale, &["--smok"]),
-        (scale, &["--smoke", "out.json"]),
         (mpi, &["--smok"]),
         (mpi, &["--smoke", "--threads"]),
         (mpi, &["--threads", "two"]),
@@ -62,6 +59,7 @@ fn quick_paper_bins_reproduce_their_results_files() {
         (env!("CARGO_BIN_EXE_watchdog_gap"), &[], "watchdog_gap.txt"),
         (env!("CARGO_BIN_EXE_ablation_commit"), &["8"], "ablation_commit.txt"),
         (env!("CARGO_BIN_EXE_ablation_seqnum"), &["6"], "ablation_seqnum.txt"),
+        (env!("CARGO_BIN_EXE_ablation_watchdog"), &[], "ablation_watchdog.txt"),
     ] {
         let out = Command::new(bin).args(args).output().expect("bin runs");
         assert!(out.status.success(), "{bin} {args:?} failed");

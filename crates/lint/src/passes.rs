@@ -421,7 +421,7 @@ mod tests {
     fn r9_flags_floats_reachable_from_serializers() {
         let f = scan(&[
             (
-                "crates/bench/src/scale.rs",
+                "crates/bench/src/mpi.rs",
                 "pub fn summary_json(m: &M) -> String { fold(m); String::new() }\n\
                  fn fold(m: &M) -> u64 { (m.total as f64 * 0.5) as u64 }\n\
                  fn unrelated() -> f64 { 1.5 }\n",

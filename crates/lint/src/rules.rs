@@ -200,13 +200,11 @@ pub(crate) const R7_ENTRY_FNS: [(&str, &str); 2] = [
 /// are the byte-stable JSON emitters that ci.sh grep-gates as
 /// integer-only; `CampaignResult::to_json` in `faults/src/campaign.rs`
 /// is deliberately absent — its Table-1 percentages are floats by design.
-pub(crate) const R9_ENTRY_FNS: [(&str, &str); 12] = [
+pub(crate) const R9_ENTRY_FNS: [(&str, &str); 10] = [
     ("crates/bench/src/bin/chaos.rs", "rollup_json"),
     ("crates/bench/src/mpi.rs", "cell_json"),
     ("crates/bench/src/mpi.rs", "summary_json"),
     ("crates/scenario/src/run.rs", "to_json"),
-    ("crates/bench/src/scale.rs", "summary_json"),
-    ("crates/bench/src/scale.rs", "world_cell_json"),
     ("crates/faults/src/chaos.rs", "to_json"),
     ("crates/sim/src/metrics.rs", "to_json"),
     ("crates/sim/src/metrics.rs", "to_json_indented"),
@@ -569,7 +567,7 @@ mod tests {
         // The bench harness writes tracked, byte-reproducible files: a
         // stopwatch in one of its bins is the same finding.
         let f = scan_str(
-            "crates/bench/src/bin/scale.rs",
+            "crates/bench/src/bin/mpi.rs",
             "fn main() { let _t = std::time::Instant::now(); }\n",
         );
         assert_eq!(f.len(), 1, "{f:#?}");

@@ -7,7 +7,7 @@
 //! their own seeds, and a forged delivery to a load sink fails its
 //! scenario. Release tier (tier-1 via ci.sh) replays the whole
 //! corpus: expect verdicts, oracle cleanliness, byte-stable goldens, and
-//! 1-vs-3-thread invariance.
+//! 1-vs-3-thread invariance of every report and trace export.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -274,12 +274,18 @@ fn release_corpus_is_thread_count_invariant() {
     let three = run_corpus_parallel(&compiled, 3);
     assert_eq!(one.len(), three.len());
     for (a, b) in one.iter().zip(&three) {
-        assert_eq!(a.name, b.name, "slot order must match input order");
-        assert_eq!(
-            a.to_json(),
-            b.to_json(),
-            "{}: report differs between 1 and 3 threads",
-            a.name
-        );
+        let name = &a.name;
+        assert_eq!(name, &b.name, "slot order must match input order");
+        assert_eq!(a.to_json(), b.to_json(), "{name}: report differs between 1 and 3 threads");
+        // A chaos run with no fault inside its horizon (a load-only file,
+        // say) traces nothing; one in which the FTD or the coordinator
+        // acted must have traced it, or equal exports would prove nothing.
+        let acted = a.zone_reroutes > 0
+            || a.chaos.report.nodes.iter().any(|n| n.recoveries + n.escalations > 0);
+        let (a, b) = (&a.chaos, &b.chaos);
+        assert!(!acted || !a.trace_jsonl.is_empty(), "{name}: trace exported");
+        assert_eq!(a.trace_jsonl, b.trace_jsonl, "{name}: event stream differs");
+        assert_eq!(a.chrome_trace, b.chrome_trace, "{name}: chrome trace differs");
+        assert_eq!(a.metrics_json, b.metrics_json, "{name}: metrics differ");
     }
 }
