@@ -78,6 +78,19 @@ step corpus-release 600 cargo test --release -q -p ftgm-scenario --test corpus
 # closure. Its own binary (the allocator is process-wide) and its own
 # step, so an overrun is named here rather than buried in a suite.
 step alloc-budget 300 cargo test --release -q -p ftgm-core --test alloc_budget
+# The examples assert what they print (recoveries, exactly-once
+# delivery, the 2 s bound), but `cargo test` only compiles them. Run
+# each one in release; a nonzero exit (a failed assert) fails the step.
+run_examples() {
+    for _src in examples/*.rs; do
+        _ex=$(basename "$_src" .rs)
+        cargo run --release -q -p ftgm-core --example "$_ex" > /dev/null || {
+            echo "example $_ex failed" >&2
+            return 1
+        }
+    done
+}
+step examples 120 run_examples
 mkdir -p results
 step lint 120 cargo run -q -p ftgm-lint -- --report results/lint_report.json
 # Rustdoc with intra-doc links is part of the API (the trace table in

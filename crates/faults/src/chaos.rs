@@ -69,7 +69,8 @@ pub enum ChaosTopology {
 
 impl ChaosTopology {
     /// Builds the world this topology describes (shared with the workload
-    /// driver, which runs traffic specs over the same shapes).
+    /// driver, which builds the plain-GM twin of a scenario's load flows
+    /// over the same shape).
     pub fn build(self, config: WorldConfig) -> World {
         match self {
             ChaosTopology::TwoNode => World::two_node(config),
@@ -419,8 +420,8 @@ impl ChaosReport {
     }
 }
 
-/// Applies one fault primitive right now. Public so other drivers (the
-/// workload subsystem's phase-timed fault points) compose with the same
+/// Applies one fault primitive right now. Public so a driver outside the
+/// scenario runner (the repo benchmark's hang episodes) fires the same
 /// primitives the chaos scenarios use; `rng` supplies every random draw,
 /// keeping callers seed-replayable.
 pub fn apply_action(world: &mut World, action: &ChaosAction, rng: &mut SimRng) {
@@ -528,7 +529,7 @@ fn flap_step(world: &mut World, link: usize, period: SimDuration, remaining: u32
 /// noise); identical `(scenario, seed)` pairs produce byte-identical
 /// reports.
 pub fn run_scenario(scenario: &ChaosScenario, seed: u64) -> ChaosReport {
-    run_scenario_core(scenario, seed).0
+    run_scenario_core(scenario, seed, |_| ()).0
 }
 
 /// One scenario's full observability output: the oracle report plus the
@@ -557,18 +558,32 @@ fn is_cascade_reroute(kind: &TraceKind) -> bool {
 }
 
 /// Runs a scenario and exports its trace and metrics alongside the report.
-pub fn run_scenario_artifacts(scenario: &ChaosScenario, seed: u64) -> ScenarioArtifacts {
-    let (report, world) = run_scenario_core(scenario, seed);
-    ScenarioArtifacts {
+///
+/// `spawn` adds further traffic to the scenario's world right after its
+/// validated flows and before any fault is scheduled (the DSL runner's
+/// load flows); whatever it returns comes back beside the artifacts, for
+/// the caller to read once the horizon has run out.
+pub fn run_scenario_artifacts<T>(
+    scenario: &ChaosScenario,
+    seed: u64,
+    spawn: impl FnOnce(&mut World) -> T,
+) -> (ScenarioArtifacts, T) {
+    let (report, world, spawned) = run_scenario_core(scenario, seed, spawn);
+    let artifacts = ScenarioArtifacts {
         trace_jsonl: export::to_jsonl(&world.trace),
         chrome_trace: export::to_chrome_trace(&world.trace),
         metrics_json: world.trace.metrics().to_json_indented(0),
         cascades: world.trace.count_where(is_cascade_reroute) as u64,
         report,
-    }
+    };
+    (artifacts, spawned)
 }
 
-fn run_scenario_core(scenario: &ChaosScenario, seed: u64) -> (ChaosReport, World) {
+fn run_scenario_core<T>(
+    scenario: &ChaosScenario,
+    seed: u64,
+    spawn: impl FnOnce(&mut World) -> T,
+) -> (ChaosReport, World, T) {
     let mut config = WorldConfig::ftgm();
     config.trace = true;
     let mut world = scenario.topology.build(config);
@@ -604,6 +619,7 @@ fn run_scenario_core(scenario: &ChaosScenario, seed: u64) -> (ChaosReport, World
         );
         flow_stats.push(stats);
     }
+    let spawned = spawn(&mut world);
 
     // Phase-triggered faults: armed via the world's ftd_phase hook, which
     // the FTD fires after each completed recovery phase.
@@ -638,9 +654,13 @@ fn run_scenario_core(scenario: &ChaosScenario, seed: u64) -> (ChaosReport, World
         });
     }
 
-    world.run_for(scenario.warmup);
+    // Absolute instants: `run_until` leaves the clock on the last event
+    // at or before its bound, so a second relative `run_for` would end
+    // the run early and drop whatever was scheduled in the slack.
+    let t0 = world.now();
+    world.run_until(t0 + scenario.warmup);
     let baseline: Vec<u64> = flow_stats.iter().map(|s| s.borrow().received_ok).collect();
-    world.run_for(scenario.horizon);
+    world.run_until(t0 + scenario.warmup + scenario.horizon);
 
     // Collect per-node terminal states.
     let mut nodes = Vec::new();
@@ -782,5 +802,5 @@ fn run_scenario_core(scenario: &ChaosScenario, seed: u64) -> (ChaosReport, World
         violations,
         metrics: world.trace.metrics().clone(),
     };
-    (report, world)
+    (report, world, spawned)
 }

@@ -368,9 +368,9 @@ pub struct SloDecl {
     /// Max end-to-end delivery gap on validated flows (the chaos
     /// blackout oracle; exempts loudly-escalated endpoints).
     pub flow_blackout: Option<Dur>,
-    /// Max no-completion gap in the fault window of the load run.
+    /// Max no-completion gap in the fault window of the load flows.
     pub fault_blackout: Option<Dur>,
-    /// Min steady-state completion ratio of the load run, permille.
+    /// Min steady-state completion ratio of the load flows, permille.
     pub steady_completed: Option<u32>,
     /// Max FTGM-vs-GM steady p99 latency overhead (runs a fault-free
     /// plain-GM twin of the load spec as the baseline).

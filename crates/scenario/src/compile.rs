@@ -1,29 +1,29 @@
 //! Spec → executable campaign: lowers a parsed [`Spec`] onto the
 //! existing chaos and workload engines.
 //!
-//! One scenario file compiles into up to three runs sharing one seed:
+//! One scenario file compiles into one FTGM world, plus at most one
+//! fault-free twin, sharing one seed:
 //!
 //! * a **chaos run** ([`ChaosScenario`]) carrying the validated flows,
 //!   the fault schedule and the exactly-once/convergence/blackout
 //!   oracles — always present, and the source of the verdict;
-//! * a **load run** ([`WorkloadSpec`], FTGM variant) carrying the
-//!   open/closed-loop flows and the same fault schedule, present when
-//!   the scenario declares load flows;
-//! * a **plain-GM twin** of the load run (faults stripped), present
-//!   only when the scenario pins a `p99_overhead` bound, as the
+//! * its **load flows** ([`WorkloadSpec`], FTGM variant), the open and
+//!   closed-loop flows the runner spawns into that same world, present
+//!   when the scenario declares load flows — the faults that hit the
+//!   validated flows hit them too;
+//! * a **plain-GM twin** of the load flows on a world of their own,
+//!   present only when the scenario pins a `p99_overhead` bound, as the
 //!   baseline that bound is measured against.
 //!
 //! The chaos timeline is phase-relative in the DSL but offset-after-
-//! warmup in the engine; [`compile`] does that arithmetic once, here,
-//! so the two runs see the same fault at the same absolute time.
+//! warmup in the engine; [`compile`] does that arithmetic once, here.
 
 use ftgm_core::CoordinatorConfig;
 use ftgm_faults::chaos::{ChaosAction, ChaosEvent, ChaosScenario, ChaosTopology, Flow, PhaseTrigger};
 use ftgm_faults::{InjectionTarget, ScenarioVerdict};
 use ftgm_sim::SimDuration;
 use ftgm_workload::{
-    Arrival, ClientModel, FaultPoint, FlowSpec, PhaseKind, SizeMix, SloBounds, Variant,
-    WorkloadSpec,
+    Arrival, ClientModel, FlowSpec, PhaseKind, SizeMix, SloBounds, Variant, WorkloadSpec,
 };
 
 use crate::ast::{Action, ArrivalDecl, Expect, FlowKind, MixDecl, Spec, Target};
@@ -32,7 +32,13 @@ use crate::ast::{Action, ArrivalDecl, Expect, FlowKind, MixDecl, Spec, Target};
 /// does not pin one.
 pub const DEFAULT_SEED: u64 = 2003;
 
-/// Which SLO checks the runner must apply to the load run.
+/// GM ports of the load flows. Validated flows bind ports 0 and 2
+/// ([`Flow`]'s defaults); load flows share their world, so they bind
+/// the next two and a node may carry both kinds.
+const LOAD_SRC_PORT: u8 = 1;
+const LOAD_DST_PORT: u8 = 3;
+
+/// Which SLO checks the runner must apply to the load flows.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Checks {
     /// Apply [`SloBounds::check_recovery`] to the FTGM load report.
@@ -52,9 +58,10 @@ pub struct CompiledScenario {
     pub seed: u64,
     /// The chaos run: validated flows, faults, oracles.
     pub chaos: ChaosScenario,
-    /// The FTGM load run, when the scenario declares load flows.
+    /// The load flows the chaos run's world also carries, when the
+    /// scenario declares any.
     pub workload: Option<WorkloadSpec>,
-    /// Fault-free plain-GM twin of the load run (overhead baseline).
+    /// Fault-free plain-GM twin of the load flows (overhead baseline).
     pub gm_twin: Option<WorkloadSpec>,
     /// Bounds the enabled checks test against.
     pub bounds: SloBounds,
@@ -167,7 +174,7 @@ fn lower_expect(e: Expect) -> ScenarioVerdict {
 }
 
 /// Nanosecond offset of the start of the first phase of kind `kind`.
-fn phase_start_ns(spec: &Spec, kind: PhaseKind) -> u64 {
+fn phase_offset_ns(spec: &Spec, kind: PhaseKind) -> u64 {
     let mut ns = 0u64;
     for p in &spec.phases {
         if p.kind == kind {
@@ -214,7 +221,7 @@ pub fn compile(spec: &Spec) -> CompiledScenario {
         .faults
         .iter()
         .map(|f| {
-            let abs = phase_start_ns(spec, f.phase).saturating_add(f.at.as_nanos());
+            let abs = phase_offset_ns(spec, f.phase).saturating_add(f.at.as_nanos());
             ChaosEvent {
                 at: SimDuration::from_nanos(abs.saturating_sub(warmup_ns)),
                 action: lower_action(&f.action),
@@ -239,7 +246,7 @@ pub fn compile(spec: &Spec) -> CompiledScenario {
         blackout_bound: spec.slo.flow_blackout.map(|d| d.to_sim()),
     };
 
-    // Load run: open/closed flows over the same shape and schedule.
+    // Load flows: open/closed flows, spawned into the chaos run's world.
     let workload = spec.has_load().then(|| {
         let mut w = WorkloadSpec::new(spec.name.clone(), topology, Variant::Ftgm, seed);
         for p in &spec.phases {
@@ -261,35 +268,21 @@ pub fn compile(spec: &Spec) -> CompiledScenario {
             };
             w = w.flow(FlowSpec {
                 src: f.src,
-                src_port: 0,
+                src_port: LOAD_SRC_PORT,
                 dst: f.dst,
-                dst_port: 2,
+                dst_port: LOAD_DST_PORT,
                 model,
                 sizes,
-            });
-        }
-        for f in &spec.faults {
-            let phase = spec
-                .phases
-                .iter()
-                .position(|p| p.kind == f.phase)
-                .unwrap_or(0);
-            w.faults.push(FaultPoint {
-                phase,
-                at: f.at.to_sim(),
-                action: lower_action(&f.action),
             });
         }
         w
     });
 
     let gm_twin = match (&workload, spec.slo.p99_overhead) {
-        (Some(w), Some(_)) => {
-            let mut twin = w.clone();
-            twin.variant = Variant::Gm;
-            twin.faults.clear();
-            Some(twin)
-        }
+        (Some(w), Some(_)) => Some(WorkloadSpec {
+            variant: Variant::Gm,
+            ..w.clone()
+        }),
         _ => None,
     };
 
@@ -380,7 +373,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_offsets_are_phase_relative_in_both_runs() {
+    fn fault_offsets_are_phase_relative() {
         let c = compile(&base_spec());
         // Chaos events are offsets after warmup: the fault phase starts
         // right at warmup end, so "at 5ms" lands 5 ms after warmup.
@@ -388,11 +381,6 @@ mod tests {
         assert_eq!(c.chaos.events[0].at, SimDuration::from_ms(5));
         assert_eq!(c.chaos.warmup, SimDuration::from_ms(10));
         assert_eq!(c.chaos.horizon, SimDuration::from_ms(100));
-        // The workload fault is tied to the same phase by index.
-        let w = c.workload.as_ref().map(|w| w.faults.clone()).unwrap_or_default();
-        assert_eq!(w.len(), 1);
-        assert_eq!(w[0].phase, 1);
-        assert_eq!(w[0].at, SimDuration::from_ms(5));
     }
 
     #[test]
@@ -422,7 +410,7 @@ mod tests {
         spec.slo.p99_overhead = Some(Dur::us(4));
         let c = compile(&spec);
         let twin = c.gm_twin.as_ref();
-        assert!(twin.is_some_and(|t| t.variant == Variant::Gm && t.faults.is_empty()));
+        assert!(twin.is_some_and(|t| t.variant == Variant::Gm));
         // The chaos event still fires 5 ms into the fault phase, which
         // now starts 50 ms later.
         assert_eq!(c.chaos.events[0].at, SimDuration::from_ms(55));

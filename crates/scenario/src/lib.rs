@@ -25,7 +25,8 @@
 //! [`compile`](compile::compile) → [`run_compiled`]:
 //! text to spanned tokens, tokens to a validated [`Spec`]
 //! (every error a `line:col`-anchored [`Diag`]), spec to
-//! the existing chaos + workload engines, and execution to a
+//! the existing chaos + workload engines, and execution (one FTGM
+//! world, plus a plain-GM twin for an overhead bound) to a
 //! [`ScenarioOutcome`] whose verdict is checked
 //! against the `expect` line. The language is fully round-trippable —
 //! [`print`](print::print) emits the canonical spelling and

@@ -1312,8 +1312,8 @@ fn validate(p: &Parser<'_>, partial: Partial) -> Result<Spec, Vec<Diag>> {
         }
     }
 
-    // Flows: endpoints in range, and no two generators may share a GM
-    // port on one node (validated and load flows each bind fixed ports).
+    // Flows: endpoints in range, and no two generators of one kind may
+    // share a GM port on one node (each kind binds its own fixed ports).
     let mut validated_srcs: BTreeMap<u16, ()> = BTreeMap::new();
     let mut validated_dsts: BTreeMap<u16, ()> = BTreeMap::new();
     let mut load_srcs: BTreeMap<u16, ()> = BTreeMap::new();

@@ -1,9 +1,10 @@
 //! Scenario execution: compiled campaigns → verdicts and golden JSON.
 //!
-//! [`run_compiled`] executes the chaos run (always) and the load run
-//! plus its plain-GM twin (when compiled in); [`judge`] folds every
-//! oracle, SLO and payload-check violation into one [`ScenarioOutcome`]
-//! and classifies the verdict with [`classify_scenario`].
+//! [`run_compiled`] executes the scenario as one FTGM world — the chaos
+//! run, with the load flows spawned beside its validated flows — plus
+//! the plain-GM twin when compiled in; [`judge`] folds every oracle, SLO
+//! and payload-check violation into one [`ScenarioOutcome`] and
+//! classifies the verdict with [`classify_scenario`].
 //! [`ScenarioOutcome::check`] then compares that verdict against
 //! the file's `expect` line — a disagreement is a typed
 //! [`ExpectMismatch`] naming both sides, never a silent pass.
@@ -19,7 +20,7 @@ use std::fmt;
 use ftgm_faults::chaos::{run_scenario_artifacts, ScenarioArtifacts};
 use ftgm_faults::{classify_scenario, ScenarioVerdict};
 use ftgm_sim::map_indexed;
-use ftgm_workload::{run_spec, SloReport};
+use ftgm_workload::{run_spec, spawn_load, SloReport};
 
 use crate::compile::CompiledScenario;
 
@@ -64,11 +65,12 @@ pub struct ScenarioOutcome {
     pub escalations: u64,
     /// Coordinator-driven zone reroutes observed.
     pub zone_reroutes: u64,
-    /// The FTGM load run, when the scenario declared load flows.
+    /// The load flows' report, folded from the chaos run's world, when
+    /// the scenario declared load flows.
     pub load: Option<SloReport>,
     /// The plain-GM twin, when a `p99_overhead` bound demanded one.
     pub gm: Option<SloReport>,
-    /// Violations from the load run and its twin: SLO bounds, and
+    /// Violations from the load flows and the twin: SLO bounds, and
     /// deliveries that failed the payload check (empty = all held).
     pub slo_violations: Vec<String>,
 }
@@ -162,15 +164,18 @@ fn embed_report(out: &mut String, key: &str, report: Option<&SloReport>, comma: 
 
 /// Runs one compiled scenario end to end and classifies the verdict.
 pub fn run_compiled(c: &CompiledScenario) -> ScenarioOutcome {
-    let chaos = run_scenario_artifacts(&c.chaos, c.seed);
-    let load = c.workload.as_ref().map(run_spec);
+    let (chaos, load) = run_scenario_artifacts(&c.chaos, c.seed, |w| {
+        c.workload.as_ref().map(|spec| (spec, spawn_load(spec, w)))
+    });
+    let recoveries = chaos.report.nodes.iter().map(|n| n.recoveries).sum();
+    let load = load.map(|(spec, run)| run.fold(spec, recoveries));
     let gm = c.gm_twin.as_ref().map(run_spec);
     judge(c, chaos, load, gm)
 }
 
 /// Folds the runs of scenario `c` into its outcome: the chaos oracles,
-/// the enabled SLO checks, and the exactly-once check on the load run
-/// and its twin (any delivery a responder found corrupt, duplicated or
+/// the enabled SLO checks, and the exactly-once check on the load flows
+/// and the twin (any delivery a responder found corrupt, duplicated or
 /// out of order is a violation).
 pub fn judge(
     c: &CompiledScenario,

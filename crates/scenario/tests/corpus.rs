@@ -12,17 +12,16 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use ftgm_core::FtSystem;
 use ftgm_faults::chaos::{run_scenario, run_scenario_artifacts, ChaosScenario};
 use ftgm_faults::Resolution;
-use ftgm_gm::{App, Ctx, GmEvent, WorldConfig};
+use ftgm_gm::{App, Ctx, GmEvent};
 use ftgm_net::NodeId;
 use ftgm_scenario::{
     compile, gate, judge, load_dir, load_specs, parse, print, render_diags, run_corpus_parallel,
     run_text, CompiledScenario, CorpusFault, ScenarioOutcome,
 };
 use ftgm_sim::SimDuration;
-use ftgm_workload::run_spec_on;
+use ftgm_workload::spawn_load;
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
@@ -191,7 +190,9 @@ impl App for Forger {
 }
 
 /// A damaged delivery to a load flow's sink is counted in the report's
-/// `corrupt` and turns the scenario into a violation.
+/// `corrupt` and turns the scenario into a violation. The forger rides
+/// the scenario's one world, spawned through the chaos runner's seam
+/// the way `run_compiled` spawns the load flows.
 #[test]
 fn corrupt_load_delivery_is_a_violation() {
     let src = "scenario \"forged\" {\n\
@@ -201,16 +202,17 @@ fn corrupt_load_delivery_is_a_violation() {
                \x20 expect survived\n\
                }\n";
     let c = compile(&parse(src).expect("parses"));
-    let spec = c.workload.clone().expect("a load run");
-    let mut world = spec.topology.build(WorldConfig::ftgm());
-    let ft = FtSystem::install(&mut world);
+    let spec = c.workload.as_ref().expect("load flows");
     let sink_port = spec.flows[0].dst_port;
-    world.spawn_app(NodeId(0), 7, Box::new(Forger { port: sink_port }));
-    let load = run_spec_on(&spec, &mut world, Some(&ft));
+    let (chaos, run) = run_scenario_artifacts(&c.chaos, c.seed, |w| {
+        w.spawn_app(NodeId(0), 7, Box::new(Forger { port: sink_port }));
+        spawn_load(spec, w)
+    });
+    let load = run.fold(spec, 0);
     assert_eq!(load.corrupt, 1, "{}", load.to_json());
     assert!(load.total_completed > 100 && load.total_completed == load.total_issued);
 
-    let outcome = judge(&c, run_scenario_artifacts(&c.chaos, c.seed), Some(load), None);
+    let outcome = judge(&c, chaos, Some(load), None);
     let violations = outcome.violations();
     assert_eq!(
         violations,
@@ -219,6 +221,27 @@ fn corrupt_load_delivery_is_a_violation() {
     );
     assert_ne!(outcome.verdict.label(), "survived");
     assert!(outcome.to_json().contains("\"corrupt\": 1,"));
+}
+
+/// Validated and load flows share one world, so one node may carry
+/// both kinds: each kind binds its own GM ports, and the scenario runs
+/// to its verdict instead of failing to open a port twice.
+#[test]
+fn validated_and_load_flows_share_endpoint_nodes() {
+    let src = "scenario \"shared-endpoints\" {\n\
+               \x20 topology two_node\n\
+               \x20 flow 0 -> 1 validated size 256 pipeline 2\n\
+               \x20 flow 0 -> 1 open every 50us sizes 256\n\
+               \x20 flow 1 -> 0 closed think 20us sizes 128\n\
+               \x20 phases { warmup 2ms steady 10ms drain 2ms }\n\
+               \x20 expect survived\n\
+               }\n";
+    let outcome = run_text(src).unwrap_or_else(|d| panic!("{}", render_diags(&d)));
+    assert_eq!(outcome.violations(), [""; 0]);
+    assert_eq!(outcome.verdict.label(), "survived");
+    assert!(outcome.chaos.report.flows[0].progress > 0);
+    let load = outcome.load.as_ref().expect("load report");
+    assert!(load.total_completed > 100 && load.total_completed == load.total_issued);
 }
 
 #[test]
@@ -277,9 +300,10 @@ fn release_corpus_is_thread_count_invariant() {
         let name = &a.name;
         assert_eq!(name, &b.name, "slot order must match input order");
         assert_eq!(a.to_json(), b.to_json(), "{name}: report differs between 1 and 3 threads");
-        // A chaos run with no fault inside its horizon (a load-only file,
-        // say) traces nothing; one in which the FTD or the coordinator
-        // acted must have traced it, or equal exports would prove nothing.
+        // Traffic is not traced, so a file with no fault (the `*-steady`
+        // cells, the overhead pair) traces nothing, load flows or not;
+        // one in which the FTD or the coordinator acted must have traced
+        // it, or equal exports would prove nothing.
         let acted = a.zone_reroutes > 0
             || a.chaos.report.nodes.iter().any(|n| n.recoveries + n.escalations > 0);
         let (a, b) = (&a.chaos, &b.chaos);

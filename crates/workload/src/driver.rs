@@ -1,14 +1,12 @@
-//! The workload driver: runs a [`WorkloadSpec`] over a built world,
-//! composes scripted faults with the chaos engine, and folds probes
-//! into an [`SloReport`].
+//! The workload driver: spawns a [`WorkloadSpec`]'s flows into a world
+//! and folds their probes into an [`SloReport`].
 //!
-//! Two entry points:
-//!
-//! * [`run_spec`] — builds the spec's own topology (GM or FTGM world,
-//!   FTD installed for the latter) and runs it end to end;
-//! * [`run_spec_on`] — attach mode: runs the spec over a world the
-//!   caller already built (e.g. the world inside an `ftgm-mpi`
-//!   harness), leaving variant and daemon wiring to the caller.
+//! The driver states no fault: a scenario's faults live in its `.ftsc`
+//! file, and the chaos engine fires them in the one world that also
+//! carries the load (`ftgm-scenario` runs [`spawn_load`] as the chaos
+//! runner's spawn step and [`LoadRun::fold`] after its horizon).
+//! [`run_spec`] builds the spec's own fault-free world, the plain-GM
+//! twin a `p99_overhead` bound is measured against.
 //!
 //! A report depends only on its spec, so a suite fanned out over
 //! [`ftgm_sim::map_indexed`] serializes to the same bytes for any
@@ -19,11 +17,11 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use ftgm_core::FtSystem;
-use ftgm_faults::chaos::{apply_action, ChaosTopology};
+use ftgm_faults::chaos::ChaosTopology;
 use ftgm_gm::apps::{PatternReceiver, RpcServer, TrafficStats};
 use ftgm_gm::{World, WorldConfig};
 use ftgm_net::NodeId;
-use ftgm_sim::SimRng;
+use ftgm_sim::{SimRng, SimTime};
 
 use crate::gen::{ClosedLoopClient, OpenLoopSender};
 use crate::slo::{fold_report, FlowProbe, PhaseWindows, SloReport};
@@ -52,28 +50,38 @@ fn flow_rng(seed: u64, flow_idx: usize) -> SimRng {
 }
 
 /// Builds the spec's world (installing the FTD for the FTGM variant)
-/// and runs it end to end.
+/// and runs it end to end, fault-free.
 pub fn run_spec(spec: &WorkloadSpec) -> SloReport {
     let config = match spec.variant {
         Variant::Gm => WorldConfig::gm(),
         Variant::Ftgm => WorldConfig::ftgm(),
     };
     let mut world = spec.topology.build(config);
-    let ft = match spec.variant {
-        Variant::Ftgm => Some(FtSystem::install(&mut world)),
-        Variant::Gm => None,
-    };
-    run_spec_on(spec, &mut world, ft.as_ref())
+    if spec.variant == Variant::Ftgm {
+        FtSystem::install(&mut world);
+    }
+    let load = spawn_load(spec, &mut world);
+    world.run_for(spec.total_duration());
+    // Nothing faults here, so nothing recovers.
+    load.fold(spec, 0)
 }
 
-/// Attach mode: runs `spec` over a world the caller already built.
+/// A spec's flows as spawned into a world: the probes and responder
+/// stats [`LoadRun::fold`] reads once the world has run the spec's
+/// whole timeline.
+pub struct LoadRun {
+    t0: SimTime,
+    probes: Vec<Rc<RefCell<FlowProbe>>>,
+    checked: Vec<Rc<RefCell<TrafficStats>>>,
+}
+
+/// Spawns `spec`'s responders and generators into `world`; the spec's
+/// timeline starts at the world's current instant.
 ///
-/// Pass the installed [`FtSystem`] so recoveries are counted; pass
-/// `None` for a plain-GM world. Responder apps are deduplicated per
-/// `(dst, dst_port)` endpoint — flows sharing a responder port must
-/// agree on the client model (the first flow's model decides what gets
-/// spawned there).
-pub fn run_spec_on(spec: &WorkloadSpec, world: &mut World, ft: Option<&FtSystem>) -> SloReport {
+/// Responder apps are deduplicated per `(dst, dst_port)` endpoint —
+/// flows sharing a responder port must agree on the client model (the
+/// first flow's model decides what gets spawned there).
+pub fn spawn_load(spec: &WorkloadSpec, world: &mut World) -> LoadRun {
     let t0 = world.now();
     let stop_at = t0 + spec.offered_window();
 
@@ -130,51 +138,40 @@ pub fn run_spec_on(spec: &WorkloadSpec, world: &mut World, ft: Option<&FtSystem>
         probes.push(probe);
     }
 
-    // Scripted faults, each at its phase-relative offset. One shared
-    // RNG keeps multi-fault scripts seed-replayable.
-    let fault_rng = Rc::new(RefCell::new(SimRng::new(spec.seed ^ 0xFA57_C0DE)));
-    for fp in &spec.faults {
-        let delay = spec.phase_start(fp.phase) + fp.at;
-        let action = fp.action.clone();
-        let rng = fault_rng.clone();
-        world.schedule_call(delay, move |w| {
-            apply_action(w, &action, &mut rng.borrow_mut());
-        });
+    LoadRun { t0, probes, checked }
+}
+
+impl LoadRun {
+    /// Folds the probes into `spec`'s report; `recoveries` is what the
+    /// world's FTD completed over the run.
+    pub fn fold(self, spec: &WorkloadSpec, recoveries: u64) -> SloReport {
+        let mut windows: PhaseWindows = Vec::with_capacity(spec.phases.len());
+        let mut cursor = 0u64;
+        for p in &spec.phases {
+            let end = cursor.saturating_add(p.duration.as_nanos());
+            windows.push((p.kind.name(), cursor, end));
+            cursor = end;
+        }
+
+        let taken: Vec<FlowProbe> = self.probes.iter().map(|p| p.borrow().clone()).collect();
+        let mut report = fold_report(
+            &spec.name,
+            topology_label(spec.topology),
+            spec.variant.name(),
+            spec.seed,
+            self.t0,
+            &windows,
+            &taken,
+            recoveries,
+        );
+        report.corrupt = self
+            .checked
+            .iter()
+            .map(|s| {
+                let s = s.borrow();
+                s.received_corrupt + s.misordered
+            })
+            .sum();
+        report
     }
-
-    world.run_for(spec.total_duration());
-
-    let recoveries = ft.map_or(0u64, |f| {
-        (0..spec.topology.node_count())
-            .map(|n| f.recoveries(NodeId(n as u16)))
-            .sum()
-    });
-
-    let mut windows: PhaseWindows = Vec::with_capacity(spec.phases.len());
-    let mut cursor = 0u64;
-    for p in &spec.phases {
-        let end = cursor.saturating_add(p.duration.as_nanos());
-        windows.push((p.kind.name(), cursor, end));
-        cursor = end;
-    }
-
-    let taken: Vec<FlowProbe> = probes.iter().map(|p| p.borrow().clone()).collect();
-    let mut report = fold_report(
-        &spec.name,
-        topology_label(spec.topology),
-        spec.variant.name(),
-        spec.seed,
-        t0,
-        &windows,
-        &taken,
-        recoveries,
-    );
-    report.corrupt = checked
-        .iter()
-        .map(|s| {
-            let s = s.borrow();
-            s.received_corrupt + s.misordered
-        })
-        .sum();
-    report
 }

@@ -12,11 +12,12 @@
 //!   of offered load: open-loop generators with fixed / uniform-jitter
 //!   / bounded-Pareto interarrivals, weighted message-size mixes,
 //!   closed-loop request/response clients with think time, and a
-//!   multi-phase timeline (warmup → steady → fault window → drain)
-//!   with scripted faults tied to phases;
-//! * [`run_spec`] / [`run_spec_on`] — the driver, running specs over
-//!   two-node, star, or ring worlds, GM or FTGM, optionally composing
-//!   with the chaos engine's fault primitives;
+//!   multi-phase timeline (warmup → steady → fault window → drain);
+//! * [`spawn_load`] / [`LoadRun::fold`] — the driver's two halves: a
+//!   scenario spawns its load flows into the chaos run's world, so the
+//!   faults its `.ftsc` file states hit the traffic the report measures;
+//! * [`run_spec`] — a spec on its own fault-free world, GM or FTGM (the
+//!   plain-GM twin an overhead bound is measured against);
 //! * [`SloReport`] — per-phase p50/p95/p99/p999 latency, goodput,
 //!   in-flight depth, and availability (longest no-completion gap,
 //!   completion ratio), serialized as byte-stable integer JSON;
@@ -60,10 +61,9 @@ pub mod gen;
 pub mod slo;
 pub mod spec;
 
-pub use driver::{run_spec, run_spec_on, topology_label};
+pub use driver::{run_spec, spawn_load, topology_label, LoadRun};
 pub use gen::{ClosedLoopClient, OpenLoopSender};
 pub use slo::{fold_report, Completion, FlowProbe, PhaseSlo, PhaseWindows, SloBounds, SloReport};
 pub use spec::{
-    demo_suite, Arrival, ClientModel, FaultPoint, FlowSpec, Phase, PhaseKind, SizeMix, Variant,
-    WorkloadSpec,
+    demo_suite, Arrival, ClientModel, FlowSpec, Phase, PhaseKind, SizeMix, Variant, WorkloadSpec,
 };

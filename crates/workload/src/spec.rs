@@ -3,12 +3,13 @@
 //! A [`WorkloadSpec`] names everything a run needs to be reproducible:
 //! the topology, the GM variant, a set of traffic flows with their
 //! client models and message-size mixes, a multi-phase timeline
-//! (warmup → steady → fault window → drain), scripted fault points that
-//! fire inside a declared phase, and a seed. Two runs of the same spec
+//! (warmup → steady → fault window → drain), and a seed. It states no
+//! fault: a scenario file does, and the chaos engine fires it in the
+//! world that carries the spec's flows. Two runs of the same spec
 //! with the same seed replay identically, down to the serialized
 //! [`crate::SloReport`].
 
-use ftgm_faults::chaos::{ChaosAction, ChaosTopology};
+use ftgm_faults::chaos::ChaosTopology;
 use ftgm_sim::{SimDuration, SimRng};
 
 /// Interarrival-time distribution for open-loop generators.
@@ -173,7 +174,7 @@ pub enum PhaseKind {
     Warmup,
     /// Steady state; the phase SLO bounds apply here.
     Steady,
-    /// Declared fault window; scripted faults fire inside it.
+    /// Declared fault window; a scenario's faults fire inside it.
     Fault,
     /// Drain: generators stop offering load, in-flight traffic lands.
     Drain,
@@ -216,18 +217,6 @@ pub struct Phase {
     pub duration: SimDuration,
 }
 
-/// A scripted fault: `action` fires `at` after the start of phase
-/// `phase` (an index into [`WorkloadSpec::phases`]).
-#[derive(Clone, Debug)]
-pub struct FaultPoint {
-    /// Index of the phase the fault fires in.
-    pub phase: usize,
-    /// Offset after that phase starts.
-    pub at: SimDuration,
-    /// The fault primitive to apply.
-    pub action: ChaosAction,
-}
-
 /// Which GM variant the world runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Variant {
@@ -260,9 +249,7 @@ pub struct WorkloadSpec {
     pub flows: Vec<FlowSpec>,
     /// Phase timeline, in order.
     pub phases: Vec<Phase>,
-    /// Scripted faults, each tied to a phase.
-    pub faults: Vec<FaultPoint>,
-    /// Master seed; all per-flow and fault RNGs derive from it.
+    /// Master seed; every per-flow RNG derives from it.
     pub seed: u64,
 }
 
@@ -280,7 +267,6 @@ impl WorkloadSpec {
             variant,
             flows: Vec::new(),
             phases: Vec::new(),
-            faults: Vec::new(),
             seed,
         }
     }
@@ -294,14 +280,6 @@ impl WorkloadSpec {
     /// Appends a phase (builder style).
     pub fn phase(mut self, kind: PhaseKind, duration: SimDuration) -> WorkloadSpec {
         self.phases.push(Phase { kind, duration });
-        self
-    }
-
-    /// Schedules `action` at offset `at` into the most recently added
-    /// phase (builder style).
-    pub fn fault_at(mut self, at: SimDuration, action: ChaosAction) -> WorkloadSpec {
-        let phase = self.phases.len().saturating_sub(1);
-        self.faults.push(FaultPoint { phase, at, action });
         self
     }
 
@@ -326,23 +304,11 @@ impl WorkloadSpec {
         }
         SimDuration::from_nanos(ns)
     }
-
-    /// Offset of the start of phase `idx` from the run start. Indices
-    /// past the end clamp to the total duration.
-    pub fn phase_start(&self, idx: usize) -> SimDuration {
-        let ns = self
-            .phases
-            .iter()
-            .take(idx)
-            .fold(0u64, |acc, p| acc.saturating_add(p.duration.as_nanos()));
-        SimDuration::from_nanos(ns)
-    }
 }
 
 /// A small suite of fast, deterministic demo specs used by the
-/// determinism tests: a two-node open-loop run, a two-node closed-loop
-/// run with a mid-steady hang, and a 4-node star mix. Each finishes in
-/// well under three simulated seconds.
+/// determinism tests: a two-node open-loop run and a 4-node star mix.
+/// Each finishes in well under a simulated second.
 pub fn demo_suite() -> Vec<WorkloadSpec> {
     let open = WorkloadSpec::new("demo_open", ChaosTopology::TwoNode, Variant::Ftgm, 11)
         .flow(FlowSpec {
@@ -363,26 +329,6 @@ pub fn demo_suite() -> Vec<WorkloadSpec> {
         .phase(PhaseKind::Warmup, SimDuration::from_ms(5))
         .phase(PhaseKind::Steady, SimDuration::from_ms(40))
         .phase(PhaseKind::Drain, SimDuration::from_ms(10));
-
-    let hang = WorkloadSpec::new("demo_hang", ChaosTopology::TwoNode, Variant::Ftgm, 23)
-        .flow(FlowSpec {
-            src: 0,
-            src_port: 0,
-            dst: 1,
-            dst_port: 2,
-            model: ClientModel::ClosedLoop {
-                think: SimDuration::from_us(20),
-            },
-            sizes: SizeMix::Fixed { bytes: 128 },
-        })
-        .phase(PhaseKind::Warmup, SimDuration::from_ms(5))
-        .phase(PhaseKind::Steady, SimDuration::from_ms(30))
-        .phase(PhaseKind::Fault, SimDuration::from_ms(2200))
-        .fault_at(
-            SimDuration::from_ms(5),
-            ChaosAction::ForceHang { node: 1 },
-        )
-        .phase(PhaseKind::Drain, SimDuration::from_ms(20));
 
     let star = WorkloadSpec::new("demo_star4", ChaosTopology::Star(4), Variant::Ftgm, 37)
         .flow(FlowSpec {
@@ -423,7 +369,7 @@ pub fn demo_suite() -> Vec<WorkloadSpec> {
         .phase(PhaseKind::Steady, SimDuration::from_ms(30))
         .phase(PhaseKind::Drain, SimDuration::from_ms(10));
 
-    vec![open, hang, star]
+    vec![open, star]
 }
 
 #[cfg(test)]
@@ -499,8 +445,5 @@ mod tests {
             .phase(PhaseKind::Drain, SimDuration::from_ms(10));
         assert_eq!(spec.total_duration(), SimDuration::from_ms(35));
         assert_eq!(spec.offered_window(), SimDuration::from_ms(25));
-        assert_eq!(spec.phase_start(0), SimDuration::ZERO);
-        assert_eq!(spec.phase_start(2), SimDuration::from_ms(25));
-        assert_eq!(spec.phase_start(9), SimDuration::from_ms(35));
     }
 }

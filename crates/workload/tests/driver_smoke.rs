@@ -1,6 +1,7 @@
 //! End-to-end smoke tests for the workload driver: the demo suite
-//! runs, recovers from its scripted hang, and replays byte-for-byte;
-//! the closed-loop client survives replies it cannot check.
+//! runs and replays byte-for-byte; the closed-loop client survives
+//! replies it cannot check. Recovery under load is a corpus file's job
+//! (`scenarios/two_node-hang-closed-load.ftsc`).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -9,46 +10,6 @@ use ftgm_gm::{App, Ctx, GmEvent, World, WorldConfig};
 use ftgm_net::NodeId;
 use ftgm_sim::{map_indexed, SimDuration, SimRng, SimTime};
 use ftgm_workload::{demo_suite, run_spec, ClosedLoopClient, FlowProbe, SizeMix};
-
-#[test]
-fn demo_hang_recovers_under_load() {
-    let specs = demo_suite();
-    let hang = specs.into_iter().nth(1).expect("demo suite has 3 specs");
-    assert_eq!(hang.name, "demo_hang");
-    let report = run_spec(&hang);
-
-    assert_eq!(report.recoveries, 1, "the scripted hang must recover once");
-    assert_eq!(report.send_errors, 0);
-    assert_eq!(report.bad_responses, 0);
-    assert_eq!(report.iface_dead, 0);
-
-    let steady = report.steady().expect("steady phase present");
-    assert!(steady.completed > 100, "steady state must carry load");
-    assert!(
-        steady.completed_permille >= 990,
-        "steady state must be essentially fully served, got {}‰",
-        steady.completed_permille
-    );
-
-    let fault = report.fault().expect("fault phase present");
-    assert!(
-        fault.completed > 0,
-        "service must resume inside the fault window"
-    );
-    assert!(
-        fault.longest_gap_ns > 1_000_000_000,
-        "the hang must actually black out service for >1s, got {} ns",
-        fault.longest_gap_ns
-    );
-    assert!(
-        fault.longest_gap_ns < 2_000_000_000,
-        "recovery must land within the paper's 2s bound, got {} ns",
-        fault.longest_gap_ns
-    );
-
-    let total: u64 = report.phases.iter().map(|p| p.completed).sum();
-    assert_eq!(total, report.total_completed);
-}
 
 #[test]
 fn suite_replays_byte_identically() {
@@ -63,7 +24,7 @@ fn suite_replays_byte_identically() {
 #[test]
 fn open_loop_queues_through_token_exhaustion() {
     let specs = demo_suite();
-    let open = specs.into_iter().next().expect("demo suite has 3 specs");
+    let open = specs.into_iter().next().expect("demo suite has 2 specs");
     let report = run_spec(&open);
     assert!(report.total_issued > 500, "got {}", report.total_issued);
     // Everything offered before the drain phase must eventually land.

@@ -1,6 +1,6 @@
 //! An RPC service surviving a network-processor hang: availability from
-//! the client's point of view, driven through a declarative
-//! [`WorkloadSpec`] instead of a bespoke loop.
+//! the client's point of view, stated as a scenario file instead of a
+//! bespoke loop.
 //!
 //! ```text
 //! cargo run --release --example rpc_service
@@ -11,34 +11,28 @@
 //! a transient upset. FTGM detects, reloads and replays; the client —
 //! which knows nothing about any of it — sees exactly one slow RPC (the
 //! one in flight across the ~1.7 s recovery) and a service that never
-//! returns a wrong answer. The [`SloReport`] breaks the run down per
+//! returns a wrong answer. The load report breaks the run down per
 //! phase: warmup, pre-fault steady state, the fault window, drain.
 
-use ftgm_faults::chaos::{ChaosAction, ChaosTopology};
-use ftgm_sim::SimDuration;
-use ftgm_workload::{
-    run_spec, ClientModel, FlowSpec, PhaseKind, SizeMix, SloBounds, Variant, WorkloadSpec,
-};
+use ftgm_scenario::{render_diags, run_text};
+
+/// The whole experiment: one FTGM world, one client, one hang, and the
+/// paper's 2 s recovery bound on the client's longest wait.
+const SCENARIO: &str = r#"
+scenario "rpc_service" {
+  topology two_node
+  seed 42
+  flow 0 -> 1 closed think 20us sizes 128
+  phases { warmup 10ms steady 90ms fault 2850ms drain 50ms }
+  fault in fault at 10ms hang node 1
+  slo { fault_blackout 2s }
+  expect survived
+}
+"#;
 
 fn main() {
-    let spec = WorkloadSpec::new("rpc_service", ChaosTopology::TwoNode, Variant::Ftgm, 42)
-        .flow(FlowSpec {
-            src: 0,
-            src_port: 0,
-            dst: 1,
-            dst_port: 2,
-            model: ClientModel::ClosedLoop {
-                think: SimDuration::from_us(20),
-            },
-            sizes: SizeMix::Fixed { bytes: 128 },
-        })
-        .phase(PhaseKind::Warmup, SimDuration::from_ms(10))
-        .phase(PhaseKind::Steady, SimDuration::from_ms(90))
-        .phase(PhaseKind::Fault, SimDuration::from_ms(2_850))
-        .fault_at(SimDuration::from_ms(10), ChaosAction::ForceHang { node: 1 })
-        .phase(PhaseKind::Drain, SimDuration::from_ms(50));
-
-    let report = run_spec(&spec);
+    let outcome = run_text(SCENARIO).unwrap_or_else(|d| panic!("{}", render_diags(&d)));
+    let report = outcome.load.as_ref().expect("the client's load report");
 
     println!("client-observed service quality, per phase:");
     println!(
@@ -74,9 +68,10 @@ fn main() {
         "steady-state RPCs never noticed (p99 {} ns)",
         steady.p99_ns
     );
-    // The same bound the slo bench enforces: service resumed in < 2 s.
-    let violations = SloBounds::default().check_recovery(&report);
+    // The file's `fault_blackout 2s`: service resumed in < 2 s.
+    let violations = outcome.violations();
     assert!(violations.is_empty(), "{violations:?}");
+    assert!(outcome.check().is_ok(), "{}", outcome.verdict.label());
     println!(
         "\nexactly one request stretched across the outage; every other RPC ran at\n\
          normal latency — the paper's availability story from a client's seat."

@@ -1,5 +1,5 @@
 //! A spaceborne telemetry stream under repeated transient upsets,
-//! declared as a multi-phase [`WorkloadSpec`].
+//! stated as a scenario file.
 //!
 //! ```text
 //! cargo run --release --example telemetry_stream
@@ -9,49 +9,40 @@
 //! supercomputer): cosmic rays flip bits in the network processor and
 //! the machine must keep its availability anyway. This example streams
 //! 1 KB telemetry frames open-loop for ten simulated seconds while the
-//! instrument's LANai is hit by an upset at the start of each of three
-//! declared fault windows (every ~2.5 s — far harsher than reality).
-//! The per-phase [`SloReport`] shows service blacking out for the
-//! ~1.7 s recovery and then catching the backlog up, three times over.
+//! instrument's LANai is hit by an upset every 2.4 s of one 7.2 s fault
+//! window, three in all (far harsher than reality). Service blacks out
+//! for each ~1.7 s recovery and then catches the backlog up, three
+//! times over.
+//!
+//! The load report has one fault phase for all three upsets, so it
+//! carries the longest of the three outages, not each one. The
+//! availability printed is the lower bound that supports: three
+//! outages, none longer than that longest one.
 
-use ftgm_faults::chaos::{ChaosAction, ChaosTopology};
-use ftgm_sim::SimDuration;
-use ftgm_workload::{
-    run_spec, Arrival, ClientModel, FlowSpec, PhaseKind, SizeMix, Variant, WorkloadSpec,
-};
+use ftgm_scenario::{render_diags, run_text};
+
+/// Instrument (node 0) streams to the recorder (node 1). Frames are
+/// offered every 100 µs no matter what the NIC is doing — queued frames
+/// ride out each outage and drain after recovery. `fault_blackout 2s`
+/// bounds every no-delivery gap of the fault window, so service resumes
+/// within 2 s of each upset.
+const SCENARIO: &str = r#"
+scenario "telemetry_stream" {
+  topology two_node
+  seed 7
+  flow 0 -> 1 open every 100us sizes 1024
+  phases { warmup 100ms steady 2400ms fault 7200ms drain 300ms }
+  fault in fault at 1ms hang node 0
+  fault in fault at 2401ms hang node 0
+  fault in fault at 4801ms hang node 0
+  slo { fault_blackout 2s }
+  expect survived
+}
+"#;
 
 fn main() {
-    // Instrument (node 0) streams to the recorder (node 1). Frames are
-    // offered every 100 µs no matter what the NIC is doing — queued
-    // frames ride out each outage and drain after recovery.
-    let mut spec = WorkloadSpec::new(
-        "telemetry_stream",
-        ChaosTopology::TwoNode,
-        Variant::Ftgm,
-        7,
-    )
-    .flow(FlowSpec {
-        src: 0,
-        src_port: 0,
-        dst: 1,
-        dst_port: 2,
-        model: ClientModel::OpenLoop {
-            arrival: Arrival::Fixed {
-                gap: SimDuration::from_us(100),
-            },
-        },
-        sizes: SizeMix::Fixed { bytes: 1024 },
-    })
-    .phase(PhaseKind::Warmup, SimDuration::from_ms(100))
-    .phase(PhaseKind::Steady, SimDuration::from_ms(2_400));
-    for _ in 0..3 {
-        spec = spec
-            .phase(PhaseKind::Fault, SimDuration::from_ms(2_400))
-            .fault_at(SimDuration::from_ms(1), ChaosAction::ForceHang { node: 0 });
-    }
-    spec = spec.phase(PhaseKind::Drain, SimDuration::from_ms(300));
-
-    let report = run_spec(&spec);
+    let outcome = run_text(SCENARIO).unwrap_or_else(|d| panic!("{}", render_diags(&d)));
+    let report = outcome.load.as_ref().expect("the stream's load report");
 
     println!("mission timeline ({} simulated ms):", report.run_ns / 1_000_000);
     println!(
@@ -70,13 +61,10 @@ fn main() {
         );
     }
 
-    // Availability: the share of mission time outside a service blackout.
-    let blacked_out: u64 = report
-        .phases
-        .iter()
-        .filter(|p| p.name == "fault")
-        .map(|p| p.longest_gap_ns)
-        .sum();
+    // Availability: the share of mission time outside a service
+    // blackout, at worst three outages as long as the longest one.
+    let fault = report.fault().expect("fault phase");
+    let blacked_out = 3 * fault.longest_gap_ns;
     let availability = 1.0 - blacked_out as f64 / report.run_ns as f64;
 
     println!("\nmission summary:");
@@ -84,19 +72,18 @@ fn main() {
     println!("  upsets/recoveries: 3 / {}", report.recoveries);
     println!("  send errors      : {}", report.send_errors);
     println!("  frames damaged   : {}", report.corrupt);
-    println!("  feed availability: {:.1}% of mission time", availability * 100.0);
+    println!("  feed availability: >= {:.1}% of mission time", availability * 100.0);
 
     assert_eq!(report.recoveries, 3, "every upset recovered");
     assert_eq!(report.send_errors, 0);
     assert_eq!(report.iface_dead, 0, "no escalations");
     assert_eq!(report.corrupt, 0, "every frame arrived intact, once, in order");
-    for p in report.phases.iter().filter(|p| p.name == "fault") {
-        assert!(p.completed > 0, "service resumed inside every fault window");
-        assert!(
-            p.longest_gap_ns < 2_000_000_000,
-            "every recovery landed inside the paper's 2 s bound"
-        );
-    }
+    assert!(fault.completed > 0, "service resumed inside the fault window");
+    let violations = outcome.violations();
+    assert!(
+        violations.is_empty(),
+        "every recovery landed inside the paper's 2 s bound: {violations:?}"
+    );
     assert_eq!(
         report.total_completed, report.total_issued,
         "open-loop backlog fully drained: no frame lost across 3 recoveries"

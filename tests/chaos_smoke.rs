@@ -131,3 +131,18 @@ fn faults_inside_every_ftd_phase_converge() {
         assert!(report.ok(), "{phase:?}: {:?}", report.violations);
     }
 }
+
+/// A fault scheduled in the last nanosecond of the horizon still fires:
+/// the runner ends on absolute instants, not on a clock the warm-up left
+/// short of its bound.
+#[test]
+fn hang_on_the_horizon_edge_fires() {
+    let mut s = ChaosScenario::two_node("hang-at-the-edge");
+    s.horizon = SimDuration::from_ms(1);
+    s.events.push(ChaosEvent {
+        at: SimDuration::from_nanos(s.horizon.as_nanos() - 1),
+        action: ChaosAction::ForceHang { node: 0 },
+    });
+    let report = run_scenario(&s, SEED);
+    assert_eq!(report.metrics.counter("ForcedHang"), 1, "the hang never fired");
+}
