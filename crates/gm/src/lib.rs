@@ -26,5 +26,5 @@ pub mod world;
 pub use backup::PortBackup;
 pub use world::{
     App, AppId, Ctx, GmEvent, HostApiCosts, Hooks, NodeSim, World, WorldConfig,
-    WorldStats,
+    WorldStats, EVENT_KINDS,
 };

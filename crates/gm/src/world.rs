@@ -266,6 +266,21 @@ fn drop_kind(reason: DropReason) -> DropKind {
     }
 }
 
+/// The scheduler's event kinds, in the order of
+/// [`WorldStats::events_by_kind`].
+pub const EVENT_KINDS: [&str; 10] = [
+    "McpDispatch",
+    "TimerPoll",
+    "FrameDelivery",
+    "HostDmaDone",
+    "NicEventArrived",
+    "HostIrq",
+    "PostSend",
+    "PostRecvToken",
+    "AppDelivery",
+    "Call",
+];
+
 /// Aggregate world statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorldStats {
@@ -279,6 +294,9 @@ pub struct WorldStats {
     /// message path (send, provide, receive event, alarm) schedules none;
     /// `tests/alloc_budget.rs` holds it to that.
     pub closure_calls: u64,
+    /// Events handled, by kind (named by [`EVENT_KINDS`]); the counts sum
+    /// to [`World::events_delivered`].
+    pub events_by_kind: [u64; EVENT_KINDS.len()],
 }
 
 /// Everything the scheduler carries. The steady-state message path uses
@@ -302,6 +320,24 @@ enum Event {
     /// The library hands a GM event (or an alarm) to an application.
     AppDelivery { app: AppId, ev: GmEvent },
     Call(Box<dyn FnOnce(&mut World)>),
+}
+
+impl Event {
+    /// This event's index into [`EVENT_KINDS`].
+    fn kind(&self) -> usize {
+        match self {
+            Event::McpDispatch(_) => 0,
+            Event::TimerPoll(_) => 1,
+            Event::FrameDelivery { .. } => 2,
+            Event::HostDmaDone(_) => 3,
+            Event::NicEventArrived { .. } => 4,
+            Event::HostIrq(_) => 5,
+            Event::PostSend { .. } => 6,
+            Event::PostRecvToken { .. } => 7,
+            Event::AppDelivery { .. } => 8,
+            Event::Call(_) => 9,
+        }
+    }
 }
 
 /// The simulation world.
@@ -446,10 +482,10 @@ impl World {
 
     /// Processes events until the queue is empty or the clock passes `t`.
     ///
-    /// Each same-timestamp run is drained by one [`Scheduler::pop_run`]
-    /// (one bucket locate + resize check per run instead of per event),
-    /// in the FIFO order repeated pops would produce
-    /// (`tests/sched_equivalence.rs`); events scheduled *while* a run is
+    /// Each same-timestamp run due by `t` is drained by one
+    /// [`Scheduler::pop_run_by`] (one bucket locate + resize check per run
+    /// instead of per event), in the FIFO order repeated pops would
+    /// produce (`tests/sched_equivalence.rs`); events scheduled *while* a run is
     /// being handled carry higher sequence numbers, so they sort after
     /// the scratch buffer's contents.
     pub fn run_until(&mut self, t: SimTime) {
@@ -457,11 +493,7 @@ impl World {
         // world mutably; it is returned (with its capacity) when the
         // drain loop finishes.
         let mut run = std::mem::take(&mut self.scratch);
-        while let Some(ts) = self.sched.peek_time() {
-            if ts > t {
-                break;
-            }
-            self.sched.pop_run(&mut run);
+        while self.sched.pop_run_by(t, &mut run) > 0 {
             for (_, ev) in run.drain(..) {
                 self.handle(ev);
             }
@@ -483,6 +515,7 @@ impl World {
     }
 
     fn handle(&mut self, ev: Event) {
+        self.stats.events_by_kind[ev.kind()] += 1;
         match ev {
             Event::McpDispatch(n) => {
                 let n = n as usize;
@@ -1513,6 +1546,29 @@ mod more_tests {
         // event; a 49th byte would push every queued entry onto a second
         // cache line.
         assert!(std::mem::size_of::<Event>() <= 48, "{}", std::mem::size_of::<Event>());
+    }
+
+    /// The per-kind event census of ten 64-byte ping-pong round trips on
+    /// the two-node testbed, pinned: a scheduler change must deliver the
+    /// very same events.
+    #[test]
+    fn ping_pong_event_census_is_pinned() {
+        use crate::apps::{Echoer, PingPongStats, Pinger};
+        for (config, census) in [
+            (WorldConfig::gm(), [182, 2, 40, 60, 40, 0, 20, 26, 40, 2]),
+            (WorldConfig::ftgm(), [182, 4, 40, 60, 40, 0, 20, 26, 40, 2]),
+        ] {
+            let mut w = World::two_node(config);
+            let stats = Rc::new(RefCell::new(PingPongStats::default()));
+            w.spawn_app(NodeId(1), 2, Box::new(Echoer::new(64)));
+            let pinger = Pinger::new(NodeId(1), 2, 64, 0, 10, stats.clone());
+            w.spawn_app(NodeId(0), 0, Box::new(pinger));
+            w.run_for(SimDuration::from_ms(1));
+            assert!(stats.borrow().done);
+            let got = w.stats().events_by_kind;
+            assert_eq!(got.iter().sum::<u64>(), w.events_delivered());
+            assert_eq!(got, census, "{:?}", EVENT_KINDS.iter().zip(got).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod trace;
 pub use metrics::{HistId, Histogram, Metrics, Samples};
 pub use pool::map_indexed;
 pub use rng::SimRng;
-pub use sched::{HeapScheduler, Scheduler};
+pub use sched::Scheduler;
 pub use time::{SimDuration, SimTime};
 pub use trace::{
     DmaDir, DropKind, RecoveryPhase, Trace, TraceEvent, TraceKind, TraceMode, ZoneTrigger,

@@ -1,12 +1,15 @@
 //! The deterministic event scheduler.
 //!
 //! [`Scheduler`] is a calendar queue (Brown, CACM 1988): events hash into
-//! time-windowed buckets of width `2^shift` nanoseconds, each bucket kept
-//! sorted so its earliest entry is at the back. Popping scans bucket
-//! windows forward from the clock; the first entry whose timestamp falls
-//! inside its bucket's current window is the global minimum. Bucket count
-//! and width adapt to the queued population, so `schedule`/`pop` are
-//! amortized O(1) instead of a binary heap's O(log n) per event.
+//! time-windowed buckets of width `2^shift` nanoseconds. A bucket keeps
+//! its later instants in front and its earliest instant at the back, and
+//! the entries of one instant in the order they were scheduled, so the
+//! bucket's earliest run is its back slice in FIFO order. Popping scans
+//! bucket windows forward from the clock; the first bucket whose back
+//! entry falls inside the bucket's current window holds the global
+//! minimum. Bucket count and width adapt to the queued population, so
+//! `schedule`/`pop` are amortized O(1) instead of a binary heap's
+//! O(log n) per event.
 //!
 //! Ordering is by `(time, sequence)`: two events scheduled for the same
 //! instant pop in the order they were scheduled, which makes whole
@@ -14,14 +17,8 @@
 //! cancellation. A deadline that moves earlier is answered by scheduling
 //! a second event and letting the later one fire as a harmless poll.
 //!
-//! [`HeapScheduler`] is a plain binary heap with the same interface. It
-//! is the *differential-test oracle*: the `sched_equivalence` suite
-//! drives randomized push/pop/pop-run workloads through both
-//! implementations and asserts identical pop order. Not used in
-//! production worlds.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! `tests/sched_equivalence.rs` holds the calendar to a plain binary-heap
+//! oracle under randomized and lock-step workloads.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -29,6 +26,7 @@ use crate::time::{SimDuration, SimTime};
 /// entry exactly one 64-byte cache line.
 struct Entry<E> {
     at: SimTime,
+    /// Scheduling order: a resize re-sorts the population by `(at, seq)`.
     seq: u64,
     event: E,
 }
@@ -42,6 +40,12 @@ const MAX_SHIFT: u32 = 62;
 /// Initial bucket-width exponent: 2^10 ns ≈ 1 µs, the ballpark of NIC
 /// event spacing before the first adaptive resize.
 const INITIAL_SHIFT: u32 = 10;
+/// Clock advances a resize needs before it re-sizes the width; with
+/// fewer (a burst of inserts doubling the population) the width stays.
+const MIN_ADVANCES: u64 = 16;
+/// Drained runs between two looks at the median clock advance, so the
+/// width also follows the head of a queue whose population holds steady.
+const WIDTH_CHECK_RUNS: u64 = 4096;
 
 /// A deterministic discrete-event queue (calendar queue).
 ///
@@ -65,8 +69,9 @@ const INITIAL_SHIFT: u32 = 10;
 pub struct Scheduler<E> {
     now: SimTime,
     next_event_seq: u64,
-    /// Buckets sorted descending by `(at, seq)`: the bucket's earliest
-    /// entry is at the back, so popping it is O(1).
+    /// Buckets sorted descending by time and, within one instant,
+    /// ascending by sequence: the bucket's earliest instant is its back
+    /// run, oldest entry first.
     buckets: Vec<Vec<Entry<E>>>,
     /// `buckets.len() - 1`; the bucket count is always a power of two.
     mask: usize,
@@ -75,6 +80,13 @@ pub struct Scheduler<E> {
     /// Scheduled, not yet fired entries.
     live: usize,
     popped: u64,
+    /// Clock advances since the width was last sized, counted by
+    /// `floor(log2(ns))`: how far apart the head's instants are.
+    advances: [u64; 64],
+    /// Runs drained since the last width check.
+    runs: u64,
+    /// The median advance the current width was sized from.
+    sized_from: Option<u32>,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -94,6 +106,9 @@ impl<E> Scheduler<E> {
             shift: INITIAL_SHIFT,
             live: 0,
             popped: 0,
+            advances: [0; 64],
+            runs: 0,
+            sized_from: None,
         }
     }
 
@@ -126,10 +141,18 @@ impl<E> Scheduler<E> {
         self.next_event_seq += 1;
         let idx = self.bucket_of(at);
         let bucket = &mut self.buckets[idx];
-        // Keep the bucket sorted descending by (at, seq): everything
-        // strictly greater than the new entry stays in front of it.
-        let pos = bucket.partition_point(|e| (e.at, e.seq) > (at, seq));
-        bucket.insert(pos, Entry { at, seq, event });
+        let entry = Entry { at, seq, event };
+        // The newest entry of its instant goes behind every entry at or
+        // after `at` and in front of every earlier one. An event at `now`,
+        // or one joining its bucket's earliest instant, has nothing
+        // earlier behind it: a push.
+        match bucket.last() {
+            Some(back) if back.at < at => {
+                let pos = bucket.partition_point(|e| e.at >= at);
+                bucket.insert(pos, entry);
+            }
+            _ => bucket.push(entry),
+        }
         self.live += 1;
         if self.live > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
             self.resize();
@@ -141,53 +164,84 @@ impl<E> Scheduler<E> {
         self.schedule_at(self.now + delay, event)
     }
 
-    /// Finds the bucket whose back entry is the global minimum.
+    /// Finds the bucket holding the global minimum and that minimum's
+    /// timestamp.
     ///
     /// Scans bucket windows forward from `now`: within one calendar
     /// rotation each window maps to exactly one bucket, so the first back
     /// entry found inside its own window is the earliest event. If a
-    /// whole rotation turns up nothing (every event is beyond one rotation),
-    /// falls back to a direct min-scan over all bucket minima.
-    fn locate_min(&self) -> Option<usize> {
+    /// whole rotation turns up nothing (every event is beyond one
+    /// rotation), the scan has visited every bucket once and returns the
+    /// earliest of their minima; one instant's entries all share a
+    /// bucket, so comparing times suffices.
+    fn locate_min(&self) -> Option<(usize, SimTime)> {
         if self.live == 0 {
             return None;
         }
         let nbuckets = self.buckets.len() as u64;
         let base = self.now.as_nanos() >> self.shift;
+        let mut earliest: Option<(usize, SimTime)> = None;
         for k in 0..nbuckets {
             let window = base.saturating_add(k);
             let idx = (window as usize) & self.mask;
             if let Some(e) = self.buckets[idx].last() {
                 if e.at.as_nanos() >> self.shift == window {
-                    return Some(idx);
+                    return Some((idx, e.at));
+                }
+                if earliest.is_none_or(|(_, at)| e.at < at) {
+                    earliest = Some((idx, e.at));
                 }
             }
         }
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (idx, bucket) in self.buckets.iter().enumerate() {
-            if let Some(e) = bucket.last() {
-                if best.is_none_or(|(at, seq, _)| (e.at, e.seq) < (at, seq)) {
-                    best = Some((e.at, e.seq, idx));
-                }
+        earliest
+    }
+
+    /// Index of the first entry of the back run at instant `t` in bucket
+    /// `idx`. Walks from the back, so it costs the run's length, which
+    /// draining the run pays anyway.
+    fn run_start(&self, idx: usize, t: SimTime) -> usize {
+        let bucket = &self.buckets[idx];
+        bucket.iter().rposition(|e| e.at != t).map_or(0, |i| i + 1)
+    }
+
+    /// Accounts for a run of `n` events fired at `t`. Shrinks the
+    /// calendar if the population fell below a quarter of the bucket
+    /// count, and every [`WIDTH_CHECK_RUNS`] runs rebuilds it if the
+    /// median clock advance has moved since the width was sized.
+    fn fired(&mut self, t: SimTime, n: usize) {
+        debug_assert!(t >= self.now);
+        let advance = t.as_nanos() - self.now.as_nanos();
+        if advance > 0 {
+            self.advances[advance.ilog2() as usize] += 1;
+        }
+        self.now = t;
+        self.live -= n;
+        self.popped += n as u64;
+        self.runs += 1;
+        let nbuckets = self.buckets.len();
+        if self.live < nbuckets / 4 && nbuckets > MIN_BUCKETS {
+            self.resize();
+        } else if self.runs >= WIDTH_CHECK_RUNS {
+            self.runs = 0;
+            let median = self.median_advance();
+            if median.is_some() && median != self.sized_from {
+                self.resize();
             }
         }
-        best.map(|(_, _, idx)| idx)
     }
 
     /// Removes and returns the next event, advancing the clock to its
     /// timestamp. Returns `None` when the queue is exhausted.
+    ///
+    /// The oldest entry of the earliest instant sits at the front of its
+    /// bucket's back run, so this moves the rest of that run;
+    /// [`Scheduler::pop_run`] is the world's drain.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let idx = self.locate_min()?;
-        let e = self.buckets[idx].pop()?;
-        self.live -= 1;
-        debug_assert!(e.at >= self.now);
-        self.now = e.at;
-        self.popped += 1;
-        let nbuckets = self.buckets.len();
-        if self.live < nbuckets / 4 && nbuckets > MIN_BUCKETS {
-            self.resize();
-        }
-        Some((e.at, e.event))
+        let (idx, t) = self.locate_min()?;
+        let start = self.run_start(idx, t);
+        let e = self.buckets[idx].remove(start);
+        self.fired(t, 1);
+        Some((t, e.event))
     }
 
     /// Drains the entire run of events sharing the earliest timestamp
@@ -202,33 +256,30 @@ impl<E> Scheduler<E> {
     /// execution carry higher sequence numbers, so handling the drained
     /// prefix before re-polling preserves replay order.
     pub fn pop_run(&mut self, out: &mut Vec<(SimTime, E)>) -> usize {
+        self.pop_run_by(SimTime::MAX, out)
+    }
+
+    /// [`Scheduler::pop_run`], but only if the earliest timestamp is at or
+    /// before `deadline`; otherwise drains nothing, leaves the clock
+    /// where it is and returns 0. One locate decides both whether a run
+    /// is due and where it is.
+    pub fn pop_run_by(&mut self, deadline: SimTime, out: &mut Vec<(SimTime, E)>) -> usize {
         out.clear();
-        let Some(idx) = self.locate_min() else {
+        let Some((idx, t)) = self.locate_min() else {
             return 0;
         };
-        let Some(first) = self.buckets[idx].pop() else {
+        if t > deadline {
             return 0;
-        };
-        let t = first.at;
-        debug_assert!(t >= self.now);
-        self.now = t;
-        out.push((t, first.event));
-        while let Some(e) = self.buckets[idx].pop_if(|e| e.at == t) {
-            out.push((t, e.event));
         }
-        self.live -= out.len();
-        self.popped += out.len() as u64;
-        let nbuckets = self.buckets.len();
-        if self.live < nbuckets / 4 && nbuckets > MIN_BUCKETS {
-            self.resize();
-        }
+        let start = self.run_start(idx, t);
+        out.extend(self.buckets[idx].drain(start..).map(|e| (t, e.event)));
+        self.fired(t, out.len());
         out.len()
     }
 
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let idx = self.locate_min()?;
-        self.buckets[idx].last().map(|e| e.at)
+        self.locate_min().map(|(_, t)| t)
     }
 
     /// `true` when no events are pending.
@@ -242,9 +293,8 @@ impl<E> Scheduler<E> {
     }
 
     /// Rebuilds the calendar for the current population: recomputes the
-    /// bucket count (≈ one event per bucket) and the bucket width (≈ the
-    /// mean gap between now and the farthest event, so one rotation
-    /// covers the whole horizon).
+    /// bucket count (≈ one event per bucket) and the bucket width
+    /// ([`width_shift`]).
     fn resize(&mut self) {
         let mut all: Vec<Entry<E>> = Vec::with_capacity(self.live);
         for bucket in &mut self.buckets {
@@ -256,25 +306,55 @@ impl<E> Scheduler<E> {
             .len()
             .next_power_of_two()
             .clamp(MIN_BUCKETS, MAX_BUCKETS);
-        let span = all
-            .iter()
-            .map(|e| e.at.as_nanos())
-            .max()
-            .unwrap_or(0)
-            .saturating_sub(self.now.as_nanos());
-        let width = (span / all.len().max(1) as u64).max(1);
-        // floor(log2(width)), so a rotation of nbuckets windows spans
-        // roughly the whole live horizon.
-        self.shift = (63 - width.leading_zeros()).min(MAX_SHIFT);
+        // Latest first, one instant's entries oldest first: pushing in
+        // this order lays every bucket out as `schedule_at` keeps it.
+        all.sort_unstable_by(|a, b| b.at.cmp(&a.at).then(a.seq.cmp(&b.seq)));
+        if let Some(median) = self.median_advance() {
+            self.shift = width_shift(median, &all, self.now, nbuckets);
+            self.sized_from = Some(median);
+            self.advances = [0; 64];
+            self.runs = 0;
+        }
         self.mask = nbuckets - 1;
         self.buckets = (0..nbuckets).map(|_| Vec::new()).collect();
-        // Descending insertion order keeps every bucket sorted descending.
-        all.sort_by(|a, b| (b.at, b.seq).cmp(&(a.at, a.seq)));
         for e in all {
             let idx = ((e.at.as_nanos() >> self.shift) as usize) & self.mask;
             self.buckets[idx].push(e);
         }
     }
+
+    /// `floor(log2)` of the median clock advance since the width was
+    /// last sized, or `None` below [`MIN_ADVANCES`] advances.
+    fn median_advance(&self) -> Option<u32> {
+        let advances: u64 = self.advances.iter().sum();
+        if advances < MIN_ADVANCES {
+            return None;
+        }
+        let mut seen = 0;
+        let median = self.advances.iter().position(|&c| {
+            seen += c;
+            seen > advances / 2
+        })?;
+        Some(median as u32)
+    }
+}
+
+/// The bucket-width exponent for `sorted` (the population, latest first)
+/// spread over `nbuckets`, given the median clock advance `median`.
+///
+/// Brown sizes the width from the head of the queue, not from its
+/// farthest timer: here it is the median advance, so the instants the
+/// clock steps through land in buckets of their own and a same-instant
+/// burst joins its bucket's back run with a push. It is widened only as
+/// far as one rotation must reach to cover the nearer half of the queue;
+/// the farther timers wrap around the calendar instead of stretching
+/// every window.
+fn width_shift<E>(median: u32, sorted: &[Entry<E>], now: SimTime, nbuckets: usize) -> u32 {
+    let reach = sorted.get(sorted.len() / 2).map_or(0, |mid| {
+        let per_bucket = (mid.at.as_nanos() - now.as_nanos()) >> nbuckets.ilog2();
+        per_bucket.checked_ilog2().map_or(0, |b| b + 1)
+    });
+    median.max(reach).min(MAX_SHIFT)
 }
 
 impl<E> std::fmt::Debug for Scheduler<E> {
@@ -289,282 +369,121 @@ impl<E> std::fmt::Debug for Scheduler<E> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The binary-heap scheduler, kept as the test oracle.
-// ---------------------------------------------------------------------------
-
-struct HeapEntry<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for HeapEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for HeapEntry<E> {}
-impl<E> PartialOrd for HeapEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for HeapEntry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse so the BinaryHeap (a max-heap) pops the earliest entry.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// A binary-heap scheduler, retained as the differential-test oracle
-/// for the calendar queue.
-///
-/// Semantics are identical to [`Scheduler`] — `(time, sequence)` ordering,
-/// past-scheduling panics — and the `sched_equivalence` suite holds the
-/// two to identical pop order under randomized workloads. Not used in
-/// production worlds.
-pub struct HeapScheduler<E> {
-    now: SimTime,
-    next_event_seq: u64,
-    heap: BinaryHeap<HeapEntry<E>>,
-    popped: u64,
-}
-
-impl<E> Default for HeapScheduler<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapScheduler<E> {
-    /// Creates an empty scheduler with the clock at [`SimTime::ZERO`].
-    pub fn new() -> Self {
-        HeapScheduler {
-            now: SimTime::ZERO,
-            next_event_seq: 0,
-            heap: BinaryHeap::new(),
-            popped: 0,
-        }
-    }
-
-    /// The current simulation time (timestamp of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Total number of events delivered so far.
-    pub fn events_delivered(&self) -> u64 {
-        self.popped
-    }
-
-    /// Schedules `event` to fire at the absolute instant `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than `now()`.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: at={at:?} now={:?}",
-            self.now
-        );
-        let seq = self.next_event_seq;
-        self.next_event_seq += 1;
-        self.heap.push(HeapEntry { at, seq, event });
-    }
-
-    /// Schedules `event` to fire `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        self.schedule_at(self.now + delay, event)
-    }
-
-    /// Removes and returns the next event, advancing the clock to its
-    /// timestamp. Returns `None` when the queue is exhausted.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        debug_assert!(entry.at >= self.now);
-        self.now = entry.at;
-        self.popped += 1;
-        Some((entry.at, entry.event))
-    }
-
-    /// Drains the entire run of events sharing the earliest timestamp
-    /// into `out` (cleared first), advancing the clock once. Returns the
-    /// number of events drained; 0 means the queue is exhausted.
-    ///
-    /// Behaviorally identical to the calendar's [`Scheduler::pop_run`]:
-    /// the heap orders ties by sequence number, so the run comes out in
-    /// the same FIFO order repeated `pop` calls would deliver it.
-    pub fn pop_run(&mut self, out: &mut Vec<(SimTime, E)>) -> usize {
-        out.clear();
-        let Some((t, first)) = self.pop() else {
-            return 0;
-        };
-        out.push((t, first));
-        while self.peek_time() == Some(t) {
-            let Some((at, e)) = self.pop() else {
-                break;
-            };
-            out.push((at, e));
-        }
-        out.len()
-    }
-
-    /// Timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|entry| entry.at)
-    }
-
-    /// `true` when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
-
-impl<E> std::fmt::Debug for HeapScheduler<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HeapScheduler")
-            .field("now", &self.now)
-            .field("pending", &self.heap.len())
-            .field("delivered", &self.popped)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Instantiates the behavioral contract tests for both scheduler
-    /// implementations, so the oracle can never drift from the calendar.
-    macro_rules! scheduler_contract_tests {
-        ($mod_name:ident, $sched:ident) => {
-            mod $mod_name {
-                use super::super::*;
+    /// The behavioral contract; `tests/sched_equivalence.rs` holds the
+    /// same contract on the binary-heap oracle.
+    mod calendar {
+        use super::super::*;
 
-                #[test]
-                fn pops_in_time_order() {
-                    let mut s: $sched<&str> = $sched::new();
-                    s.schedule_at(SimTime::from_nanos(30), "c");
-                    s.schedule_at(SimTime::from_nanos(10), "a");
-                    s.schedule_at(SimTime::from_nanos(20), "b");
-                    let order: Vec<_> =
-                        std::iter::from_fn(|| s.pop()).map(|(_, e)| e).collect();
-                    assert_eq!(order, vec!["a", "b", "c"]);
-                }
+        #[test]
+        fn pops_in_time_order() {
+            let mut s: Scheduler<&str> = Scheduler::new();
+            s.schedule_at(SimTime::from_nanos(30), "c");
+            s.schedule_at(SimTime::from_nanos(10), "a");
+            s.schedule_at(SimTime::from_nanos(20), "b");
+            let order: Vec<_> = std::iter::from_fn(|| s.pop()).map(|(_, e)| e).collect();
+            assert_eq!(order, vec!["a", "b", "c"]);
+        }
 
-                #[test]
-                fn ties_break_fifo() {
-                    let mut s: $sched<u32> = $sched::new();
-                    for i in 0..10 {
-                        s.schedule_at(SimTime::from_nanos(5), i);
-                    }
-                    let order: Vec<_> =
-                        std::iter::from_fn(|| s.pop()).map(|(_, e)| e).collect();
-                    assert_eq!(order, (0..10).collect::<Vec<_>>());
-                }
-
-                #[test]
-                fn clock_advances_on_pop() {
-                    let mut s: $sched<()> = $sched::new();
-                    s.schedule_at(SimTime::from_nanos(42), ());
-                    assert_eq!(s.now(), SimTime::ZERO);
-                    s.pop();
-                    assert_eq!(s.now(), SimTime::from_nanos(42));
-                }
-
-                #[test]
-                #[should_panic(expected = "past")]
-                fn scheduling_in_the_past_panics() {
-                    let mut s: $sched<()> = $sched::new();
-                    s.schedule_at(SimTime::from_nanos(10), ());
-                    s.pop();
-                    s.schedule_at(SimTime::from_nanos(5), ());
-                }
-
-                #[test]
-                fn schedule_in_is_relative_to_now() {
-                    let mut s: $sched<u32> = $sched::new();
-                    s.schedule_at(SimTime::from_nanos(100), 1);
-                    s.pop();
-                    s.schedule_in(SimDuration::from_nanos(50), 2);
-                    assert_eq!(s.pop(), Some((SimTime::from_nanos(150), 2)));
-                }
-
-                #[test]
-                fn empty_and_counters() {
-                    let mut s: $sched<u32> = $sched::new();
-                    assert!(s.is_empty());
-                    s.schedule_in(SimDuration::ZERO, 9);
-                    assert!(!s.is_empty());
-                    s.pop();
-                    assert!(s.is_empty());
-                    assert_eq!(s.events_delivered(), 1);
-                }
-
-                #[test]
-                fn pop_run_drains_exactly_the_tie_run_in_fifo_order() {
-                    let mut s: $sched<u32> = $sched::new();
-                    for i in 0..5 {
-                        s.schedule_at(SimTime::from_nanos(10), i);
-                    }
-                    s.schedule_at(SimTime::from_nanos(11), 99);
-                    let mut out = Vec::new();
-                    assert_eq!(s.pop_run(&mut out), 5);
-                    for (k, &(at, e)) in out.iter().enumerate() {
-                        assert_eq!(at, SimTime::from_nanos(10));
-                        assert_eq!(e, k as u32);
-                    }
-                    assert_eq!(s.now(), SimTime::from_nanos(10));
-                    // The later timestamp is untouched by the first run.
-                    assert_eq!(s.pop_run(&mut out), 1);
-                    assert_eq!(out, vec![(SimTime::from_nanos(11), 99)]);
-                    assert_eq!(s.now(), SimTime::from_nanos(11));
-                    // Exhausted: returns 0 and leaves out empty.
-                    assert_eq!(s.pop_run(&mut out), 0);
-                    assert!(out.is_empty());
-                    assert_eq!(s.events_delivered(), 6);
-                }
-
-                #[test]
-                fn pop_run_matches_sequential_pops() {
-                    // Same mixed workload through both drain styles must
-                    // yield the identical (time, payload) stream.
-                    let build = || {
-                        let mut s: $sched<u32> = $sched::new();
-                        for i in 0..200u32 {
-                            let at = SimTime::from_nanos(u64::from(i * 13 % 29));
-                            s.schedule_at(at, i);
-                        }
-                        s
-                    };
-                    let mut a = build();
-                    let singles: Vec<_> =
-                        std::iter::from_fn(|| a.pop()).collect();
-                    let mut b = build();
-                    let mut runs = Vec::new();
-                    let mut out = Vec::new();
-                    while b.pop_run(&mut out) > 0 {
-                        runs.extend(out.drain(..));
-                    }
-                    assert_eq!(singles, runs);
-                    assert_eq!(a.events_delivered(), b.events_delivered());
-                }
+        #[test]
+        fn ties_break_fifo() {
+            let mut s: Scheduler<u32> = Scheduler::new();
+            for i in 0..10 {
+                s.schedule_at(SimTime::from_nanos(5), i);
             }
-        };
-    }
+            let order: Vec<_> = std::iter::from_fn(|| s.pop()).map(|(_, e)| e).collect();
+            assert_eq!(order, (0..10).collect::<Vec<_>>());
+        }
 
-    scheduler_contract_tests!(calendar, Scheduler);
-    scheduler_contract_tests!(heap_oracle, HeapScheduler);
+        #[test]
+        fn clock_advances_on_pop() {
+            let mut s: Scheduler<()> = Scheduler::new();
+            s.schedule_at(SimTime::from_nanos(42), ());
+            assert_eq!(s.now(), SimTime::ZERO);
+            s.pop();
+            assert_eq!(s.now(), SimTime::from_nanos(42));
+        }
+
+        #[test]
+        #[should_panic(expected = "past")]
+        fn scheduling_in_the_past_panics() {
+            let mut s: Scheduler<()> = Scheduler::new();
+            s.schedule_at(SimTime::from_nanos(10), ());
+            s.pop();
+            s.schedule_at(SimTime::from_nanos(5), ());
+        }
+
+        #[test]
+        fn schedule_in_is_relative_to_now() {
+            let mut s: Scheduler<u32> = Scheduler::new();
+            s.schedule_at(SimTime::from_nanos(100), 1);
+            s.pop();
+            s.schedule_in(SimDuration::from_nanos(50), 2);
+            assert_eq!(s.pop(), Some((SimTime::from_nanos(150), 2)));
+        }
+
+        #[test]
+        fn empty_and_counters() {
+            let mut s: Scheduler<u32> = Scheduler::new();
+            assert!(s.is_empty());
+            s.schedule_in(SimDuration::ZERO, 9);
+            assert!(!s.is_empty());
+            s.pop();
+            assert!(s.is_empty());
+            assert_eq!(s.events_delivered(), 1);
+        }
+
+        #[test]
+        fn pop_run_drains_exactly_the_tie_run_in_fifo_order() {
+            let mut s: Scheduler<u32> = Scheduler::new();
+            for i in 0..5 {
+                s.schedule_at(SimTime::from_nanos(10), i);
+            }
+            s.schedule_at(SimTime::from_nanos(11), 99);
+            let mut out = Vec::new();
+            assert_eq!(s.pop_run(&mut out), 5);
+            for (k, &(at, e)) in out.iter().enumerate() {
+                assert_eq!(at, SimTime::from_nanos(10));
+                assert_eq!(e, k as u32);
+            }
+            assert_eq!(s.now(), SimTime::from_nanos(10));
+            // The later timestamp is untouched by the first run.
+            assert_eq!(s.pop_run(&mut out), 1);
+            assert_eq!(out, vec![(SimTime::from_nanos(11), 99)]);
+            assert_eq!(s.now(), SimTime::from_nanos(11));
+            // Exhausted: returns 0 and leaves out empty.
+            assert_eq!(s.pop_run(&mut out), 0);
+            assert!(out.is_empty());
+            assert_eq!(s.events_delivered(), 6);
+        }
+
+        #[test]
+        fn pop_run_matches_sequential_pops() {
+            // Same mixed workload through both drain styles must yield
+            // the identical (time, payload) stream.
+            let build = || {
+                let mut s: Scheduler<u32> = Scheduler::new();
+                for i in 0..200u32 {
+                    let at = SimTime::from_nanos(u64::from(i * 13 % 29));
+                    s.schedule_at(at, i);
+                }
+                s
+            };
+            let mut a = build();
+            let singles: Vec<_> = std::iter::from_fn(|| a.pop()).collect();
+            let mut b = build();
+            let mut runs = Vec::new();
+            let mut out = Vec::new();
+            while b.pop_run(&mut out) > 0 {
+                runs.extend(out.drain(..));
+            }
+            assert_eq!(singles, runs);
+            assert_eq!(a.events_delivered(), b.events_delivered());
+        }
+    }
 
     #[test]
     fn survives_growth_and_shrink_resizes() {
@@ -603,6 +522,40 @@ mod tests {
         s.schedule_at(SimTime::from_nanos(5), 1);
         assert_eq!(s.pop().map(|(_, e)| e), Some(1));
         assert_eq!(s.pop(), Some((SimTime::MAX, 9)));
+    }
+
+    #[test]
+    fn pop_run_by_leaves_a_later_run_queued() {
+        let mut s: Scheduler<u32> = Scheduler::new();
+        s.schedule_at(SimTime::from_nanos(20), 1);
+        let mut out = Vec::new();
+        assert_eq!(s.pop_run_by(SimTime::from_nanos(19), &mut out), 0);
+        assert_eq!((s.now(), s.len()), (SimTime::ZERO, 1));
+        assert_eq!(s.pop_run_by(SimTime::from_nanos(20), &mut out), 1);
+        assert_eq!(out, vec![(SimTime::from_nanos(20), 1)]);
+    }
+
+    #[test]
+    fn the_width_follows_the_head_of_the_queue() {
+        // A steady population whose clock steps 8 ns at a time: the
+        // periodic check narrows the initial 1 µs windows to the step.
+        let mut s: Scheduler<u64> = Scheduler::new();
+        for k in 1..=8 {
+            s.schedule_at(SimTime::from_nanos(8 * k), k);
+        }
+        let mut out = Vec::new();
+        for _ in 0..WIDTH_CHECK_RUNS {
+            s.pop_run(&mut out);
+            s.schedule_in(SimDuration::from_nanos(64), 0);
+        }
+        assert_eq!((s.shift, s.buckets.len()), (3, 8));
+        // One rotation must still reach the nearer half of the queue: 256
+        // timers a millisecond out widen 256 windows to 4 µs.
+        let far: Vec<Entry<u64>> = (0..256u64)
+            .map(|k| Entry { at: SimTime::from_nanos(1_000_000 + k), seq: k, event: k })
+            .rev()
+            .collect();
+        assert_eq!(width_shift(3, &far, SimTime::from_nanos(512), 256), 12);
     }
 
     #[test]
