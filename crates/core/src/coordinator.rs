@@ -325,6 +325,10 @@ mod tests {
     #[test]
     fn unreachable_peer_is_escalated_after_grace() {
         let (mut w, ft, coord) = coordinatedring_with_dead_nic();
+        // Its NIC hangs too. The grace (200 ms) is shorter than a recovery
+        // (~760 ms), so the FTD's queued steps must stand down once the
+        // node is escalated: no re-enabled interrupts, reload or reopen.
+        ft.inject_forced_hang(&mut w, NodeId(1));
         w.run_for(SimDuration::from_ms(600));
         assert!(coord.zone_reroutes() >= 1);
         assert_eq!(coord.isolations(), 1, "exactly the cut node");
@@ -333,6 +337,8 @@ mod tests {
         // Idempotent: more polls don't re-escalate.
         w.run_for(SimDuration::from_ms(300));
         assert_eq!(coord.isolations(), 1);
+        assert_eq!((ft.recoveries(NodeId(1)), ft.busy(NodeId(1))), (0, false));
+        assert!(!w.nodes[1].host.driver.interrupts_enabled());
     }
 
     fn coordinatedring_with_dead_nic() -> (World, FtSystem, Coordinator) {

@@ -42,8 +42,6 @@
 //! ```
 
 pub mod coordinator;
-pub mod ftd;
-pub mod recovery;
 pub mod timeline;
 
 use std::cell::RefCell;
@@ -51,12 +49,11 @@ use std::rc::Rc;
 
 use ftgm_gm::World;
 use ftgm_net::NodeId;
-use ftgm_sim::{RecoveryPhase, SimDuration, SimTime, TraceKind};
+use ftgm_sim::{SimTime, TraceKind};
 
-use ftd::{FtdState, FTD_WAKE_LATENCY};
 pub use coordinator::{Coordinator, CoordinatorConfig};
-pub use ftd::RetryPolicy;
-pub use recovery::{restore_port_state, RestoreSummary, PER_PROCESS_RECOVERY};
+pub use ftgm_gm::ftd::{self, RetryPolicy};
+pub use ftgm_gm::recovery::{self, restore_port_state, RestoreSummary, PER_PROCESS_RECOVERY};
 pub use timeline::RecoveryReport;
 
 /// Handle to the installed fault-tolerance system.
@@ -66,7 +63,7 @@ pub use timeline::RecoveryReport;
 /// observing recoveries.
 #[derive(Clone)]
 pub struct FtSystem {
-    states: Rc<RefCell<Vec<FtdState>>>,
+    states: Rc<RefCell<Vec<ftd::FtdState>>>,
     policy: RetryPolicy,
 }
 
@@ -93,311 +90,10 @@ impl FtSystem {
             world.is_ftgm(),
             "FtSystem requires a world built with WorldConfig::ftgm()"
         );
-        let mut states = Vec::with_capacity(world.nodes.len());
-        for node in world.nodes.iter_mut() {
-            let pid = node.host.procs.spawn("ftd");
-            node.host.procs.sleep(pid);
-            states.push(FtdState::new(pid));
-        }
-        let states = Rc::new(RefCell::new(states));
-        let sys = FtSystem {
-            states: states.clone(),
+        FtSystem {
+            states: ftd::install(world, policy),
             policy,
-        };
-
-        // Driver FATAL handler → wake the FTD, then run it. A FATAL while
-        // a recovery is already running is NOT dropped: it queues a
-        // re-verification the daemon performs before going back to sleep.
-        let s2 = states.clone();
-        world.hooks.fatal_irq = Some(Rc::new(move |w: &mut World, node: NodeId| {
-            let n = node.0 as usize;
-            {
-                let mut st = s2.borrow_mut();
-                if st[n].dead {
-                    drop(st);
-                    let now = w.now();
-                    w.trace
-                        .emit(now, TraceKind::FtdFatalIgnoredDead { node: node.0 });
-                    return;
-                }
-                if st[n].busy {
-                    st[n].pending_reverify = true;
-                    drop(st);
-                    let now = w.now();
-                    w.trace
-                        .emit(now, TraceKind::FtdReverifyQueued { node: node.0 });
-                    return;
-                }
-                st[n].busy = true;
-                st[n].detected_at = Some(w.now());
-                // A hang long after the previous recovery is a fresh
-                // episode; one inside the re-hang window continues the
-                // previous one (its attempt budget carries over).
-                let fresh = match st[n].last_recovery_end {
-                    Some(end) => w.now().saturating_since(end) > policy.rehang_window,
-                    None => true,
-                };
-                if fresh {
-                    st[n].attempts = 0;
-                }
-                w.nodes[n].host.procs.wake(st[n].pid);
-            }
-            let now = w.now();
-            w.trace.emit(now, TraceKind::FtdWoken { node: node.0 });
-            let s3 = s2.clone();
-            w.schedule_call(FTD_WAKE_LATENCY, move |w| {
-                FtSystem::ftd_main(w, node, s3, policy);
-            });
-        }));
-
-        // Library FAULT_DETECTED handler (gm_unknown path). The handler
-        // runs ~900ms after the event; if another recovery starts in the
-        // meantime (overlapping faults), the stale handler must step aside
-        // for the newer generation's.
-        let s4 = states.clone();
-        world.hooks.fault_event = Some(Rc::new(move |w: &mut World, node: NodeId, port: u8| {
-            let n = node.0 as usize;
-            let epoch = s4.borrow()[n].epoch;
-            let now = w.now();
-            w.trace
-                .emit(now, TraceKind::GmUnknownEntered { node: node.0, port });
-            let s5 = s4.clone();
-            w.schedule_call(recovery::PER_PROCESS_RECOVERY, move |w| {
-                if s5.borrow()[n].epoch != epoch {
-                    let now = w.now();
-                    w.trace
-                        .emit(now, TraceKind::StaleHandlerSuperseded { node: node.0, port });
-                    return;
-                }
-                let summary = recovery::restore_port_state(w, node, port);
-                let now = w.now();
-                w.trace.emit(
-                    now,
-                    TraceKind::PortReopened {
-                        node: node.0,
-                        port,
-                        sends_replayed: summary.sends_replayed as u32,
-                        recvs_replayed: summary.recvs_replayed as u32,
-                        streams_restored: summary.streams_restored as u32,
-                    },
-                );
-            });
-        }));
-
-        sys
-    }
-
-    /// The FTD body: probe, then (if confirmed) the phased reset/restore.
-    fn ftd_main(
-        world: &mut World,
-        node: NodeId,
-        states: Rc<RefCell<Vec<FtdState>>>,
-        policy: RetryPolicy,
-    ) {
-        let n = node.0 as usize;
-        let now = world.now();
-        world.trace.emit(now, TraceKind::FtdRunning { node: node.0 });
-        let wait = ftd::run_ftd_probe(world, node);
-        world.schedule_call(wait, move |w| {
-            if !ftd::probe_confirms_hang(w, node) {
-                // False alarm: the MCP cleared the magic word. Re-arm the
-                // watchdog; if another FATAL queued meanwhile, re-probe
-                // instead of sleeping.
-                let now = w.now();
-                w.trace.emit(now, TraceKind::ProbeFalseAlarm { node: node.0 });
-                let ticks = w.config().mcp.watchdog_ticks;
-                // Acknowledge the interrupt (drop the line) and re-arm.
-                w.nodes[n].mcp.chip.clear_isr(ftgm_lanai::chip::isr::IT1);
-                w.nodes[n]
-                    .mcp
-                    .chip
-                    .arm_timer(ftgm_lanai::timers::TimerId::It1, now, ticks);
-                w.trace
-                    .emit(now, TraceKind::WatchdogArmed { node: node.0, ticks });
-                w.sync_node(n);
-                let mut st = states.borrow_mut();
-                st[n].false_alarms += 1;
-                if st[n].pending_reverify {
-                    st[n].pending_reverify = false;
-                    drop(st);
-                    w.trace.emit(now, TraceKind::ProbeRequeued { node: node.0 });
-                    FtSystem::ftd_main(w, node, states, policy);
-                    return;
-                }
-                st[n].busy = false;
-                let pid = st[n].pid;
-                drop(st);
-                w.nodes[n].host.procs.sleep(pid);
-                return;
-            }
-            let now = w.now();
-            w.trace
-                .emit(now, TraceKind::ProbeConfirmedHang { node: node.0 });
-            FtSystem::recovery_attempt(w, node, states, policy);
-        });
-    }
-
-    /// One reset/reload attempt: the six timed phases, boot, then a
-    /// post-reload verification probe. Success posts `FAULT_DETECTED` and
-    /// rewinds; failure retries with backoff or escalates.
-    fn recovery_attempt(
-        world: &mut World,
-        node: NodeId,
-        states: Rc<RefCell<Vec<FtdState>>>,
-        policy: RetryPolicy,
-    ) {
-        let n = node.0 as usize;
-        let attempt = {
-            let mut st = states.borrow_mut();
-            st[n].epoch += 1;
-            st[n].attempts += 1;
-            // The reload about to run supersedes any queued re-verification.
-            st[n].pending_reverify = false;
-            st[n].attempts
-        };
-        let now = world.now();
-        world.trace.emit(
-            now,
-            TraceKind::RecoveryAttempt {
-                node: node.0,
-                attempt,
-                max_attempts: policy.max_attempts,
-            },
-        );
-        // Run the phased reset/restore sequence.
-        let mut cumulative = SimDuration::ZERO;
-        for phase in RecoveryPhase::ORDER {
-            let dur = ftd::phase_duration(world, node, phase);
-            cumulative += dur;
-            world.schedule_call(cumulative, move |w| {
-                ftd::apply_phase(w, node, phase);
-                let now = w.now();
-                w.trace.emit(
-                    now,
-                    TraceKind::RecoveryPhaseDone {
-                        node: node.0,
-                        phase,
-                        dur,
-                    },
-                );
-                // Chaos hook: lets experiments inject faults timed to land
-                // inside this exact recovery phase.
-                if let Some(hook) = w.hooks.ftd_phase.clone() {
-                    hook(w, node, phase);
-                }
-            });
         }
-        world.schedule_call(cumulative, move |w| {
-            // Boot the reloaded MCP: timers armed, watchdog re-armed.
-            let now = w.now();
-            w.nodes[n].mcp.boot(now);
-            let ticks = w.config().mcp.watchdog_ticks;
-            w.trace
-                .emit(now, TraceKind::WatchdogArmed { node: node.0, ticks });
-            w.sync_node(n);
-            // Before declaring success, confirm the reloaded MCP is alive:
-            // write the magic word again and require L_timer() to clear it.
-            w.trace.emit(now, TraceKind::ReloadVerifying { node: node.0 });
-            let wait = ftd::run_ftd_probe(w, node);
-            let states = states.clone();
-            w.schedule_call(wait, move |w| {
-                if ftd::probe_confirms_hang(w, node) {
-                    FtSystem::attempt_failed(w, node, states, policy);
-                } else {
-                    FtSystem::finish_recovery(w, node, states, policy);
-                }
-            });
-        });
-    }
-
-    /// Post-reload verification passed: post `FAULT_DETECTED` into every
-    /// open port, then either honor a queued re-verification or sleep.
-    fn finish_recovery(
-        world: &mut World,
-        node: NodeId,
-        states: Rc<RefCell<Vec<FtdState>>>,
-        policy: RetryPolicy,
-    ) {
-        let n = node.0 as usize;
-        let now = world.now();
-        world.trace.emit(now, TraceKind::ReloadVerified { node: node.0 });
-        let open_ports: Vec<u8> = (0..8u8)
-            .filter(|&p| world.nodes[n].ports[p as usize].is_some())
-            .collect();
-        for port in &open_ports {
-            world.post_fault_detected(node, *port);
-            world
-                .trace
-                .emit(now, TraceKind::FaultDetectedPosted { node: node.0, port: *port });
-        }
-        let mut st = states.borrow_mut();
-        st[n].recoveries += 1;
-        st[n].last_recovery_end = Some(now);
-        if st[n].pending_reverify {
-            // A FATAL arrived while we were recovering: probe once more
-            // before standing down (the probe decides false alarm vs. a
-            // fresh confirmed hang).
-            st[n].pending_reverify = false;
-            drop(st);
-            world.trace.emit(now, TraceKind::ProbeRequeued { node: node.0 });
-            FtSystem::ftd_main(world, node, states, policy);
-            return;
-        }
-        st[n].busy = false;
-        let pid = st[n].pid;
-        drop(st);
-        world.nodes[n].host.procs.sleep(pid);
-        world.trace.emit(now, TraceKind::FtdSleeping { node: node.0 });
-    }
-
-    /// Post-reload verification failed: retry with exponential backoff, or
-    /// — once the attempt budget is exhausted — escalate the interface to
-    /// dead and fail outstanding sends back to the applications.
-    fn attempt_failed(
-        world: &mut World,
-        node: NodeId,
-        states: Rc<RefCell<Vec<FtdState>>>,
-        policy: RetryPolicy,
-    ) {
-        let n = node.0 as usize;
-        let attempts = {
-            let mut st = states.borrow_mut();
-            st[n].failed_attempts += 1;
-            st[n].attempts
-        };
-        if attempts < policy.max_attempts {
-            let backoff = policy.backoff_after(attempts);
-            let now = world.now();
-            world.trace.emit(
-                now,
-                TraceKind::RetryScheduled { node: node.0, attempt: attempts, backoff },
-            );
-            world.schedule_call(backoff, move |w| {
-                FtSystem::recovery_attempt(w, node, states, policy);
-            });
-            return;
-        }
-        // Escalate: the card will not come back. Mask further interrupts,
-        // mark the interface dead, and surface the failure to every
-        // application instead of leaving sends hung forever.
-        let now = world.now();
-        world
-            .trace
-            .emit(now, TraceKind::Escalated { node: node.0, attempts });
-        world.nodes[n].host.driver.set_interrupts_enabled(false);
-        let failed = world.fail_outstanding_sends(node);
-        world.trace.emit(
-            now,
-            TraceKind::OutstandingSendsFailed { node: node.0, count: failed as u64 },
-        );
-        let mut st = states.borrow_mut();
-        st[n].dead = true;
-        st[n].busy = false;
-        st[n].pending_reverify = false;
-        st[n].escalations += 1;
-        let pid = st[n].pid;
-        drop(st);
-        world.nodes[n].host.procs.sleep(pid);
     }
 
     /// Completed recoveries on `node`.
@@ -453,39 +149,10 @@ impl FtSystem {
     }
 
     /// Zone-coordinator escalation for a node the residual fabric can no
-    /// longer reach: same terminal transition as retry exhaustion
-    /// ([`TraceKind::Escalated`], interrupts masked, outstanding sends
-    /// failed, interface marked dead) but driven by *reachability*, not
-    /// by the node's own FTD. Idempotent: a node already dead is left
-    /// alone.
+    /// longer reach: the FTD's own terminal transition ([`ftd::escalate`]),
+    /// driven by *reachability*. Idempotent: a dead node is left alone.
     pub fn escalate_isolated(&self, world: &mut World, node: NodeId) {
-        let n = node.0 as usize;
-        {
-            let st = self.states.borrow();
-            match st.get(n) {
-                Some(s) if !s.dead => {}
-                _ => return,
-            }
-        }
-        let now = world.now();
-        let attempts = self.states.borrow()[n].attempts;
-        world
-            .trace
-            .emit(now, TraceKind::Escalated { node: node.0, attempts });
-        world.nodes[n].host.driver.set_interrupts_enabled(false);
-        let failed = world.fail_outstanding_sends(node);
-        world.trace.emit(
-            now,
-            TraceKind::OutstandingSendsFailed { node: node.0, count: failed as u64 },
-        );
-        let mut st = self.states.borrow_mut();
-        st[n].dead = true;
-        st[n].busy = false;
-        st[n].pending_reverify = false;
-        st[n].escalations += 1;
-        let pid = st[n].pid;
-        drop(st);
-        world.nodes[n].host.procs.sleep(pid);
+        ftd::escalate(world, node);
     }
 
     /// The retry/escalation policy this system was installed with.
@@ -508,7 +175,7 @@ mod tests {
     use super::*;
     use ftgm_gm::apps::{PatternReceiver, PatternSender, TrafficStats};
     use ftgm_gm::WorldConfig;
-    use std::cell::RefCell;
+    use ftgm_sim::SimDuration;
 
     fn ft_world() -> (World, FtSystem) {
         let mut config = WorldConfig::ftgm();
@@ -591,6 +258,11 @@ mod tests {
         ft.inject_forced_hang(&mut w, NodeId(1));
         w.run_for(SimDuration::from_ms(2_500));
         assert_eq!(ft.recoveries(NodeId(1)), 1);
+        // The recovery ran as typed steps: the probe, six phases, boot,
+        // verification and the port's reopen. No closure: `Call` counts
+        // only the two `spawn_app` starts.
+        let census: Vec<_> = ftgm_gm::EVENT_KINDS.iter().zip(w.stats().events_by_kind).collect();
+        assert_eq!(census[9..], [(&"Ftd", 11), (&"Call", 2)], "{census:?}");
         let after = stats.borrow().clone();
         assert!(
             after.received_ok > before + 50,

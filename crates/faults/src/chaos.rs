@@ -7,8 +7,8 @@
 //! paper's testbed could not exercise systematically:
 //!
 //! * bit flips on several nodes of a star or ring,
-//! * faults *timed to land inside a specific FTD recovery phase* (via the
-//!   world's `ftd_phase` hook),
+//! * faults *timed to land inside a specific FTD recovery phase* (the
+//!   runner fires them from [`World::run_until_ftd_phase`]),
 //! * back-to-back hangs that re-enter the daemon while it is busy,
 //! * transient link outages and lossy-link windows on the fabric.
 //!
@@ -215,24 +215,6 @@ pub struct PhaseTrigger {
     pub action: ChaosAction,
     /// How many times the trigger may fire before disarming.
     pub remaining: u32,
-}
-
-impl PhaseTrigger {
-    /// A trigger that fires `times` times when `node`'s FTD completes
-    /// `phase`, then disarms.
-    pub fn times(node: u16, phase: RecoveryPhase, action: ChaosAction, times: u32) -> PhaseTrigger {
-        PhaseTrigger {
-            node,
-            phase,
-            action,
-            remaining: times,
-        }
-    }
-
-    /// A one-shot trigger on `node` completing `phase`.
-    pub fn once(node: u16, phase: RecoveryPhase, action: ChaosAction) -> PhaseTrigger {
-        PhaseTrigger::times(node, phase, action, 1)
-    }
 }
 
 /// A full scenario: world shape, traffic, and fault schedule.
@@ -621,29 +603,6 @@ fn run_scenario_core<T>(
     }
     let spawned = spawn(&mut world);
 
-    // Phase-triggered faults: armed via the world's ftd_phase hook, which
-    // the FTD fires after each completed recovery phase.
-    if !scenario.phase_triggers.is_empty() {
-        let triggers = Rc::new(RefCell::new(scenario.phase_triggers.clone()));
-        let hook_rng = rng.clone();
-        world.hooks.ftd_phase = Some(Rc::new(move |w, node, phase| {
-            let mut due: Vec<ChaosAction> = Vec::new();
-            {
-                let mut ts = triggers.borrow_mut();
-                for t in ts.iter_mut() {
-                    if t.remaining > 0 && t.node == node.0 && t.phase == phase {
-                        t.remaining -= 1;
-                        due.push(t.action.clone());
-                    }
-                }
-            }
-            for action in &due {
-                let mut r = hook_rng.borrow_mut();
-                apply_action(w, action, &mut r);
-            }
-        }));
-    }
-
     // Absolutely-timed faults.
     for ev in &scenario.events {
         let action = ev.action.clone();
@@ -654,13 +613,27 @@ fn run_scenario_core<T>(
         });
     }
 
-    // Absolute instants: `run_until` leaves the clock on the last event
-    // at or before its bound, so a second relative `run_for` would end
-    // the run early and drop whatever was scheduled in the slack.
+    // Phase-triggered faults fire the moment the FTD on their node
+    // completes their phase, before the rest of that instant runs.
+    let mut triggers = scenario.phase_triggers.clone();
+    let mut run_until = |world: &mut World, t: ftgm_sim::SimTime| {
+        while let Some((node, phase)) = world.run_until_ftd_phase(t) {
+            for tr in triggers.iter_mut() {
+                if tr.remaining > 0 && tr.node == node.0 && tr.phase == phase {
+                    tr.remaining -= 1;
+                    apply_action(world, &tr.action, &mut rng.borrow_mut());
+                }
+            }
+        }
+    };
+
+    // Absolute instants: running to a bound leaves the clock on the last
+    // event at or before it, so a second relative run would end the run
+    // early and drop whatever was scheduled in the slack.
     let t0 = world.now();
-    world.run_until(t0 + scenario.warmup);
+    run_until(&mut world, t0 + scenario.warmup);
     let baseline: Vec<u64> = flow_stats.iter().map(|s| s.borrow().received_ok).collect();
-    world.run_until(t0 + scenario.warmup + scenario.horizon);
+    run_until(&mut world, t0 + scenario.warmup + scenario.horizon);
 
     // Collect per-node terminal states.
     let mut nodes = Vec::new();

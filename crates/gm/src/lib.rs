@@ -15,16 +15,21 @@
 //! * [`backup`] — FTGM's host-side backup state (token copies, host
 //!   sequence streams, the ACK table), maintained by the library when the
 //!   world runs the FTGM variant.
+//! * [`ftd`] — the Fault Tolerance Daemon the driver wakes on FATAL; its
+//!   fixed sequence runs as typed steps of the world's event loop.
+//! * [`recovery`] — the per-process `FAULT_DETECTED` handler.
 //! * [`apps`] — reusable workloads: the `gm_allsize`-style bidirectional
 //!   streamer (Figure 7), the ping-pong latency probe (Figure 8), and a
 //!   pattern-validating traffic pair used by the fault campaigns.
 
 pub mod apps;
 pub mod backup;
+pub mod ftd;
+pub mod recovery;
 pub mod world;
 
 pub use backup::PortBackup;
 pub use world::{
-    App, AppId, Ctx, GmEvent, HostApiCosts, Hooks, NodeSim, World, WorldConfig,
+    App, AppId, Ctx, GmEvent, HostApiCosts, NodeSim, World, WorldConfig,
     WorldStats, EVENT_KINDS,
 };

@@ -15,12 +15,11 @@
 //! they return, sequence numbers generated host-side — at the paper's
 //! measured extra host-CPU cost.
 //!
-//! Recovery *policy* (watchdog FATAL handling, the FTD, the
-//! `FAULT_DETECTED` handler) is installed by `ftgm-core` through
-//! [`Hooks`].
+//! Recovery (watchdog FATAL handling, the FTD, the `FAULT_DETECTED`
+//! handler) runs as typed FTD steps once [`crate::ftd::install`] has
+//! spawned the daemons (`ftgm-core`'s `FtSystem` does).
 
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use ftgm_host::{CpuCost, DmaRegion, HostSystem, PciParams};
 use ftgm_lanai::chip::{isr, HostDmaDir, HostDmaReq, WireFrame};
@@ -32,6 +31,8 @@ use ftgm_sim::{
 };
 
 use crate::backup::PortBackup;
+use crate::ftd::{self, Ftd, FtdStep};
+use crate::recovery;
 
 /// Host-CPU costs of GM library calls (Table 2's host-utilization rows).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -211,7 +212,7 @@ pub struct NodeSim {
     pub ports: [Option<HostPort>; 8],
     /// Host copy of the route table (the FTD restores it).
     pub route_backup: RouteTable,
-    dma_in_flight: Option<HostDmaReq>,
+    pub(crate) dma_in_flight: Option<HostDmaReq>,
     dispatch_at: Option<SimTime>,
     timer_poll_at: Option<SimTime>,
     // Observability cursors into the MCP's cumulative statistics, so
@@ -228,27 +229,6 @@ impl NodeSim {
     pub fn frozen(&self) -> bool {
         self.host.crashed()
     }
-}
-
-/// A hook on the driver's FATAL-interrupt path.
-pub type FatalIrqHook = Rc<dyn Fn(&mut World, NodeId)>;
-/// A hook on the library's `FAULT_DETECTED` (`gm_unknown()`) path.
-pub type FaultEventHook = Rc<dyn Fn(&mut World, NodeId, u8)>;
-/// A hook fired right after each FTD recovery phase applies on a node,
-/// with the phase that just completed; chaos experiments use it to time
-/// fault injections inside specific phases.
-pub type FtdPhaseHook = Rc<dyn Fn(&mut World, NodeId, RecoveryPhase)>;
-
-/// Recovery hooks installed by `ftgm-core`.
-#[derive(Clone, Default)]
-pub struct Hooks {
-    /// Called when the driver fields a FATAL (IT1 watchdog) interrupt.
-    pub fatal_irq: Option<FatalIrqHook>,
-    /// Called when a `FAULT_DETECTED` event reaches a port's receive queue
-    /// (the `gm_unknown()` path).
-    pub fault_event: Option<FaultEventHook>,
-    /// Called after each FTD recovery phase completes (chaos injection).
-    pub ftd_phase: Option<FtdPhaseHook>,
 }
 
 /// The trace layer's name for a fabric drop reason (the mirror exists so
@@ -268,7 +248,7 @@ fn drop_kind(reason: DropReason) -> DropKind {
 
 /// The scheduler's event kinds, in the order of
 /// [`WorldStats::events_by_kind`].
-pub const EVENT_KINDS: [&str; 10] = [
+pub const EVENT_KINDS: [&str; 11] = [
     "McpDispatch",
     "TimerPoll",
     "FrameDelivery",
@@ -278,6 +258,7 @@ pub const EVENT_KINDS: [&str; 10] = [
     "PostSend",
     "PostRecvToken",
     "AppDelivery",
+    "Ftd",
     "Call",
 ];
 
@@ -299,11 +280,11 @@ pub struct WorldStats {
     pub events_by_kind: [u64; EVENT_KINDS.len()],
 }
 
-/// Everything the scheduler carries. The steady-state message path uses
-/// only the typed kinds; `Call` is for recovery code, hooks and
-/// `spawn_app`. The scheduler stores 16 bytes beside each event, so the
-/// enum is kept to 48 to fill exactly one cache line (a unit test holds
-/// it there): [`SendDesc`] and [`GmEvent`] are 40 each and nest whole.
+/// Everything the scheduler carries. Only the coordinator, chaos actions,
+/// the MPI harness and `spawn_app` still schedule `Call`. The scheduler
+/// stores 16 bytes beside each event, so the enum is kept to 48 to fill
+/// exactly one cache line (a unit test holds it there): [`SendDesc`] and
+/// [`GmEvent`] are 40 each and nest whole.
 enum Event {
     McpDispatch(u16),
     TimerPoll(u16),
@@ -319,6 +300,8 @@ enum Event {
     PostRecvToken { node: u16, port: u8, desc: RecvTokenDesc },
     /// The library hands a GM event (or an alarm) to an application.
     AppDelivery { app: AppId, ev: GmEvent },
+    /// The next step of a node's FTD ([`crate::ftd`]).
+    Ftd { node: u16, step: FtdStep },
     Call(Box<dyn FnOnce(&mut World)>),
 }
 
@@ -335,7 +318,8 @@ impl Event {
             Event::PostSend { .. } => 6,
             Event::PostRecvToken { .. } => 7,
             Event::AppDelivery { .. } => 8,
-            Event::Call(_) => 9,
+            Event::Ftd { .. } => 9,
+            Event::Call(_) => 10,
         }
     }
 }
@@ -349,14 +333,15 @@ pub struct World {
     pub nodes: Vec<NodeSim>,
     /// Milestone trace (Figure 9 / Table 3).
     pub trace: Trace,
-    /// Recovery hooks (installed by `ftgm-core`).
-    pub hooks: Hooks,
+    /// The FTDs, once [`crate::ftd::install`] spawned them.
+    pub(crate) ftd: Option<Ftd>,
     config: WorldConfig,
     apps: Vec<Option<Box<dyn App>>>,
     app_binding: Vec<(NodeId, u8)>,
     stats: WorldStats,
-    /// Reusable scratch for [`World::run_until`]'s drain loop — kept
-    /// across calls so steady state allocates nothing.
+    /// The same-timestamp run being handled, reversed (next event last),
+    /// kept across calls so steady state allocates nothing and so the rest
+    /// of an instant [`World::run_until_ftd_phase`] returned from runs next.
     scratch: Vec<(SimTime, Event)>,
     /// The buffer [`World::sync_node`] trades with a node's MCP effect
     /// queue, for the same reason.
@@ -408,7 +393,7 @@ impl World {
             fabric,
             nodes,
             trace,
-            hooks: Hooks::default(),
+            ftd: None,
             config,
             apps: Vec::new(),
             app_binding: Vec::new(),
@@ -489,16 +474,31 @@ impl World {
     /// being handled carry higher sequence numbers, so they sort after
     /// the scratch buffer's contents.
     pub fn run_until(&mut self, t: SimTime) {
+        while self.run_until_ftd_phase(t).is_some() {}
+    }
+
+    /// [`World::run_until`], but returns right after an FTD completes a
+    /// recovery phase, naming the node and the phase, so the caller can act
+    /// inside that phase (chaos triggers) before anything else runs. The
+    /// rest of that instant's events run first on the next call. `None`
+    /// once the queue is empty or the clock passes `t`.
+    pub fn run_until_ftd_phase(&mut self, t: SimTime) -> Option<(NodeId, RecoveryPhase)> {
         // The scratch buffer is moved out so `handle` can borrow the
-        // world mutably; it is returned (with its capacity) when the
-        // drain loop finishes.
+        // world mutably; it is returned (with its capacity) on the way out.
         let mut run = std::mem::take(&mut self.scratch);
-        while self.sched.pop_run_by(t, &mut run) > 0 {
-            for (_, ev) in run.drain(..) {
-                self.handle(ev);
+        let hit = loop {
+            match run.pop() {
+                Some((_, ev)) => {
+                    if let Some(hit) = self.handle(ev) {
+                        break Some(hit);
+                    }
+                }
+                None if self.sched.pop_run_by(t, &mut run) > 0 => run.reverse(),
+                None => break None,
             }
-        }
+        };
         self.scratch = run;
+        hit
     }
 
     /// Runs for `d` more simulated time.
@@ -507,14 +507,21 @@ impl World {
         self.run_until(t);
     }
 
-    /// Schedules `f` to run after `delay` (recovery code, experiment hooks
-    /// and `spawn_app`; the message path has typed events instead).
+    /// Schedules `f` to run after `delay` (the coordinator, chaos actions
+    /// and `spawn_app`; the message path and the FTD have typed events).
     pub fn schedule_call(&mut self, delay: SimDuration, f: impl FnOnce(&mut World) + 'static) {
         self.stats.closure_calls += 1;
         self.sched.schedule_in(delay, Event::Call(Box::new(f)));
     }
 
-    fn handle(&mut self, ev: Event) {
+    /// Schedules `step` of `node`'s FTD after `delay`.
+    pub(crate) fn schedule_ftd(&mut self, delay: SimDuration, node: NodeId, step: FtdStep) {
+        self.sched.schedule_in(delay, Event::Ftd { node: node.0, step });
+    }
+
+    /// Handles one event; returns the node and phase when it was an FTD
+    /// completing a recovery phase.
+    fn handle(&mut self, ev: Event) -> Option<(NodeId, RecoveryPhase)> {
         self.stats.events_by_kind[ev.kind()] += 1;
         match ev {
             Event::McpDispatch(n) => {
@@ -567,8 +574,10 @@ impl World {
             Event::AppDelivery { app, ev } => {
                 self.with_app(app, |app, ctx| app.on_event(ctx, ev));
             }
+            Event::Ftd { node, step } => return ftd::step(self, NodeId(node), step),
             Event::Call(f) => f(self),
         }
+        None
     }
 
     /// Executes the byte movement of the completed host DMA, then tells
@@ -722,9 +731,7 @@ impl World {
             // The FATAL interrupt: the watchdog expired.
             let now = self.now();
             self.trace.emit(now, TraceKind::WatchdogFired { node: n as u16 });
-            if let Some(hook) = self.hooks.fatal_irq.clone() {
-                hook(self, NodeId(n as u16));
-            }
+            ftd::on_fatal(self, NodeId(n as u16));
         }
     }
 
@@ -932,9 +939,7 @@ impl World {
             }
             NicEvent::FaultDetected => {
                 // gm_unknown(): the transparent recovery entry point.
-                if let Some(hook) = self.hooks.fault_event.clone() {
-                    hook(self, NodeId(n as u16), port);
-                }
+                recovery::on_fault_detected(self, NodeId(n as u16), port);
             }
         }
     }
@@ -959,14 +964,9 @@ impl World {
 
     // --- direct access for recovery code and experiments --------------------
 
-    /// Immutable access to a node.
-    pub fn node(&self, node: NodeId) -> &NodeSim {
-        &self.nodes[node.0 as usize]
-    }
-
     /// Posts a `FAULT_DETECTED` event into a port's receive queue (the
     /// FTD's final per-port step), with PCI timing like any event post.
-    pub fn post_fault_detected(&mut self, node: NodeId, port: u8) {
+    pub(crate) fn post_fault_detected(&mut self, node: NodeId, port: u8) {
         let n = node.0 as usize;
         let now = self.now();
         let tr = self.nodes[n].host.pci.transfer(now, 32);
@@ -980,18 +980,13 @@ impl World {
         );
     }
 
-    /// Cancels the node's pending host DMA, if any (card reset drops it).
-    pub fn abort_host_dma(&mut self, node: NodeId) {
-        self.nodes[node.0 as usize].dma_in_flight = None;
-    }
-
     /// The FTD's escalation path: the interface will not come back, so
     /// every backed-up (unacknowledged) send on every open port fails back
     /// to its application as [`GmEvent::SendError`], followed by one
     /// [`GmEvent::InterfaceDead`] per port. Returns the number of sends
     /// failed. Buffers and tokens return to the process so middleware can
     /// tear down cleanly instead of leaking.
-    pub fn fail_outstanding_sends(&mut self, node: NodeId) -> usize {
+    pub(crate) fn fail_outstanding_sends(&mut self, node: NodeId) -> usize {
         let n = node.0 as usize;
         let api = self.config.api;
         let mut failed = 0;
@@ -1312,6 +1307,7 @@ impl Ctx<'_> {
 mod tests {
     use super::*;
     use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// Sends one message and records what comes back.
     struct OneShotSender {
@@ -1448,6 +1444,7 @@ mod tests {
 mod more_tests {
     use super::*;
     use std::cell::RefCell;
+    use std::rc::Rc;
 
     struct AlarmApp {
         fired: Rc<RefCell<Vec<(u64, SimTime)>>>,
@@ -1555,8 +1552,8 @@ mod more_tests {
     fn ping_pong_event_census_is_pinned() {
         use crate::apps::{Echoer, PingPongStats, Pinger};
         for (config, census) in [
-            (WorldConfig::gm(), [182, 2, 40, 60, 40, 0, 20, 26, 40, 2]),
-            (WorldConfig::ftgm(), [182, 4, 40, 60, 40, 0, 20, 26, 40, 2]),
+            (WorldConfig::gm(), [182, 2, 40, 60, 40, 0, 20, 26, 40, 0, 2]),
+            (WorldConfig::ftgm(), [182, 4, 40, 60, 40, 0, 20, 26, 40, 0, 2]),
         ] {
             let mut w = World::two_node(config);
             let stats = Rc::new(RefCell::new(PingPongStats::default()));

@@ -19,9 +19,10 @@
 //!
 //! Unresolvable calls (std/macro names, trait objects, fn pointers)
 //! produce no edge. That under-approximation is the right direction for
-//! every graph rule here: hook closures (`Rc<dyn Fn>` fields in the sim)
+//! every graph rule here: closures the world schedules (`Event::Call`)
 //! form the inversion boundary, and calls *through* them are the
-//! scheduler's, not the recovery path's.
+//! scheduler's, not the recovery path's. The FTD's steps are typed
+//! events, so its recovery chain is direct calls the graph follows.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -90,7 +91,7 @@ pub fn crate_of(rel: &str) -> Option<&str> {
     rel.strip_prefix("crates/")?.split('/').next()
 }
 
-/// File stem: `crates/core/src/ftd.rs` → `ftd`.
+/// File stem: `crates/gm/src/ftd.rs` → `ftd`.
 fn stem(rel: &str) -> &str {
     rel.rsplit('/')
         .next()

@@ -31,6 +31,6 @@ mod tests {
             escape("say \"hi\",\ttab\nline \\ back\u{1}"),
             r#"say \"hi\",\ttab\nline \\ back\u0001"#
         );
-        assert_eq!(escape("crates/core/src/recovery.rs → fn"), "crates/core/src/recovery.rs → fn");
+        assert_eq!(escape("crates/gm/src/recovery.rs → fn"), "crates/gm/src/recovery.rs → fn");
     }
 }

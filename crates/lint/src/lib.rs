@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn scan_file_content_applies_rules_by_path() {
         let bad = "fn f(x: Option<u8>) { x.unwrap(); }\n";
-        assert_eq!(scan_file_content("crates/core/src/recovery.rs", bad).len(), 1);
+        assert_eq!(scan_file_content("crates/gm/src/recovery.rs", bad).len(), 1);
         assert!(scan_file_content("crates/host/src/driver.rs", bad).is_empty());
     }
 

@@ -301,7 +301,7 @@ mod tests {
     fn r7_reports_chain_two_calls_below_entry() {
         let f = scan(&[
             (
-                "crates/core/src/ftd.rs",
+                "crates/gm/src/ftd.rs",
                 "pub fn verify(x: Option<u8>) { helper_a(x); }\n",
             ),
             (
@@ -323,7 +323,7 @@ mod tests {
     fn r7_skips_r1_covered_files_and_unreachable_fns() {
         let f = scan(&[
             (
-                "crates/core/src/ftd.rs",
+                "crates/gm/src/ftd.rs",
                 // In R1 scope: the per-line rule owns this one.
                 "pub fn verify(x: Option<u8>) { x.unwrap(); }\n",
             ),
@@ -339,7 +339,7 @@ mod tests {
     #[test]
     fn r7_honors_inline_allow_on_the_site_line() {
         let f = scan(&[
-            ("crates/core/src/ftd.rs", "pub fn verify() { helper(); }\n"),
+            ("crates/gm/src/ftd.rs", "pub fn verify() { helper(); }\n"),
             (
                 "crates/core/src/util.rs",
                 "pub fn helper() {\n\

@@ -44,14 +44,14 @@ pub const ALL_RULES: [&str; 8] = [
 
 /// R1: modules on the recovery path must be total — no panicking calls.
 /// `chaos.rs` qualifies because its actions and oracles execute inside
-/// recovery (the `ftd_phase` hook fires mid-reset); a panic there would
+/// recovery (phase triggers fire mid-reset); a panic there would
 /// masquerade as a recovery failure. The observability modules qualify
 /// because `Trace::emit` runs inline with recovery (and everything else):
 /// a panic while recording an event would abort the very recovery it was
 /// observing.
 const R1_FILES: [&str; 10] = [
-    "crates/core/src/recovery.rs",
-    "crates/core/src/ftd.rs",
+    "crates/gm/src/recovery.rs",
+    "crates/gm/src/ftd.rs",
     "crates/core/src/coordinator.rs",
     "crates/net/src/reroute.rs",
     "crates/gm/src/backup.rs",
@@ -106,8 +106,10 @@ const R3_ACCESSOR_MODULES: [&str; 2] = ["crates/mcp/src/gobackn.rs", "crates/gm/
 const R3_FIELDS: [&str; 7] =
     ["next_seq", "cum_acked", "expected", "first_seq", "seq", "stage_seq", "syn_seq"];
 
-/// R4: matches over fault/event enums that must stay exhaustive.
-const R4_FILES: [&str; 2] = ["crates/faults/src/classify.rs", "crates/core/src/recovery.rs"];
+/// R4: matches over fault/event enums that must stay exhaustive (the
+/// FTD's step and phase matches among them).
+const R4_FILES: [&str; 3] =
+    ["crates/faults/src/classify.rs", "crates/gm/src/recovery.rs", "crates/gm/src/ftd.rs"];
 
 /// R5: wire-format modules where a silent truncation corrupts packets.
 const R5_FILES: [&str; 2] = ["crates/mcp/src/packet.rs", "crates/net/src/crc.rs"];
@@ -154,8 +156,9 @@ pub(crate) fn r2_covers(rel: &str) -> bool {
 /// Files whose non-test fns seed R7's reachability (in addition to the
 /// named entry fns below): the recovery state machine, the FTD, the
 /// replay/backup layers, and the observability modules that run inline
-/// with recovery. `crates/core/src/lib.rs` is the FtSystem glue — its
-/// hook closures *are* the paper's FAULT_DETECTED handlers. The MPI
+/// with recovery. `crates/core/src/lib.rs` is the `FtSystem` handle —
+/// its `escalate_isolated` is the zone coordinator's way into the FTD's
+/// escalation. The MPI
 /// tier's `recovery.rs` holds the restart planner the harness controller
 /// runs when a rank is declared dead (`plan_rank_restart` /
 /// `apply_rank_restart`, plus the membership and suspicion machinery
@@ -170,8 +173,8 @@ pub(crate) fn r2_covers(rel: &str) -> bool {
 pub(crate) const R7_ENTRY_FILES: [&str; 12] = [
     "crates/lanai/src/cpu.rs",
     "crates/mpi/src/recovery.rs",
-    "crates/core/src/recovery.rs",
-    "crates/core/src/ftd.rs",
+    "crates/gm/src/recovery.rs",
+    "crates/gm/src/ftd.rs",
     "crates/core/src/lib.rs",
     "crates/core/src/coordinator.rs",
     "crates/net/src/reroute.rs",
@@ -507,7 +510,7 @@ mod tests {
                    unimplemented!();\n\
                    let _ = v[0];\n\
                    }\n";
-        let f = scan_str("crates/core/src/recovery.rs", src);
+        let f = scan_str("crates/gm/src/recovery.rs", src);
         assert_eq!(f.len(), 6, "{f:#?}");
         assert!(f.iter().all(|x| x.rule == RECOVERY_NO_PANIC));
     }
@@ -523,7 +526,7 @@ mod tests {
                    #[derive(Debug)]\n\
                    struct S;\n\
                    }\n";
-        let f = scan_str("crates/core/src/recovery.rs", src);
+        let f = scan_str("crates/gm/src/recovery.rs", src);
         assert!(f.is_empty(), "{f:#?}");
     }
 
@@ -650,7 +653,7 @@ mod tests {
                    // lint:allow(determinism)\n\
                    x.unwrap();\n\
                    }\n";
-        let f = scan_str("crates/core/src/recovery.rs", src);
+        let f = scan_str("crates/gm/src/recovery.rs", src);
         assert_eq!(f.len(), 1, "{f:#?}");
         assert_eq!(f[0].line, 4, "wrong-rule allow does not suppress");
     }
@@ -662,7 +665,7 @@ mod tests {
                    mod tests {\n\
                    fn g(x: Option<u8>) { x.unwrap(); }\n\
                    }\n";
-        assert!(scan_str("crates/core/src/recovery.rs", src).is_empty());
+        assert!(scan_str("crates/gm/src/recovery.rs", src).is_empty());
     }
 
     #[test]
@@ -672,7 +675,7 @@ mod tests {
                    let s = \"x.unwrap() HashMap _ =>\";\n\
                    let _ = s;\n\
                    }\n";
-        assert!(scan_str("crates/core/src/recovery.rs", src).is_empty());
+        assert!(scan_str("crates/gm/src/recovery.rs", src).is_empty());
         assert!(scan_str("crates/sim/src/x.rs", src).is_empty());
     }
 }

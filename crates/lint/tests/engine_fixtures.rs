@@ -24,7 +24,7 @@ fn assert_all_rule(findings: &[Finding], rule: &str) {
 
 #[test]
 fn r1_bad_flags_every_panicking_construct() {
-    let f = scan_fixture("r1_bad.rs", "crates/core/src/recovery.rs");
+    let f = scan_fixture("r1_bad.rs", "crates/gm/src/recovery.rs");
     assert_eq!(f.len(), 7, "{f:#?}");
     assert_all_rule(&f, rules::RECOVERY_NO_PANIC);
     // Both literal-index forms are among them.
@@ -34,7 +34,7 @@ fn r1_bad_flags_every_panicking_construct() {
 
 #[test]
 fn r1_good_is_clean_including_test_module() {
-    let f = scan_fixture("r1_good.rs", "crates/core/src/recovery.rs");
+    let f = scan_fixture("r1_good.rs", "crates/gm/src/recovery.rs");
     assert!(f.is_empty(), "{f:#?}");
 }
 
@@ -162,7 +162,7 @@ fn scenario_good_total_parser_is_clean_including_test_module() {
 
 #[test]
 fn suppression_fixture_honors_rule_specific_allows() {
-    let f = scan_fixture("suppression.rs", "crates/core/src/recovery.rs");
+    let f = scan_fixture("suppression.rs", "crates/gm/src/recovery.rs");
     assert_eq!(f.len(), 1, "{f:#?}");
     assert_eq!(f[0].rule, rules::RECOVERY_NO_PANIC);
     assert_eq!(f[0].line, 9, "only the wrong-rule allow leaks through");
@@ -216,7 +216,7 @@ fn r7_bad_reports_full_chain_from_entry_to_panic() {
     let f = scan_fixture_with_entry(
         "r7_bad.rs",
         "crates/net/src/verify.rs",
-        "crates/core/src/ftd.rs",
+        "crates/gm/src/ftd.rs",
         R7_ENTRY_STUB,
     );
     assert_eq!(f.len(), 2, "{f:#?}");
@@ -242,7 +242,7 @@ fn r7_good_is_clean_including_the_inline_allow() {
     let f = scan_fixture_with_entry(
         "r7_good.rs",
         "crates/net/src/verify.rs",
-        "crates/core/src/ftd.rs",
+        "crates/gm/src/ftd.rs",
         R7_ENTRY_STUB,
     );
     assert!(f.is_empty(), "{f:#?}");
@@ -284,7 +284,7 @@ fn r8_bad_reports_taint_with_chains_across_the_r2_boundary() {
     let f = scan_fixture_with_entry(
         "r8_bad.rs",
         "crates/host/src/timing.rs",
-        "crates/core/src/ftd.rs",
+        "crates/gm/src/ftd.rs",
         R8_ENTRY_STUB,
     );
     assert_eq!(f.len(), 2, "{f:#?}");
@@ -306,7 +306,7 @@ fn r8_good_is_clean() {
     let f = scan_fixture_with_entry(
         "r8_good.rs",
         "crates/host/src/timing.rs",
-        "crates/core/src/ftd.rs",
+        "crates/gm/src/ftd.rs",
         R8_ENTRY_STUB,
     );
     assert!(f.is_empty(), "{f:#?}");

@@ -1,5 +1,5 @@
 // Fixture: every R1 (recovery-no-panic) construct. Scanned as if at
-// crates/core/src/recovery.rs. Expected findings: 7.
+// crates/gm/src/recovery.rs. Expected findings: 7.
 
 fn handler(x: Option<u8>, r: Result<u8, ()>, v: &[u8]) -> u8 {
     let a = x.unwrap();

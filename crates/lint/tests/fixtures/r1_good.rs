@@ -1,5 +1,5 @@
 // Fixture: recovery-path code written the sanctioned way. Scanned as if
-// at crates/core/src/recovery.rs. Expected findings: 0.
+// at crates/gm/src/recovery.rs. Expected findings: 0.
 
 fn handler(x: Option<u8>, r: Result<u8, ()>, v: &[u8]) -> Option<u8> {
     let a = x?;

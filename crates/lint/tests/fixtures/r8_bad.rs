@@ -2,7 +2,7 @@
 // crates/host/src/timing.rs: the host crate is outside R2's per-line
 // determinism scope, so only the taint pass can catch a wall clock or
 // hash-ordered map flowing into sim-visible state from here. Paired
-// with an entry stub at crates/core/src/ftd.rs calling `probe`.
+// with an entry stub at crates/gm/src/ftd.rs calling `probe`.
 // Expected: 2 findings (Instant::now in wall_clock, HashMap in tally),
 // chains rooted at the stub's ftd_tick.
 

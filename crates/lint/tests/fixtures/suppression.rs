@@ -1,5 +1,5 @@
 // Fixture: the lint:allow escape hatch. Scanned as if at
-// crates/core/src/recovery.rs. Expected findings: 1 (the last unwrap —
+// crates/gm/src/recovery.rs. Expected findings: 1 (the last unwrap —
 // its allow names the wrong rule).
 
 fn suppressed(x: Option<u8>) -> u8 {

@@ -123,7 +123,7 @@ proptest! {
     /// pretends to live at a rule-governed path.
     #[test]
     fn full_scan_never_panics_on_soup(src in soup_strategy()) {
-        let _ = ftgm_lint::scan_file_content("crates/core/src/recovery.rs", &src);
+        let _ = ftgm_lint::scan_file_content("crates/gm/src/recovery.rs", &src);
         let _ = ftgm_lint::scan_file_content("crates/sim/src/export.rs", &src);
     }
 

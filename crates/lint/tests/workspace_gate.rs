@@ -54,12 +54,12 @@ impl FakeTree {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&root);
-        std::fs::create_dir_all(root.join("crates/core/src")).expect("mkdir");
+        std::fs::create_dir_all(root.join("crates/gm/src")).expect("mkdir");
         FakeTree { root }
     }
 
     fn write_recovery(&self, body: &str) {
-        self.write("crates/core/src/recovery.rs", body);
+        self.write("crates/gm/src/recovery.rs", body);
     }
 
     fn write(&self, rel: &str, body: &str) {
@@ -95,7 +95,7 @@ fn cli_fails_on_fresh_violation_and_passes_when_fixed() {
     assert_eq!(out.status.code(), Some(1), "violation must exit 1");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("crates/core/src/recovery.rs:1:") && stdout.contains("recovery-no-panic"),
+        stdout.contains("crates/gm/src/recovery.rs:1:") && stdout.contains("recovery-no-panic"),
         "report names file:line and rule:\n{stdout}"
     );
 
@@ -141,11 +141,11 @@ fn cli_reports_cross_crate_call_chain_for_seeded_panic() {
         "pub fn helper_a(state: &[u8]) -> u8 { helper_b(state) }\n\
          pub fn helper_b(state: &[u8]) -> u8 { state.first().copied().unwrap() }\n",
     );
-    // Realistic manifests: core depends on net, so the cross-crate call
+    // Realistic manifests: gm depends on net, so the cross-crate call
     // resolves through the dependency closure (not fixture allow-all).
     tree.write(
-        "crates/core/Cargo.toml",
-        "[package]\nname = \"ftgm-core\"\n[dependencies]\nftgm-net = { path = \"../net\" }\n",
+        "crates/gm/Cargo.toml",
+        "[package]\nname = \"ftgm-gm\"\n[dependencies]\nftgm-net = { path = \"../net\" }\n",
     );
     tree.write("crates/net/Cargo.toml", "[package]\nname = \"ftgm-net\"\n");
 
@@ -161,7 +161,7 @@ fn cli_reports_cross_crate_call_chain_for_seeded_panic() {
         "\"file\": \"crates/net/src/util.rs\", \"line\": 2, ",
         "\"symbol\": \"helper_b\", ",
         // Chain hops carry their defining files.
-        "\"chain\": [{\"file\": \"crates/core/src/recovery.rs\", \"symbol\": \"verify\"}, \
+        "\"chain\": [{\"file\": \"crates/gm/src/recovery.rs\", \"symbol\": \"verify\"}, \
          {\"file\": \"crates/net/src/util.rs\", \"symbol\": \"helper_a\"}, \
          {\"file\": \"crates/net/src/util.rs\", \"symbol\": \"helper_b\"}], ",
         "2 calls below entry `verify`",

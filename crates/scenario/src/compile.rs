@@ -231,7 +231,12 @@ pub fn compile(spec: &Spec) -> CompiledScenario {
     let phase_triggers: Vec<PhaseTrigger> = spec
         .triggers
         .iter()
-        .map(|t| PhaseTrigger::times(t.node, t.phase, lower_action(&t.action), t.limit))
+        .map(|t| PhaseTrigger {
+            node: t.node,
+            phase: t.phase,
+            action: lower_action(&t.action),
+            remaining: t.limit,
+        })
         .collect();
     let chaos = ChaosScenario {
         name: spec.name.clone(),

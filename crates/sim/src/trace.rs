@@ -26,8 +26,8 @@ use std::fmt::Write as _;
 
 /// The timed phases of the FTD's reset-and-restore sequence.
 ///
-/// The one phase vocabulary of the workspace: `ftgm_core::ftd` executes
-/// these, the world's `ftd_phase` hook reports them, the scenario DSL
+/// The one phase vocabulary of the workspace: `ftgm_gm::ftd` executes
+/// these, `World::run_until_ftd_phase` reports them, the scenario DSL
 /// parses them and the exporters print them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RecoveryPhase {

@@ -166,22 +166,16 @@ fn busy_clears_and_watchdog_rearms_after_each_recovery() {
 fn reload_wipes_the_route_table_and_restore_routes_brings_it_back() {
     let (mut w, ft) = ft_world();
     let stats = traffic(&mut w, NodeId(0), 0, NodeId(1), 2);
-    // (phase, MCP table == host backup, MCP table empty) per phase.
-    let seen = Rc::new(RefCell::new(Vec::new()));
-    let log = seen.clone();
-    w.hooks.ftd_phase = Some(Rc::new(move |w: &mut World, node: NodeId, phase| {
-        let n = &w.nodes[node.0 as usize];
-        log.borrow_mut().push((
-            phase,
-            n.mcp.routes() == &n.route_backup,
-            n.mcp.routes().is_empty(),
-        ));
-    }));
     w.run_for(SimDuration::from_ms(20));
     ft.inject_forced_hang(&mut w, NodeId(1));
-    w.run_for(SimDuration::from_secs(2));
+    // (phase, MCP table == host backup, MCP table empty) per phase.
+    let mut seen = Vec::new();
+    let end = w.now() + SimDuration::from_secs(2);
+    while let Some((node, phase)) = w.run_until_ftd_phase(end) {
+        let n = &w.nodes[node.0 as usize];
+        seen.push((phase, n.mcp.routes() == &n.route_backup, n.mcp.routes().is_empty()));
+    }
     assert_eq!(ft.recoveries(NodeId(1)), 1);
-    let seen = seen.borrow();
     let at = |phase| seen.iter().find(|(p, ..)| *p == phase).copied();
     assert_eq!(
         at(RecoveryPhase::RestartEngines),
@@ -198,15 +192,21 @@ fn reload_wipes_the_route_table_and_restore_routes_brings_it_back() {
 
 #[test]
 fn false_alarm_leaves_ftd_ready_for_real_hang() {
-    // A FATAL with no hang behind it (the chip is fine, so the magic-word
-    // probe clears) must end as a false alarm that leaves busy clear and
-    // the watchdog armed — a real hang right after is still healed.
+    // A real FATAL with no hang behind it (IT1 armed for two ticks expires
+    // before L_timer() re-arms it; the live MCP clears the magic word) must
+    // end as a false alarm that leaves busy clear and the watchdog armed —
+    // a real hang right after is still healed.
     let (mut w, ft) = ft_world();
     let stats = traffic(&mut w, NodeId(0), 0, NodeId(1), 2);
     w.run_for(SimDuration::from_ms(50));
-    let hook = w.hooks.fatal_irq.clone().expect("FT system installed");
-    hook(&mut w, NodeId(1));
+    let now = w.now();
+    w.nodes[1].mcp.chip.arm_timer(TimerId::It1, now, 2);
+    w.sync_node(1);
     w.run_for(SimDuration::from_ms(50));
+    assert_eq!(
+        w.trace.count_where(|k| matches!(k, TraceKind::WatchdogFired { node: 1 })),
+        1
+    );
     assert_eq!(ft.false_alarms(NodeId(1)), 1);
     assert_eq!(ft.recoveries(NodeId(1)), 0, "no spurious reset");
     assert!(!ft.busy(NodeId(1)), "false alarm left the FTD busy");

@@ -4,9 +4,6 @@
 //! inside the re-hang window continues the previous episode's budget
 //! rather than resetting it.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use ftgm_core::FtSystem;
 use ftgm_gm::{World, WorldConfig};
 use ftgm_net::NodeId;
@@ -20,19 +17,17 @@ fn ft_world() -> (World, FtSystem) {
     (w, ft)
 }
 
-/// Re-hangs node 0's MCP during the RestoreRoutes phase of the next
-/// `rehangs` recovery attempts, so post-reload verification fails exactly
-/// that many times.
-fn sabotage_reloads(w: &mut World, rehangs: u32) {
-    let remaining = Rc::new(RefCell::new(rehangs));
-    w.hooks.ftd_phase = Some(Rc::new(move |w: &mut World, node: NodeId, phase| {
-        // RestoreRoutes is the last phase; hanging here leaves the
-        // freshly reloaded MCP dead at verification time.
-        if phase == RecoveryPhase::RestoreRoutes && *remaining.borrow() > 0 {
-            *remaining.borrow_mut() -= 1;
+/// Runs `w` for `d`, re-hanging the MCP in the last phase (RestoreRoutes)
+/// of the next `rehangs` recovery attempts, so the freshly reloaded MCP is
+/// dead at verification time exactly that many times.
+fn run_sabotaging_reloads(w: &mut World, d: SimDuration, mut rehangs: u32) {
+    let end = w.now() + d;
+    while let Some((node, phase)) = w.run_until_ftd_phase(end) {
+        if phase == RecoveryPhase::RestoreRoutes && rehangs > 0 {
+            rehangs -= 1;
             w.nodes[node.0 as usize].mcp.force_hang();
         }
-    }));
+    }
 }
 
 #[test]
@@ -54,10 +49,9 @@ fn backoff_doubles_per_attempt_and_caps_the_shift() {
 #[test]
 fn budget_exhausts_at_exactly_max_attempts_then_escalates() {
     let (mut w, ft) = ft_world();
-    sabotage_reloads(&mut w, 3);
     w.run_for(SimDuration::from_ms(5));
     ft.inject_forced_hang(&mut w, NodeId(0));
-    w.run_for(SimDuration::from_secs(6));
+    run_sabotaging_reloads(&mut w, SimDuration::from_secs(6), 3);
 
     assert!(ft.interface_dead(NodeId(0)), "escalated to dead");
     assert_eq!(ft.escalations(NodeId(0)), 1);
@@ -111,10 +105,9 @@ fn budget_exhausts_at_exactly_max_attempts_then_escalates() {
 #[test]
 fn one_fewer_failure_recovers_on_the_final_attempt() {
     let (mut w, ft) = ft_world();
-    sabotage_reloads(&mut w, 2);
     w.run_for(SimDuration::from_ms(5));
     ft.inject_forced_hang(&mut w, NodeId(0));
-    w.run_for(SimDuration::from_secs(6));
+    run_sabotaging_reloads(&mut w, SimDuration::from_secs(6), 2);
 
     assert!(!ft.interface_dead(NodeId(0)), "third attempt succeeded");
     assert_eq!(ft.recoveries(NodeId(0)), 1);
