@@ -64,7 +64,6 @@ pub use timeline::RecoveryReport;
 #[derive(Clone)]
 pub struct FtSystem {
     states: Rc<RefCell<Vec<ftd::FtdState>>>,
-    policy: RetryPolicy,
 }
 
 impl FtSystem {
@@ -92,7 +91,6 @@ impl FtSystem {
         );
         FtSystem {
             states: ftd::install(world, policy),
-            policy,
         }
     }
 
@@ -153,11 +151,6 @@ impl FtSystem {
     /// driven by *reachability*. Idempotent: a dead node is left alone.
     pub fn escalate_isolated(&self, world: &mut World, node: NodeId) {
         ftd::escalate(world, node);
-    }
-
-    /// The retry/escalation policy this system was installed with.
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
     }
 
     /// Experiment helper: force-hang a node's network processor, recording

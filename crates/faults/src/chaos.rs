@@ -24,8 +24,7 @@
 //! named scenario is a `scenarios/<name>.ftsc` file, lowered onto
 //! [`ChaosScenario`] by `ftgm-scenario` and replayed by the `chaos`
 //! bench binary; tests that need a one-off build a [`ChaosScenario`]
-//! from the [`ChaosScenario::two_node`] / [`ChaosScenario::coordinated`]
-//! skeletons directly.
+//! from the [`ChaosScenario::two_node`] skeleton directly.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -259,23 +258,6 @@ impl ChaosScenario {
             policy: RetryPolicy::default(),
             coordinator: None,
             blackout_bound: None,
-        }
-    }
-
-    /// A coordinated scenario skeleton: the given shape and flows, a
-    /// default zone coordinator, and the 2 s blackout oracle armed.
-    pub fn coordinated(name: &str, topology: ChaosTopology, flows: Vec<Flow>) -> ChaosScenario {
-        ChaosScenario {
-            name: name.to_string(),
-            topology,
-            flows,
-            events: Vec::new(),
-            phase_triggers: Vec::new(),
-            warmup: SimDuration::from_ms(10),
-            horizon: SimDuration::from_ms(2_500),
-            policy: RetryPolicy::default(),
-            coordinator: Some(CoordinatorConfig::default()),
-            blackout_bound: Some(SimDuration::from_ms(2_000)),
         }
     }
 }

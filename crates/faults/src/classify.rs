@@ -5,6 +5,10 @@
 //! testbed operator has: whether each host is up, whether each interface
 //! still responds, and what the *validated* application traffic saw.
 
+// Adding a fault kind, recovery event or FTD step must force a handling
+// decision at every match here, not fall into a default arm.
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use std::fmt;
 
 /// The paper's Table 1 failure categories.

@@ -22,6 +22,10 @@
 //! [`crate::WorldStats::events_by_kind`] and every step is traced: Table 3
 //! and Figure 9 fall out of the trace.
 
+// Adding a fault kind, recovery event or FTD step must force a handling
+// decision at every match here, not fall into a default arm.
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use std::cell::{RefCell, RefMut};
 use std::rc::Rc;
 

@@ -20,6 +20,10 @@
 //! state restoration at its end, so traffic resumes on the paper's
 //! schedule.
 
+// Adding a fault kind, recovery event or FTD step must force a handling
+// decision at every match here, not fall into a default arm.
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use ftgm_host::CpuCost;
 use ftgm_mcp::StreamKey;
 use ftgm_net::NodeId;

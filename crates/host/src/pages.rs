@@ -6,7 +6,12 @@
 //! simply re-register it with a freshly reloaded MCP — the paper calls this
 //! out as the first restore step of recovery.
 
-use std::collections::HashMap;
+/// The table's one hash map, named once.
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookups, retain and len only: no iteration order is ever visible"
+)]
+type Entries = std::collections::HashMap<(u8, u64), u64>;
 
 /// Page size used for the virtual↔DMA mapping.
 pub const PAGE_SIZE: u64 = 4096;
@@ -25,7 +30,7 @@ pub const PAGE_SIZE: u64 = 4096;
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PageHashTable {
-    entries: HashMap<(u8, u64), u64>,
+    entries: Entries,
 }
 
 impl PageHashTable {

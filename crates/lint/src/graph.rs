@@ -39,6 +39,16 @@ pub struct WsFile {
     pub parsed: ParsedFile,
 }
 
+impl WsFile {
+    /// Strips, lexes and parses `content` as the file at `rel`.
+    pub fn new(rel: String, content: &str) -> WsFile {
+        let view = FileView::new(content);
+        let toks = lex(&view);
+        let parsed = parse(&toks, view.test_start);
+        WsFile { rel, view, toks, parsed }
+    }
+}
+
 /// One graph node = one `fn` definition.
 #[derive(Clone, Copy, Debug)]
 pub struct Node {
@@ -109,12 +119,7 @@ impl Workspace {
     ) -> Workspace {
         let mut files: Vec<WsFile> = sources
             .into_iter()
-            .map(|(rel, content)| {
-                let view = FileView::new(&content);
-                let toks = lex(&view);
-                let parsed = parse(&toks, view.test_start);
-                WsFile { rel, view, toks, parsed }
-            })
+            .map(|(rel, content)| WsFile::new(rel, &content))
             .collect();
         files.sort_by(|a, b| a.rel.cmp(&b.rel));
 

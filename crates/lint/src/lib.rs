@@ -10,8 +10,16 @@
 //! 2. **fault campaigns are deterministic** (identical seeds must replay
 //!    identical runs, or Table 1 stops being reproducible).
 //!
-//! This crate enforces both with a hand-rolled line/token scanner (the
-//! build environment is offline — no `syn`) over the workspace sources.
+//! Clippy states what it can: the nondeterminism sources are banned in
+//! every crate by the root `clippy.toml`, and the wire-format and
+//! exhaustive-match invariants are `#![deny(...)]` lints at the top of
+//! the modules they govern (the `clippy` step of `ci.sh`). This crate
+//! keeps what no clippy lint says, with a hand-rolled line/token scanner
+//! (zero dependencies, no `syn`) over the workspace sources: panicking
+//! constructs on the recovery path, literal indexing included (R1),
+//! sequence-field writes outside their accessor modules (R3), and the
+//! call-graph closures from the recovery entry points (R7) and the
+//! integer-only serializers (R9).
 //! See `docs/STATIC_ANALYSIS.md` for the rule catalogue, and the
 //! `ftgm-lint` binary for the CLI. The one suppression is an inline
 //! `// lint:allow(<rule>)` on (or immediately above) the offending line.
@@ -26,7 +34,7 @@ pub mod strip;
 
 use std::path::{Path, PathBuf};
 
-/// One hop of a call-chain diagnostic (graph rules R7–R9).
+/// One hop of a call-chain diagnostic (graph rules R7 and R9).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChainHop {
     /// Repo-relative path of the hop's defining file.
@@ -105,7 +113,7 @@ impl Finding {
 }
 
 /// Scans one file's content as if it lived at `rel` (forward-slash,
-/// repo-relative): a one-file workspace, so both the per-line rules and
+/// repo-relative): a one-file workspace, so both the per-file rules and
 /// the graph rules run. The fixture tests drive this directly.
 pub fn scan_file_content(rel: &str, content: &str) -> Vec<Finding> {
     let ws = graph::Workspace::from_sources(
@@ -115,12 +123,12 @@ pub fn scan_file_content(rel: &str, content: &str) -> Vec<Finding> {
     scan_ws(&ws)
 }
 
-/// Runs every rule — per-line and graph — over a parsed workspace.
+/// Runs every rule — per-file and graph — over a parsed workspace.
 /// Findings are sorted by (file, line, col, rule) so output is stable.
 pub fn scan_ws(ws: &graph::Workspace) -> Vec<Finding> {
     let mut findings = Vec::new();
     for f in &ws.files {
-        findings.extend(rules::scan(&f.rel, &f.view, &f.parsed));
+        findings.extend(rules::scan(f));
     }
     findings.extend(passes::scan_graph(ws));
     findings.sort_by(|a, b| {
@@ -224,11 +232,11 @@ mod tests {
     #[test]
     fn findings_render_stable_json() {
         let f = Finding {
-            rule: "determinism",
+            rule: "transitive-panic",
             file: "crates/sim/src/x.rs".to_string(),
             line: 3,
             col: 7,
-            snippet: "use std::collections::HashMap;".to_string(),
+            snippet: "x.unwrap();".to_string(),
             symbol: "Sched::push".to_string(),
             chain: vec![
                 ChainHop {
@@ -244,9 +252,9 @@ mod tests {
         };
         assert_eq!(
             f.render_json(),
-            "{\"rule\": \"determinism\", \"file\": \"crates/sim/src/x.rs\", \"line\": 3, \
+            "{\"rule\": \"transitive-panic\", \"file\": \"crates/sim/src/x.rs\", \"line\": 3, \
              \"col\": 7, \"symbol\": \"Sched::push\", \
-             \"snippet\": \"use std::collections::HashMap;\", \
+             \"snippet\": \"x.unwrap();\", \
              \"chain\": [{\"file\": \"crates/sim/src/sched.rs\", \"symbol\": \"run\"}, \
              {\"file\": \"crates/sim/src/x.rs\", \"symbol\": \"Sched::push\"}], \
              \"message\": \"msg with \\\"quotes\\\"\"}"

@@ -1,5 +1,5 @@
-//! Call-graph passes: R7 (transitive panic-reachability), R8
-//! (determinism taint), R9 (float-in-deterministic-path).
+//! Call-graph passes: R7 (transitive panic-reachability) and R9
+//! (float-in-deterministic-path).
 //!
 //! Each pass is the same shape: pick entry nodes (the functions where an
 //! invariant *starts*), BFS the call graph ([`Workspace::reach_from`]),
@@ -9,10 +9,9 @@
 //! helper_a → helper_b: panic!` — so the report answers "why is this
 //! line recovery-critical?" instead of just "where is the panic?".
 //!
-//! Sites inside files already guarded line-by-line (R1's files for R7,
-//! R2's directories for R8) are skipped: the per-line rule reports them
-//! with no chain needed, and the graph pass only adds the *transitive*
-//! surface the per-line scope misses.
+//! R7 skips sites inside R1's files: R1 reports them with no chain
+//! needed, and the graph pass only adds the *transitive* surface the
+//! per-file scope misses.
 
 use crate::graph::{Reach, Workspace};
 use crate::lexer::{Tok, TokKind};
@@ -22,7 +21,6 @@ use crate::{rules, ChainHop, Finding};
 pub fn scan_graph(ws: &Workspace) -> Vec<Finding> {
     let mut out = Vec::new();
     transitive_panic(ws, &mut out);
-    determinism_taint(ws, &mut out);
     float_in_deterministic_path(ws, &mut out);
     out
 }
@@ -40,7 +38,7 @@ fn transitive_panic(ws: &Workspace, out: &mut Vec<Finding>) {
         if !reach.reachable(n) || rules::r1_covers(ws.rel(n)) {
             continue;
         }
-        for (line, col, what) in panic_sites(ws.fn_toks(n)) {
+        for (line, col, what) in rules::panic_sites(ws.fn_toks(n)) {
             emit(
                 ws,
                 out,
@@ -53,34 +51,6 @@ fn transitive_panic(ws: &Workspace, out: &mut Vec<Finding>) {
                     "{what} can panic on the recovery path ({} call{} below entry `{}`)",
                     reach.dist[n],
                     if reach.dist[n] == 1 { "" } else { "s" },
-                    entry_symbol(ws, &reach, n),
-                ),
-            );
-        }
-    }
-}
-
-/// R8: nondeterminism sources reachable from sim-visible code.
-fn determinism_taint(ws: &Workspace, out: &mut Vec<Finding>) {
-    let entries = ws.select(|rel, _| {
-        rules::r2_covers(rel) || rel.starts_with("crates/core/src/")
-    });
-    let reach = ws.reach_from(&entries);
-    for n in 0..ws.nodes.len() {
-        if !reach.reachable(n) || rules::r2_covers(ws.rel(n)) {
-            continue;
-        }
-        for (line, col, what) in taint_sites(ws.fn_toks(n)) {
-            emit(
-                ws,
-                out,
-                rules::DETERMINISM_TAINT,
-                n,
-                &reach,
-                line,
-                col,
-                format!(
-                    "{what} taints the deterministic simulation (reachable from `{}`)",
                     entry_symbol(ws, &reach, n),
                 ),
             );
@@ -171,97 +141,6 @@ fn emit(
         chain,
         message,
     });
-}
-
-/// Panicking constructs in a token span — mirrors R1's per-line set:
-/// `.unwrap()`, `.expect(`, `panic!`/`todo!`/`unimplemented!`, and
-/// indexing by integer literal.
-fn panic_sites(toks: &[Tok]) -> Vec<(u32, u32, String)> {
-    let mut out = Vec::new();
-    for k in 0..toks.len() {
-        let t = &toks[k];
-        match t.kind {
-            TokKind::Ident => {
-                let next = toks.get(k + 1);
-                let prev = if k > 0 { toks.get(k - 1) } else { None };
-                if matches!(t.text.as_str(), "unwrap" | "expect")
-                    && prev.is_some_and(|p| p.is_punct(b'.'))
-                    && next.is_some_and(|x| x.is_punct(b'('))
-                {
-                    out.push((t.line, t.col, format!("`.{}()`", t.text)));
-                } else if matches!(t.text.as_str(), "panic" | "todo" | "unimplemented")
-                    && next.is_some_and(|x| x.is_punct(b'!'))
-                {
-                    out.push((t.line, t.col, format!("`{}!`", t.text)));
-                }
-            }
-            TokKind::Punct(b'[') if k > 0 => {
-                let prev = &toks[k - 1];
-                let indexable = prev.kind == TokKind::Ident
-                    && !is_stmt_keyword(&prev.text)
-                    || prev.is_punct(b')')
-                    || prev.is_punct(b']');
-                if indexable
-                    && toks.get(k + 1).is_some_and(|x| x.kind == TokKind::Int)
-                    && toks.get(k + 2).is_some_and(|x| x.is_punct(b']'))
-                {
-                    let lit = &toks[k + 1].text;
-                    out.push((t.line, t.col, format!("indexing by literal `[{lit}]`")));
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// Keywords an index expression can't follow (`return [0]` is an array).
-fn is_stmt_keyword(s: &str) -> bool {
-    matches!(s, "return" | "break" | "in" | "else" | "match" | "if" | "while")
-}
-
-/// Nondeterminism sources in a token span.
-fn taint_sites(toks: &[Tok]) -> Vec<(u32, u32, String)> {
-    let mut out = Vec::new();
-    for k in 0..toks.len() {
-        let t = &toks[k];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let path_next = |name: &str| {
-            toks.get(k + 1).is_some_and(|x| x.kind == TokKind::PathSep)
-                && toks.get(k + 2).is_some_and(|x| x.is_ident(name))
-        };
-        match t.text.as_str() {
-            "Instant" | "SystemTime" if path_next("now") => {
-                out.push((t.line, t.col, format!("`{}::now` (wall clock)", t.text)));
-            }
-            "thread_rng" if toks.get(k + 1).is_some_and(|x| x.is_punct(b'(')) => {
-                out.push((t.line, t.col, "`thread_rng()` (OS-seeded RNG)".to_string()));
-            }
-            "HashMap" | "HashSet" => {
-                out.push((
-                    t.line,
-                    t.col,
-                    format!("`{}` (hash-seeded iteration order)", t.text),
-                ));
-            }
-            "thread" if path_next("current") => {
-                out.push((t.line, t.col, "`thread::current` (thread identity)".to_string()));
-            }
-            "env" => {
-                let from_std = k > 1
-                    && toks[k - 1].kind == TokKind::PathSep
-                    && toks[k - 2].is_ident("std");
-                let reads = ["var", "vars", "var_os"].iter().any(|m| path_next(m));
-                if from_std || reads {
-                    out.push((t.line, t.col, "`std::env` (environment read)".to_string()));
-                }
-            }
-            _ => {}
-        }
-    }
-    out
 }
 
 /// Float usage in a token span: literals and `f32`/`f64` types/casts.
@@ -370,51 +249,6 @@ mod tests {
         let r7: Vec<&Finding> = f.iter().filter(|x| x.rule == rules::TRANSITIVE_PANIC).collect();
         assert_eq!(r7.len(), 1, "{f:#?}");
         assert_eq!(r7[0].symbol, "helper");
-    }
-
-    #[test]
-    fn r8_taints_across_the_r2_boundary() {
-        let f = scan(&[
-            (
-                "crates/gm/src/world.rs",
-                "pub fn sync_node(d: &mut Driver) { d.map_page(0); }\n",
-            ),
-            (
-                "crates/host/src/pages.rs",
-                "pub struct Driver;\n\
-                 impl Driver {\n\
-                     pub fn map_page(&mut self, n: u64) {\n\
-                         let mut m: HashMap<u64, u64> = HashMap::new();\n\
-                         m.insert(n, n);\n\
-                     }\n\
-                 }\n",
-            ),
-        ]);
-        let r8: Vec<&Finding> = f.iter().filter(|x| x.rule == rules::DETERMINISM_TAINT).collect();
-        assert_eq!(r8.len(), 2, "two HashMap mentions: {f:#?}");
-        assert_eq!(r8[0].file, "crates/host/src/pages.rs");
-        assert_eq!(r8[0].symbol, "Driver::map_page");
-        let syms: Vec<&str> = r8[0].chain.iter().map(|h| h.symbol.as_str()).collect();
-        assert_eq!(syms, vec!["sync_node", "Driver::map_page"]);
-    }
-
-    #[test]
-    fn r8_catches_wall_clock_and_env_but_not_type_mentions() {
-        let f = scan(&[
-            ("crates/sim/src/sched.rs", "pub fn run() { host_now(); }\n"),
-            (
-                "crates/host/src/clock.rs",
-                "pub fn host_now(t: Instant) -> u64 {\n\
-                 \x20   let _ = Instant::now();\n\
-                 \x20   let _ = std::env::var(\"SEED\");\n\
-                 \x20   0\n\
-                 }\n",
-            ),
-        ]);
-        let r8: Vec<&Finding> = f.iter().filter(|x| x.rule == rules::DETERMINISM_TAINT).collect();
-        assert_eq!(r8.len(), 2, "{f:#?}");
-        assert!(r8[0].message.contains("wall clock"));
-        assert!(r8[1].message.contains("environment read"));
     }
 
     #[test]

@@ -312,12 +312,12 @@ mod tests {
     #[test]
     fn allow_same_line_and_preceding_line() {
         let v = FileView::new(
-            "// lint:allow(determinism)\nuse std::collections::HashMap;\nx.unwrap(); // lint:allow(recovery-no-panic, determinism)\n",
+            "// lint:allow(seqnum-discipline)\ns.next_seq = 1;\nx.unwrap(); // lint:allow(recovery-no-panic, seqnum-discipline)\n",
         );
-        assert_eq!(v.allows[0], vec!["determinism"]);
-        assert_eq!(v.allows[1], vec!["determinism"], "carried to next line");
+        assert_eq!(v.allows[0], vec!["seqnum-discipline"]);
+        assert_eq!(v.allows[1], vec!["seqnum-discipline"], "carried to next line");
         assert!(v.allows[2].contains(&"recovery-no-panic".to_string()));
-        assert!(v.allows[2].contains(&"determinism".to_string()));
+        assert!(v.allows[2].contains(&"seqnum-discipline".to_string()));
     }
 
     #[test]

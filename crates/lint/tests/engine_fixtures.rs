@@ -39,19 +39,6 @@ fn r1_good_is_clean_including_test_module() {
 }
 
 #[test]
-fn r2_bad_flags_every_nondeterminism_source() {
-    let f = scan_fixture("r2_bad.rs", "crates/sim/src/sched_helper.rs");
-    assert_eq!(f.len(), 6, "{f:#?}");
-    assert_all_rule(&f, rules::DETERMINISM);
-}
-
-#[test]
-fn r2_good_accepts_btree_and_type_mentions() {
-    let f = scan_fixture("r2_good.rs", "crates/sim/src/sched_helper.rs");
-    assert!(f.is_empty(), "{f:#?}");
-}
-
-#[test]
 fn r3_bad_flags_direct_seqnum_writes() {
     let f = scan_fixture("r3_bad.rs", "crates/mcp/src/machine.rs");
     assert_eq!(f.len(), 4, "{f:#?}");
@@ -70,49 +57,6 @@ fn r3_bad_is_legal_inside_accessor_modules() {
     let f = scan_fixture("r3_bad.rs", "crates/mcp/src/gobackn.rs");
     assert!(f.is_empty(), "{f:#?}");
     let f = scan_fixture("r3_bad.rs", "crates/gm/src/backup.rs");
-    assert!(f.is_empty(), "{f:#?}");
-}
-
-#[test]
-fn r4_bad_flags_plain_and_guarded_wildcards() {
-    let f = scan_fixture("r4_bad.rs", "crates/faults/src/classify.rs");
-    assert_eq!(f.len(), 2, "{f:#?}");
-    assert_all_rule(&f, rules::NO_WILDCARD_MATCH);
-}
-
-#[test]
-fn r4_good_accepts_exhaustive_matches_and_underscore_bindings() {
-    let f = scan_fixture("r4_good.rs", "crates/faults/src/classify.rs");
-    assert!(f.is_empty(), "{f:#?}");
-}
-
-#[test]
-fn r5_bad_flags_bare_truncating_casts() {
-    let f = scan_fixture("r5_bad.rs", "crates/mcp/src/packet.rs");
-    assert_eq!(f.len(), 3, "{f:#?}");
-    assert_all_rule(&f, rules::NO_TRUNCATING_CAST);
-}
-
-#[test]
-fn r5_good_accepts_widening_and_try_from() {
-    let f = scan_fixture("r5_good.rs", "crates/mcp/src/packet.rs");
-    assert!(f.is_empty(), "{f:#?}");
-}
-
-#[test]
-fn r2_workload_bad_flags_entropy_outside_sim_rng() {
-    // The workload crate's generators must draw all randomness through
-    // sim::rng; OS entropy, hash ordering and wall clocks all fire.
-    let f = scan_fixture("r2_workload_bad.rs", "crates/workload/src/gen.rs");
-    assert_eq!(f.len(), 5, "{f:#?}");
-    assert_all_rule(&f, rules::DETERMINISM);
-    assert!(f.iter().any(|x| x.snippet.contains("thread_rng")));
-    assert!(f.iter().any(|x| x.snippet.contains("Instant::now")));
-}
-
-#[test]
-fn r2_workload_good_seeded_simrng_is_clean() {
-    let f = scan_fixture("r2_workload_good.rs", "crates/workload/src/gen.rs");
     assert!(f.is_empty(), "{f:#?}");
 }
 
@@ -141,17 +85,13 @@ fn r1_governs_the_coordinator_and_reroute_modules() {
 }
 
 #[test]
-fn scenario_bad_flags_panics_and_nondeterminism_in_the_dsl_crate() {
-    // PR 8's scenario DSL joined both per-line scopes: R1 because the
-    // parser must be total over byte soup and the compiled campaigns run
-    // through recoveries, R2 because its output feeds the simulator.
+fn scenario_bad_flags_panics_in_the_dsl_crate() {
+    // The scenario DSL is R1-governed end to end: the parser must be
+    // total over byte soup and the compiled campaigns run through
+    // recoveries.
     let f = scan_fixture("scenario_bad.rs", "crates/scenario/src/parse.rs");
-    // 2 recovery-no-panic (literal index, unwrap) + 4 determinism (the
-    // HashMap use + both mentions on its declaration line, Instant::now).
-    assert_eq!(f.len(), 6, "{f:#?}");
-    let r1 = f.iter().filter(|x| x.rule == rules::RECOVERY_NO_PANIC).count();
-    let r2 = f.iter().filter(|x| x.rule == rules::DETERMINISM).count();
-    assert_eq!((r1, r2), (2, 4), "{f:#?}");
+    assert_eq!(f.len(), 2, "literal index + unwrap: {f:#?}");
+    assert_all_rule(&f, rules::RECOVERY_NO_PANIC);
 }
 
 #[test]
@@ -177,7 +117,7 @@ fn fixtures_are_invisible_to_a_workspace_scan() {
     assert!(f.is_empty(), "{f:#?}");
 }
 
-// ---- graph rules (R7–R9): fixture + entry stub pairs ------------------
+// ---- graph rules (R7, R9): fixture + entry stub pairs ------------------
 //
 // The graph rules need an entry point *calling into* the fixture, so
 // each fixture is scanned as a two-file workspace: the fixture at a
@@ -277,41 +217,6 @@ fn r7_bad_is_inert_without_an_entry_calling_it() {
     assert!(f.is_empty(), "{f:#?}");
 }
 
-const R8_ENTRY_STUB: &str = "pub fn ftd_tick(now: u64) -> u64 { probe(now) }\n";
-
-#[test]
-fn r8_bad_reports_taint_with_chains_across_the_r2_boundary() {
-    let f = scan_fixture_with_entry(
-        "r8_bad.rs",
-        "crates/host/src/timing.rs",
-        "crates/gm/src/ftd.rs",
-        R8_ENTRY_STUB,
-    );
-    assert_eq!(f.len(), 2, "{f:#?}");
-    assert_all_rule(&f, rules::DETERMINISM_TAINT);
-    let clock = f.iter().find(|x| x.symbol == "wall_clock").expect("clock finding");
-    assert_eq!(
-        chain_symbols(clock),
-        vec!["ftd_tick", "probe", "sample", "wall_clock"]
-    );
-    let map = f.iter().find(|x| x.symbol == "tally").expect("map finding");
-    assert_eq!(
-        chain_symbols(map),
-        vec!["ftd_tick", "probe", "sample", "wall_clock", "tally"]
-    );
-}
-
-#[test]
-fn r8_good_is_clean() {
-    let f = scan_fixture_with_entry(
-        "r8_good.rs",
-        "crates/host/src/timing.rs",
-        "crates/gm/src/ftd.rs",
-        R8_ENTRY_STUB,
-    );
-    assert!(f.is_empty(), "{f:#?}");
-}
-
 const R9_ENTRY_STUB: &str =
     "pub fn to_jsonl(rows: &[u64]) -> String { fmt_row(rows) }\n";
 
@@ -382,42 +287,29 @@ const INTERP_ENTRY: &str = "crates/lanai/src/cpu.rs";
 const INTERP_ENTRY_STUB: &str = "pub fn run(ops: &[u32]) -> u64 { exec_window(ops) }\n";
 
 #[test]
-fn decode_bad_seeds_both_graph_passes_from_cpu_run() {
-    // crates/lanai/src/cpu.rs is an entry for *both* graph rules: R7
-    // because the interpreter executes (possibly corrupted) firmware
-    // inside recoveries, R8 because the lanai crate is R2-scoped. One
-    // scan, chains for both families rooted at the same entry fn.
+fn decode_bad_chains_panics_from_cpu_run() {
+    // crates/lanai/src/cpu.rs seeds R7: the interpreter executes
+    // (possibly corrupted) firmware inside recoveries.
     let f = scan_fixture_with_entry(
         "decode_bad.rs",
         "crates/host/src/decode_support.rs",
         INTERP_ENTRY,
         INTERP_ENTRY_STUB,
     );
-    assert_eq!(f.len(), 3, "{f:#?}");
-    let panics: Vec<_> = f
-        .iter()
-        .filter(|x| x.rule == rules::TRANSITIVE_PANIC)
-        .collect();
-    assert_eq!(panics.len(), 2, "{f:#?}");
-    for x in &panics {
+    assert_eq!(f.len(), 2, "{f:#?}");
+    assert_all_rule(&f, rules::TRANSITIVE_PANIC);
+    for x in &f {
         assert_eq!(x.symbol, "fetch");
         assert_eq!(chain_symbols(x), vec!["run", "exec_window", "fetch"]);
     }
-    assert!(panics.iter().any(|x| x.snippet.contains("unwrap")));
-    assert!(panics.iter().any(|x| x.snippet.contains("ops[1]")));
-    let taint = f
-        .iter()
-        .find(|x| x.rule == rules::DETERMINISM_TAINT)
-        .expect("taint finding");
-    assert_eq!(taint.symbol, "stamp");
-    assert_eq!(chain_symbols(taint), vec!["run", "exec_window", "stamp"]);
-    assert!(taint.snippet.contains("Instant::now"), "{}", taint.snippet);
+    assert!(f.iter().any(|x| x.snippet.contains("unwrap")));
+    assert!(f.iter().any(|x| x.snippet.contains("ops[1]")));
 }
 
 #[test]
 fn decode_bad_is_inert_without_the_decode_entry() {
-    // Same helpers, nothing in cpu.rs calling them: both passes stay
-    // silent (the helpers live outside every per-line scope too).
+    // Same helpers, nothing in cpu.rs calling them: R7 stays silent
+    // (the helpers live outside R1's scope too).
     let f = scan_fixture("decode_bad.rs", "crates/host/src/decode_support.rs");
     assert!(f.is_empty(), "{f:#?}");
 }
@@ -435,7 +327,7 @@ fn decode_good_total_and_sim_clocked_is_clean() {
 
 #[test]
 fn mpi_good_is_clean_as_mpi_source_and_under_the_entry() {
-    // R1 + R2 per-line over an mpi path: the lookalikes must not fire.
+    // R1 over an mpi path: the lookalikes must not fire.
     let f = scan_fixture("mpi_good.rs", "crates/mpi/src/respawn_util.rs");
     assert!(f.is_empty(), "{f:#?}");
     // And nothing reachable from the restart planner panics.

@@ -1,30 +1,16 @@
 // Fixture: the sanctioned version of mpi_bad.rs — the same restart
-// helper written total, plus the near-miss lookalikes R1/R2 must not
-// flag when the file sits inside crates/mpi/src/: non-literal indexing,
-// a BTreeMap (the deterministic container), and an `Instant` *type*
-// mention without `::now` (converting a host measurement is legal; only
-// reading the wall clock is not).
+// helper written total, plus the near-miss lookalike R1 must not flag
+// when the file sits inside crates/mpi/src/: non-literal indexing.
 
-use std::collections::BTreeMap;
-
-/// A spare-slot directory keyed by rank (BTreeMap: iteration order is
-/// part of the replay contract).
 pub fn choose_spare(spares: &[u32]) -> u32 {
     slot_of(spares)
 }
 
 fn slot_of(spares: &[u32]) -> u32 {
     let first = spares.first().copied().unwrap_or(0);
-    let mut dir: BTreeMap<u32, u32> = BTreeMap::new();
-    for (i, &s) in spares.iter().enumerate() {
-        dir.insert(i as u32, s);
-        let _ = spares[i]; // non-literal index: bounds come from the loop
+    let mut sum = 0u32;
+    for i in 0..spares.len() {
+        sum = sum.wrapping_add(spares[i]); // non-literal index: bounds come from the loop
     }
-    first.wrapping_add(dir.values().copied().next().unwrap_or(0))
-}
-
-/// Type mention only — converting a host measurement, never reading the
-/// wall clock from sim-visible code.
-pub fn wall_ns(started: std::time::Instant, now: std::time::Instant) -> u64 {
-    now.duration_since(started).as_nanos() as u64
+    first.wrapping_add(sum)
 }

@@ -1,9 +1,6 @@
-// Fixture: every shortcut a DSL parser must not take — panicking on
-// malformed input and leaning on host nondeterminism. Scanned as if at
-// crates/scenario/src/parse.rs. Expected findings: 2 recovery-no-panic
-// (unwrap, literal index) + 2 determinism (HashMap, Instant::now).
-
-use std::collections::HashMap;
+// Fixture: the shortcuts a DSL parser must not take — panicking on
+// malformed input. Scanned as if at crates/scenario/src/parse.rs.
+// Expected findings: 2 recovery-no-panic (literal index, unwrap).
 
 fn first_token(toks: &[u64]) -> u64 {
     // Literal indexing panics on an empty token stream (byte-soup input).
@@ -14,10 +11,5 @@ fn first_token(toks: &[u64]) -> u64 {
 fn parse_count(text: &str) -> u64 {
     // unwrap turns a malformed integer into a crash instead of a Diag.
     let n: u64 = text.parse().unwrap();
-    // Hash-ordered keyword table: diagnostic order varies run to run.
-    let keywords: HashMap<&str, u64> = HashMap::new();
-    // Wall clock for "parse time" leaks host speed into output.
-    let t = std::time::Instant::now();
-    let _ = (keywords.len(), t);
     n
 }

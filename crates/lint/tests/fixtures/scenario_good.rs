@@ -1,9 +1,6 @@
 // Fixture: the sanctioned total-parser shape — `get` instead of
-// indexing, diagnostics instead of unwrap, ordered collections, no
-// wall clock. Scanned as if at crates/scenario/src/parse.rs.
-// Expected findings: 0.
-
-use std::collections::BTreeMap;
+// indexing, diagnostics instead of unwrap. Scanned as if at
+// crates/scenario/src/parse.rs. Expected findings: 0.
 
 fn first_token(toks: &[u64]) -> Option<u64> {
     toks.first().copied()
@@ -17,10 +14,6 @@ fn parse_count(text: &str, diags: &mut Vec<String>) -> Option<u64> {
             None
         }
     }
-}
-
-fn keyword_table() -> BTreeMap<&'static str, u64> {
-    BTreeMap::new()
 }
 
 #[cfg(test)]

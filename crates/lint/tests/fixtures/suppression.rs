@@ -6,6 +6,6 @@ fn suppressed(x: Option<u8>) -> u8 {
     let a = x.unwrap(); // lint:allow(recovery-no-panic)
     // lint:allow(recovery-no-panic)
     let b = x.unwrap();
-    let c = x.unwrap(); // lint:allow(determinism)
+    let c = x.unwrap(); // lint:allow(seqnum-discipline)
     a + b + c
 }

@@ -2,6 +2,8 @@
 //!
 //! `workspace_has_no_new_findings` is the actual gate: it scans the real
 //! checkout and fails the build if anyone introduces a rule violation.
+//! `clippy_stated_invariants_stay_declared` pins the attributes and the
+//! `clippy.toml` bans that state the rest of the invariants to clippy.
 //! The `cli_*` tests drive the compiled binary against a throwaway fake
 //! workspace to prove the end-to-end behavior: exit 1 on any finding,
 //! exit 0 once it is fixed or carries an inline `lint:allow`, and a
@@ -39,6 +41,51 @@ fn rule_tables_name_only_things_that_exist() {
         .filter(|&(file, name)| ws.select(|rel, def| rel == file && def.name == name).is_empty())
         .collect();
     assert!(unresolved.is_empty(), "entry fns with no definition: {unresolved:?}");
+}
+
+/// The invariants clippy states (ci.sh's `clippy` step) live in source
+/// attributes and one config file; deleting any of them would silently
+/// drop a check, so this pins each one where it is stated.
+#[test]
+fn clippy_stated_invariants_stay_declared() {
+    let root = default_root();
+    let read = |rel: &str| {
+        std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
+    };
+    for (rel, lint) in [
+        ("crates/faults/src/classify.rs", "wildcard_enum_match_arm"),
+        ("crates/gm/src/recovery.rs", "wildcard_enum_match_arm"),
+        ("crates/gm/src/ftd.rs", "wildcard_enum_match_arm"),
+        ("crates/mcp/src/packet.rs", "cast_possible_truncation"),
+        ("crates/net/src/crc.rs", "cast_possible_truncation"),
+    ] {
+        let attr = format!("#![deny(clippy::{lint})]");
+        assert!(read(rel).lines().any(|l| l == attr), "{rel} lost `{attr}`");
+    }
+    let manifest = read("Cargo.toml");
+    let table = manifest
+        .split("[workspace.lints.clippy]")
+        .nth(1)
+        .and_then(|t| t.split("\n[").next())
+        .expect("Cargo.toml has [workspace.lints.clippy]");
+    for lint in ["disallowed_methods", "disallowed_types"] {
+        let line = format!("{lint} = \"deny\"");
+        assert!(table.lines().any(|l| l == line), "workspace clippy table lost `{line}`");
+    }
+    let config = read("clippy.toml");
+    for path in [
+        "std::time::Instant::now",
+        "std::time::SystemTime::now",
+        "std::env::var",
+        "std::env::var_os",
+        "std::env::vars",
+        "std::thread::current",
+        "std::collections::HashMap",
+        "std::collections::HashSet",
+    ] {
+        let entry = format!("{{ path = \"{path}\", reason = ");
+        assert!(config.contains(&entry), "clippy.toml no longer bans {path}");
+    }
 }
 
 /// A throwaway fake workspace with one rule-governed file, torn down on

@@ -26,6 +26,10 @@
 //! produces a silently-corrupt packet (Table 1's "messages corrupted"
 //! category); one that breaks the sums produces a receiver-side drop.
 
+// Wire format: a silent truncation corrupts packets in a way the checksums
+// may or may not catch; each deliberate narrowing carries an `expect`.
+#![deny(clippy::cast_possible_truncation)]
+
 use ftgm_net::NodeId;
 
 /// Wire size of the packet header.
@@ -183,8 +187,11 @@ impl Header {
         if type_word & 0xFFFF_FF00 != MAGIC {
             return Err(ParseError::BadMagic);
         }
-        // The low byte IS the type field; the magic check above already
-        // validated the upper 24 bits. lint:allow(no-truncating-cast)
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the low byte IS the type field; the magic check above \
+                      already validated the upper 24 bits"
+        )]
         let ptype = match type_word as u8 {
             1 => PacketType::Data,
             2 => PacketType::Ack,
@@ -200,6 +207,11 @@ impl Header {
         if frame.len() != HEADER_LEN + payload_len as usize {
             return Err(ParseError::LengthMismatch);
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the node id is the low 16 bits of the packed stream word"
+        )]
+        let src_node = NodeId(stream as u16);
         let payload = &frame[HEADER_LEN..];
         let payload_cksum = word(6);
         if word_checksum(payload) != payload_cksum {
@@ -208,12 +220,10 @@ impl Header {
         Ok((
             Header {
                 ptype,
-                // Deliberate field extractions from the packed stream
-                // word: node id is the low 16 bits, ports are 4-bit
-                // fields already masked to range.
-                src_node: NodeId(stream as u16), // lint:allow(no-truncating-cast)
-                src_port: ((stream >> 16) & 0xF) as u8, // lint:allow(no-truncating-cast)
-                dst_port: ((stream >> 20) & 0xF) as u8, // lint:allow(no-truncating-cast)
+                src_node,
+                // The ports are 4-bit fields of the stream word, masked to range.
+                src_port: ((stream >> 16) & 0xF) as u8,
+                dst_port: ((stream >> 20) & 0xF) as u8,
                 prio_high: stream & flags::PRIO_HIGH != 0,
                 last_chunk: stream & flags::LAST_CHUNK != 0,
                 resend: stream & flags::RESEND != 0,
@@ -246,13 +256,18 @@ pub fn build_data_frame(
     payload: &[u8],
 ) -> Vec<u8> {
     let mut bytes = vec![0u8; HEADER_LEN + payload.len()];
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the payload is one chunk, far below the 32-bit length word's range"
+    )]
+    let payload_len = payload.len() as u32;
     let words = [
         MAGIC | PacketType::Data as u32,
         stream_word(src_node, src_port, dst_port, flag_bits),
         seq,
         msg_len,
         chunk_offset,
-        payload.len() as u32,
+        payload_len,
         word_checksum(payload),
     ];
     for (i, w) in words.iter().enumerate() {

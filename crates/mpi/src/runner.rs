@@ -1068,44 +1068,31 @@ impl MpiRankApp {
 impl MpiRankApp {
     /// Tries to advance the current operation with mailbox contents.
     fn advance(&mut self, ctx: &mut Ctx<'_>) {
-        loop {
-            // Take ownership of the execution state so protocol steps can
-            // freely post messages; write it back when still blocked.
-            let ex = std::mem::replace(&mut self.executing, Executing::Idle);
-            match ex {
-                Executing::Idle => return,
-                Executing::Rma { instance, pending } => {
-                    // RMA completions arrive through the passive handler,
-                    // not the mailbox; nothing to poll here.
-                    self.executing = Executing::Rma { instance, pending };
-                    return;
+        // Take ownership of the execution state so protocol steps can
+        // freely post messages; write it back when still blocked.
+        let ex = std::mem::replace(&mut self.executing, Executing::Idle);
+        match ex {
+            Executing::Idle => {}
+            Executing::Rma { instance, pending } => {
+                // RMA completions arrive through the passive handler,
+                // not the mailbox; nothing to poll here.
+                self.executing = Executing::Rma { instance, pending };
+            }
+            Executing::Recv { instance, pattern } => match self.mailbox.take(pattern) {
+                Some(env) => {
+                    self.progressed(ctx.now());
+                    self.finish(
+                        instance,
+                        OpResult::Received { from: env.src_rank, data: env.payload },
+                    );
                 }
-                Executing::Recv { instance, pattern } => match self.mailbox.take(pattern) {
-                    Some(env) => {
-                        self.progressed(ctx.now());
-                        self.finish(
-                            instance,
-                            OpResult::Received { from: env.src_rank, data: env.payload },
-                        );
-                        return;
-                    }
-                    None => {
-                        self.executing = Executing::Recv { instance, pattern };
-                        return;
-                    }
-                },
-                Executing::Coll { instance, comm, st } => {
-                    match self.advance_coll(ctx, instance, &comm, st) {
-                        Some(st) => {
-                            self.executing = Executing::Coll { instance, comm, st };
-                            return;
-                        }
-                        None => {
-                            // Completed (result already queued); loop so a
-                            // replayed or newly begun op can also drain.
-                            return;
-                        }
-                    }
+                None => self.executing = Executing::Recv { instance, pattern },
+            },
+            Executing::Coll { instance, comm, st } => {
+                // `None`: completed, its result already queued; the state
+                // stays `Idle` until the next op begins.
+                if let Some(st) = self.advance_coll(ctx, instance, &comm, st) {
+                    self.executing = Executing::Coll { instance, comm, st };
                 }
             }
         }

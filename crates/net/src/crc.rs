@@ -6,6 +6,10 @@
 //! CRC and re-checks it at delivery, so tests can corrupt packets in flight
 //! and watch the protocol recover.
 
+// Wire format: a silent truncation corrupts packets in a way the checksums
+// may or may not catch; each deliberate narrowing carries an `expect`.
+#![deny(clippy::cast_possible_truncation)]
+
 /// Computes the IEEE CRC-32 of `data` (reflected, init/xorout `!0`).
 ///
 /// # Example

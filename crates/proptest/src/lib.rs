@@ -69,6 +69,10 @@ pub mod test_runner {
         }
 
         /// Case count, overridable via `PROPTEST_CASES` like the real crate.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test-only shim: the case count sizes a property run, never a simulation"
+        )]
         pub fn resolved_cases(&self) -> u64 {
             match std::env::var("PROPTEST_CASES") {
                 Ok(v) => v.parse().unwrap_or(self.cases as u64),
