@@ -25,6 +25,12 @@ pub mod classify;
 pub mod forensics;
 pub mod inject;
 
+/// Compiles the Rust example of `docs/FAULT_MODEL.md` ("Writing one")
+/// as a doctest, so the guide cannot name API that no longer exists.
+#[cfg(doctest)]
+#[doc = include_str!("../../../docs/FAULT_MODEL.md")]
+pub struct FaultModelGuide;
+
 pub use campaign::{run_campaign, CampaignResult};
 pub use chaos::{
     run_scenario, ChaosAction, ChaosEvent, ChaosReport, ChaosScenario, ChaosTopology, Flow,

@@ -634,7 +634,7 @@ impl McpMachine {
         } else if let Some(ctrl) = self.pending_ctrl.pop_front() {
             cost = self.handle_ctrl_tx(ctrl);
         } else if let Some(rec) = self.pending_resend.pop_front() {
-            cost = self.handle_resend(rec);
+            cost = self.handle_resend(now, rec);
         } else if self.chip.isr() & isr::IT0 != 0 {
             // L_timer() waits behind queued engine/protocol work — the MCP
             // serialization that stretches its invocation gap toward the
@@ -722,7 +722,7 @@ impl McpMachine {
         self.params.ack_build
     }
 
-    fn handle_resend(&mut self, rec: ChunkRecord) -> SimDuration {
+    fn handle_resend(&mut self, now: SimTime, rec: ChunkRecord) -> SimDuration {
         // Resend only chunks still retained (an ACK may have released
         // them between scheduling and execution).
         let key = self.stream_key(rec.dst_node, rec.src_port, rec.prio_high);
@@ -734,7 +734,7 @@ impl McpMachine {
             return SimDuration::from_nanos(100);
         }
         self.stats.retransmits += 1;
-        self.run_send_chunk(&rec, true)
+        self.run_send_chunk(now, &rec, true)
     }
 
     fn handle_rx(&mut self, now: SimTime) -> SimDuration {
@@ -926,7 +926,7 @@ impl McpMachine {
         self.pending_resend.extend(rewind);
     }
 
-    fn handle_hdma_done(&mut self, _now: SimTime) -> SimDuration {
+    fn handle_hdma_done(&mut self, now: SimTime) -> SimDuration {
         if !self.hdma_started {
             // A firmware-initiated DMA (the completion-record write)
             // finished; no dispatcher job is attached to it.
@@ -954,7 +954,7 @@ impl McpMachine {
                 let live = epoch == self.ports[rec.src_port as usize].epoch;
                 if let Some(tx) = self.tx_streams.get_mut(&stream).filter(|_| live) {
                     tx.sender.admit(rec.clone());
-                    self.run_send_chunk(&rec, false)
+                    self.run_send_chunk(now, &rec, false)
                 } else {
                     // The port was closed (recovery re-entry) or the stream
                     // failed after this chunk was staged: the stream is
@@ -1102,10 +1102,10 @@ impl McpMachine {
 
     // --- helpers -----------------------------------------------------------
 
-    /// Runs the `send_chunk` firmware for `rec`, emitting transmit
-    /// effects. Returns the handler cost (firmware cycles at the core
-    /// clock).
-    fn run_send_chunk(&mut self, rec: &ChunkRecord, resend: bool) -> SimDuration {
+    /// Runs the `send_chunk` firmware for `rec` in the handler dispatched
+    /// at `now`, emitting transmit effects. Returns the handler cost
+    /// (firmware cycles at the core clock).
+    fn run_send_chunk(&mut self, now: SimTime, rec: &ChunkRecord, resend: bool) -> SimDuration {
         let sr = layout::SENDREC;
         use layout::sendrec as o;
         let mut flag_bits = 0;
@@ -1146,7 +1146,7 @@ impl McpMachine {
         };
         let outcome = self
             .chip
-            .run_routine(self.busy_until, entry, self.params.firmware_budget);
+            .run_routine(now, entry, self.params.firmware_budget);
         let fw_time = self.params.cycle * outcome.cycles();
         self.charge(Handler::SendChunk, fw_time);
         let dst = rec.dst_node;
@@ -1574,6 +1574,61 @@ pub(crate) mod tests {
         rig.now += SimDuration::from_ms(1);
         rig.settle();
         assert_eq!(rig.a.chip.sram.read_u32(layout::MAGIC_WORD).unwrap(), 0);
+    }
+
+    /// `send_chunk` runs in the handler dispatched at `now`, so a timer
+    /// its firmware arms counts from that instant, not from the end of
+    /// whatever handler ran before an idle gap. The clean image arms no
+    /// timer; one bit flip turns its `csrw 0x23` (`HDMA_CTRL`) into
+    /// `csrw 0x03` (`IT1_COUNT`) with 2 in `r13`.
+    #[test]
+    fn send_chunk_arms_timers_from_its_dispatch_instant() {
+        use ftgm_lanai::isa::{Instr, Opcode};
+        use ftgm_lanai::timers::TICK;
+        let mut rig = Rig::new(McpParams::gm());
+        let code = rig.a.firmware().code_range();
+        let sram = &rig.a.chip.sram;
+        let is_csrw = |word: u32, id: i32| {
+            Instr::decode(word).is_some_and(|i| i.op == Opcode::Csrw && i.imm == id)
+        };
+        let flip = code
+            .step_by(4)
+            .flat_map(|a| (0..32).map(move |b| (a, b)))
+            .find(|&(a, b)| {
+                let word = sram.read_u32(a).unwrap();
+                is_csrw(word, 0x23) && is_csrw(word ^ (1 << b), 0x03)
+            })
+            .expect("send_chunk writes HDMA_CTRL one flip away from IT1_COUNT");
+        rig.a.chip.sram.flip_bit(u64::from(flip.0) * 8 + flip.1);
+        // The completion-record block, where the write sits, runs only
+        // when the driver has pinned a record page.
+        rig.a.set_status_report_addr(0x8000);
+
+        rig.a.open_port(0);
+        rig.b.open_port(2);
+        rig.provide(1, 2, 100, 4096);
+        rig.settle();
+        // Idle: the next handler, L_timer, starts 1 ms after the last.
+        rig.now += SimDuration::from_ms(1);
+        rig.send(0, 0, NodeId(1), 2, &[5u8; 32], 7, Some(0));
+        for _ in 0..100 {
+            rig.now += SimDuration::from_us(2);
+            let now = rig.now;
+            rig.a.poll_timers(now);
+            if rig.a.needs_dispatch(now).is_some() {
+                rig.a.dispatch(now);
+            }
+            let mut effects = Vec::new();
+            rig.a.swap_effects(&mut effects);
+            if effects.iter().any(|e| matches!(e, McpEffect::Transmit { .. })) {
+                assert_eq!(rig.a.next_timer_deadline(), Some(now + TICK * 2));
+                return;
+            }
+            for e in effects {
+                rig.route_effect(0, e);
+            }
+        }
+        panic!("send_chunk never transmitted");
     }
 
     #[test]

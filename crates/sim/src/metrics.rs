@@ -113,19 +113,17 @@ impl Samples {
     /// The nearest-rank quantile at `p`/1000, in pure integer
     /// arithmetic: the smallest sample whose cumulative rank covers a
     /// `p` per-mille share. `p == 0` is the minimum; `p >= 1000` the
-    /// maximum.
+    /// maximum. It neither copies nor sorts the series.
     pub fn quantile_permille(&self, p: u32) -> Option<SimDuration> {
-        if self.values.is_empty() {
+        let n = self.values.len();
+        if n == 0 {
             return None;
         }
-        let mut v = self.values.clone();
-        v.sort_unstable();
-        let n = v.len();
         // ceil(p * n / 1000), computed in u64 so a billion samples at
         // p=1000 cannot overflow.
         let rank = (u64::from(p) * n as u64).div_ceil(1000) as usize;
         let idx = rank.saturating_sub(1).min(n - 1);
-        v.get(idx).copied().map(SimDuration::from_nanos)
+        Some(SimDuration::from_nanos(select_nth(&self.values, idx)))
     }
 
     /// Folds another series into this one (order-independent statistics).
@@ -137,6 +135,53 @@ impl Samples {
     pub fn raw_ns(&self) -> &[u64] {
         &self.values
     }
+}
+
+/// The `k`-th smallest value (0-based) of `values`, or 0 when `k` is out
+/// of range: an exact most-significant-digit radix select over 16-bit
+/// digits.
+///
+/// Each of four passes counts the next digit of every value that shares
+/// the digits chosen so far, then picks the digit whose count range
+/// holds `k`. One 64 Ki-entry table serves all passes, and only the
+/// span of digits a pass saw is walked and cleared, so a series of
+/// small latencies pays for its low digits alone.
+fn select_nth(values: &[u64], mut k: usize) -> u64 {
+    let mut counts = vec![0usize; 1 << 16];
+    let mut prefix = 0u64;
+    for shift in [48u32, 32, 16, 0] {
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for &v in values {
+            // Digits above this one must equal the chosen prefix.
+            if ((v ^ prefix) >> shift) >> 16 == 0 {
+                let d = ((v >> shift) & 0xFFFF) as usize;
+                if let Some(c) = counts.get_mut(d) {
+                    *c += 1;
+                }
+                lo = lo.min(d);
+                hi = hi.max(d);
+            }
+        }
+        let Some(seen) = counts.get_mut(lo..=hi) else {
+            return 0;
+        };
+        let mut digit = None;
+        for (d, c) in (lo..).zip(seen.iter_mut()) {
+            if digit.is_none() {
+                if k < *c {
+                    digit = Some(d);
+                } else {
+                    k -= *c;
+                }
+            }
+            *c = 0;
+        }
+        let Some(digit) = digit else {
+            return 0;
+        };
+        prefix |= (digit as u64) << shift;
+    }
+    prefix
 }
 
 /// The registered histograms.
@@ -615,6 +660,52 @@ mod tests {
         s.record(SimDuration::from_us(7));
         for q in [0.0, 0.5, 0.99, 1.0] {
             assert_eq!(s.quantile(q), Some(SimDuration::from_us(7)), "q={q}");
+        }
+    }
+
+    /// The clone-and-sort nearest-rank rule the radix select replaced.
+    fn sorted_oracle(values: &[u64], p: u32) -> Option<u64> {
+        let mut v = values.to_vec();
+        v.sort_unstable();
+        let n = v.len() as u64;
+        let rank = (u64::from(p) * n).div_ceil(1000) as usize;
+        v.get(rank.saturating_sub(1).min(v.len().saturating_sub(1))).copied()
+    }
+
+    #[test]
+    fn quantile_matches_the_sort_oracle() {
+        const PERMILLES: [u32; 8] = [0, 1, 500, 950, 990, 999, 1000, 1001];
+        let check = |values: &[u64]| {
+            let mut s = Samples::new();
+            for &v in values {
+                s.record_ns(v);
+            }
+            for p in PERMILLES {
+                let got = s.quantile_permille(p).map(|d| d.as_nanos());
+                assert_eq!(got, sorted_oracle(values, p), "p={p} over {values:?}");
+            }
+        };
+        check(&[]);
+        check(&[42]);
+        check(&[7; 33]);
+        check(&[u64::MAX, 0]);
+        check(&[0, u64::MAX, u64::MAX, 0, 1, u64::MAX - 1]);
+        // Random series drawn from small pools, so ties are heavy and
+        // values share their high digits and differ only low, or the
+        // reverse.
+        let mut rng = crate::SimRng::new(0x5e1ec7);
+        for case in 0..200 {
+            let pool: Vec<u64> = (0..1 + rng.gen_range(12))
+                .map(|_| match rng.gen_range(4) {
+                    0 => rng.gen_range(70_000),
+                    1 => rng.next_u64(),
+                    2 => rng.next_u64() & 0xFFFF_0000_0000_FFFF,
+                    _ => u64::MAX - rng.gen_range(3),
+                })
+                .collect();
+            let n = rng.gen_range(if case % 10 == 0 { 3_000 } else { 64 });
+            let values: Vec<u64> = (0..n).map(|_| *rng.choose(&pool)).collect();
+            check(&values);
         }
     }
 

@@ -56,11 +56,13 @@
 //! );
 //! ```
 
+pub mod column;
 pub mod driver;
 pub mod gen;
 pub mod slo;
 pub mod spec;
 
+pub use column::{Column, ColumnIter};
 pub use driver::{run_spec, spawn_load, topology_label, LoadRun};
 pub use gen::{ClosedLoopClient, OpenLoopSender};
 pub use slo::{fold_report, Completion, FlowProbe, PhaseSlo, PhaseWindows, SloBounds, SloReport};

@@ -10,6 +10,8 @@
 use ftgm_sim::metrics::bytes_per_sec;
 use ftgm_sim::{Samples, SimDuration, SimTime};
 
+use crate::column::Column;
+
 /// One completed message: when it landed, when it was offered, and how
 /// big it was.
 #[derive(Clone, Copy, Debug)]
@@ -23,15 +25,17 @@ pub struct Completion {
     pub bytes: u32,
 }
 
-/// Raw per-flow observations, recorded by the generator apps.
+/// Raw per-flow observations, recorded by the generator apps. The three
+/// per-message columns are varint-coded ([`Column`]) and hand their
+/// records back by value.
 #[derive(Clone, Debug, Default)]
 pub struct FlowProbe {
     /// Offer times of every message the client issued (or intended to).
-    pub arrivals: Vec<SimTime>,
+    pub arrivals: Column<SimTime>,
     /// Every completion, in completion order.
-    pub completions: Vec<Completion>,
+    pub completions: Column<Completion>,
     /// `(time, in-flight + queued depth)` marks taken on every state change.
-    pub depth_marks: Vec<(SimTime, u64)>,
+    pub depth_marks: Column<(SimTime, u64)>,
     /// `GmEvent::SendError` count.
     pub send_errors: u64,
     /// Closed-loop responses that failed validation.
@@ -244,7 +248,7 @@ pub fn fold_report(
         send_errors += probe.send_errors;
         bad_responses += probe.bad_responses;
         iface_dead += probe.iface_dead;
-        for &at in &probe.arrivals {
+        for at in &probe.arrivals {
             if let Some(slot) = issued.get_mut(bucket(windows, rel(at))) {
                 *slot += 1;
             }
@@ -261,7 +265,7 @@ pub fn fold_report(
                 s.record_ns(rel(c.at).saturating_sub(rel(c.issued)));
             }
         }
-        for &(at, depth) in &probe.depth_marks {
+        for (at, depth) in &probe.depth_marks {
             if let Some(slot) = max_depth.get_mut(bucket(windows, rel(at))) {
                 *slot = (*slot).max(depth);
             }
