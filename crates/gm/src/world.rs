@@ -19,6 +19,7 @@
 //! handler) runs as typed FTD steps once [`crate::ftd::install`] has
 //! spawned the daemons (`ftgm-core`'s `FtSystem` does).
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 use ftgm_host::{CpuCost, DmaRegion, HostSystem, PciParams};
@@ -181,7 +182,11 @@ pub struct HostPort {
     pub backup: PortBackup,
     send_bufs: BTreeMap<u64, DmaRegion>,
     recv_bufs: BTreeMap<u64, DmaRegion>,
-    free_bufs: BTreeMap<u32, Vec<DmaRegion>>,
+    /// Free pinned buffers by length, the most recently freed first
+    /// within a length: the second key is the `Reverse` of `gives`.
+    free_bufs: BTreeMap<(u32, Reverse<u64>), DmaRegion>,
+    /// Buffers returned to `free_bufs` so far.
+    gives: u64,
 }
 
 impl HostPort {
@@ -198,7 +203,22 @@ impl HostPort {
             send_bufs: BTreeMap::new(),
             recv_bufs: BTreeMap::new(),
             free_bufs: BTreeMap::new(),
+            gives: 0,
         }
+    }
+
+    /// Best fit: the free buffer of the smallest length that holds `len`
+    /// bytes, the most recently freed of that length. `None` if no free
+    /// buffer is long enough.
+    fn take(&mut self, len: u32) -> Option<DmaRegion> {
+        let (&fit, _) = self.free_bufs.range((len, Reverse(u64::MAX))..).next()?;
+        self.free_bufs.remove(&fit)
+    }
+
+    /// Returns a buffer to the pool.
+    fn give(&mut self, region: DmaRegion) {
+        self.free_bufs.insert((region.len, Reverse(self.gives)), region);
+        self.gives += 1;
     }
 }
 
@@ -857,7 +877,7 @@ impl World {
                 }
                 hp.recv_tokens += 1;
                 let data = node.host.mem.read(region.pa, len).to_vec();
-                hp.free_bufs.entry(region.len).or_default().push(region);
+                hp.give(region);
                 if self.trace.is_enabled() {
                     let now = self.now();
                     self.trace.emit(
@@ -890,7 +910,7 @@ impl World {
                     return;
                 };
                 if let Some(region) = hp.send_bufs.remove(&token_id) {
-                    hp.free_bufs.entry(region.len).or_default().push(region);
+                    hp.give(region);
                 }
                 if is_ftgm {
                     hp.backup.remove_send(token_id);
@@ -917,7 +937,7 @@ impl World {
                     return;
                 };
                 if let Some(region) = hp.send_bufs.remove(&token_id) {
-                    hp.free_bufs.entry(region.len).or_default().push(region);
+                    hp.give(region);
                 }
                 if is_ftgm {
                     hp.backup.remove_send(token_id);
@@ -946,12 +966,14 @@ impl World {
 
     // --- GM library: buffer management --------------------------------------
 
+    /// A pinned buffer of at least `len` bytes: the port pool's best fit,
+    /// or else a new region of exactly `len`.
     fn alloc_buf(&mut self, n: usize, port: u8, len: u32) -> DmaRegion {
         let node = &mut self.nodes[n];
         let hp = node.ports[port as usize]
             .as_mut()
             .expect("port open");
-        if let Some(r) = hp.free_bufs.get_mut(&len).and_then(|v| v.pop()) {
+        if let Some(r) = hp.take(len) {
             return r;
         }
         let region = node.host.mem.alloc_dma(len);
@@ -1004,7 +1026,7 @@ impl World {
                 for &token_id in &tokens {
                     hp.backup.remove_send(token_id);
                     if let Some(region) = hp.send_bufs.remove(&token_id) {
-                        hp.free_bufs.entry(region.len).or_default().push(region);
+                        hp.give(region);
                     }
                     hp.send_tokens += 1;
                 }
@@ -1597,11 +1619,165 @@ mod more_tests {
         // 301 sends + ~305 provides reused a small pool: allocation stays
         // far below one-region-per-call.
         let hp = w.nodes[0].ports[0].as_ref().unwrap();
-        let pooled: usize = hp.free_bufs.values().map(|v| v.len()).sum();
+        let pooled = hp.free_bufs.len();
         assert!(pooled < 20, "pool stayed small: {pooled}");
         assert!(
             w.nodes[0].host.mem.crash_reason().is_none(),
             "no runaway allocation"
         );
+    }
+}
+
+#[cfg(test)]
+mod pool_tests {
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    use ftgm_sim::SimRng;
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// Six lengths, so requests often meet a longer free buffer.
+    fn length(i: u32) -> u32 {
+        (i % 6 + 1) * 64
+    }
+
+    proptest! {
+        /// Best fit over random take/give sequences: a take gets the free
+        /// buffer of the smallest length that fits, and no buffer is
+        /// handed out twice while held.
+        #[test]
+        fn take_gives_the_smallest_free_buffer_that_fits(
+            ops in proptest::collection::vec((any::<bool>(), 0u32..64), 0..400),
+        ) {
+            let mut hp = HostPort::new(0, 0, 0);
+            let (mut held, mut free) = (Vec::<DmaRegion>::new(), Vec::<DmaRegion>::new());
+            let mut next_pa = 4096;
+            for (is_take, pick) in ops {
+                if is_take || held.is_empty() {
+                    let len = length(pick);
+                    let fit = free.iter().map(|r| r.len).filter(|&l| l >= len).min();
+                    let region = match hp.take(len) {
+                        Some(r) => {
+                            prop_assert_eq!(Some(r.len), fit, "best fit for {}", len);
+                            let at = free.iter().position(|f| *f == r).expect("was free");
+                            free.swap_remove(at);
+                            r
+                        }
+                        None => {
+                            prop_assert_eq!(fit, None, "a free buffer fits {}", len);
+                            next_pa += 8192;
+                            DmaRegion { pa: next_pa, len }
+                        }
+                    };
+                    prop_assert!(!held.contains(&region), "{:?} handed out twice", region);
+                    held.push(region);
+                } else {
+                    let region = held.swap_remove(pick as usize % held.len());
+                    hp.give(region);
+                    free.push(region);
+                }
+                prop_assert_eq!(hp.free_bufs.len(), free.len());
+            }
+        }
+
+        /// With one length, the pool is the exact-length LIFO stack it
+        /// replaced: every take returns the buffer that stack would.
+        #[test]
+        fn one_length_matches_the_exact_length_stack(
+            ops in proptest::collection::vec((any::<bool>(), 0u32..64), 0..400),
+        ) {
+            let mut hp = HostPort::new(0, 0, 0);
+            let mut stack: Vec<DmaRegion> = Vec::new();
+            let mut held: Vec<DmaRegion> = Vec::new();
+            for (i, (is_take, pick)) in (0u64..).zip(ops) {
+                if is_take || held.is_empty() {
+                    let region = hp.take(256);
+                    prop_assert_eq!(region, stack.pop());
+                    held.push(region.unwrap_or(DmaRegion { pa: 4096 * (i + 1), len: 256 }));
+                } else {
+                    let region = held.swap_remove(pick as usize % held.len());
+                    hp.give(region);
+                    stack.push(region);
+                }
+            }
+        }
+    }
+
+    /// Each node streams to the other, window 8, message lengths drawn
+    /// from five sizes between 240 and 272 KiB, into a 16-buffer receive
+    /// ring.
+    struct Stream {
+        rng: SimRng,
+        left: u32,
+        received: Rc<Cell<u32>>,
+    }
+
+    const SIZES: [u32; 5] = [240 << 10, 248 << 10, 256 << 10, 264 << 10, 272 << 10];
+    const WINDOW: u32 = 8;
+    const RING: u32 = 16;
+
+    impl Stream {
+        fn send(&mut self, ctx: &mut Ctx<'_>) {
+            if self.left > 0 {
+                self.left -= 1;
+                let len = SIZES[self.rng.gen_range(SIZES.len() as u64) as usize];
+                let peer = NodeId(1 - ctx.node.0);
+                ctx.gm_send(&vec![0x5a; len as usize], peer, 0);
+            }
+        }
+    }
+
+    impl App for Stream {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            for _ in 0..RING {
+                ctx.gm_provide_receive_buffer(SIZES[4]);
+            }
+            for _ in 0..WINDOW {
+                self.send(ctx);
+            }
+        }
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: GmEvent) {
+            match ev {
+                GmEvent::Received { .. } => {
+                    self.received.set(self.received.get() + 1);
+                    ctx.gm_provide_receive_buffer(SIZES[4]);
+                }
+                GmEvent::SentOk { .. } => self.send(ctx),
+                other => panic!("{other:?}"),
+            }
+        }
+    }
+
+    /// Pinned bytes per host, the same on GM and FTGM. The exact-length
+    /// pool this one replaced pinned 9 986 112 and 9 216 064 B here (37
+    /// and 34 buffers).
+    const PINNED: [u64; 2] = [7_929_920, 7_700_544];
+
+    #[test]
+    fn a_mixed_size_stream_pins_a_fixed_budget() {
+        for config in [WorldConfig::gm(), WorldConfig::ftgm()] {
+            let mut w = World::two_node(config);
+            let received = Rc::new(Cell::new(0));
+            for n in 0..2u16 {
+                let rng = SimRng::new(7 + n as u64);
+                let app = Stream { rng, left: 60, received: received.clone() };
+                w.spawn_app(NodeId(n), 0, Box::new(app));
+            }
+            w.run_for(SimDuration::from_ms(200));
+            assert_eq!(received.get(), 120);
+            for (node, pinned) in w.nodes.iter().zip(PINNED) {
+                let hp = node.ports[0].as_ref().expect("port open");
+                assert_eq!((hp.send_bufs.len(), hp.recv_bufs.len()), (0, RING as usize), "drained");
+                let buffers = hp.free_bufs.values().chain(hp.recv_bufs.values());
+                let bytes: u64 = buffers.clone().map(|r| r.len as u64).sum();
+                // The 64-byte completion-record scratch is the only other region.
+                assert_eq!(node.host.mem.allocated_bytes(), bytes + 64);
+                assert_eq!(node.host.mem.allocated_bytes(), pinned);
+                let count = buffers.count();
+                assert!(count <= (WINDOW + RING) as usize + SIZES.len(), "{count} buffers");
+            }
+        }
     }
 }

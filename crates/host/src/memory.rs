@@ -52,6 +52,8 @@ impl DmaRegion {
 pub struct HostMemory {
     bytes: Vec<u8>,
     next_alloc: u64,
+    /// Bytes handed out by `alloc_dma`, alignment padding excluded.
+    allocated: u64,
     pinned: Vec<DmaRegion>,
     crashed: Option<CrashReason>,
     /// What a wild DMA read lends the device (empty until one happens).
@@ -76,6 +78,7 @@ impl HostMemory {
             // Page 0 stays unmapped (the null page): device writes there
             // are wild DMA, as on a real OS.
             next_alloc: 4096,
+            allocated: 0,
             pinned: Vec::new(),
             crashed: None,
             zeros: Vec::new(),
@@ -112,9 +115,17 @@ impl HostMemory {
             self.bytes.len()
         );
         self.next_alloc = pa + len as u64;
+        self.allocated += len as u64;
         let region = DmaRegion { pa, len };
         self.pinned.push(region);
         region
+    }
+
+    /// Bytes [`HostMemory::alloc_dma`] has handed out since creation
+    /// (freeing a region does not subtract it: the model never reuses
+    /// storage).
+    pub fn allocated_bytes(&self) -> u64 {
+        self.allocated
     }
 
     /// Unpins a region (model of `gm_dma_free`). The bytes stay readable —

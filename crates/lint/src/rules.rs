@@ -239,6 +239,8 @@ pub fn scan(file: &WsFile) -> Vec<Finding> {
 /// pre-test tokens) and R7 (each reachable fn's tokens): `unwrap(` and
 /// `expect(` in method or path form (`x.unwrap()`, `Option::unwrap(x)`),
 /// `panic!`/`todo!`/`unimplemented!`, and indexing by integer literal.
+/// An `expect(` that opens an attribute (`#[expect(..)]`,
+/// `#![expect(..)]`) is a lint expectation, not a call.
 pub(crate) fn panic_sites(toks: &[Tok]) -> Vec<(u32, u32, String)> {
     let mut out = Vec::new();
     for k in 0..toks.len() {
@@ -248,6 +250,7 @@ pub(crate) fn panic_sites(toks: &[Tok]) -> Vec<(u32, u32, String)> {
             TokKind::Ident => {
                 if matches!(t.text.as_str(), "unwrap" | "expect")
                     && next.is_some_and(|x| x.is_punct(b'('))
+                    && !opens_attribute(&toks[..k])
                 {
                     out.push((t.line, t.col, format!("`{}()`", t.text)));
                 } else if matches!(t.text.as_str(), "panic" | "todo" | "unimplemented")
@@ -274,6 +277,13 @@ pub(crate) fn panic_sites(toks: &[Tok]) -> Vec<(u32, u32, String)> {
         }
     }
     out
+}
+
+/// `true` if `before` ends in `#[` or `#![`.
+fn opens_attribute(before: &[Tok]) -> bool {
+    let back = |i: usize| before.len().checked_sub(i).map(|j| &before[j]);
+    let is = |i: usize, b: u8| back(i).is_some_and(|t| t.is_punct(b));
+    is(1, b'[') && (is(2, b'#') || is(2, b'!') && is(3, b'#'))
 }
 
 /// Keywords an index expression can't follow (`return [0]` is an array).
@@ -382,6 +392,18 @@ mod tests {
                    }\n";
         let f = scan_str("crates/gm/src/recovery.rs", src);
         assert!(f.is_empty(), "{f:#?}");
+    }
+
+    #[test]
+    fn r1_reads_an_expect_attribute_as_no_call() {
+        let src = "#![expect(clippy::y, reason = \"..\")]\n\
+                   fn f(x: Option<u8>) {\n\
+                   #[expect(clippy::x, reason = \"..\")]\n\
+                   let _ = x.expect(\"m\");\n\
+                   }\n";
+        let f = scan_str("crates/gm/src/recovery.rs", src);
+        assert_eq!(f.len(), 1, "{f:#?}");
+        assert_eq!((f[0].line, f[0].col), (4, 11), "only the call fires");
     }
 
     #[test]

@@ -49,6 +49,53 @@ fn rx_slab_addr(i: u32) -> u32 {
     layout::STAGE_BASE + layout::SLAB_COUNT * layout::SLAB_SIZE + i * layout::SLAB_SIZE
 }
 
+/// The free staging slabs of one direction, handed out as a stack: the
+/// newest returned slab first, then the lowest slab not used since the
+/// last reset. That is the order of a `Vec` seeded with
+/// `(0..SLAB_COUNT).rev()`, without holding the never-used slabs.
+#[derive(Debug, Default)]
+struct SlabPool {
+    returned: Vec<u32>,
+    /// Slabs `fresh..SLAB_COUNT` have not been handed out.
+    fresh: u32,
+}
+
+impl SlabPool {
+    fn pop(&mut self) -> Option<u32> {
+        self.returned.pop().or_else(|| {
+            let slab = self.fresh;
+            (slab < layout::SLAB_COUNT).then(|| {
+                self.fresh += 1;
+                slab
+            })
+        })
+    }
+
+    fn push(&mut self, slab: u32) {
+        self.returned.push(slab);
+    }
+
+    fn len(&self) -> usize {
+        self.returned.len() + (layout::SLAB_COUNT - self.fresh) as usize
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every slab free again, in boot order.
+    fn reset(&mut self) {
+        self.returned.clear();
+        self.fresh = 0;
+    }
+}
+
+impl Extend<u32> for SlabPool {
+    fn extend<I: IntoIterator<Item = u32>>(&mut self, slabs: I) {
+        self.returned.extend(slabs);
+    }
+}
+
 /// A send posted by the host library (the LANai's view of a send token).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SendDesc {
@@ -269,8 +316,8 @@ pub struct McpMachine {
     tx_streams: BTreeMap<StreamKey, TxStream>,
     rx_streams: BTreeMap<StreamKey, RxStream<RxAssembly>>,
 
-    free_tx_slabs: Vec<u32>,
-    free_rx_slabs: Vec<u32>,
+    free_tx_slabs: SlabPool,
+    free_rx_slabs: SlabPool,
 
     hdma_jobs: VecDeque<HdmaJob>,
     hdma_started: bool,
@@ -329,8 +376,8 @@ impl McpMachine {
             active_send: None,
             tx_streams: BTreeMap::new(),
             rx_streams: BTreeMap::new(),
-            free_tx_slabs: (0..layout::SLAB_COUNT).rev().collect(),
-            free_rx_slabs: (0..layout::SLAB_COUNT).rev().collect(),
+            free_tx_slabs: SlabPool::default(),
+            free_rx_slabs: SlabPool::default(),
             hdma_jobs: VecDeque::new(),
             hdma_started: false,
             pending_ctrl: VecDeque::new(),
@@ -539,8 +586,8 @@ impl McpMachine {
         self.active_send = None;
         self.tx_streams.clear();
         self.rx_streams.clear();
-        self.free_tx_slabs = (0..layout::SLAB_COUNT).rev().collect();
-        self.free_rx_slabs = (0..layout::SLAB_COUNT).rev().collect();
+        self.free_tx_slabs.reset();
+        self.free_rx_slabs.reset();
         self.hdma_jobs.clear();
         self.hdma_started = false;
         self.pending_ctrl.clear();
@@ -900,7 +947,7 @@ impl McpMachine {
                 let event = NicEvent::SendCompleted { token_id };
                 self.effects.push(McpEffect::PostEvent { port, event });
             }
-            self.free_tx_slabs.extend_from_slice(&self.acked.freed_slabs);
+            self.free_tx_slabs.extend(self.acked.freed_slabs.iter().copied());
             return;
         }
         let s = &tx.sender;
@@ -1881,6 +1928,47 @@ pub(crate) mod tests {
         assert_eq!(acct.get(Handler::FtgmSendExtra), SimDuration::ZERO, "GM run");
         assert_eq!(rig.a.lanai_busy(), acct.total());
         assert!(rig.a.lanai_busy() > SimDuration::ZERO);
+    }
+}
+
+#[cfg(test)]
+mod slab_pool_tests {
+    use proptest::prelude::*;
+
+    use super::*;
+
+    proptest! {
+        /// The pool hands out, takes back and counts slabs exactly as the
+        /// `Vec` stack it replaces, whatever the order of operations.
+        #[test]
+        fn slab_pool_matches_the_vec_stack(
+            ops in proptest::collection::vec((0u8..16, 0u32..layout::SLAB_COUNT), 0..3000),
+        ) {
+            let mut pool = SlabPool::default();
+            let mut oracle: Vec<u32> = (0..layout::SLAB_COUNT).rev().collect();
+            for (op, slab) in ops {
+                // Pops outweigh returns, so long sequences run the pool dry.
+                match op {
+                    0..=11 => prop_assert_eq!(pool.pop(), oracle.pop()),
+                    12 | 13 => {
+                        pool.push(slab);
+                        oracle.push(slab);
+                    }
+                    14 => {
+                        let run = (slab..layout::SLAB_COUNT).take(3);
+                        pool.extend(run.clone());
+                        oracle.extend(run);
+                    }
+                    _ if slab % 32 == 0 => {
+                        pool.reset();
+                        oracle = (0..layout::SLAB_COUNT).rev().collect();
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(pool.len(), oracle.len());
+                prop_assert_eq!(pool.is_empty(), oracle.is_empty());
+            }
+        }
     }
 }
 

@@ -27,7 +27,6 @@ use crate::slo::Completion;
 /// group first, the high bit set on every byte but the last.
 fn put(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
-        // lint:allow(recovery-no-panic): an attribute, not `Option::expect`
         #[expect(
             clippy::cast_possible_truncation,
             reason = "keeps the low seven bits; the loop shifts the rest down"
@@ -35,7 +34,6 @@ fn put(out: &mut Vec<u8>, mut v: u64) {
         out.push(v as u8 | 0x80);
         v >>= 7;
     }
-    // lint:allow(recovery-no-panic): an attribute, not `Option::expect`
     #[expect(
         clippy::cast_possible_truncation,
         reason = "the loop leaves v < 0x80, so the byte holds all of it"
