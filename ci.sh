@@ -40,13 +40,14 @@ step() {
 
 step build 900 cargo build --release
 # The repo benchmark is its own package built against the public API of
-# ten crates, and nothing else here compiles it. Build it, then run the
-# four one-second children that cover the scheduler and library path on
-# both variants (hang_recovery is the only workload that runs
-# restore_port_state; mpi256 is the only 256-rank world, with the
+# ten crates, and nothing else here compiles it. Build it, then run all
+# five workloads as one-second children, covering the scheduler and
+# library path on both variants (hang_recovery is the only workload that
+# runs restore_port_state; mpi256 is the only 256-rank world, with the
 # lock-step bursts the scheduler is sized for; stream_large is the only
 # one whose pinned buffers are reused across message sizes, so a pool
-# that handed out a buffer still in flight corrupts a payload there).
+# that handed out a buffer still in flight corrupts a payload there;
+# fat_tree256_mix has the most hosts on the host-memory DMA path).
 # A child exits 0 even when its correctness gate counted failures, so
 # the gate is its last line: `r <messages> 0`, the 0 counting lost,
 # duplicated and corrupted messages.
@@ -66,6 +67,7 @@ benchmark_smoke() {
     benchmark_child hang_recovery
     benchmark_child mpi256
     benchmark_child stream_large
+    benchmark_child fat_tree256_mix
 }
 step benchmark-smoke 300 benchmark_smoke
 step test-debug 1800 cargo test -q

@@ -32,7 +32,7 @@ use ftgm_gm::apps::{
 use ftgm_gm::{World, WorldConfig};
 use ftgm_host::CpuCost;
 use ftgm_net::NodeId;
-use ftgm_sim::{SimDuration, SimTime};
+use ftgm_sim::SimDuration;
 
 /// Message lengths used for the Figure 7/8 sweeps: powers of two plus
 /// extra points around the 4 KB fragmentation boundary (the source of the
@@ -212,18 +212,10 @@ pub fn measure_ltimer_gaps(load: bool) -> (SimDuration, SimDuration) {
         );
     }
     w.run_for(SimDuration::from_ms(500));
-    let times: &[SimTime] = w.nodes[0].mcp.ltimer_times();
-    assert!(times.len() > 10, "not enough L_timer samples");
-    let mut max = SimDuration::ZERO;
-    let mut sum = SimDuration::ZERO;
-    for pair in times.windows(2) {
-        let gap = pair[1] - pair[0];
-        if gap > max {
-            max = gap;
-        }
-        sum += gap;
-    }
-    (max, sum / (times.len() as u64 - 1))
+    let mcp = &w.nodes[0].mcp;
+    assert!(mcp.stats().ltimer_runs > 10, "not enough L_timer samples");
+    let mean = mcp.ltimer_mean_gap().expect("two passes at least");
+    (mcp.ltimer_max_gap(), mean)
 }
 
 /// Formats a measurement row with a paper-reference column.

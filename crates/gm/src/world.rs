@@ -876,7 +876,7 @@ impl World {
                     cost += api.recv_event_backup;
                 }
                 hp.recv_tokens += 1;
-                let data = node.host.mem.read(region.pa, len).to_vec();
+                let data = node.host.mem.read(region.pa, len);
                 hp.give(region);
                 if self.trace.is_enabled() {
                     let now = self.now();
@@ -1706,12 +1706,13 @@ mod pool_tests {
     }
 
     /// Each node streams to the other, window 8, message lengths drawn
-    /// from five sizes between 240 and 272 KiB, into a 16-buffer receive
-    /// ring.
+    /// from `sizes`, into a 16-buffer ring of `buf`-byte receive buffers.
     struct Stream {
         rng: SimRng,
         left: u32,
         received: Rc<Cell<u32>>,
+        sizes: &'static [u32],
+        buf: u32,
     }
 
     const SIZES: [u32; 5] = [240 << 10, 248 << 10, 256 << 10, 264 << 10, 272 << 10];
@@ -1722,7 +1723,7 @@ mod pool_tests {
         fn send(&mut self, ctx: &mut Ctx<'_>) {
             if self.left > 0 {
                 self.left -= 1;
-                let len = SIZES[self.rng.gen_range(SIZES.len() as u64) as usize];
+                let len = self.sizes[self.rng.gen_range(self.sizes.len() as u64) as usize];
                 let peer = NodeId(1 - ctx.node.0);
                 ctx.gm_send(&vec![0x5a; len as usize], peer, 0);
             }
@@ -1732,7 +1733,7 @@ mod pool_tests {
     impl App for Stream {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
             for _ in 0..RING {
-                ctx.gm_provide_receive_buffer(SIZES[4]);
+                ctx.gm_provide_receive_buffer(self.buf);
             }
             for _ in 0..WINDOW {
                 self.send(ctx);
@@ -1742,12 +1743,26 @@ mod pool_tests {
             match ev {
                 GmEvent::Received { .. } => {
                     self.received.set(self.received.get() + 1);
-                    ctx.gm_provide_receive_buffer(SIZES[4]);
+                    ctx.gm_provide_receive_buffer(self.buf);
                 }
                 GmEvent::SentOk { .. } => self.send(ctx),
                 other => panic!("{other:?}"),
             }
         }
+    }
+
+    /// A two-node world where each node sends the other 60 messages.
+    fn stream(config: WorldConfig, sizes: &'static [u32], buf: u32) -> World {
+        let mut w = World::two_node(config);
+        let received = Rc::new(Cell::new(0));
+        for n in 0..2u16 {
+            let rng = SimRng::new(7 + n as u64);
+            let app = Stream { rng, left: 60, received: received.clone(), sizes, buf };
+            w.spawn_app(NodeId(n), 0, Box::new(app));
+        }
+        w.run_for(SimDuration::from_ms(200));
+        assert_eq!(received.get(), 120);
+        w
     }
 
     /// Pinned bytes per host, the same on GM and FTGM. The exact-length
@@ -1758,15 +1773,7 @@ mod pool_tests {
     #[test]
     fn a_mixed_size_stream_pins_a_fixed_budget() {
         for config in [WorldConfig::gm(), WorldConfig::ftgm()] {
-            let mut w = World::two_node(config);
-            let received = Rc::new(Cell::new(0));
-            for n in 0..2u16 {
-                let rng = SimRng::new(7 + n as u64);
-                let app = Stream { rng, left: 60, received: received.clone() };
-                w.spawn_app(NodeId(n), 0, Box::new(app));
-            }
-            w.run_for(SimDuration::from_ms(200));
-            assert_eq!(received.get(), 120);
+            let w = stream(config, &SIZES, SIZES[4]);
             for (node, pinned) in w.nodes.iter().zip(PINNED) {
                 let hp = node.ports[0].as_ref().expect("port open");
                 assert_eq!((hp.send_bufs.len(), hp.recv_bufs.len()), (0, RING as usize), "drained");
@@ -1775,8 +1782,27 @@ mod pool_tests {
                 // The 64-byte completion-record scratch is the only other region.
                 assert_eq!(node.host.mem.allocated_bytes(), bytes + 64);
                 assert_eq!(node.host.mem.allocated_bytes(), pinned);
+                assert!(node.host.mem.stored_bytes() <= pinned);
                 let count = buffers.count();
                 assert!(count <= (WINDOW + RING) as usize + SIZES.len(), "{count} buffers");
+            }
+        }
+    }
+
+    /// Host memory stores what was written, not what was pinned: 4 KiB
+    /// receive buffers that take 64 B messages hold 64 B each.
+    #[test]
+    fn small_messages_store_only_their_bytes() {
+        // Pinned: 16 receive buffers of 4 KiB, 8 send buffers of 64 B and
+        // the 64-byte completion-record scratch.
+        const PINNED: u64 = 16 * 4096 + 8 * 64 + 64;
+        // Stored: 64 B in each buffer, and the 8-byte completion record.
+        const STORED: u64 = 16 * 64 + 8 * 64 + 8;
+        for config in [WorldConfig::gm(), WorldConfig::ftgm()] {
+            let w = stream(config, &[64], 4096);
+            for node in &w.nodes {
+                let mem = &node.host.mem;
+                assert_eq!((mem.stored_bytes(), mem.allocated_bytes()), (STORED, PINNED));
             }
         }
     }

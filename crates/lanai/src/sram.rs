@@ -94,6 +94,13 @@ impl Sram {
         }
     }
 
+    /// Pages of the written-page map that are marked: each one a store
+    /// may have made nonzero since creation or the last
+    /// [`Sram::clear`].
+    pub fn written_pages(&self) -> u32 {
+        self.written.iter().map(|w| w.count_ones()).sum()
+    }
+
     /// Marks a page of the written-page map.
     fn mark(&mut self, page: usize) {
         self.written[page / 64] |= 1 << (page % 64);

@@ -57,7 +57,6 @@ fn clippy_stated_invariants_stay_declared() {
         ("crates/gm/src/recovery.rs", "wildcard_enum_match_arm"),
         ("crates/gm/src/ftd.rs", "wildcard_enum_match_arm"),
         ("crates/mcp/src/packet.rs", "cast_possible_truncation"),
-        ("crates/net/src/crc.rs", "cast_possible_truncation"),
         ("crates/workload/src/column.rs", "cast_possible_truncation"),
     ] {
         let attr = format!("#![deny(clippy::{lint})]");

@@ -334,8 +334,16 @@ pub struct McpMachine {
     acked: AckOutcome,
     stats: McpStats,
     account: HandlerTimes,
-    ltimer_times: Vec<SimTime>,
-    ltimer_log_cap: usize,
+    ltimer_gaps: LtimerGaps,
+}
+
+/// Running figures of the gaps between `L_timer()` passes (§4.2).
+#[derive(Default)]
+struct LtimerGaps {
+    last: Option<SimTime>,
+    max: SimDuration,
+    sum: SimDuration,
+    count: u64,
 }
 
 impl std::fmt::Debug for McpMachine {
@@ -388,8 +396,7 @@ impl McpMachine {
             acked: AckOutcome::default(),
             stats: McpStats::default(),
             account: HandlerTimes::default(),
-            ltimer_times: Vec::new(),
-            ltimer_log_cap: 100_000,
+            ltimer_gaps: LtimerGaps::default(),
         }
     }
 
@@ -423,9 +430,17 @@ impl McpMachine {
         self.account.total()
     }
 
-    /// Recorded `L_timer()` invocation instants (§4.2's gap measurement).
-    pub fn ltimer_times(&self) -> &[SimTime] {
-        &self.ltimer_times
+    /// The longest gap between two `L_timer()` passes (§4.2's gap
+    /// measurement); zero before the second pass.
+    pub fn ltimer_max_gap(&self) -> SimDuration {
+        self.ltimer_gaps.max
+    }
+
+    /// The mean gap between `L_timer()` passes, or `None` before the
+    /// second pass.
+    pub fn ltimer_mean_gap(&self) -> Option<SimDuration> {
+        let g = &self.ltimer_gaps;
+        (g.count > 0).then(|| g.sum / g.count)
     }
 
     /// Boots (or re-boots after a reload): arms IT0, and under FTGM arms
@@ -714,12 +729,17 @@ impl McpMachine {
     fn handle_ltimer(&mut self, now: SimTime) -> SimDuration {
         self.stats.ltimer_runs += 1;
         // Clear the FTD's liveness probe: only a running MCP gets here.
-        self.chip
-            .sram
-            .write_u32(layout::MAGIC_WORD, 0)
-            .expect("magic word in range");
-        if self.ltimer_times.len() < self.ltimer_log_cap {
-            self.ltimer_times.push(now);
+        // Storing zero over zero would still mark (and fault in) the page.
+        let sram = &mut self.chip.sram;
+        if sram.read_u32(layout::MAGIC_WORD).expect("magic word in range") != 0 {
+            sram.write_u32(layout::MAGIC_WORD, 0).expect("magic word in range");
+        }
+        let g = &mut self.ltimer_gaps;
+        if let Some(last) = g.last.replace(now) {
+            let gap = now - last;
+            g.max = g.max.max(gap);
+            g.sum += gap;
+            g.count += 1;
         }
         self.tx_streams.retain(|key, tx| {
             let Some(chunks) = tx.sender.check_timeout(now, self.params.rto) else {
@@ -1621,6 +1641,36 @@ pub(crate) mod tests {
         rig.now += SimDuration::from_ms(1);
         rig.settle();
         assert_eq!(rig.a.chip.sram.read_u32(layout::MAGIC_WORD).unwrap(), 0);
+    }
+
+    /// `L_timer` clears the FTD's probe without marking the magic word's
+    /// SRAM page when nothing probed: an idle NIC keeps only the pages
+    /// its boot wrote.
+    #[test]
+    fn idle_ltimer_passes_write_no_sram_page() {
+        let mut m = McpMachine::new(NodeId(0), McpParams::ftgm());
+        m.boot(SimTime::ZERO);
+        let boot_pages = m.chip.sram.written_pages();
+        let mut now = SimTime::ZERO;
+        let mut effects = Vec::new();
+        let mut pass = |m: &mut McpMachine, runs: u64| {
+            while m.stats().ltimer_runs < runs {
+                now += SimDuration::from_us(10);
+                m.poll_timers(now);
+                if m.needs_dispatch(now).is_some() {
+                    m.dispatch(now);
+                }
+                m.swap_effects(&mut effects);
+            }
+        };
+        pass(&mut m, 100);
+        assert_eq!(m.chip.sram.written_pages(), boot_pages);
+        // A probe is still cleared on the next pass.
+        m.chip.sram.write_u32(layout::MAGIC_WORD, 0xDEAD).unwrap();
+        pass(&mut m, 101);
+        assert_eq!(m.chip.sram.read_u32(layout::MAGIC_WORD).unwrap(), 0);
+        assert!(m.ltimer_max_gap() > SimDuration::ZERO);
+        assert!(m.ltimer_mean_gap().is_some_and(|g| g <= m.ltimer_max_gap()));
     }
 
     /// `send_chunk` runs in the handler dispatched at `now`, so a timer

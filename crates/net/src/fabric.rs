@@ -23,6 +23,13 @@
 //!
 //! Injections are resolved in simulation-time order, giving FCFS
 //! arbitration per channel.
+//!
+//! # Link CRC
+//!
+//! No CRC is computed. Myrinet's link CRC catches every single-bit
+//! error, so the model states its verdict directly: a frame the link
+//! fault model corrupts arrives with [`Delivery::crc_ok`] `false`, and
+//! receivers drop it.
 
 use ftgm_sim::{SimDuration, SimRng, SimTime};
 

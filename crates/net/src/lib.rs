@@ -22,13 +22,11 @@
 //! topology and compute a route from every interface to every other
 //! interface, deterministically.
 
-pub mod crc;
 pub mod fabric;
 pub mod mapper;
 pub mod reroute;
 pub mod topology;
 
-pub use crc::crc32;
 pub use fabric::{Delivery, DropReason, Fabric, FabricParams};
 pub use mapper::{Mapper, RouteTable};
 pub use reroute::ReroutePlan;
