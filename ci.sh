@@ -163,7 +163,9 @@ for key in '"schema": "ftgm-lint-v2"' '"rules"' '"count": 0' '"findings"'; do
         exit 1
     }
 done
-for f in BENCH_chaos.json BENCH_mpi.json results/lint_report.json; do
+# The scenario goldens are the same writer's output and hold to the
+# same contract.
+for f in BENCH_chaos.json BENCH_mpi.json results/lint_report.json scenarios/golden/*.json; do
     if grep -Eq ':[[:space:]]*-?[0-9]+\.' "$f"; then
         echo "$f: non-integer numeric value found" >&2
         exit 1

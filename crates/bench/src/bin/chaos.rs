@@ -19,7 +19,6 @@
 //! file loads in Perfetto / `about:tracing`). Every byte written is a
 //! function of the corpus alone.
 
-use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 use std::process::ExitCode;
@@ -28,7 +27,7 @@ use ftgm_faults::Resolution;
 use ftgm_scenario::{
     gate, load_dir, run_corpus_parallel, CompiledScenario, GateReport, ScenarioOutcome,
 };
-use ftgm_sim::DropKind;
+use ftgm_sim::{json, DropKind};
 use ftgm_workload::topology_label;
 
 const ROLLUP: &str = "BENCH_chaos.json";
@@ -42,67 +41,59 @@ fn rollup_json(
     outcomes: &[ScenarioOutcome],
     gate: &GateReport,
 ) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"ftgm-chaos-v2\",");
-    let _ = writeln!(out, "  \"corpus\": {},", outcomes.len());
-    let _ = writeln!(out, "  \"mismatches\": {},", gate.mismatches);
-    let _ = writeln!(out, "  \"violations\": {},", gate.violations);
-    let _ = writeln!(out, "  \"golden_diffs\": {},", gate.golden_diffs);
-    out.push_str("  \"scenarios\": [");
-    for (i, (c, o)) in corpus.iter().zip(outcomes).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        // Most names are `<topology>-<fault>`; the rest are all fault.
-        let topology = topology_label(c.chaos.topology);
-        let fault = o
-            .name
-            .strip_prefix(topology.as_str())
-            .and_then(|rest| rest.strip_prefix('-'))
-            .unwrap_or(&o.name);
-        let r = &o.chaos.report;
-        // Load flows count too: their fault-window gap is the blackout
-        // `SloBounds::check_recovery` bounds.
-        let load = o.load.as_ref();
-        let load_gap = load.and_then(|l| l.fault()).map_or(0, |p| p.longest_gap_ns);
-        let load_completed = load.map_or(0, |l| l.total_completed);
-        let ended = |res: Resolution| r.nodes.iter().filter(|n| n.resolution == res).count();
-        let _ = write!(
-            out,
-            "\n    {{\n      \"name\": \"{}\",\n      \"seed\": {},\n      \
-             \"topology\": \"{topology}\",\n      \"fault\": \"{fault}\",\n      \
-             \"expected\": \"{}\",\n      \"verdict\": \"{}\",\n      \"resolutions\": \
-             {{\"healthy\": {}, \"recovered\": {}, \"escalated\": {}, \"stranded_hung\": {}, \
-             \"stuck_recovering\": {}}},\n      \"recoveries\": {},\n      \
-             \"escalations\": {},\n      \"stalls\": {},\n      \"cascades\": {},\n      \
-             \"isolations\": {},\n      \"zone_reroutes\": {},\n      \
-             \"fabric_drops\": {},\n      \"bad_link_drops\": {},\n      \
-             \"max_blackout_ns\": {},\n      \"delivered\": {},\n      \
-             \"violations\": {}\n    }}",
-            o.name,
-            o.seed,
-            o.expected.label(),
-            o.verdict.label(),
-            ended(Resolution::Healthy),
-            ended(Resolution::Recovered),
-            ended(Resolution::Escalated),
-            ended(Resolution::StrandedHung),
-            ended(Resolution::StuckRecovering),
-            r.nodes.iter().map(|n| n.recoveries).sum::<u64>(),
-            o.escalations,
-            r.metrics.counter("PeerStallDetected"),
-            o.chaos.cascades,
-            r.metrics.counter("PeerIsolated"),
-            o.zone_reroutes,
-            r.metrics.fabric_drops_total(),
-            r.metrics.fabric_drops(DropKind::BadLink),
-            r.flows.iter().map(|f| f.blackout_ns).fold(load_gap, u64::max),
-            r.flows.iter().map(|f| f.delivered).sum::<u64>() + load_completed,
-            o.violations().len()
-        );
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+    json::document(|o| {
+        o.field("schema", "ftgm-chaos-v2").field("corpus", outcomes.len());
+        o.field("mismatches", gate.mismatches);
+        o.field("violations", gate.violations);
+        o.field("golden_diffs", gate.golden_diffs);
+        o.field("scenarios", json::rows(|a| {
+            for (c, outcome) in corpus.iter().zip(outcomes) {
+                a.item(json::object(|row| scenario_row(row, c, outcome)));
+            }
+        }));
+    })
+}
+
+/// One scenario's row of the rollup.
+fn scenario_row(row: &mut json::Object<'_>, c: &CompiledScenario, o: &ScenarioOutcome) {
+    // Most names are `<topology>-<fault>`; the rest are all fault.
+    let topology = topology_label(c.chaos.topology);
+    let fault = o
+        .name
+        .strip_prefix(topology.as_str())
+        .and_then(|rest| rest.strip_prefix('-'))
+        .unwrap_or(&o.name);
+    let r = &o.chaos.report;
+    // Load flows count too: their fault-window gap is the blackout
+    // `SloBounds::check_recovery` bounds.
+    let load = o.load.as_ref();
+    let load_gap = load.and_then(|l| l.fault()).map_or(0, |p| p.longest_gap_ns);
+    let load_completed = load.map_or(0, |l| l.total_completed);
+    let ended = |res: Resolution| r.nodes.iter().filter(|n| n.resolution == res).count();
+    row.field("name", &o.name).field("seed", o.seed);
+    row.field("topology", &topology).field("fault", fault);
+    row.field("expected", o.expected.label());
+    row.field("verdict", o.verdict.label());
+    row.field("resolutions", json::inline_object(|res| {
+        res.field("healthy", ended(Resolution::Healthy));
+        res.field("recovered", ended(Resolution::Recovered));
+        res.field("escalated", ended(Resolution::Escalated));
+        res.field("stranded_hung", ended(Resolution::StrandedHung));
+        res.field("stuck_recovering", ended(Resolution::StuckRecovering));
+    }));
+    row.field("recoveries", r.nodes.iter().map(|n| n.recoveries).sum::<u64>());
+    row.field("escalations", o.escalations);
+    row.field("stalls", r.metrics.counter("PeerStallDetected"));
+    row.field("cascades", o.chaos.cascades);
+    row.field("isolations", r.metrics.counter("PeerIsolated"));
+    row.field("zone_reroutes", o.zone_reroutes);
+    row.field("fabric_drops", r.metrics.fabric_drops_total());
+    row.field("bad_link_drops", r.metrics.fabric_drops(DropKind::BadLink));
+    let blackout = r.flows.iter().map(|f| f.blackout_ns).fold(load_gap, u64::max);
+    row.field("max_blackout_ns", blackout);
+    let delivered = r.flows.iter().map(|f| f.delivered).sum::<u64>() + load_completed;
+    row.field("delivered", delivered);
+    row.field("violations", o.violations().len());
 }
 
 /// Writes the rollup, and each scenario's trace and metrics exports.

@@ -23,7 +23,6 @@
 //! across runs, hosts and thread counts.
 
 use std::cell::RefCell;
-use std::fmt::Write as _;
 use std::rc::Rc;
 
 use ftgm_core::FtSystem;
@@ -31,7 +30,7 @@ use ftgm_gm::WorldConfig;
 use ftgm_mpi::{
     MpiHarness, Op, OpResult, RankProgram, RecoveryConfig, RestartPolicy,
 };
-use ftgm_sim::{map_indexed, SimDuration};
+use ftgm_sim::{json, map_indexed, SimDuration};
 
 /// Which communication pattern the cell's ranks run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -651,45 +650,36 @@ pub fn check(results: &[MpiCellResult]) -> Vec<String> {
 // JSON.
 // ---------------------------------------------------------------------------
 
-fn cell_json(out: &mut String, results: &[MpiCellResult], r: &MpiCellResult, last: bool) {
+fn cell_json(o: &mut json::Object<'_>, results: &[MpiCellResult], r: &MpiCellResult) {
     let c = &r.cell;
-    let _ = writeln!(out, "    {{");
-    let _ = writeln!(out, "      \"label\": \"{}\",", c.label);
-    let _ = writeln!(out, "      \"pattern\": \"{}\",", c.pattern.name());
-    let _ = writeln!(out, "      \"ranks\": {},", c.ranks);
-    let _ = writeln!(out, "      \"fault\": \"{}\",", c.fault.name());
-    let _ = writeln!(out, "      \"iters\": {},", c.iters);
-    let _ = writeln!(out, "      \"completed\": {},", r.completed);
-    let _ = writeln!(out, "      \"finishers\": {},", r.finishers);
-    let _ = writeln!(out, "      \"checksum\": \"{:016x}\",", r.checksum);
-    let _ = writeln!(out, "      \"faults_delivered\": {},", r.faults_delivered);
-    let _ = writeln!(out, "      \"gm_send_errors\": {},", r.gm_send_errors);
-    let _ = writeln!(out, "      \"fatal_errors\": {},", r.fatal_errors);
-    let _ = writeln!(out, "      \"respawns\": {},", r.respawns);
-    let _ = writeln!(out, "      \"replayed_instances\": {},", r.replayed_instances);
-    let _ = writeln!(out, "      \"checkpoints_stored\": {},", r.checkpoints_stored);
-    let _ = writeln!(out, "      \"recoveries\": {},", r.recoveries);
-    let _ = writeln!(out, "      \"completion_ns\": {},", r.completion_ns);
-    let _ = writeln!(out, "      \"blackout_ns\": {}", blackout_ns(results, r));
-    let _ = writeln!(out, "    }}{}", if last { "" } else { "," });
+    o.field("label", c.label).field("pattern", c.pattern.name());
+    o.field("ranks", c.ranks).field("fault", c.fault.name());
+    o.field("iters", c.iters).field("completed", r.completed);
+    o.field("finishers", r.finishers);
+    o.field("checksum", format!("{:016x}", r.checksum));
+    o.field("faults_delivered", r.faults_delivered);
+    o.field("gm_send_errors", r.gm_send_errors);
+    o.field("fatal_errors", r.fatal_errors).field("respawns", r.respawns);
+    o.field("replayed_instances", r.replayed_instances);
+    o.field("checkpoints_stored", r.checkpoints_stored);
+    o.field("recoveries", r.recoveries);
+    o.field("completion_ns", r.completion_ns);
+    o.field("blackout_ns", blackout_ns(results, r));
 }
 
 /// Renders the sweep as JSON: simulation-determined integers only, so it
 /// is byte-identical across runs, hosts, and worker thread counts — the
 /// determinism tests compare it with the committed `BENCH_mpi.json`.
 pub fn summary_json(seed: u64, results: &[MpiCellResult], violations: usize) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"ftgm-mpi-v2\",");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    let _ = writeln!(out, "  \"violations\": {violations},");
-    let _ = writeln!(out, "  \"cells\": [");
-    for (i, r) in results.iter().enumerate() {
-        cell_json(&mut out, results, r, i + 1 == results.len());
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
+    json::document(|o| {
+        o.field("schema", "ftgm-mpi-v2").field("seed", seed);
+        o.field("violations", violations);
+        o.field("cells", json::rows(|a| {
+            for r in results {
+                a.item(json::object(|o| cell_json(o, results, r)));
+            }
+        }));
+    })
 }
 
 #[cfg(test)]

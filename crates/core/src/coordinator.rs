@@ -339,6 +339,9 @@ mod tests {
         assert_eq!(coord.isolations(), 1);
         assert_eq!((ft.recoveries(NodeId(1)), ft.busy(NodeId(1))), (0, false));
         assert!(!w.nodes[1].host.driver.interrupts_enabled());
+        // The trace shows the cut chain: each dropped step is a milestone.
+        let dropped = |k: &TraceKind| matches!(k, TraceKind::FtdStepDroppedDead { node: 1 });
+        assert!(w.trace.count_where(dropped) > 0, "the queued FTD steps stood down silently");
     }
 
     fn coordinatedring_with_dead_nic() -> (World, FtSystem, Coordinator) {

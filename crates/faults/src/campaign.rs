@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use ftgm_sim::{map_indexed, Metrics};
+use ftgm_sim::map_indexed;
 
 use crate::classify::Outcome;
 use crate::inject::{run_one, RunConfig, RunResult};
@@ -61,78 +61,6 @@ impl CampaignResult {
             .count() as u64
     }
 
-    /// Merges every run's metrics snapshot into one campaign-wide registry
-    /// (counters and histogram buckets sum; merging is order-independent,
-    /// so the result does not depend on thread count).
-    pub fn merged_metrics(&self) -> Metrics {
-        let mut merged = Metrics::default();
-        for r in &self.runs {
-            merged.merge(&r.metrics);
-        }
-        merged
-    }
-}
-
-/// Runs `runs` injection experiments on `threads` worker threads.
-///
-/// Deterministic for a given `(config, seed, runs)` regardless of
-/// `threads`.
-pub fn run_campaign(config: &RunConfig, seed: u64, runs: u64, threads: usize) -> CampaignResult {
-    let runs = map_indexed(runs as usize, threads, |i| {
-        run_one(config, seed.wrapping_add(i as u64))
-    });
-    let mut counts = BTreeMap::new();
-    for r in &runs {
-        *counts.entry(r.outcome).or_insert(0) += 1;
-    }
-    CampaignResult { runs, counts }
-}
-
-impl CampaignResult {
-    /// Serializes per-run records as CSV (`run,bit,outcome,recoveries,
-    /// recovered_clean,progress`), for external analysis.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("run,bit,outcome,recoveries,recovered_clean,progress\n");
-        for (i, r) in self.runs.iter().enumerate() {
-            out.push_str(&format!(
-                "{i},{},{:?},{},{},{}\n",
-                r.bit, r.outcome, r.recoveries, r.recovered_clean, r.observables.progress_after
-            ));
-        }
-        out
-    }
-
-    /// Serializes the aggregate as a JSON object (hand-rolled — the
-    /// workspace takes no serialization dependency). Category keys are
-    /// Table 1's labels; per-run detail stays in [`CampaignResult::to_csv`].
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"total_runs\": ");
-        out.push_str(&self.total().to_string());
-        out.push_str(",\n  \"counts\": {");
-        for (i, o) in Outcome::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    \"{}\": {}", o.label(), self.count(*o)));
-        }
-        out.push_str("\n  },\n  \"percents\": {");
-        for (i, o) in Outcome::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    \"{}\": {:.1}", o.label(), self.percent(*o)));
-        }
-        out.push_str(&format!(
-            "\n  }},\n  \"hangs\": {},\n  \"hangs_detected\": {},\n  \"hangs_recovered\": {},\n  \"metrics\": ",
-            self.hangs(),
-            self.hangs_detected(),
-            self.hangs_recovered()
-        ));
-        out.push_str(&self.merged_metrics().to_json_indented(2));
-        out.push_str("\n}\n");
-        out
-    }
-
     /// Renders a Table 1-style comparison against the paper's columns.
     pub fn render_table1(&self) -> String {
         let mut out = String::new();
@@ -153,6 +81,21 @@ impl CampaignResult {
         out.push_str(&format!("total runs: {}\n", self.total()));
         out
     }
+}
+
+/// Runs `runs` injection experiments on `threads` worker threads.
+///
+/// Deterministic for a given `(config, seed, runs)` regardless of
+/// `threads`.
+pub fn run_campaign(config: &RunConfig, seed: u64, runs: u64, threads: usize) -> CampaignResult {
+    let runs = map_indexed(runs as usize, threads, |i| {
+        run_one(config, seed.wrapping_add(i as u64))
+    });
+    let mut counts = BTreeMap::new();
+    for r in &runs {
+        *counts.entry(r.outcome).or_insert(0) += 1;
+    }
+    CampaignResult { runs, counts }
 }
 
 #[cfg(test)]
@@ -186,26 +129,6 @@ mod tests {
         assert_eq!(sum, 10);
         let pct: f64 = Outcome::ALL.iter().map(|o| c.percent(*o)).sum();
         assert!((pct - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn csv_has_one_line_per_run() {
-        let config = quick_config();
-        let c = run_campaign(&config, 5, 6, 2);
-        let csv = c.to_csv();
-        assert_eq!(csv.lines().count(), 7, "{csv}");
-        assert!(csv.starts_with("run,bit,outcome"));
-    }
-
-    #[test]
-    fn json_includes_every_category_and_totals() {
-        let config = quick_config();
-        let c = run_campaign(&config, 9, 4, 2);
-        let json = c.to_json();
-        assert!(json.contains("\"total_runs\": 4"), "{json}");
-        for o in Outcome::ALL {
-            assert!(json.contains(&format!("\"{}\":", o.label())), "{json}");
-        }
     }
 
     #[test]

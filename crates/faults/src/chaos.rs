@@ -307,8 +307,9 @@ pub struct FlowReport {
 }
 
 /// A completed scenario run: per-node and per-flow results plus every
-/// oracle violation (empty = the scenario passed).
-#[derive(Clone, Debug)]
+/// oracle violation (empty = the scenario passed). Replays of the same
+/// `(scenario, seed)` compare equal.
+#[derive(Clone, Debug, PartialEq)]
 pub struct ChaosReport {
     /// Scenario name.
     pub scenario: String,
@@ -329,58 +330,6 @@ impl ChaosReport {
     /// Did every oracle hold?
     pub fn ok(&self) -> bool {
         self.violations.is_empty()
-    }
-
-    /// Serializes the report as a JSON object (hand-rolled, no deps).
-    /// Byte-identical across replays of the same `(scenario, seed)` — the
-    /// replay-identity tests compare these strings directly.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"scenario\": \"{}\",\n", self.scenario));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"ok\": {},\n", self.ok()));
-        out.push_str("  \"nodes\": [");
-        for (i, n) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"node\": {}, \"resolution\": \"{}\", \"recoveries\": {}, \
-                 \"attempts\": {}, \"failed_attempts\": {}, \"escalations\": {}, \
-                 \"false_alarms\": {}}}",
-                n.node,
-                n.resolution,
-                n.recoveries,
-                n.attempts,
-                n.failed_attempts,
-                n.escalations,
-                n.false_alarms
-            ));
-        }
-        out.push_str("\n  ],\n  \"flows\": [");
-        for (i, f) in self.flows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"src\": {}, \"dst\": {}, \"delivered\": {}, \"progress\": {}, \
-                 \"corrupt\": {}, \"misordered\": {}, \"send_errors\": {}, \"iface_dead\": {}, \
-                 \"blackout_ns\": {}}}",
-                f.src, f.dst, f.delivered, f.progress, f.corrupt, f.misordered, f.send_errors,
-                f.iface_dead, f.blackout_ns
-            ));
-        }
-        out.push_str("\n  ],\n  \"violations\": [");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    \"{}\"", v.replace('"', "'")));
-        }
-        out.push_str("\n  ],\n  \"metrics\": ");
-        out.push_str(&self.metrics.to_json_indented(2));
-        out.push_str("\n}\n");
-        out
     }
 }
 
@@ -509,7 +458,7 @@ pub struct ScenarioArtifacts {
     /// The trace in Chrome `trace_event` format (load in `about:tracing`
     /// or Perfetto).
     pub chrome_trace: String,
-    /// The metrics registry as standalone indented JSON.
+    /// The metrics registry as a standalone JSON document.
     pub metrics_json: String,
     /// Zone reroutes the coordinator triggered because concurrent
     /// recoveries crossed its cascade threshold, counted from the typed
@@ -536,7 +485,7 @@ pub fn run_scenario_artifacts<T>(
     let artifacts = ScenarioArtifacts {
         trace_jsonl: export::to_jsonl(&world.trace),
         chrome_trace: export::to_chrome_trace(&world.trace),
-        metrics_json: world.trace.metrics().to_json_indented(0),
+        metrics_json: world.trace.metrics().to_json(),
         cascades: world.trace.count_where(is_cascade_reroute) as u64,
         report,
     };

@@ -18,7 +18,7 @@ use ftgm_core::FtSystem;
 use ftgm_gm::apps::{PatternReceiver, PatternSender, TrafficStats};
 use ftgm_gm::{World, WorldConfig};
 use ftgm_net::NodeId;
-use ftgm_sim::{Metrics, SimDuration, SimRng, TraceKind};
+use ftgm_sim::{SimDuration, SimRng, TraceKind};
 
 use crate::classify::{classify, Observables, Outcome};
 
@@ -93,10 +93,8 @@ impl RunConfig {
     /// The §5.2 effectiveness setup: FTGM with the FTD installed, a window
     /// long enough to complete a full recovery (< 2 s) plus margin.
     pub fn effectiveness() -> RunConfig {
-        let mut world = WorldConfig::ftgm();
-        world.trace = true;
         RunConfig {
-            world,
+            world: WorldConfig::ftgm(),
             with_ft: true,
             warmup: SimDuration::from_ms(10),
             window: SimDuration::from_ms(4_000),
@@ -123,9 +121,6 @@ pub struct RunResult {
     /// FTGM runs: whether traffic was fully clean *and* progressing at the
     /// end (the recovery-success criterion).
     pub recovered_clean: bool,
-    /// Snapshot of the run's metrics registry (empty when the world ran
-    /// with tracing disabled, e.g. Table 1 baselines).
-    pub metrics: Metrics,
 }
 
 /// The sender runs on node 0 (whose `send_chunk` is faulted); the
@@ -263,7 +258,6 @@ pub fn run_one(config: &RunConfig, seed: u64) -> RunResult {
         outcome,
         recoveries,
         recovered_clean,
-        metrics: world.trace.metrics().clone(),
     }
 }
 

@@ -224,8 +224,9 @@ pub(crate) fn on_fatal(world: &mut World, node: NodeId) {
 
 /// Runs one scheduled step on `node`; returns the node and the phase when
 /// a recovery phase completed. Every step stands down once the node is
-/// dead: its escalation (maybe the zone coordinator's, while this chain
-/// was queued) ended the episode, and nothing may re-enable or reload it.
+/// dead, and says so in the trace: its escalation (maybe the zone
+/// coordinator's, while this chain was queued) ended the episode, and
+/// nothing may re-enable or reload it.
 pub(crate) fn step(
     world: &mut World,
     node: NodeId,
@@ -233,6 +234,8 @@ pub(crate) fn step(
 ) -> Option<(NodeId, RecoveryPhase)> {
     let ftd = world.ftd.clone()?;
     if ftd.state(node.0 as usize).dead {
+        let now = world.now();
+        world.trace.emit(now, TraceKind::FtdStepDroppedDead { node: node.0 });
         return None;
     }
     match step {

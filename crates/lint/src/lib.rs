@@ -15,7 +15,7 @@
 //! exhaustive-match invariants are `#![deny(...)]` lints at the top of
 //! the modules they govern (the `clippy` step of `ci.sh`). This crate
 //! keeps what no clippy lint says, with a hand-rolled line/token scanner
-//! (zero dependencies, no `syn`) over the workspace sources: panicking
+//! (no external dependencies, no `syn`) over the workspace sources: panicking
 //! constructs on the recovery path, literal indexing included (R1),
 //! sequence-field writes outside their accessor modules (R3), and the
 //! call-graph closures from the recovery entry points (R7) and the
@@ -25,7 +25,6 @@
 //! `// lint:allow(<rule>)` on (or immediately above) the offending line.
 
 pub mod graph;
-pub mod json;
 pub mod lexer;
 pub mod parse;
 pub mod passes;
@@ -33,6 +32,8 @@ pub mod rules;
 pub mod strip;
 
 use std::path::{Path, PathBuf};
+
+use ftgm_sim::json;
 
 /// One hop of a call-chain diagnostic (graph rules R7 and R9).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -81,35 +82,39 @@ impl Finding {
         }
         s
     }
+}
 
-    /// JSON object form (one element of the report's `findings` array).
-    pub fn render_json(&self) -> String {
-        let chain = self
-            .chain
-            .iter()
-            .map(|h| {
-                format!(
-                    "{{\"file\": \"{}\", \"symbol\": \"{}\"}}",
-                    json::escape(&h.file),
-                    json::escape(&h.symbol)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"col\": {}, \
-             \"symbol\": \"{}\", \"snippet\": \"{}\", \
-             \"chain\": [{}], \"message\": \"{}\"}}",
-            json::escape(self.rule),
-            json::escape(&self.file),
-            self.line,
-            self.col,
-            json::escape(&self.symbol),
-            json::escape(&self.snippet),
-            chain,
-            json::escape(&self.message),
-        )
-    }
+/// The machine-readable report (stdout `--json` and `--report FILE`),
+/// written by [`ftgm_sim::json`]. Deterministic and integer-only:
+/// findings arrive sorted from the scan, and every numeric field is a
+/// count or a 1-based source position.
+pub fn report_json(findings: &[Finding]) -> String {
+    json::document(|o| {
+        o.field("schema", "ftgm-lint-v2");
+        o.field("rules", json::inline_array(|a| {
+            for r in rules::ALL_RULES {
+                a.item(r);
+            }
+        }));
+        o.field("count", findings.len());
+        o.field("findings", json::rows(|a| {
+            for f in findings {
+                a.item(json::inline_object(|row| {
+                    row.field("rule", f.rule).field("file", &f.file);
+                    row.field("line", f.line).field("col", f.col);
+                    row.field("symbol", &f.symbol).field("snippet", &f.snippet);
+                    row.field("chain", json::inline_array(|chain| {
+                        for h in &f.chain {
+                            chain.item(json::inline_object(|hop| {
+                                hop.field("file", &h.file).field("symbol", &h.symbol);
+                            }));
+                        }
+                    }));
+                    row.field("message", &f.message);
+                }));
+            }
+        }));
+    })
 }
 
 /// Scans one file's content as if it lived at `rel` (forward-slash,
@@ -250,15 +255,21 @@ mod tests {
             ],
             message: "msg with \"quotes\"".to_string(),
         };
-        assert_eq!(
-            f.render_json(),
-            "{\"rule\": \"transitive-panic\", \"file\": \"crates/sim/src/x.rs\", \"line\": 3, \
-             \"col\": 7, \"symbol\": \"Sched::push\", \
-             \"snippet\": \"x.unwrap();\", \
-             \"chain\": [{\"file\": \"crates/sim/src/sched.rs\", \"symbol\": \"run\"}, \
-             {\"file\": \"crates/sim/src/x.rs\", \"symbol\": \"Sched::push\"}], \
-             \"message\": \"msg with \\\"quotes\\\"\"}"
-        );
+        let row = "{\"rule\": \"transitive-panic\", \"file\": \"crates/sim/src/x.rs\", \
+                   \"line\": 3, \"col\": 7, \"symbol\": \"Sched::push\", \
+                   \"snippet\": \"x.unwrap();\", \
+                   \"chain\": [{\"file\": \"crates/sim/src/sched.rs\", \"symbol\": \"run\"}, \
+                   {\"file\": \"crates/sim/src/x.rs\", \"symbol\": \"Sched::push\"}], \
+                   \"message\": \"msg with \\\"quotes\\\"\"}";
+        let rules = rules::ALL_RULES.map(|r| format!("\"{r}\"")).join(", ");
+        let doc = |count: usize, rows: &str| {
+            format!(
+                "{{\n  \"schema\": \"ftgm-lint-v2\",\n  \"rules\": [{rules}],\n  \
+                 \"count\": {count},\n  \"findings\": [\n{rows}  ]\n}}\n"
+            )
+        };
+        assert_eq!(report_json(std::slice::from_ref(&f)), doc(1, &format!("    {row}\n")));
+        assert_eq!(report_json(&[]), doc(0, ""));
         assert!(f.render().contains("via run \u{2192} Sched::push"));
     }
 

@@ -13,7 +13,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ftgm_lint::{default_root, rules, scan_workspace, Finding};
+use ftgm_lint::{default_root, report_json, rules, scan_workspace};
 
 struct Options {
     root: PathBuf,
@@ -114,23 +114,4 @@ fn main() -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
-}
-
-/// The machine-readable report (stdout `--json` and `--report FILE`).
-/// Deterministic and integer-only: findings arrive sorted from the scan,
-/// and every numeric field is a count or a 1-based source position.
-fn report_json(findings: &[Finding]) -> String {
-    let rules_list = rules::ALL_RULES
-        .iter()
-        .map(|r| format!("\"{r}\""))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let items: Vec<String> = findings.iter().map(Finding::render_json).collect();
-    format!(
-        "{{\n  \"schema\": \"ftgm-lint-v2\",\n  \"rules\": [{}],\n  \
-         \"count\": {},\n  \"findings\": [\n    {}\n  ]\n}}\n",
-        rules_list,
-        findings.len(),
-        items.join(",\n    ")
-    )
 }

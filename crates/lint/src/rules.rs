@@ -152,19 +152,20 @@ pub(crate) const R7_ENTRY_FNS: [(&str, &str); 2] = [
 /// `(file, fn name)` pairs that mark the integer-only serializer surface
 /// for R9 (in addition to every fn in `crates/sim/src/export.rs`). These
 /// are the byte-stable JSON emitters that ci.sh grep-gates as
-/// integer-only; `CampaignResult::to_json` in `faults/src/campaign.rs`
-/// is deliberately absent — its Table-1 percentages are floats by design.
+/// integer-only; every one writes through `crates/sim/src/json.rs`, whose
+/// value trait no float implements, so R9 guards the arithmetic that
+/// feeds them.
 pub(crate) const R9_ENTRY_FNS: [(&str, &str); 10] = [
     ("crates/bench/src/bin/chaos.rs", "rollup_json"),
     ("crates/bench/src/mpi.rs", "cell_json"),
     ("crates/bench/src/mpi.rs", "summary_json"),
+    ("crates/lint/src/lib.rs", "report_json"),
     ("crates/scenario/src/run.rs", "to_json"),
-    ("crates/faults/src/chaos.rs", "to_json"),
     ("crates/sim/src/metrics.rs", "to_json"),
-    ("crates/sim/src/metrics.rs", "to_json_indented"),
     ("crates/sim/src/trace.rs", "write_json_fields"),
     ("crates/workload/src/slo.rs", "fold_report"),
     ("crates/workload/src/slo.rs", "to_json"),
+    ("crates/workload/src/slo.rs", "write_fields"),
 ];
 
 /// Every file and directory a rule table scopes a rule by, for the

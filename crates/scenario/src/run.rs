@@ -19,7 +19,7 @@ use std::fmt;
 
 use ftgm_faults::chaos::{run_scenario_artifacts, ScenarioArtifacts};
 use ftgm_faults::{classify_scenario, ScenarioVerdict};
-use ftgm_sim::map_indexed;
+use ftgm_sim::{json, map_indexed};
 use ftgm_workload::{run_spec, spawn_load, SloReport};
 
 use crate::compile::CompiledScenario;
@@ -99,67 +99,53 @@ impl ScenarioOutcome {
     /// Serializes the outcome as byte-stable, integer-valued JSON (the
     /// golden format, schema `ftgm-scenario-v1`).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": \"ftgm-scenario-v1\",");
-        let _ = writeln!(out, "  \"name\": \"{}\",", self.name);
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"expected\": \"{}\",", self.expected.label());
-        let _ = writeln!(out, "  \"verdict\": \"{}\",", self.verdict.label());
-        let _ = writeln!(out, "  \"chaos_ok\": {},", self.chaos.report.ok());
-        let _ = writeln!(out, "  \"escalations\": {},", self.escalations);
-        let _ = writeln!(out, "  \"zone_reroutes\": {},", self.zone_reroutes);
-        out.push_str("  \"nodes\": [");
-        for (i, n) in self.chaos.report.nodes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"node\": {}, \"resolution\": \"{}\", \"recoveries\": {}, \
-                 \"escalations\": {}, \"false_alarms\": {}}}",
-                n.node, n.resolution, n.recoveries, n.escalations, n.false_alarms
-            );
-        }
-        out.push_str("\n  ],\n  \"flows\": [");
-        for (i, f) in self.chaos.report.flows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"src\": {}, \"dst\": {}, \"delivered\": {}, \"progress\": {}, \
-                 \"corrupt\": {}, \"misordered\": {}, \"iface_dead\": {}, \"blackout_ns\": {}}}",
-                f.src, f.dst, f.delivered, f.progress, f.corrupt, f.misordered, f.iface_dead,
-                f.blackout_ns
-            );
-        }
-        out.push_str("\n  ],\n  \"violations\": [");
+        let report = &self.chaos.report;
         let violations = self.violations();
-        for (i, v) in violations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        json::document(|o| {
+            o.field("schema", "ftgm-scenario-v1").field("name", &self.name);
+            o.field("seed", self.seed);
+            o.field("expected", self.expected.label());
+            o.field("verdict", self.verdict.label());
+            o.field("chaos_ok", report.ok());
+            o.field("escalations", self.escalations);
+            o.field("zone_reroutes", self.zone_reroutes);
+            o.field("nodes", json::rows(|a| {
+                for n in &report.nodes {
+                    a.item(json::inline_object(|o| {
+                        o.field("node", n.node).field("resolution", n.resolution.label());
+                        o.field("recoveries", n.recoveries);
+                        o.field("escalations", n.escalations);
+                        o.field("false_alarms", n.false_alarms);
+                    }));
+                }
+            }));
+            o.field("flows", json::rows(|a| {
+                for f in &report.flows {
+                    a.item(json::inline_object(|o| {
+                        o.field("src", f.src).field("dst", f.dst);
+                        o.field("delivered", f.delivered).field("progress", f.progress);
+                        o.field("corrupt", f.corrupt).field("misordered", f.misordered);
+                        o.field("iface_dead", f.iface_dead);
+                        o.field("blackout_ns", f.blackout_ns);
+                    }));
+                }
+            }));
+            // The goldens pin `[]` for a run that held every oracle.
+            let each = |a: &mut json::Array<'_>| {
+                for v in &violations {
+                    a.item(v);
+                }
+            };
+            if violations.is_empty() {
+                o.field("violations", json::inline_array(each));
+            } else {
+                o.field("violations", json::rows(each));
             }
-            let _ = write!(out, "\n    \"{}\"", v.replace('"', "'"));
-        }
-        out.push_str(if violations.is_empty() { "],\n" } else { "\n  ],\n" });
-        embed_report(&mut out, "load", self.load.as_ref(), true);
-        embed_report(&mut out, "gm", self.gm.as_ref(), false);
-        out.push_str("}\n");
-        out
+            for (key, slo) in [("load", &self.load), ("gm", &self.gm)] {
+                o.field(key, slo.as_ref().map(|r| json::object(move |o| r.write_fields(o))));
+            }
+        })
     }
-}
-
-/// Embeds an optional [`SloReport`] as a nested object (or `null`),
-/// re-indenting its serialized form two spaces.
-fn embed_report(out: &mut String, key: &str, report: Option<&SloReport>, comma: bool) {
-    use std::fmt::Write as _;
-    let _ = write!(out, "  \"{key}\": ");
-    match report {
-        None => out.push_str("null"),
-        Some(r) => out.push_str(&r.to_json().replace('\n', "\n  ")),
-    }
-    out.push_str(if comma { ",\n" } else { "\n" });
 }
 
 /// Runs one compiled scenario end to end and classifies the verdict.

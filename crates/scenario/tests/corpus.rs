@@ -269,15 +269,13 @@ fn link_flap_recovers_without_ftd_involvement() {
 #[test]
 fn report_json_is_replay_identical() {
     let s = named("double-flip-during-reload");
-    let a = run_scenario(&s, 17).to_json();
-    let b = run_scenario(&s, 17).to_json();
-    assert_eq!(a, b);
+    assert_eq!(run_scenario(&s, 17), run_scenario(&s, 17));
 }
 
 #[test]
 fn different_seeds_differ() {
     let s = named("double-flip-during-reload");
-    let [a, b] = [0, 1].map(|seed| run_scenario(&s, seed).to_json());
+    let [a, b] = [0, 1].map(|seed| run_scenario(&s, seed));
     assert_ne!(a, b, "seeds 0 and 1 produced identical runs");
 }
 

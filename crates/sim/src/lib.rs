@@ -17,6 +17,7 @@
 //! * [`metrics::Metrics`] — deterministic counters and fixed-bucket
 //!   histograms fed by every trace emission,
 //! * [`export`] — JSON-lines and Chrome `trace_event` exporters,
+//! * [`json`] — the one integer-only JSON writer every report shares,
 //! * [`pool::map_indexed`] — the one slot-disciplined worker pool every
 //!   parallel campaign, corpus replay, suite and sweep fans out through.
 //!
@@ -35,6 +36,7 @@
 //! ```
 
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod pool;
 pub mod rng;

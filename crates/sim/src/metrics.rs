@@ -4,13 +4,14 @@
 //! histograms over sim-time quantities (detection latency, per-phase
 //! recovery durations, watchdog gaps, retry backoffs, queue depths).
 //! Everything is plain integer state in fixed-size arrays: observation
-//! never allocates, snapshots are `Clone`, independent runs merge with
-//! [`Metrics::merge`], and [`Metrics::to_json`] renders a byte-stable
-//! JSON document (integers only, fixed field order) so exported
-//! snapshots can be compared across runs and thread counts.
+//! never allocates, snapshots are `Clone`, and [`Metrics::to_json`]
+//! renders a byte-stable JSON document through [`crate::json`]
+//! (integers only, fixed field order) so exported snapshots can be
+//! compared across runs and thread counts.
 
 use std::collections::BTreeMap;
 
+use crate::json;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{DropKind, RecoveryPhase, TraceKind, KIND_COUNT, KIND_NAMES};
 
@@ -358,35 +359,6 @@ impl Histogram {
             *bucket += 1;
         }
     }
-
-    /// Mean sample value, rounded down (0 when empty). Integer on
-    /// purpose: histograms feed the byte-stable JSON exports.
-    pub fn mean(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.sum / self.count
-        }
-    }
-
-    /// Folds another histogram (same bounds) into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += *theirs;
-        }
-    }
 }
 
 /// The registry: per-kind event counters, protocol accumulators, and the
@@ -513,98 +485,46 @@ impl Metrics {
         self.hists.get(id.index()).unwrap_or(&EMPTY_HISTOGRAM)
     }
 
-    /// Folds another registry into this one (campaign aggregation).
-    /// Open fault marks are bookkeeping, not measurements, and are not
-    /// merged.
-    pub fn merge(&mut self, other: &Metrics) {
-        for (mine, theirs) in self.counters.iter_mut().zip(other.counters.iter()) {
-            *mine += *theirs;
-        }
-        self.resent_chunks += other.resent_chunks;
-        self.committed_messages += other.committed_messages;
-        for (mine, theirs) in self.drops.iter_mut().zip(other.drops.iter()) {
-            *mine += *theirs;
-        }
-        for (mine, theirs) in self.hists.iter_mut().zip(other.hists.iter()) {
-            mine.merge(theirs);
-        }
-    }
-
-    /// Renders the registry as a byte-stable JSON object, indented so it
-    /// can embed inside larger documents. `indent` is the number of
-    /// leading spaces on the object's own lines.
-    pub fn to_json_indented(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent);
-        let inner = " ".repeat(indent + 2);
-        let deep = " ".repeat(indent + 4);
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("{inner}\"events_total\": {},\n", self.total_events()));
-        out.push_str(&format!("{inner}\"resent_chunks\": {},\n", self.resent_chunks));
-        out.push_str(&format!(
-            "{inner}\"committed_messages\": {},\n",
-            self.committed_messages
-        ));
-        out.push_str(&format!("{inner}\"counters\": {{\n"));
-        let nonzero: Vec<(usize, u64)> = self
-            .counters
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|&(_, c)| c > 0)
-            .collect();
-        for (row, (i, c)) in nonzero.iter().enumerate() {
-            let comma = if row + 1 < nonzero.len() { "," } else { "" };
-            let name = KIND_NAMES.get(*i).copied().unwrap_or("Unknown");
-            out.push_str(&format!("{deep}\"{name}\": {c}{comma}\n"));
-        }
-        out.push_str(&format!("{inner}}},\n"));
-        out.push_str(&format!("{inner}\"fabric_drops\": {{\n"));
-        out.push_str(&format!("{deep}\"total\": {},\n", self.fabric_drops_total()));
-        for (row, kind) in DropKind::ALL.iter().enumerate() {
-            let comma = if row + 1 < DropKind::ALL.len() { "," } else { "" };
-            out.push_str(&format!(
-                "{deep}\"{}\": {}{comma}\n",
-                kind.name(),
-                self.fabric_drops(*kind)
-            ));
-        }
-        out.push_str(&format!("{inner}}},\n"));
-        out.push_str(&format!("{inner}\"histograms\": {{\n"));
-        for (row, id) in HistId::ALL.iter().enumerate() {
-            let h = self.hist(*id);
-            let comma = if row + 1 < HistId::ALL.len() { "," } else { "" };
-            let bounds = id
-                .bounds()
-                .iter()
-                .map(|b| b.to_string())
-                .collect::<Vec<_>>()
-                .join(",");
-            let buckets = h
-                .buckets
-                .iter()
-                .map(|b| b.to_string())
-                .collect::<Vec<_>>()
-                .join(",");
-            out.push_str(&format!(
-                "{deep}\"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"bounds\": [{bounds}], \"buckets\": [{buckets}]}}{comma}\n",
-                id.name(),
-                h.count,
-                h.sum,
-                h.min,
-                h.max
-            ));
-        }
-        out.push_str(&format!("{inner}}}\n"));
-        out.push_str(&format!("{pad}}}"));
-        out
-    }
-
-    /// Renders the registry as a standalone JSON document.
+    /// Renders the registry as a standalone JSON document (integers
+    /// only, fixed field order).
     pub fn to_json(&self) -> String {
-        let mut s = self.to_json_indented(0);
-        s.push('\n');
-        s
+        json::document(|o| {
+            o.field("events_total", self.total_events());
+            o.field("resent_chunks", self.resent_chunks);
+            o.field("committed_messages", self.committed_messages);
+            o.field("counters", json::object(|c| {
+                for (name, &n) in KIND_NAMES.iter().zip(&self.counters) {
+                    if n > 0 {
+                        c.field(name, n);
+                    }
+                }
+            }));
+            o.field("fabric_drops", json::object(|d| {
+                d.field("total", self.fabric_drops_total());
+                for kind in DropKind::ALL {
+                    d.field(kind.name(), self.fabric_drops(kind));
+                }
+            }));
+            o.field("histograms", json::object(|hs| {
+                for id in HistId::ALL {
+                    let h = self.hist(id);
+                    hs.field(id.name(), json::inline_object(|f| {
+                        f.field("count", h.count).field("sum", h.sum);
+                        f.field("min", h.min).field("max", h.max);
+                        f.field("bounds", json::inline_array(|a| {
+                            for b in id.bounds() {
+                                a.item(b);
+                            }
+                        }));
+                        f.field("buckets", json::inline_array(|a| {
+                            for b in &h.buckets {
+                                a.item(b);
+                            }
+                        }));
+                    }));
+                }
+            }));
+        })
     }
 }
 
@@ -759,23 +679,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_matches_sequential_observation() {
-        let mut a = Histogram::default();
-        let mut b = Histogram::default();
-        let mut both = Histogram::default();
-        for v in [10u64, 2_000, 50_000] {
-            a.observe(v, &DURATION_BOUNDS);
-            both.observe(v, &DURATION_BOUNDS);
-        }
-        for v in [7u64, 900_000_000] {
-            b.observe(v, &DURATION_BOUNDS);
-            both.observe(v, &DURATION_BOUNDS);
-        }
-        a.merge(&b);
-        assert_eq!(a, both);
-    }
-
-    #[test]
     fn detection_latency_derived_from_fault_and_wake() {
         let mut m = Metrics::default();
         m.observe(t(100), &TraceKind::ForcedHang { node: 3 });
@@ -823,31 +726,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_single_stream() {
-        let mut a = Metrics::default();
-        let mut b = Metrics::default();
-        let mut both = Metrics::default();
-        let early: Vec<TraceKind> = vec![
-            TraceKind::ForcedHang { node: 0 },
-            TraceKind::FtdWoken { node: 0 },
-        ];
-        let late: Vec<TraceKind> = vec![
-            TraceKind::Resent { node: 1, chunks: 2 },
-            TraceKind::WatchdogFired { node: 1 },
-        ];
-        for (i, k) in early.iter().enumerate() {
-            a.observe(t(i as u64 * 100), k);
-            both.observe(t(i as u64 * 100), k);
-        }
-        for (i, k) in late.iter().enumerate() {
-            b.observe(t(1_000 + i as u64 * 100), k);
-            both.observe(t(1_000 + i as u64 * 100), k);
-        }
-        a.merge(&b);
-        assert_eq!(a, both);
-    }
-
-    #[test]
     fn fabric_drops_counted_per_reason_and_exported() {
         let mut m = Metrics::default();
         m.observe(t(1), &TraceKind::FabricDrop { node: 0, reason: DropKind::BadLink });
@@ -862,11 +740,6 @@ mod tests {
         assert!(j.contains("\"bad_link\": 2"));
         assert!(j.contains("\"link_down\": 1"));
         assert!(j.contains("\"total\": 3"));
-        // Merge folds the per-reason array.
-        let mut other = Metrics::default();
-        other.observe(t(9), &TraceKind::FabricDrop { node: 2, reason: DropKind::BadLink });
-        m.merge(&other);
-        assert_eq!(m.fabric_drops(DropKind::BadLink), 3);
     }
 
     #[test]
@@ -880,6 +753,10 @@ mod tests {
         assert!(j1.contains("\"events_total\": 2"));
         assert!(j1.contains("\"ForcedHang\": 1"));
         assert!(j1.contains("\"detection_latency_ns\""));
+        assert!(j1.contains(
+            "\n    \"send_queue_depth\": {\"count\": 0, \"sum\": 0, \"min\": 0, \"max\": 0, \
+             \"bounds\": [1, 2, 4, 8, 16, 32, 64], \"buckets\": [0, 0, 0, 0, 0, 0, 0, 0]},\n"
+        ));
         assert_eq!(j1.matches('{').count(), j1.matches('}').count());
     }
 }

@@ -722,6 +722,12 @@ trace_kinds! {
         /// Mailbox depth after the delivery.
         depth: u32,
     } => format!("node{node}.{port}: mpi mailbox buffered an envelope (depth {depth})");
+    /// A scheduled FTD step (a queued phase, retry, verification or port
+    /// reopen) found its interface escalated and stood down.
+    FtdStepDroppedDead("ftd", milestone, node) {
+        /// The dead interface's node.
+        node: u16,
+    } => format!("node{node}: FTD step dropped — interface is dead");
 }
 
 /// One recorded event.

@@ -117,6 +117,8 @@ fn samples() -> Vec<TraceKind> {
         PeerIsolated { observer: 6, peer: 5 },
         MailboxQueued { node: 0, port: 1, depth: 2 },
         MailboxQueued { node: 255, port: 3, depth: 1_024 },
+        FtdStepDroppedDead { node: 0 },
+        FtdStepDroppedDead { node: 5 },
     ]
 }
 

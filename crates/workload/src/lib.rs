@@ -66,6 +66,4 @@ pub use column::{Column, ColumnIter};
 pub use driver::{run_spec, spawn_load, topology_label, LoadRun};
 pub use gen::{ClosedLoopClient, OpenLoopSender};
 pub use slo::{fold_report, Completion, FlowProbe, PhaseSlo, PhaseWindows, SloBounds, SloReport};
-pub use spec::{
-    demo_suite, Arrival, ClientModel, FlowSpec, Phase, PhaseKind, SizeMix, Variant, WorkloadSpec,
-};
+pub use spec::{Arrival, ClientModel, FlowSpec, Phase, PhaseKind, SizeMix, Variant, WorkloadSpec};

@@ -7,6 +7,7 @@
 //! (nanoseconds, bytes, counts, permille ratios) so the JSON is
 //! byte-stable across platforms.
 
+use ftgm_sim::json;
 use ftgm_sim::metrics::bytes_per_sec;
 use ftgm_sim::{Samples, SimDuration, SimTime};
 
@@ -156,48 +157,40 @@ impl SloReport {
         self.phase("fault")
     }
 
+    /// Writes the report's fields (integers and labels only) into `o`:
+    /// the body of [`SloReport::to_json`], or of the object a scenario
+    /// outcome nests.
+    pub fn write_fields(&self, o: &mut json::Object<'_>) {
+        o.field("name", &self.name).field("topology", &self.topology);
+        o.field("variant", &self.variant).field("seed", self.seed);
+        o.field("run_ns", self.run_ns);
+        o.field("total_issued", self.total_issued);
+        o.field("total_completed", self.total_completed);
+        o.field("send_errors", self.send_errors);
+        o.field("bad_responses", self.bad_responses);
+        o.field("corrupt", self.corrupt).field("iface_dead", self.iface_dead);
+        o.field("recoveries", self.recoveries);
+        o.field("phases", json::rows(|a| {
+            for p in &self.phases {
+                a.item(json::object(|o| {
+                    o.field("phase", p.name).field("start_ns", p.start_ns);
+                    o.field("end_ns", p.end_ns).field("issued", p.issued);
+                    o.field("completed", p.completed).field("bytes", p.bytes);
+                    o.field("goodput_bytes_per_sec", p.goodput_bytes_per_sec);
+                    o.field("p50_ns", p.p50_ns).field("p95_ns", p.p95_ns);
+                    o.field("p99_ns", p.p99_ns).field("p999_ns", p.p999_ns);
+                    o.field("mean_ns", p.mean_ns).field("max_ns", p.max_ns);
+                    o.field("max_in_flight", p.max_in_flight);
+                    o.field("longest_gap_ns", p.longest_gap_ns);
+                    o.field("completed_permille", p.completed_permille);
+                }));
+            }
+        }));
+    }
+
     /// Serializes the report as deterministic, integer-valued JSON.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"name\": \"{}\",", self.name);
-        let _ = writeln!(out, "  \"topology\": \"{}\",", self.topology);
-        let _ = writeln!(out, "  \"variant\": \"{}\",", self.variant);
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"run_ns\": {},", self.run_ns);
-        let _ = writeln!(out, "  \"total_issued\": {},", self.total_issued);
-        let _ = writeln!(out, "  \"total_completed\": {},", self.total_completed);
-        let _ = writeln!(out, "  \"send_errors\": {},", self.send_errors);
-        let _ = writeln!(out, "  \"bad_responses\": {},", self.bad_responses);
-        let _ = writeln!(out, "  \"corrupt\": {},", self.corrupt);
-        let _ = writeln!(out, "  \"iface_dead\": {},", self.iface_dead);
-        let _ = writeln!(out, "  \"recoveries\": {},", self.recoveries);
-        let _ = writeln!(out, "  \"phases\": [");
-        for (i, p) in self.phases.iter().enumerate() {
-            let comma = if i + 1 < self.phases.len() { "," } else { "" };
-            let _ = writeln!(out, "    {{");
-            let _ = writeln!(out, "      \"phase\": \"{}\",", p.name);
-            let _ = writeln!(out, "      \"start_ns\": {},", p.start_ns);
-            let _ = writeln!(out, "      \"end_ns\": {},", p.end_ns);
-            let _ = writeln!(out, "      \"issued\": {},", p.issued);
-            let _ = writeln!(out, "      \"completed\": {},", p.completed);
-            let _ = writeln!(out, "      \"bytes\": {},", p.bytes);
-            let _ = writeln!(out, "      \"goodput_bytes_per_sec\": {},", p.goodput_bytes_per_sec);
-            let _ = writeln!(out, "      \"p50_ns\": {},", p.p50_ns);
-            let _ = writeln!(out, "      \"p95_ns\": {},", p.p95_ns);
-            let _ = writeln!(out, "      \"p99_ns\": {},", p.p99_ns);
-            let _ = writeln!(out, "      \"p999_ns\": {},", p.p999_ns);
-            let _ = writeln!(out, "      \"mean_ns\": {},", p.mean_ns);
-            let _ = writeln!(out, "      \"max_ns\": {},", p.max_ns);
-            let _ = writeln!(out, "      \"max_in_flight\": {},", p.max_in_flight);
-            let _ = writeln!(out, "      \"longest_gap_ns\": {},", p.longest_gap_ns);
-            let _ = writeln!(out, "      \"completed_permille\": {}", p.completed_permille);
-            let _ = writeln!(out, "    }}{comma}");
-        }
-        let _ = writeln!(out, "  ]");
-        let _ = write!(out, "}}");
-        out
+        json::document(|o| self.write_fields(o))
     }
 }
 

@@ -306,72 +306,6 @@ impl WorkloadSpec {
     }
 }
 
-/// A small suite of fast, deterministic demo specs used by the
-/// determinism tests: a two-node open-loop run and a 4-node star mix.
-/// Each finishes in well under a simulated second.
-pub fn demo_suite() -> Vec<WorkloadSpec> {
-    let open = WorkloadSpec::new("demo_open", ChaosTopology::TwoNode, Variant::Ftgm, 11)
-        .flow(FlowSpec {
-            src: 0,
-            src_port: 0,
-            dst: 1,
-            dst_port: 2,
-            model: ClientModel::OpenLoop {
-                arrival: Arrival::UniformJitter {
-                    min: SimDuration::from_us(40),
-                    max: SimDuration::from_us(80),
-                },
-            },
-            sizes: SizeMix::Weighted {
-                options: vec![(64, 3), (1024, 1)],
-            },
-        })
-        .phase(PhaseKind::Warmup, SimDuration::from_ms(5))
-        .phase(PhaseKind::Steady, SimDuration::from_ms(40))
-        .phase(PhaseKind::Drain, SimDuration::from_ms(10));
-
-    let star = WorkloadSpec::new("demo_star4", ChaosTopology::Star(4), Variant::Ftgm, 37)
-        .flow(FlowSpec {
-            src: 1,
-            src_port: 0,
-            dst: 0,
-            dst_port: 2,
-            model: ClientModel::ClosedLoop {
-                think: SimDuration::from_us(50),
-            },
-            sizes: SizeMix::Fixed { bytes: 256 },
-        })
-        .flow(FlowSpec {
-            src: 2,
-            src_port: 0,
-            dst: 0,
-            dst_port: 2,
-            model: ClientModel::ClosedLoop {
-                think: SimDuration::from_us(50),
-            },
-            sizes: SizeMix::Fixed { bytes: 256 },
-        })
-        .flow(FlowSpec {
-            src: 3,
-            src_port: 0,
-            dst: 0,
-            dst_port: 3,
-            model: ClientModel::OpenLoop {
-                arrival: Arrival::ParetoBurst {
-                    scale: SimDuration::from_us(30),
-                    shape_permille: 1500,
-                    cap: SimDuration::from_ms(2),
-                },
-            },
-            sizes: SizeMix::Fixed { bytes: 512 },
-        })
-        .phase(PhaseKind::Warmup, SimDuration::from_ms(5))
-        .phase(PhaseKind::Steady, SimDuration::from_ms(30))
-        .phase(PhaseKind::Drain, SimDuration::from_ms(10));
-
-    vec![open, star]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,7 +7,9 @@
 mod common;
 
 use common::{pick, STANDARD};
-use ftgm_faults::chaos::{run_scenario, ChaosAction, ChaosEvent, ChaosScenario, PhaseTrigger};
+use ftgm_faults::chaos::{
+    run_scenario, ChaosAction, ChaosEvent, ChaosReport, ChaosScenario, PhaseTrigger,
+};
 use ftgm_faults::{InjectionTarget, Resolution};
 use ftgm_sim::{RecoveryPhase, SimDuration};
 
@@ -38,11 +40,8 @@ fn standard_set_passes_all_oracles() {
 #[cfg_attr(debug_assertions, ignore = "runs in the release-mode chaos_smoke CI step")]
 fn same_seed_replays_byte_identically() {
     let scenarios = pick(&STANDARD);
-    let run = |seed| -> Vec<String> {
-        scenarios
-            .iter()
-            .map(|s| run_scenario(&s.chaos, seed).to_json())
-            .collect()
+    let run = |seed| -> Vec<ChaosReport> {
+        scenarios.iter().map(|s| run_scenario(&s.chaos, seed)).collect()
     };
     assert_eq!(run(7), run(7), "same-seed replay diverged");
 }

@@ -77,7 +77,7 @@ fn assert_same_exports(first: &[ScenarioOutcome], second: &[ScenarioOutcome]) {
         assert_eq!(a.trace_jsonl, b.trace_jsonl, "{name}: event stream diverged");
         assert_eq!(a.chrome_trace, b.chrome_trace, "{name}: chrome trace diverged");
         assert_eq!(a.metrics_json, b.metrics_json, "{name}: metrics diverged");
-        assert_eq!(a.report.to_json(), b.report.to_json(), "{name}: report diverged");
+        assert_eq!(a.report, b.report, "{name}: report diverged");
     }
 }
 

@@ -522,10 +522,7 @@ proptest! {
             prop_assert_eq!(h.buckets.iter().sum::<u64>(), h.count, "{:?}", id);
         }
         // Storage mode never changes accounting, only what is kept.
-        prop_assert_eq!(
-            m.to_json_indented(0),
-            milestones.metrics().to_json_indented(0)
-        );
+        prop_assert_eq!(m.to_json(), milestones.metrics().to_json());
         prop_assert_eq!(full.events().len(), kinds.len());
         prop_assert_eq!(
             milestones.events().len(),
