@@ -10,12 +10,14 @@
 # Static analysis is two steps. `clippy` states what a clippy lint can:
 # the nondeterminism bans of clippy.toml (denied workspace-wide in
 # Cargo.toml) and the `#![deny(...)]` lints at the top of the modules
-# they govern; it fails on any error-level diagnostic, and warnings do
-# not fail it. `lint` (ftgm-lint) keeps what clippy cannot say: the
-# call-graph closures (R7, R9), literal indexing on the recovery path
-# (R1) and sequence-field writes (R3); it exits 1 on any finding, and
-# its only suppression is an inline `// lint:allow(<rule>)`. See
-# docs/STATIC_ANALYSIS.md.
+# and crates they govern (no panicking call or unchecked index on the
+# recovery path, no float arithmetic a serializer reaches); it fails on
+# any error-level diagnostic, and warnings do not fail it. The compiler
+# keeps the sequence fields private to their modules. `lint` (ftgm-lint)
+# keeps the one rule clippy cannot say, R7: no panic reachable through
+# the call graph from a recovery entry point; it exits 1 on any finding,
+# and its only suppression is an inline
+# `// lint:allow(transitive-panic)`. See docs/STATIC_ANALYSIS.md.
 set -eu
 cd "$(dirname "$0")"
 
@@ -108,9 +110,11 @@ run_examples() {
 }
 step examples 120 run_examples
 # Library and binary code only (`--lib --bins`): test code may read the
-# wall clock or unwrap freely.
+# wall clock, unwrap or index freely. Every `#![deny(...)]` it enforces
+# is pinned by crates/lint/tests/workspace_gate.rs.
 step clippy 300 cargo clippy --workspace --lib --bins --offline -q
 mkdir -p results
+# R7 (transitive-panic), the one rule no clippy lint states.
 step lint 120 cargo run -q -p ftgm-lint -- --report results/lint_report.json
 # Rustdoc with intra-doc links is part of the API (the trace table in
 # crates/sim/src/trace.rs generates half of its output as docs); a

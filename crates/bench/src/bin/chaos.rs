@@ -19,6 +19,10 @@
 //! file loads in Perfetto / `about:tracing`). Every byte written is a
 //! function of the corpus alone.
 
+// What is computed here can reach a byte-stable report (the goldens,
+// BENCH_*.json); float arithmetic needs a reasoned `#[expect]`.
+#![deny(clippy::float_arithmetic)]
+
 use std::fs;
 use std::path::Path;
 use std::process::ExitCode;

@@ -22,6 +22,10 @@
 //! is a count or a simulated-clock instant, so the output is byte-stable
 //! across runs, hosts and thread counts.
 
+// What is computed here can reach a byte-stable report (the goldens,
+// BENCH_*.json); float arithmetic needs a reasoned `#[expect]`.
+#![deny(clippy::float_arithmetic)]
+
 use std::cell::RefCell;
 use std::rc::Rc;
 

@@ -30,8 +30,14 @@
 //!   from being mistaken for a death.
 //!
 //! The coordinator is recovery code: it runs on the FTD path and must
-//! never panic (ftgm-lint R1/R7 cover it). All decisions derive from
+//! never panic (the clippy denies below and ftgm-lint's transitive-panic
+//! rule cover it). All decisions derive from
 //! deterministic simulation state, so coordinated runs stay bit-stable.
+
+// The recovery path must not fail: a panic here turns a recoverable
+// hang into a crash.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
 
 use std::cell::RefCell;
 use std::rc::Rc;

@@ -26,6 +26,11 @@
 //! bench binary; tests that need a one-off build a [`ChaosScenario`]
 //! from the [`ChaosScenario::two_node`] skeleton directly.
 
+// The recovery path must not fail: a panic here turns a recoverable
+// hang into a crash.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+
 use std::cell::RefCell;
 use std::rc::Rc;
 

@@ -45,6 +45,10 @@ impl FieldMatrix {
             let total = self.field_total(f);
             out.push_str(&format!("{:<8} {total:>6}", f.label()));
             for o in Outcome::ALL {
+                #[expect(
+                    clippy::float_arithmetic,
+                    reason = "a percentage for the text table; no JSON report carries it"
+                )]
                 let pct = if total == 0 {
                     0.0
                 } else {

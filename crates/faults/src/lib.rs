@@ -19,6 +19,10 @@
 //!   recovery-or-escalation oracles. The named scenarios themselves are
 //!   the `scenarios/*.ftsc` corpus (`ftgm-scenario`).
 
+// What is computed here can reach a byte-stable report (the goldens,
+// BENCH_*.json); float arithmetic needs a reasoned `#[expect]`.
+#![deny(clippy::float_arithmetic)]
+
 pub mod campaign;
 pub mod chaos;
 pub mod classify;

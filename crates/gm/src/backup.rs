@@ -21,6 +21,11 @@
 //! (callback / receive event). Everything here is plain host data — the
 //! whole point is that it survives a card reset.
 
+// The recovery path must not fail: a panic here turns a recoverable
+// hang into a crash.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+
 use std::collections::BTreeMap;
 
 use ftgm_mcp::machine::{RecvTokenDesc, SendDesc};
@@ -62,7 +67,7 @@ impl PortBackup {
     /// that recovery re-posts messages in their original stream order.
     pub fn outstanding_sends(&self) -> Vec<SendDesc> {
         let mut v: Vec<_> = self.send_tokens.values().cloned().collect();
-        v.sort_by_key(|c| (c.dst_node, c.dst_port, c.first_seq));
+        v.sort_by_key(|c| (c.dst_node, c.dst_port, c.first_seq()));
         v
     }
 
@@ -149,16 +154,7 @@ mod tests {
     use super::*;
 
     fn send_copy(id: u64, dst: NodeId, first_seq: u32) -> SendDesc {
-        SendDesc {
-            token_id: id,
-            port: 0,
-            dst_node: dst,
-            dst_port: 0,
-            host_addr: 0x1000 * id,
-            len: 256,
-            prio_high: false,
-            first_seq: Some(first_seq),
-        }
+        SendDesc::new(id, 0, dst, 0, 0x1000 * id, 256, false, Some(first_seq))
     }
 
     #[test]

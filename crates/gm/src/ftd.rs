@@ -26,6 +26,11 @@
 // decision at every match here, not fall into a default arm.
 #![deny(clippy::wildcard_enum_match_arm)]
 
+// The recovery path must not fail: a panic here turns a recoverable
+// hang into a crash. `clippy::indexing_slicing` would flag every
+// `world.nodes[n]`; a literal index here is ftgm-lint's (transitive-panic).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+
 use std::cell::{RefCell, RefMut};
 use std::rc::Rc;
 

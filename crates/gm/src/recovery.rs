@@ -24,6 +24,11 @@
 // decision at every match here, not fall into a default arm.
 #![deny(clippy::wildcard_enum_match_arm)]
 
+// The recovery path must not fail: a panic here turns a recoverable
+// hang into a crash.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+
 use ftgm_host::CpuCost;
 use ftgm_mcp::StreamKey;
 use ftgm_net::NodeId;

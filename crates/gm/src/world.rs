@@ -1211,16 +1211,16 @@ impl Ctx<'_> {
             );
         }
 
-        let desc = SendDesc {
+        let desc = SendDesc::new(
             token_id,
             port,
-            dst_node: dst,
+            dst,
             dst_port,
-            host_addr: region.pa,
-            len: data.len() as u32,
+            region.pa,
+            data.len() as u32,
             prio_high,
             first_seq,
-        };
+        );
         let mut cost = api.send;
         if is_ftgm {
             // The paper's send-side housekeeping: copy the token into the

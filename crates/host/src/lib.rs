@@ -27,6 +27,10 @@
 //!
 //! The aggregate per-node façade is [`HostSystem`].
 
+// What is computed here can reach a byte-stable report (the goldens,
+// BENCH_*.json); float arithmetic needs a reasoned `#[expect]`.
+#![deny(clippy::float_arithmetic)]
+
 pub mod accounting;
 pub mod driver;
 pub mod memory;

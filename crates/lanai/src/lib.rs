@@ -32,6 +32,10 @@
 //! Nothing in this crate knows about GM, the MCP's protocol logic, or the
 //! fabric: it is strictly the "silicon".
 
+// What is computed here can reach a byte-stable report (the goldens,
+// BENCH_*.json); float arithmetic needs a reasoned `#[expect]`.
+#![deny(clippy::float_arithmetic)]
+
 pub mod asm;
 pub mod chip;
 pub mod cpu;

@@ -256,13 +256,12 @@ pub fn manifest_info(text: &str) -> (Option<String>, Vec<String>) {
     (name, deps)
 }
 
+/// Per-crate-dir transitive dependency closure: `None` when the tree has
+/// no manifests (fixtures), so resolution is open.
+type DepClosure = Option<BTreeMap<String, BTreeSet<String>>>;
+
 /// Per-crate-dir transitive dependency closure plus the import-name map.
-fn dep_closure(
-    manifests: &[(String, String)],
-) -> (
-    Option<BTreeMap<String, BTreeSet<String>>>,
-    BTreeMap<String, String>,
-) {
+fn dep_closure(manifests: &[(String, String)]) -> (DepClosure, BTreeMap<String, String>) {
     if manifests.is_empty() {
         return (None, BTreeMap::new());
     }
@@ -311,7 +310,7 @@ fn dep_closure(
 }
 
 fn allowed(
-    deps: &Option<BTreeMap<String, BTreeSet<String>>>,
+    deps: &DepClosure,
     caller: Option<&str>,
     target: Option<&str>,
 ) -> bool {
@@ -332,7 +331,7 @@ fn resolve(
     files: &[WsFile],
     nodes: &[Node],
     by_name: &BTreeMap<&str, Vec<usize>>,
-    deps: &Option<BTreeMap<String, BTreeSet<String>>>,
+    deps: &DepClosure,
     imports: &BTreeMap<String, String>,
     caller: Node,
     caller_def: &FnDef,

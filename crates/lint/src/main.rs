@@ -59,16 +59,16 @@ fn parse_args() -> Result<Options, String> {
 
 fn print_help() {
     println!(
-        "ftgm-lint: FTGM invariant checker (recovery-safety + determinism)\n\
+        "ftgm-lint: panics reachable from the FTGM recovery entry points\n\
          \n\
          USAGE: ftgm-lint [--json] [--report FILE] [--root DIR] [--rules]\n\
          \n\
          --json              emit a JSON report on stdout\n\
          --report FILE       also write the JSON report to FILE\n\
          --root DIR          workspace root (default: this checkout)\n\
-         --rules             list rules and exit\n\
+         --rules             list the rule and exit\n\
          \n\
-         Exits 1 on any finding. Inline suppression: `// lint:allow(<rule>)`\n\
+         Exits 1 on any finding. Inline suppression: `// lint:allow(transitive-panic)`\n\
          on or above the line. See docs/STATIC_ANALYSIS.md."
     );
 }

@@ -32,7 +32,6 @@ pub struct Call {
     /// For [`CallKind::Qualified`]: the segment before the name
     /// (`Instant` in `Instant::now`, `ftd` in `ftd::run_ftd_probe`).
     pub qualifier: Option<String>,
-    pub line: u32,
 }
 
 /// One `fn` item.
@@ -45,11 +44,6 @@ pub struct FnDef {
     pub symbol: String,
     /// Type the enclosing `impl`/`trait` block names, if any.
     pub impl_type: Option<String>,
-    /// 0-based line of the `fn` keyword.
-    pub line: u32,
-    /// 0-based line of the body's closing brace (or the signature line
-    /// for bodyless trait-method declarations).
-    pub end_line: u32,
     /// Token index of the `fn` keyword in the file's token stream.
     pub tok_start: usize,
     /// One past the token index of the body's closing brace (or the
@@ -61,47 +55,10 @@ pub struct FnDef {
     pub in_test: bool,
 }
 
-/// A non-`fn` item that can own source lines (for symbol attribution of
-/// findings outside any function: struct fields, `use` lines, consts).
-#[derive(Clone, Debug)]
-pub struct Item {
-    pub symbol: String,
-    pub line: u32,
-    pub end_line: u32,
-}
-
 /// Parse result for one file.
 #[derive(Clone, Debug, Default)]
 pub struct ParsedFile {
     pub fns: Vec<FnDef>,
-    pub items: Vec<Item>,
-}
-
-impl ParsedFile {
-    /// Symbol owning 0-based `line`: the innermost function spanning it,
-    /// else the innermost non-fn item, else `"<file>"`.
-    pub fn symbol_for_line(&self, line: u32) -> &str {
-        let mut best: Option<(&str, u32)> = None;
-        for f in &self.fns {
-            if f.line <= line && line <= f.end_line {
-                let span = f.end_line - f.line;
-                if best.is_none_or(|(_, s)| span <= s) {
-                    best = Some((&f.symbol, span));
-                }
-            }
-        }
-        if best.is_none() {
-            for it in &self.items {
-                if it.line <= line && line <= it.end_line {
-                    let span = it.end_line - it.line;
-                    if best.is_none_or(|(_, s)| span <= s) {
-                        best = Some((&it.symbol, span));
-                    }
-                }
-            }
-        }
-        best.map_or("<file>", |(s, _)| s)
-    }
 }
 
 /// Words that look like calls but are control flow or bindings.
@@ -121,7 +78,6 @@ enum CtxKind {
     Mod,
     Impl,
     Fn,
-    Other,
 }
 
 struct Ctx {
@@ -129,9 +85,8 @@ struct Ctx {
     name: String,
     /// Brace depth *before* this context's opening `{`.
     depth: usize,
-    /// Index into `fns` for `CtxKind::Fn` (to set `end_line` on close).
+    /// Index into `fns` for `CtxKind::Fn` (to set `tok_end` on close).
     fn_idx: usize,
-    item_idx: usize,
 }
 
 /// Parses one file's token stream. `test_start` is the 0-based line of
@@ -153,13 +108,8 @@ pub fn parse(toks: &[Tok], test_start: Option<usize>) -> ParsedFile {
             TokKind::Punct(b'}') => {
                 depth = depth.saturating_sub(1);
                 while ctx.last().is_some_and(|c| c.depth >= depth) {
-                    if let Some(c) = ctx.pop() {
-                        if c.kind == CtxKind::Fn {
-                            out.fns[c.fn_idx].end_line = t.line;
-                            out.fns[c.fn_idx].tok_end = i + 1;
-                        } else if c.item_idx != usize::MAX {
-                            out.items[c.item_idx].end_line = t.line;
-                        }
+                    if let Some(c) = ctx.pop().filter(|c| c.kind == CtxKind::Fn) {
+                        out.fns[c.fn_idx].tok_end = i + 1;
                     }
                 }
                 i += 1;
@@ -167,10 +117,9 @@ pub fn parse(toks: &[Tok], test_start: Option<usize>) -> ParsedFile {
             TokKind::Ident => {
                 let in_test = test_line.is_some_and(|tl| t.line >= tl);
                 match t.text.as_str() {
-                    "mod" => i = open_named(toks, i, &mut ctx, &mut out, depth, CtxKind::Mod),
-                    "struct" | "enum" | "union" | "trait" if !in_fn(&ctx) => {
-                        let kind = if t.text == "trait" { CtxKind::Impl } else { CtxKind::Other };
-                        i = open_named(toks, i, &mut ctx, &mut out, depth, kind);
+                    "mod" => i = open_named(toks, i, &mut ctx, depth, CtxKind::Mod),
+                    "trait" if !in_fn(&ctx) => {
+                        i = open_named(toks, i, &mut ctx, depth, CtxKind::Impl);
                     }
                     "impl" if !in_fn(&ctx) => i = open_impl(toks, i, &mut ctx, depth),
                     "fn" => i = open_fn(toks, i, &mut ctx, &mut out, depth, in_test),
@@ -180,16 +129,8 @@ pub fn parse(toks: &[Tok], test_start: Option<usize>) -> ParsedFile {
             _ => i += 1,
         }
     }
-    // Close anything left open at EOF.
-    let last_line = toks.last().map_or(0, |t| t.line);
-    while let Some(c) = ctx.pop() {
-        if c.kind == CtxKind::Fn {
-            out.fns[c.fn_idx].end_line = last_line;
-            out.fns[c.fn_idx].tok_end = toks.len();
-        } else if c.item_idx != usize::MAX {
-            out.items[c.item_idx].end_line = last_line;
-        }
-    }
+    // A fn left open at EOF keeps its provisional `tok_end`: the end of
+    // the tokens.
     extract_calls(toks, &mut out);
     out
 }
@@ -216,16 +157,9 @@ fn impl_type(ctx: &[Ctx]) -> Option<String> {
         .map(|c| c.name.clone())
 }
 
-/// `mod name {` / `struct Name {` / `trait Name {` — records the item and
-/// pushes a context if a brace block follows. Returns the next index.
-fn open_named(
-    toks: &[Tok],
-    i: usize,
-    ctx: &mut Vec<Ctx>,
-    out: &mut ParsedFile,
-    depth: usize,
-    kind: CtxKind,
-) -> usize {
+/// `mod name {` / `trait Name {` — pushes a context if a brace block
+/// follows. Returns the next index.
+fn open_named(toks: &[Tok], i: usize, ctx: &mut Vec<Ctx>, depth: usize, kind: CtxKind) -> usize {
     let Some(name_tok) = toks.get(i + 1) else { return i + 1 };
     if name_tok.kind != TokKind::Ident || is_keyword(&name_tok.text) {
         return i + 1;
@@ -246,23 +180,11 @@ fn open_named(
     if j >= toks.len() {
         return toks.len();
     }
-    let symbol = join(&prefix(ctx), &name_tok.text);
-    let item_idx = if kind == CtxKind::Other || kind == CtxKind::Mod {
-        out.items.push(Item {
-            symbol: symbol.clone(),
-            line: toks[i].line,
-            end_line: toks[j].line,
-        });
-        out.items.len() - 1
-    } else {
-        usize::MAX
-    };
     ctx.push(Ctx {
         kind,
         name: name_tok.text.clone(),
         depth,
         fn_idx: 0,
-        item_idx,
     });
     j // the main loop consumes the `{` and does the depth bookkeeping
 }
@@ -308,7 +230,6 @@ fn open_impl(toks: &[Tok], i: usize, ctx: &mut Vec<Ctx>, depth: usize) -> usize 
         name: last_ident.unwrap_or("").to_string(),
         depth,
         fn_idx: 0,
-        item_idx: usize::MAX,
     });
     j
 }
@@ -346,17 +267,16 @@ fn open_fn(
             TokKind::Punct(b')') | TokKind::Punct(b']') => paren = paren.saturating_sub(1),
             TokKind::Punct(b'{') if paren == 0 => break,
             TokKind::Punct(b';') if paren == 0 => {
-                record_fn(toks, i, name_tok, ctx, out, in_test, toks[j].line, j + 1);
+                record_fn(i, name_tok, ctx, out, in_test, j + 1);
                 return j + 1;
             }
             _ => {}
         }
         j += 1;
     }
-    let end = toks.get(j).map_or_else(|| toks.last().map_or(0, |t| t.line), |t| t.line);
     // tok_end is provisional here; the close-brace bookkeeping in
     // `parse` overwrites it when the body ends.
-    record_fn(toks, i, name_tok, ctx, out, in_test, end, toks.len());
+    record_fn(i, name_tok, ctx, out, in_test, toks.len());
     if j >= toks.len() {
         return toks.len();
     }
@@ -365,28 +285,22 @@ fn open_fn(
         name: name_tok.text.clone(),
         depth,
         fn_idx: out.fns.len() - 1,
-        item_idx: usize::MAX,
     });
     j
 }
 
-#[allow(clippy::too_many_arguments)]
 fn record_fn(
-    toks: &[Tok],
     i: usize,
     name_tok: &Tok,
     ctx: &[Ctx],
     out: &mut ParsedFile,
     in_test: bool,
-    end_line: u32,
     tok_end: usize,
 ) {
     out.fns.push(FnDef {
         name: name_tok.text.clone(),
         symbol: join(&prefix(ctx), &name_tok.text),
         impl_type: impl_type(ctx),
-        line: toks[i].line,
-        end_line,
         tok_start: i,
         tok_end,
         calls: Vec::new(),
@@ -435,7 +349,6 @@ fn extract_calls(toks: &[Tok], out: &mut ParsedFile) {
                 name: t.text.clone(),
                 kind,
                 qualifier,
-                line: t.line,
             });
         }
     }
@@ -543,19 +456,6 @@ mod tests {
         assert_eq!(p.fns[0].symbol, "T::sig_only");
         assert!(p.fns[0].calls.is_empty());
         assert_eq!(p.fns[1].calls.len(), 1);
-    }
-
-    #[test]
-    fn symbol_for_line_attributes_fields_and_uses() {
-        let src = "use std::collections::HashMap;\n\
-                   pub struct Program {\n\
-                       pub labels: HashMap<String, u32>,\n\
-                   }\n\
-                   fn f() { let x = 1; }\n";
-        let p = parse_str(src);
-        assert_eq!(p.symbol_for_line(0), "<file>");
-        assert_eq!(p.symbol_for_line(2), "Program");
-        assert_eq!(p.symbol_for_line(4), "f");
     }
 
     #[test]

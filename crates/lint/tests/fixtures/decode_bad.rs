@@ -1,5 +1,5 @@
 // Fixture: the LN32 interpreter (cpu.rs) as an R7 entry. Scanned as if
-// at crates/host/src/decode_support.rs — outside R1's scope — paired
+// at crates/host/src/decode_support.rs — not an entry file — paired
 // with an entry stub at crates/lanai/src/cpu.rs whose `run` calls
 // `exec_window`. The interpreter module seeds R7 because it executes
 // firmware, including mid-recovery replays over corrupted images.

@@ -1,11 +1,9 @@
 // Fixture: the MPI tier's restart path gone wrong. Scanned as if at
-// crates/host/src/respawn_util.rs (not R1-governed) paired with an
+// crates/host/src/respawn_util.rs (not an entry file) paired with an
 // entry stub at crates/mpi/src/recovery.rs whose `plan_rank_restart`
 // calls `choose_spare`: expected 2 transitive-panic findings in
 // `slot_of` (unwrap + literal index), each carrying the full chain
-// plan_rank_restart → choose_spare → slot_of. Scanned instead at an
-// mpi path, the same two lines are per-line R1 findings with no entry
-// stub needed — the crate itself is recovery-path code.
+// plan_rank_restart → choose_spare → slot_of.
 
 pub fn choose_spare(spares: &[u32]) -> u32 {
     slot_of(spares)

@@ -1,6 +1,6 @@
 // Fixture: the sanctioned version of mpi_bad.rs — the same restart
-// helper written total, plus the near-miss lookalike R1 must not flag
-// when the file sits inside crates/mpi/src/: non-literal indexing.
+// helper written total, plus the near-miss lookalike R7 must not flag:
+// non-literal indexing.
 
 pub fn choose_spare(spares: &[u32]) -> u32 {
     slot_of(spares)

@@ -1,5 +1,7 @@
-// Fixture: every R1 (recovery-no-panic) construct. Scanned as if at
-// crates/gm/src/recovery.rs. Expected findings: 7.
+// Fixture: every panicking construct R7's matcher knows (the ones the
+// retired per-file rule R1 named). Scanned as if at
+// crates/gm/src/recovery.rs, an R7 entry file, so `handler` is an entry.
+// Expected transitive-panic findings: 7.
 
 fn handler(x: Option<u8>, r: Result<u8, ()>, v: &[u8]) -> u8 {
     let a = x.unwrap();

@@ -14,7 +14,7 @@ fn handler(x: Option<u8>, r: Result<u8, ()>, v: &[u8]) -> Option<u8> {
 
 #[cfg(test)]
 mod tests {
-    // Test code may unwrap freely: the rules stop at #[cfg(test)].
+    // Test code may unwrap freely: a test fn is never an entry.
     fn in_tests(x: Option<u8>) -> u8 {
         x.unwrap()
     }

@@ -1,7 +1,7 @@
 // Fixture: R7 (transitive-panic). Scanned as if at
-// crates/net/src/verify.rs — NOT an R7 entry file and not governed by
-// R1's per-line rule — paired with an entry stub at
-// crates/gm/src/ftd.rs whose `ftd_check` calls `verify`. Expected:
+// crates/net/src/verify.rs — NOT an R7 entry file — paired with an
+// entry stub at crates/gm/src/ftd.rs whose `ftd_check` calls `verify`.
+// Expected:
 // 2 findings in helper_b (unwrap + literal index), each carrying the
 // full chain ftd_check → verify → helper_a → helper_b.
 

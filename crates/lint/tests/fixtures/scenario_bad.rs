@@ -1,6 +1,8 @@
 // Fixture: the shortcuts a DSL parser must not take — panicking on
-// malformed input. Scanned as if at crates/scenario/src/parse.rs.
-// Expected findings: 2 recovery-no-panic (literal index, unwrap).
+// malformed input. Scanned as if at crates/scenario/src/parse.rs, below
+// an entry stub at crates/scenario/src/compile.rs whose `compile` calls
+// both helpers. Expected: 2 transitive-panic findings (literal index,
+// unwrap), one hop below `compile`.
 
 fn first_token(toks: &[u64]) -> u64 {
     // Literal indexing panics on an empty token stream (byte-soup input).

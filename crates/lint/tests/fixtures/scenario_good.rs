@@ -1,6 +1,7 @@
 // Fixture: the sanctioned total-parser shape — `get` instead of
 // indexing, diagnostics instead of unwrap. Scanned as if at
-// crates/scenario/src/parse.rs. Expected findings: 0.
+// crates/scenario/src/parse.rs, below the same `compile` entry stub as
+// scenario_bad.rs. Expected findings: 0.
 
 fn first_token(toks: &[u64]) -> Option<u64> {
     toks.first().copied()
@@ -18,7 +19,7 @@ fn parse_count(text: &str, diags: &mut Vec<String>) -> Option<u64> {
 
 #[cfg(test)]
 mod tests {
-    // Test code is exempt: indexing and unwrap are fine here.
+    // Test code is exempt: a test fn is never reached from an entry.
     #[test]
     fn head() {
         assert_eq!([7u64][0], 7);

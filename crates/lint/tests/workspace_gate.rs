@@ -1,7 +1,7 @@
 //! The tier-1 lint gate plus a CLI self-test.
 //!
 //! `workspace_has_no_new_findings` is the actual gate: it scans the real
-//! checkout and fails the build if anyone introduces a rule violation.
+//! checkout and fails the build if anyone introduces an R7 violation.
 //! `clippy_stated_invariants_stay_declared` pins the attributes and the
 //! `clippy.toml` bans that state the rest of the invariants to clippy.
 //! The `cli_*` tests drive the compiled binary against a throwaway fake
@@ -29,14 +29,14 @@ fn workspace_has_no_new_findings() {
     );
 }
 
-/// A rule is scoped by path and seeded by `(file, fn)` name; a rename or a
-/// deletion would otherwise drop code out of a rule without a word.
+/// R7 is seeded by path and by `(file, fn)` name; a rename or a deletion
+/// would otherwise drop code out of the rule without a word.
 #[test]
 fn rule_tables_name_only_things_that_exist() {
     let root = default_root();
     let ws = load_workspace(&root).expect("workspace loads");
-    let gone: Vec<&str> = rules::scoped_paths().filter(|p| !root.join(p).exists()).collect();
-    assert!(gone.is_empty(), "rule tables scope paths that do not exist: {gone:?}");
+    let gone: Vec<&str> = rules::entry_files().filter(|p| !root.join(p).exists()).collect();
+    assert!(gone.is_empty(), "entry files that do not exist: {gone:?}");
     let unresolved: Vec<_> = rules::entry_fns()
         .filter(|&(file, name)| ws.select(|rel, def| rel == file && def.name == name).is_empty())
         .collect();
@@ -52,15 +52,47 @@ fn clippy_stated_invariants_stay_declared() {
     let read = |rel: &str| {
         std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
     };
-    for (rel, lint) in [
-        ("crates/faults/src/classify.rs", "wildcard_enum_match_arm"),
-        ("crates/gm/src/recovery.rs", "wildcard_enum_match_arm"),
-        ("crates/gm/src/ftd.rs", "wildcard_enum_match_arm"),
-        ("crates/mcp/src/packet.rs", "cast_possible_truncation"),
-        ("crates/workload/src/column.rs", "cast_possible_truncation"),
-    ] {
-        let attr = format!("#![deny(clippy::{lint})]");
-        assert!(read(rel).lines().any(|l| l == attr), "{rel} lost `{attr}`");
+    // The recovery path: no panicking call, and (but in the FTD, whose
+    // `world.nodes[n]` would all fire) no unchecked index.
+    const PANICS: &str = "clippy::unwrap_used, clippy::expect_used, clippy::panic, \
+                          clippy::todo, clippy::unimplemented";
+    let recovery_path = [
+        "crates/gm/src/recovery.rs",
+        "crates/core/src/coordinator.rs",
+        "crates/net/src/reroute.rs",
+        "crates/gm/src/backup.rs",
+        "crates/mcp/src/gobackn.rs",
+        "crates/faults/src/chaos.rs",
+        "crates/sim/src/trace.rs",
+        "crates/sim/src/metrics.rs",
+        "crates/sim/src/export.rs",
+        "crates/workload/src/lib.rs",
+        "crates/scenario/src/lib.rs",
+        "crates/mpi/src/lib.rs",
+    ];
+    // Every crate or module an integer-only serializer reaches.
+    let integer_only = [
+        "faults", "host", "lanai", "lint", "mcp", "mpi", "net", "scenario", "sim", "workload",
+    ]
+    .map(|c| format!("crates/{c}/src/lib.rs"))
+    .into_iter()
+        .chain(["crates/bench/src/mpi.rs".into(), "crates/bench/src/bin/chaos.rs".into()]);
+    let declared = [
+        ("crates/faults/src/classify.rs", "clippy::wildcard_enum_match_arm"),
+        ("crates/gm/src/recovery.rs", "clippy::wildcard_enum_match_arm"),
+        ("crates/gm/src/ftd.rs", "clippy::wildcard_enum_match_arm"),
+        ("crates/mcp/src/packet.rs", "clippy::cast_possible_truncation"),
+        ("crates/workload/src/column.rs", "clippy::cast_possible_truncation"),
+        ("crates/gm/src/ftd.rs", PANICS),
+    ]
+    .map(|(rel, lints)| (rel.to_string(), lints))
+    .into_iter()
+    .chain(recovery_path.iter().map(|rel| (rel.to_string(), PANICS)))
+    .chain(recovery_path.iter().map(|rel| (rel.to_string(), "clippy::indexing_slicing")))
+    .chain(integer_only.map(|rel| (rel, "clippy::float_arithmetic")));
+    for (rel, lints) in declared {
+        let attr = format!("#![deny({lints})]");
+        assert!(read(&rel).lines().any(|l| l == attr), "{rel} lost `{attr}`");
     }
     let manifest = read("Cargo.toml");
     let table = manifest
@@ -142,7 +174,7 @@ fn cli_fails_on_fresh_violation_and_passes_when_fixed() {
     assert_eq!(out.status.code(), Some(1), "violation must exit 1");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("crates/gm/src/recovery.rs:1:") && stdout.contains("recovery-no-panic"),
+        stdout.contains("crates/gm/src/recovery.rs:1:") && stdout.contains("transitive-panic"),
         "report names file:line and rule:\n{stdout}"
     );
 
@@ -156,7 +188,7 @@ fn cli_inline_allow_suppresses() {
     let tree = FakeTree::new("allow");
     tree.write_recovery(
         "fn recover(x: Option<u8>) -> u8 {\n\
-         \x20   x.unwrap() // lint:allow(recovery-no-panic): startup only\n\
+         \x20   x.unwrap() // lint:allow(transitive-panic): startup only\n\
          }\n",
     );
     assert_eq!(tree.run(&[]).status.code(), Some(0));
@@ -179,8 +211,7 @@ fn cli_rejects_unknown_flags_with_usage_error() {
 #[test]
 fn cli_reports_cross_crate_call_chain_for_seeded_panic() {
     let tree = FakeTree::new("chain");
-    // Entry point: recovery.rs is an R7 entry file (and R1-covered, so
-    // the panic must live elsewhere for R7 to own the diagnostic).
+    // Entry point: recovery.rs is an R7 entry file.
     tree.write_recovery("pub fn verify(state: &[u8]) -> u8 { helper_a(state) }\n");
     // The panic, two calls below, in a different crate.
     tree.write(

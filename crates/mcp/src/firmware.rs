@@ -344,7 +344,7 @@ mod tests {
             run_send_chunk(&mut chip, fw.entry_send(), &payload, 5, stream, 5000, 1000);
         let (h, p) = Header::parse(&frames[0]).expect("parses");
         assert_eq!(h.ptype, PacketType::Data);
-        assert_eq!(h.seq, 5);
+        assert_eq!(h.seq(), 5);
         assert_eq!(h.msg_len, 5000);
         assert_eq!(h.chunk_offset, 1000);
         assert!(!h.last_chunk);
@@ -363,7 +363,7 @@ mod tests {
         let (h, _) = Header::parse(&frames[0]).unwrap();
         assert!(h.resend);
         assert!(h.last_chunk);
-        assert_eq!(h.seq, 7);
+        assert_eq!(h.seq(), 7);
     }
 
     #[test]

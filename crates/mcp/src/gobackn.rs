@@ -16,10 +16,17 @@
 //! recovered *receiver* rewind a partially-delivered message without
 //! sender-host involvement. DESIGN.md discusses the substitution.)
 
+// The recovery path must not fail: a panic here turns a recoverable
+// hang into a crash.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+
 use std::collections::VecDeque;
 
 use ftgm_net::NodeId;
 use ftgm_sim::{SimDuration, SimTime};
+
+use crate::machine::SendDesc;
 
 /// Identity of a sequence-number stream.
 ///
@@ -66,8 +73,8 @@ impl StreamKey {
 /// A chunk retained by the sender until its message completes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChunkRecord {
-    /// Stream sequence number.
-    pub seq: u32,
+    /// Stream sequence number: set once, by [`ChunkRecord::new`].
+    seq: u32,
     /// Host-side token id of the message this chunk belongs to.
     pub msg_id: u64,
     /// Staging slab index holding the payload copy.
@@ -90,6 +97,39 @@ pub struct ChunkRecord {
     pub src_port: u8,
     /// High-priority message?
     pub prio_high: bool,
+}
+
+impl ChunkRecord {
+    /// The chunk of `desc` that starts at byte `chunk_offset` and holds
+    /// `len` bytes, staged in `slab` under stream sequence `seq` (`syn`
+    /// on a stream's first chunk).
+    pub fn new(desc: &SendDesc, seq: u32, syn: bool, slab: u32, chunk_offset: u32, len: u32) -> Self {
+        ChunkRecord {
+            seq,
+            msg_id: desc.token_id,
+            slab,
+            len,
+            msg_len: desc.len,
+            chunk_offset,
+            last: chunk_offset + len == desc.len,
+            syn,
+            dst_node: desc.dst_node,
+            dst_port: desc.dst_port,
+            src_port: desc.port,
+            prio_high: desc.prio_high,
+        }
+    }
+
+    /// Stream sequence number. Outside this module it is read-only:
+    ///
+    /// ```compile_fail,E0616
+    /// fn renumber(rec: &mut ftgm_mcp::ChunkRecord) {
+    ///     rec.seq = 7;
+    /// }
+    /// ```
+    pub fn seq(&self) -> u32 {
+        self.seq
+    }
 }
 
 /// Result of processing a cumulative ACK. The caller owns it and hands

@@ -23,6 +23,10 @@
 //! The host-side halves (token backup, the FTD, transparent recovery) live
 //! in `ftgm-gm` and `ftgm-core`.
 
+// What is computed here can reach a byte-stable report (the goldens,
+// BENCH_*.json); float arithmetic needs a reasoned `#[expect]`.
+#![deny(clippy::float_arithmetic)]
+
 pub mod accounting;
 pub mod firmware;
 pub mod gobackn;

@@ -113,8 +113,40 @@ pub struct SendDesc {
     pub len: u32,
     /// High priority?
     pub prio_high: bool,
-    /// FTGM: host-generated first sequence number for this message.
-    pub first_seq: Option<u32>,
+    /// FTGM: host-generated first sequence number for this message,
+    /// set once, by [`SendDesc::new`].
+    first_seq: Option<u32>,
+}
+
+impl SendDesc {
+    /// A send of `len` bytes at `host_addr` from `port` to
+    /// `dst_port` on `dst_node`; `first_seq` is the host's first sequence
+    /// number for it (FTGM), `None` where the MCP numbers it (GM).
+    #[expect(clippy::too_many_arguments, reason = "one argument per field of the descriptor")]
+    pub fn new(
+        token_id: u64,
+        port: u8,
+        dst_node: NodeId,
+        dst_port: u8,
+        host_addr: u64,
+        len: u32,
+        prio_high: bool,
+        first_seq: Option<u32>,
+    ) -> Self {
+        SendDesc { token_id, port, dst_node, dst_port, host_addr, len, prio_high, first_seq }
+    }
+
+    /// The host's first sequence number for this message (FTGM), or
+    /// `None`. Outside this module it is read-only:
+    ///
+    /// ```compile_fail,E0616
+    /// fn renumber(desc: &mut ftgm_mcp::SendDesc) {
+    ///     desc.first_seq = Some(0);
+    /// }
+    /// ```
+    pub fn first_seq(&self) -> Option<u32> {
+        self.first_seq
+    }
 }
 
 /// A receive buffer provided by the host library (a receive token).
@@ -796,7 +828,7 @@ impl McpMachine {
         let still = self
             .tx_streams
             .get(&key)
-            .is_some_and(|tx| tx.sender.retained().any(|c| c.seq == rec.seq));
+            .is_some_and(|tx| tx.sender.retained().any(|c| c.seq() == rec.seq()));
         if !still {
             return SimDuration::from_nanos(100);
         }
@@ -852,22 +884,22 @@ impl McpMachine {
                     self.stats.no_token_drops += 1;
                     return;
                 }
-                e.insert(RxStream::new(h.seq))
+                e.insert(RxStream::new(h.seq()))
             }
             Entry::Occupied(e) => {
                 let rx = e.into_mut();
-                if h.syn && h.chunk_offset == 0 && gm_resync && rx.receiver.expected() != h.seq {
+                if h.syn && h.chunk_offset == 0 && gm_resync && rx.receiver.expected() != h.seq() {
                     // GM semantics: a SYN on a known stream means the peer's
                     // MCP re-established the connection (e.g. after a naive
                     // reload). GM resynchronizes — and thereby accepts
                     // duplicates of anything delivered before the reset
                     // (Figure 4's flaw). FTGM's host-owned streams never do.
-                    *rx = RxStream::new(h.seq);
+                    *rx = RxStream::new(h.seq());
                 }
                 rx
             }
         };
-        match rx.receiver.classify(h.seq) {
+        match rx.receiver.classify(h.seq()) {
             RxVerdict::Duplicate => {
                 self.stats.duplicates += 1;
                 let ack = rx.committed_frontier();
@@ -926,7 +958,7 @@ impl McpMachine {
                     src_port: asm.first.src_port,
                     token_id: asm.token.token_id,
                     len: asm.first.msg_len,
-                    seq: h.seq,
+                    seq: h.seq(),
                     prio_high: asm.first.prio_high,
                 },
             )
@@ -946,7 +978,7 @@ impl McpMachine {
             },
             rx_slab,
             stream: key,
-            commits_final: hold_ack.then_some(h.seq),
+            commits_final: hold_ack.then_some(h.seq()),
             completion,
         });
         self.charge(Handler::RdmaSetup, self.params.rdma_setup);
@@ -961,7 +993,7 @@ impl McpMachine {
             return;
         };
         if h.ptype == PacketType::Ack {
-            tx.sender.on_ack(h.seq, now, &mut self.acked);
+            tx.sender.on_ack(h.seq(), now, &mut self.acked);
             for &(token_id, port) in &self.acked.completed {
                 self.stats.sends_completed += 1;
                 let event = NicEvent::SendCompleted { token_id };
@@ -972,19 +1004,19 @@ impl McpMachine {
         }
         let s = &tx.sender;
         if gm_resync
-            && h.seq.wrapping_sub(s.cum_acked()) > s.next_seq().wrapping_sub(s.cum_acked())
+            && h.seq().wrapping_sub(s.cum_acked()) > s.next_seq().wrapping_sub(s.cum_acked())
         {
             // GM-style resync: a NACK naming a sequence outside our window
             // means the two ends disagree about the stream (e.g. we
             // reloaded and renumbered). GM adopts the receiver's expected
             // number and renumbers its retained chunks — the exact move
             // that makes Figure 4's receiver accept duplicates.
-            let renumbered = tx.renumber_from(h.seq);
+            let renumbered = tx.renumber_from(h.seq());
             self.pending_resend.retain(|c| c.dst_node != key.node);
             self.pending_resend.extend(renumbered);
             return;
         }
-        let rewind = s.rewind_from(h.seq);
+        let rewind = s.rewind_from(h.seq());
         // A rewind supersedes whatever retransmissions of its chunks were
         // already queued — extending instead would amplify NACK bursts
         // exponentially. Whole records are compared: another stream to
@@ -1096,21 +1128,8 @@ impl McpMachine {
         let off = active.next_offset;
         let (seq, syn) = tx.next_stage_seq(host_first.filter(|_| off == 0));
         let len = (active.desc.len - off).min(self.params.max_chunk);
-        let last = off + len == active.desc.len;
-        let rec = ChunkRecord {
-            seq,
-            msg_id: active.desc.token_id,
-            slab,
-            len,
-            msg_len: active.desc.len,
-            chunk_offset: off,
-            last,
-            syn,
-            dst_node: active.desc.dst_node,
-            dst_port: active.desc.dst_port,
-            src_port: active.desc.port,
-            prio_high: active.desc.prio_high,
-        };
+        let rec = ChunkRecord::new(&active.desc, seq, syn, slab, off, len);
+        let last = rec.last;
         self.hdma_jobs.push_back(HdmaJob::Stage {
             req: HostDmaReq {
                 dir: HostDmaDir::HostToSram,
@@ -1194,7 +1213,7 @@ impl McpMachine {
         };
         w(&mut self.chip, sr + o::STAGE_ADDR, stage);
         w(&mut self.chip, sr + o::LEN, rec.len);
-        w(&mut self.chip, sr + o::SEQ, rec.seq);
+        w(&mut self.chip, sr + o::SEQ, rec.seq());
         w(&mut self.chip, sr + o::STREAM, stream);
         w(&mut self.chip, sr + o::MSG_LEN, rec.msg_len);
         w(&mut self.chip, sr + o::CHUNK_OFF, rec.chunk_offset);
@@ -1879,7 +1898,7 @@ pub(crate) mod tests {
         assert_eq!(rig.b.receiver_expected(key), Some(1));
         // Only the duplicate draws an ACK, and it may not pass the oldest
         // message still on its way to the user's buffer.
-        let acks: Vec<(PacketType, u32)> = acks.iter().map(|h| (h.ptype, h.seq)).collect();
+        let acks: Vec<(PacketType, u32)> = acks.iter().map(|h| (h.ptype, h.seq())).collect();
         assert_eq!(acks, [(PacketType::Ack, 0xFFFF_FFFE)]);
     }
 
@@ -1948,7 +1967,7 @@ pub(crate) mod tests {
         let queued: Vec<ChunkRecord> =
             streams.flat_map(|tx| tx.sender.retained().cloned()).collect();
         let ids = |q: &VecDeque<ChunkRecord>| -> Vec<(u8, u32)> {
-            q.iter().map(|c| (c.src_port, c.seq)).collect()
+            q.iter().map(|c| (c.src_port, c.seq())).collect()
         };
         rig.a.pending_resend.extend(queued);
         assert_eq!(ids(&rig.a.pending_resend), [(0, 0), (1, 0)]);

@@ -84,8 +84,9 @@ pub struct Header {
     pub resend: bool,
     /// Stream-establishing chunk?
     pub syn: bool,
-    /// Stream sequence number (or ack/rewind point).
-    pub seq: u32,
+    /// Stream sequence number (or ack/rewind point), read through
+    /// [`Header::seq`]: only [`Header::parse`] sets it.
+    seq: u32,
     /// Total message length.
     pub msg_len: u32,
     /// This chunk's offset within the message.
@@ -126,6 +127,18 @@ pub fn stream_word(src_node: NodeId, src_port: u8, dst_port: u8, flag_bits: u32)
 }
 
 impl Header {
+    /// Stream sequence number (or ack/rewind point). Outside this module
+    /// it is read-only:
+    ///
+    /// ```compile_fail,E0616
+    /// fn rewind(hdr: &mut ftgm_mcp::Header) {
+    ///     hdr.seq = 0;
+    /// }
+    /// ```
+    pub fn seq(&self) -> u32 {
+        self.seq
+    }
+
     /// Serializes an ACK/NACK-style header (no payload) to wire bytes.
     /// Data packets are built by firmware, not by this function.
     pub fn control_frame(

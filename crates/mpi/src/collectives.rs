@@ -180,7 +180,7 @@ pub fn grid_dims(n: u32) -> (u32, u32) {
     let mut rows = 1;
     let mut d = 1;
     while d * d <= n {
-        if n % d == 0 {
+        if n.is_multiple_of(d) {
             rows = d;
         }
         d += 1;
@@ -245,15 +245,13 @@ pub fn reduce_rd_reference<T: Clone>(
         return Vec::new();
     }
     let p = rd_core(n);
-    let extras = n - p;
     let mut vals: Vec<Vec<T>> = inputs.to_vec();
-    // Pre-fold: hosts absorb their folder's vector.
-    for host in 0..extras {
-        let folder = (host + p) as usize;
-        let incoming = vals[folder].clone();
-        let mine = &mut vals[host as usize];
-        for (a, b) in mine.iter_mut().zip(incoming.iter()) {
-            *a = combine(a, b);
+    // Pre-fold: host `h` absorbs its folder `h + p`'s vector.
+    if let Some((core, folders)) = vals.split_at_mut_checked(p as usize) {
+        for (mine, incoming) in core.iter_mut().zip(folders.iter()) {
+            for (a, b) in mine.iter_mut().zip(incoming.iter()) {
+                *a = combine(a, b);
+            }
         }
     }
     // Core rounds: pairwise exchange over the power-of-two core.
@@ -262,7 +260,7 @@ pub fn reduce_rd_reference<T: Clone>(
         let prev = vals.clone();
         for (r, mine) in vals.iter_mut().enumerate().take(p as usize) {
             let partner = (r as u32 ^ (1 << k)) as usize;
-            for (a, b) in mine.iter_mut().zip(prev[partner].iter()) {
+            for (a, b) in mine.iter_mut().zip(prev.get(partner).into_iter().flatten()) {
                 *a = combine(a, b);
             }
         }

@@ -30,6 +30,15 @@
 //! collective rides out a network-processor hang when (and only when) the
 //! fault-tolerance stack is installed.
 
+// The whole crate runs through NIC hangs and recoveries: a panic
+// anywhere in it turns a recoverable hang into a crash.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+
+// What is computed here can reach a byte-stable report (the goldens,
+// BENCH_*.json); float arithmetic needs a reasoned `#[expect]`.
+#![deny(clippy::float_arithmetic)]
+
 pub mod collectives;
 pub mod harness;
 pub mod mailbox;

@@ -69,11 +69,14 @@ pub struct Pattern {
     pub tag: u64,
 }
 
+/// One `(tag, source)`'s FIFO of `(arrival seqno, payload)`.
+type Queue = VecDeque<(u64, Vec<u8>)>;
+
 /// Buffers unmatched arrivals, indexed by `(tag, source)`.
 #[derive(Clone, Debug, Default)]
 pub struct Mailbox {
     /// `(tag, src) → FIFO of (arrival seqno, payload)`.
-    queues: BTreeMap<(u64, u32), VecDeque<(u64, Vec<u8>)>>,
+    queues: BTreeMap<(u64, u32), Queue>,
     arrivals: u64,
     depth: usize,
     max_depth: usize,

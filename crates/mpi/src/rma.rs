@@ -299,7 +299,7 @@ impl WindowStore {
         if let Some(w) = self.windows.get(&(owner, win)) {
             let start = (offset as usize).min(w.len());
             let end = (offset as usize).saturating_add(len as usize).min(w.len());
-            let avail = &w[start..end];
+            let avail = w.get(start..end).unwrap_or_default();
             if let Some(dst) = out.get_mut(..avail.len()) {
                 dst.copy_from_slice(avail);
             }

@@ -1185,10 +1185,7 @@ impl MpiRankApp {
             }
             CollState::Ckpt { state, stage } => match stage {
                 CkptStage::Barrier { schedule, mut round } => {
-                    loop {
-                        let Some(&(_, from)) = schedule.get(round) else {
-                            break;
-                        };
+                    while let Some(&(_, from)) = schedule.get(round) {
                         let from = comm.actual(from);
                         let tag = coll_tag(KIND_CKPT_BAR, instance, round as u64);
                         if self.mailbox.take(Pattern { from: Some(from), tag }).is_none() {

@@ -22,6 +22,10 @@
 //! topology and compute a route from every interface to every other
 //! interface, deterministically.
 
+// What is computed here can reach a byte-stable report (the goldens,
+// BENCH_*.json); float arithmetic needs a reasoned `#[expect]`.
+#![deny(clippy::float_arithmetic)]
+
 pub mod fabric;
 pub mod mapper;
 pub mod reroute;

@@ -14,7 +14,13 @@
 //! reachability matches residual connectivity).
 //!
 //! This module is recovery code: it runs from the FTD/coordinator path,
-//! so it must never panic (ftgm-lint R1/R7 cover it).
+//! so it must never panic (the clippy denies below and ftgm-lint's
+//! transitive-panic rule cover it).
+
+// The recovery path must not fail: a panic here turns a recoverable
+// hang into a crash.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
 
 use crate::mapper::{Mapper, RouteTable};
 use crate::topology::{NodeId, SwitchId, Topology};

@@ -119,11 +119,23 @@ fn lower_action(a: &Action) -> ChaosAction {
             drop_permille,
             corrupt_permille,
             duration,
-        } => ChaosAction::LinkNoise {
-            drop_prob: f64::from(*drop_permille) / 1000.0,
-            corrupt_prob: f64::from(*corrupt_permille) / 1000.0,
-            duration: duration.to_sim(),
-        },
+        } => {
+            #[expect(
+                clippy::float_arithmetic,
+                reason = "IEEE-754 division rounds exactly: the same probability bits on every host"
+            )]
+            let drop_prob = f64::from(*drop_permille) / 1000.0;
+            #[expect(
+                clippy::float_arithmetic,
+                reason = "IEEE-754 division rounds exactly: the same probability bits on every host"
+            )]
+            let corrupt_prob = f64::from(*corrupt_permille) / 1000.0;
+            ChaosAction::LinkNoise {
+                drop_prob,
+                corrupt_prob,
+                duration: duration.to_sim(),
+            }
+        }
         Action::SwitchDeath { switch } => ChaosAction::SwitchDeath { switch: *switch },
         Action::LinkFlap {
             node,

@@ -42,6 +42,11 @@ impl Rng {
     fn chance(&mut self, permille: u64) -> bool {
         self.below(1000) < permille
     }
+
+    /// Uniform pick from `items`; `None` only when it is empty.
+    fn pick<T: Copy>(&mut self, items: &[T]) -> Option<T> {
+        items.get(self.below(items.len() as u64) as usize).copied()
+    }
 }
 
 fn gen_unit(r: &mut Rng) -> Unit {
@@ -285,7 +290,7 @@ pub fn gen_spec(seed: u64) -> Spec {
     let mut faults = Vec::new();
     if !injectable.is_empty() {
         for _ in 0..r.below(4) {
-            let ph = injectable[r.below(injectable.len() as u64) as usize];
+            let Some(ph) = r.pick(&injectable) else { break };
             faults.push(FaultDecl {
                 phase: ph.kind,
                 at: Dur {
@@ -298,9 +303,11 @@ pub fn gen_spec(seed: u64) -> Spec {
     }
     let mut triggers = Vec::new();
     for _ in 0..r.below(3) {
+        let node = r.below(u64::from(nodes)) as u16;
+        let Some(phase) = r.pick(&RecoveryPhase::ORDER) else { break };
         triggers.push(TriggerDecl {
-            node: r.below(u64::from(nodes)) as u16,
-            phase: RecoveryPhase::ORDER[r.below(6) as usize],
+            node,
+            phase,
             action: gen_action(&mut r, nodes, switches),
             limit: r.range(1, 3) as u32,
         });
@@ -333,7 +340,7 @@ pub fn gen_spec(seed: u64) -> Spec {
             reachable.push(Expect::Rerouted);
         }
     }
-    let expect = reachable[r.below(reachable.len() as u64) as usize];
+    let expect = r.pick(&reachable).unwrap_or(Expect::Survived);
 
     Spec {
         name: format!("gen-{seed:x}"),

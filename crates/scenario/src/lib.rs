@@ -42,6 +42,15 @@
 //! oracles and the golden bytes — the `chaos` bench binary and the test
 //! suites are thin callers of those three.
 
+// The whole crate runs through NIC hangs and recoveries: a panic
+// anywhere in it turns a recoverable hang into a crash.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+
+// What is computed here can reach a byte-stable report (the goldens,
+// BENCH_*.json); float arithmetic needs a reasoned `#[expect]`.
+#![deny(clippy::float_arithmetic)]
+
 pub mod ast;
 pub mod compile;
 pub mod corpus;

@@ -229,6 +229,10 @@ pub fn judge(
 /// Runs a corpus on `threads` workers. Outcomes come back in corpus
 /// order and each depends only on its own scenario, so every byte of
 /// every outcome is independent of the thread count.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "map_indexed calls the closure only with i < corpus.len()"
+)]
 pub fn run_corpus_parallel(corpus: &[CompiledScenario], threads: usize) -> Vec<ScenarioOutcome> {
     map_indexed(corpus.len(), threads, |i| run_compiled(&corpus[i]))
 }

@@ -9,6 +9,11 @@
 //! recovery phases become duration (`"X"`) spans per node, everything
 //! else an instant (`"i"`) event.
 
+// The recovery path must not fail: a panic here turns a recoverable
+// hang into a crash.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+
 use std::fmt::Write as _;
 
 use crate::trace::{Trace, TraceKind};

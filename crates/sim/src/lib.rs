@@ -35,6 +35,10 @@
 //! assert!(t1 < t2);
 //! ```
 
+// What is computed here can reach a byte-stable report (the goldens,
+// BENCH_*.json); float arithmetic needs a reasoned `#[expect]`.
+#![deny(clippy::float_arithmetic)]
+
 pub mod export;
 pub mod json;
 pub mod metrics;

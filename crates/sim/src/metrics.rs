@@ -9,6 +9,11 @@
 //! (integers only, fixed field order) so exported snapshots can be
 //! compared across runs and thread counts.
 
+// The recovery path must not fail: a panic here turns a recoverable
+// hang into a crash.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+
 use std::collections::BTreeMap;
 
 use crate::json;
@@ -100,6 +105,10 @@ impl Samples {
     /// Convenience wrapper over [`Samples::quantile_permille`] for
     /// display code; anything feeding a byte-stable export must call
     /// the per-mille form directly so the path stays integer-only.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "display-only wrapper; exports call quantile_permille"
+    )]
     pub fn quantile(&self, q: f64) -> Option<SimDuration> {
         // NaN fails the comparison and degrades to the minimum, exactly
         // as the f64 version always did.

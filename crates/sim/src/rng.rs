@@ -86,6 +86,10 @@ impl SimRng {
     }
 
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "a 53-bit integer over 2^53 divides exactly, the same bits on every host"
+    )]
     pub fn gen_bool(&mut self, p: f64) -> bool {
         let p = p.clamp(0.0, 1.0);
         // Compare against a 53-bit uniform in [0, 1).
@@ -94,6 +98,10 @@ impl SimRng {
     }
 
     /// Returns a uniform f64 in `[0, 1)`.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "a 53-bit integer over 2^53 divides exactly, the same bits on every host"
+    )]
     pub fn gen_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }

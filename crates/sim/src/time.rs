@@ -42,11 +42,19 @@ impl SimTime {
     }
 
     /// Returns the time as (possibly fractional) microseconds.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "a display conversion for tables and logs; no report serializes it"
+    )]
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
     /// Returns the time as (possibly fractional) seconds.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "a display conversion for tables and logs; no report serializes it"
+    )]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000_000.0
     }
@@ -150,6 +158,10 @@ impl SimDuration {
 
     /// Creates a duration from fractional microseconds, rounding to the
     /// nearest nanosecond. Negative values clamp to zero.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "reads a configured microsecond knob, rounded once to whole nanoseconds"
+    )]
     pub fn from_us_f64(us: f64) -> Self {
         SimDuration((us * 1_000.0).round().max(0.0) as u64)
     }
@@ -173,11 +185,19 @@ impl SimDuration {
     }
 
     /// Returns the duration as (possibly fractional) microseconds.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "a display conversion for tables and logs; no report serializes it"
+    )]
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
     /// Returns the duration as (possibly fractional) seconds.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "a display conversion for tables and logs; no report serializes it"
+    )]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000_000.0
     }

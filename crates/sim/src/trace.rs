@@ -20,6 +20,11 @@
 //! Exporters for JSON-lines and Chrome `trace_event` live in
 //! [`crate::export`].
 
+// The recovery path must not fail: a panic here turns a recoverable
+// hang into a crash.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+
 use crate::metrics::Metrics;
 use crate::time::{SimDuration, SimTime};
 use std::fmt::Write as _;

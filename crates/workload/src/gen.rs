@@ -229,11 +229,7 @@ impl App for ClosedLoopClient {
                     ctx.set_alarm(self.think, THINK_TAG);
                 }
             }
-            GmEvent::Alarm { tag: THINK_TAG } => {
-                if self.want_id.is_none() {
-                    self.issue(ctx);
-                }
-            }
+            GmEvent::Alarm { tag: THINK_TAG } if self.want_id.is_none() => self.issue(ctx),
             GmEvent::SendError { .. } => {
                 self.probe.borrow_mut().send_errors += 1;
                 // The request is gone; give the interface a beat and retry.

@@ -139,12 +139,7 @@ pub struct SloReport {
 impl SloReport {
     /// The first phase with the given name, if any.
     pub fn phase(&self, name: &str) -> Option<&PhaseSlo> {
-        for p in &self.phases {
-            if p.name == name {
-                return Some(p);
-            }
-        }
-        None
+        self.phases.iter().find(|p| p.name == name)
     }
 
     /// The steady-state phase, if declared.
@@ -320,11 +315,7 @@ pub fn fold_report(
                 .map_or(0, |d| d.as_nanos()),
             max_in_flight: max_depth.get(i).copied().unwrap_or(0),
             longest_gap_ns: gaps.get(i).copied().unwrap_or(0),
-            completed_permille: if offered == 0 {
-                1000
-            } else {
-                done.saturating_mul(1000) / offered
-            },
+            completed_permille: done.saturating_mul(1000).checked_div(offered).unwrap_or(1000),
         });
     }
 

@@ -66,9 +66,17 @@ impl Arrival {
                 shape_permille,
                 cap,
             } => {
+                #[expect(
+                    clippy::float_arithmetic,
+                    reason = "the Pareto shape; the drawn gap is cut to whole nanoseconds below"
+                )]
                 let alpha = f64::from(shape_permille.max(1)) / 1000.0;
                 let u = rng.gen_f64(); // [0, 1)
                 let xm = scale.as_nanos().max(1) as f64;
+                #[expect(
+                    clippy::float_arithmetic,
+                    reason = "inverse-CDF Pareto draw, cut to whole nanoseconds before it schedules anything"
+                )]
                 let raw = xm / (1.0 - u).powf(1.0 / alpha);
                 let capped = raw.min(cap.as_nanos() as f64);
                 capped as u64

@@ -91,7 +91,7 @@ fn main() {
             let (h, p) = Header::parse(&f.bytes).expect("valid frame");
             println!(
                 "frame built by firmware: seq={} len={} last={} payload={:?}",
-                h.seq,
+                h.seq(),
                 h.payload_len,
                 h.last_chunk,
                 String::from_utf8_lossy(p)

@@ -229,7 +229,7 @@ fn drive_gobackn_over_adversarial_channel(
     chunks_per_msg: u32,
     recover_after_commits: u64,
 ) -> (Vec<u64>, Vec<u64>) {
-    use ftgm_mcp::{ChunkRecord, ReceiverStream, SenderStream};
+    use ftgm_mcp::{ChunkRecord, ReceiverStream, SendDesc, SenderStream};
     use ftgm_mcp::gobackn::RxVerdict;
     use std::collections::VecDeque;
 
@@ -265,20 +265,9 @@ fn drive_gobackn_over_adversarial_channel(
     let total_chunks = msgs * chunks_per_msg as u64;
     let rec_for = |global: u64, seq: u32| {
         let offset = (global % chunks_per_msg as u64) as u32;
-        ChunkRecord {
-            seq,
-            msg_id: global / chunks_per_msg as u64,
-            slab: seq % 256,
-            len: 64,
-            msg_len: 64 * chunks_per_msg,
-            chunk_offset: offset * 64,
-            last: offset == chunks_per_msg - 1,
-            syn: false,
-            dst_node: NodeId(1),
-            dst_port: 2,
-            src_port: 0,
-            prio_high: false,
-        }
+        let msg_id = global / chunks_per_msg as u64;
+        let msg = SendDesc::new(msg_id, 0, NodeId(1), 2, 0, 64 * chunks_per_msg, false, None);
+        ChunkRecord::new(&msg, seq, false, seq % 256, offset * 64, 64)
     };
 
     let mut assembly: Vec<(u64, u32)> = Vec::new();
@@ -306,7 +295,7 @@ fn drive_gobackn_over_adversarial_channel(
         // Receiver side: up to two data frames arrive per step.
         for _ in 0..2 {
             match perturb(&mut to_data, &mut rng) {
-                Some(ModelFrame::Data(rec)) => match rx.classify(rec.seq) {
+                Some(ModelFrame::Data(rec)) => match rx.classify(rec.seq()) {
                     RxVerdict::Accept => {
                         rx.advance();
                         if let Some(&(m, o)) = assembly.last() {
